@@ -20,6 +20,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/jsonx"
 	"repro/internal/registry"
 	"repro/internal/resilience"
 	"repro/internal/slo"
@@ -1146,9 +1147,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	// Graceful degradation, part 1: K is the unit of quadratic work, so
 	// Normalize clamps it to the engine's ceiling; report the clamp.
-	degraded := map[string]any{}
+	var degraded degradation
 	if from := req.ClampedFrom(); from > 0 {
-		degraded["K_clamped_from"] = from
+		degraded.KClampedFrom = from
 		s.tel.degraded.With("k_clamp").Inc()
 		fin.degraded = true
 	}
@@ -1194,17 +1195,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 					s.writeError(w, http.StatusInternalServerError, "downshift: %v", err)
 					return
 				}
-				degraded["spatial"] = "exact→squared-grid (low budget)"
+				degraded.Spatial = "exact→squared-grid (low budget)"
 				s.tel.degraded.With("spatial_downshift").Inc()
 				fin.degraded = true
 			} else {
 				// The request stays exact and undegraded; the skipped
 				// decision is still surfaced so a budget-starved small
 				// query is diagnosable.
-				degraded["spatial"] = fmt.Sprintf("downshift skipped (K=%d below grid crossover)", req.K)
+				degraded.Spatial = fmt.Sprintf("downshift skipped (K=%d below grid crossover)", req.K)
 				s.tel.degraded.With("spatial_downshift_skipped").Inc()
 			}
-			degraded["remaining_budget_ms"] = round3(remaining.Seconds() * 1e3)
+			ms := round3(remaining.Seconds() * 1e3)
+			degraded.RemainingBudgetMS = &ms
 		}
 	}
 
@@ -1218,33 +1220,65 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	telemetry.NoteCache(r.Context(), res.Cache)
 	telemetry.NoteEpoch(r.Context(), req.Epoch())
 
-	resp := tn.Eng.BuildResponse(req, res, tr)
-	resp.RequestID = w.Header().Get(telemetry.RequestIDHeader)
-	if len(degraded) > 0 {
-		resp.Diagnostics["degraded"] = degraded
-	}
-	// The body is encoded to a buffer first so the encode span is closed
-	// — and can appear as the render entry of the Server-Timing header —
-	// before any header freezes.
-	endEncode := tr.StartSpan(telemetry.StageEncode)
-	body, err := json.Marshal(resp)
-	endEncode()
+	// The body is assembled into a buffer first so the engine's build and
+	// encode spans are closed — and can appear in the Server-Timing header
+	// — before any header freezes.
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := tn.Eng.AppendResponse(*buf, req, res, tr, fin.requestID, degraded.encode())
 	if err != nil {
 		fin.status = http.StatusInternalServerError
 		s.recordSLO(tn.SLO, w.Header(), slo.ClassSearchMiss, start, fin.status, tr)
 		s.writeError(w, fin.status, "encode: %v", err)
 		return
 	}
+	body = append(body, '\n')
+	*buf = body
 	fin.status, fin.class = http.StatusOK, searchClass(res.Cache)
 	fin.cache, fin.epoch = res.Cache, req.Epoch()
 	s.recordSLO(tn.SLO, w.Header(), fin.class, start, http.StatusOK, tr)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-	w.Write([]byte("\n"))
 	s.finishTrace(r.Context(), tn, tr, start, fin)
-	s.maybeLogSlow("/v1/search", resp.RequestID, tn.Name, fin.traceID, req, tr, res.Cache, nil)
+	s.maybeLogSlow("/v1/search", fin.requestID, tn.Name, fin.traceID, req, tr, res.Cache, nil)
 }
+
+// degradation is the diagnostics.degraded report of one search. Its
+// fields are declared in sorted key order, the order encoding/json gave
+// the map this replaces.
+type degradation struct {
+	KClampedFrom      int      `json:"K_clamped_from,omitempty"`
+	RemainingBudgetMS *float64 `json:"remaining_budget_ms,omitempty"`
+	Spatial           string   `json:"spatial,omitempty"`
+}
+
+// encode returns the report as JSON, or nil when nothing was degraded.
+func (d degradation) encode() json.RawMessage {
+	if d == (degradation{}) {
+		return nil
+	}
+	b, err := json.Marshal(d)
+	if err != nil { // unreachable: an int, a finite float and a string
+		panic(fmt.Sprintf("propserve: encode degradation: %v", err))
+	}
+	return b
+}
+
+// bufPool recycles response-assembly buffers: a search body, a batch
+// element or a batch envelope.
+var bufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 8<<10)
+	return &b
+}}
+
+func getBuf() *[]byte {
+	b := bufPool.Get().(*[]byte)
+	*b = (*b)[:0]
+	return b
+}
+
+func putBuf(b *[]byte) { bufPool.Put(b) }
 
 // handleExplain serves GET /v1/explain: the /v1/search parameter schema
 // evaluated with Engine.Explain, which bypasses the score-set cache and
@@ -1413,19 +1447,13 @@ type batchRequest struct {
 	Queries []json.RawMessage `json:"queries"`
 }
 
-// batchItem is one element of a batch response, in input order.
-type batchItem struct {
-	Index    int                   `json:"index"`
-	Status   int                   `json:"status"`
-	Error    string                `json:"error,omitempty"`
-	Response *engine.QueryResponse `json:"response,omitempty"`
-}
-
-// batchResponse is the POST /v1/batch response envelope.
-type batchResponse struct {
-	RequestID string      `json:"request_id,omitempty"`
-	Count     int         `json:"count"`
-	Results   []batchItem `json:"results"`
+// batchOutcome is the outcome of one batch element, in input order: a status
+// with either an error or the encoded response (the /v1/search body for
+// the same query, in a pooled buffer the envelope writer releases).
+type batchOutcome struct {
+	status int
+	err    string
+	body   *[]byte
 }
 
 // handleBatch runs up to MaxBatch queries through a bounded worker pool.
@@ -1455,7 +1483,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.tel.batches.Inc()
 	s.tel.batchQueries.Add(uint64(len(br.Queries)))
 
-	items := make([]batchItem, len(br.Queries))
+	items := make([]batchOutcome, len(br.Queries))
 	jobs := make(chan int)
 	workers := s.cfg.BatchWorkers
 	if workers > len(br.Queries) {
@@ -1478,11 +1506,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	close(jobs)
 	wg.Wait()
 
-	s.writeJSON(w, http.StatusOK, batchResponse{
-		RequestID: w.Header().Get(telemetry.RequestIDHeader),
-		Count:     len(items),
-		Results:   items,
-	})
+	// The envelope: {"request_id":…,"count":n,"results":[{"index":i,
+	// "status":…,"error":…|"response":{…}},…]}.
+	buf := getBuf()
+	defer putBuf(buf)
+	out := append(*buf, '{')
+	if requestID != "" {
+		out = jsonx.AppendString(append(out, `"request_id":`...), requestID)
+		out = append(out, ',')
+	}
+	out = strconv.AppendInt(append(out, `"count":`...), int64(len(items)), 10)
+	out = append(out, `,"results":[`...)
+	for idx, item := range items {
+		if idx > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendInt(append(out, `{"index":`...), int64(idx), 10)
+		out = strconv.AppendInt(append(out, `,"status":`...), int64(item.status), 10)
+		if item.err != "" {
+			out = jsonx.AppendString(append(out, `,"error":`...), item.err)
+		}
+		if item.body != nil {
+			out = append(append(out, `,"response":`...), *item.body...)
+			putBuf(item.body)
+		}
+		out = append(out, '}')
+	}
+	out = append(out, "]}\n"...)
+	*buf = out
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(out)
 }
 
 // batchElement runs one batch query end to end: decode over the corpus
@@ -1491,9 +1545,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // recovery middleware's goroutine). Each element gets its own trace —
 // spans never bleed across elements — while requestID ties every element's
 // response and slow-query line back to the parent batch request.
-func (s *Server) batchElement(parent context.Context, tn *registry.Tenant, requestID string, idx int, raw json.RawMessage) (item batchItem) {
+func (s *Server) batchElement(parent context.Context, tn *registry.Tenant, requestID string, idx int, raw json.RawMessage) (item batchOutcome) {
 	start := time.Now()
-	item.Index = idx
 	tr := telemetry.NewTrace()
 	// Elements finish individually: a nil note context keeps the parent
 	// batch's access-log line from adopting one element's trace ID.
@@ -1501,12 +1554,12 @@ func (s *Server) batchElement(parent context.Context, tn *registry.Tenant, reque
 	defer func() {
 		if v := recover(); v != nil {
 			s.cfg.Logf("propserve: panic in batch element %d: %v", idx, v)
-			item = batchItem{Index: idx, Status: http.StatusInternalServerError, Error: "internal server error"}
+			item = batchOutcome{status: http.StatusInternalServerError, err: "internal server error"}
 		}
 		// Each element is one unit of the batch SLO class; the shared
 		// response envelope means no per-element Server-Timing header.
-		s.recordSLO(tn.SLO, nil, slo.ClassBatch, start, item.Status, tr)
-		fin.status = item.Status
+		s.recordSLO(tn.SLO, nil, slo.ClassBatch, start, item.status, tr)
+		fin.status = item.status
 		s.finishTrace(nil, tn, tr, start, fin)
 	}()
 	defer s.flushSpans(tr)
@@ -1519,9 +1572,7 @@ func (s *Server) batchElement(parent context.Context, tn *registry.Tenant, reque
 	}
 	endParse()
 	if err != nil {
-		item.Status = http.StatusBadRequest
-		item.Error = fmt.Sprintf("bad query: %v", err)
-		return item
+		return batchOutcome{status: http.StatusBadRequest, err: fmt.Sprintf("bad query: %v", err)}
 	}
 
 	ctx, cancel := context.WithTimeout(parent, s.cfg.QueryTimeout)
@@ -1534,21 +1585,20 @@ func (s *Server) batchElement(parent context.Context, tn *registry.Tenant, reque
 	endWait()
 	s.tel.queueWait.Observe(time.Since(waitStart).Seconds())
 	if err != nil {
-		item.Status = statusFor(err)
-		item.Error = fmt.Sprintf("admission: %v", err)
-		return item
+		return batchOutcome{status: statusFor(err), err: fmt.Sprintf("admission: %v", err)}
 	}
 	defer release()
 
 	res, err := tn.Eng.Query(ctx, req)
 	if err != nil {
-		item.Status = statusFor(err)
-		item.Error = err.Error()
-		return item
+		return batchOutcome{status: statusFor(err), err: err.Error()}
 	}
-	item.Status = http.StatusOK
-	item.Response = tn.Eng.BuildResponse(req, res, tr)
-	item.Response.RequestID = requestID
+	buf := getBuf()
+	if *buf, err = tn.Eng.AppendResponse(*buf, req, res, tr, requestID, nil); err != nil {
+		putBuf(buf)
+		return batchOutcome{status: http.StatusInternalServerError, err: fmt.Sprintf("encode: %v", err)}
+	}
+	item = batchOutcome{status: http.StatusOK, body: buf}
 	fin.status, fin.cache, fin.epoch = http.StatusOK, res.Cache, req.Epoch()
 	s.finishTrace(nil, tn, tr, start, fin)
 	s.maybeLogSlow("/v1/batch", requestID, tn.Name, fin.traceID, req, tr, res.Cache, nil)

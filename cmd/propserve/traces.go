@@ -15,12 +15,10 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/registry"
@@ -161,24 +159,31 @@ func (s *Server) exportTrace(t *tracestore.Trace) {
 // serverTiming renders the Server-Timing header value: the app total
 // first (loadgen and the SLO tests key on the leading entry), then the
 // per-stage breakdown from the span tree — retrieve, select
-// (step2_select) and render (encode) — so clients see where the time
-// went without fetching the trace.
+// (step2_select), build (the cold response build; absent when the answer
+// was memoised) and render (encode) — so clients see where the time went
+// without fetching the trace.
 func serverTiming(total time.Duration, tr *telemetry.Trace) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "app;dur=%.4f", float64(total.Nanoseconds())/1e6)
-	if tr != nil {
-		st := tr.Stages()
-		for _, e := range [...]struct{ entry, stage string }{
-			{"retrieve", telemetry.StageRetrieve},
-			{"select", telemetry.StageSelect},
-			{"render", telemetry.StageEncode},
-		} {
-			if d, ok := st[e.stage]; ok {
-				fmt.Fprintf(&b, ", %s;dur=%.4f", e.entry, float64(d.Nanoseconds())/1e6)
+	b := make([]byte, 0, 96)
+	entry := func(name string, d time.Duration) {
+		b = append(append(b, name...), ";dur="...)
+		b = strconv.AppendFloat(b, float64(d.Nanoseconds())/1e6, 'f', 4, 64)
+	}
+	entry("app", total)
+	var buf [12]telemetry.StageTotal
+	stages := tr.StageTotals(buf[:0])
+	for _, e := range [...]struct{ entry, stage string }{
+		{", retrieve", telemetry.StageRetrieve},
+		{", select", telemetry.StageSelect},
+		{", build", telemetry.StageBuild},
+		{", render", telemetry.StageEncode},
+	} {
+		for _, st := range stages {
+			if st.Stage == e.stage {
+				entry(e.entry, st.Dur)
 			}
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // traceJSON renders one retained trace as the /v1/traces/{id} payload:

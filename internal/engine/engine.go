@@ -16,8 +16,10 @@
 //     for the full Step-1 parameter key — location, interned keyword set,
 //     retrieval size K, γ, and spatial method. Score sets are cached in a
 //     size-bounded LRU keyed by that canonicalised key.
-//  3. Selections. Step 2 is deterministic given a score set, so each
-//     cache entry memoises selections per (algorithm, k, λ).
+//  3. Answers. Step 2 is deterministic given a score set, so each cache
+//     entry memoises, per (algorithm, k, λ), the selection together with
+//     everything rendered from it: HPF breakdown, diagnostics, places and
+//     their encoded JSON (see answer).
 //
 // Concurrent identical requests are deduplicated with a singleflight
 // group: one caller (the leader) computes Step 1 in its own goroutine —
@@ -88,8 +90,9 @@ type Options struct {
 	// cell-centre computation (grid.SquaredTable.At). 0 means 1024,
 	// covering the paper's |G| ≈ K rule up to K = 1024.
 	GridTableCells int
-	// SelectionMemo bounds the per-entry (algorithm, k, λ) selection
-	// memo. 0 means 64.
+	// SelectionMemo bounds the per-entry (algorithm, k, λ) memo of
+	// selections and the answers rendered from them (a few KB each).
+	// 0 means 64.
 	SelectionMemo int
 	// InitialEpoch is the corpus epoch the registered dataset represents.
 	// 0 for a fresh corpus; recovery passes the loaded snapshot's epoch so
@@ -284,6 +287,11 @@ type Result struct {
 	// Cache reports how the score set was obtained: CacheHit, CacheMiss
 	// or CacheCoalesced.
 	Cache string
+
+	// ans is the memoised answer Sel and Breakdown came from. Query sets
+	// it; a Result assembled by hand leaves it nil and is rendered from
+	// its exported fields (see Engine.render).
+	ans *answer
 }
 
 // Query evaluates req end to end: Normalize (validate, clamp, resolve
@@ -306,16 +314,11 @@ func (e *Engine) Query(ctx context.Context, req *QueryRequest) (*Result, error) 
 			ErrBadRequest, ent.ss.K(), req.SmallK)
 	}
 	p := core.Params{K: req.SmallK, Lambda: req.Lambda, Gamma: req.Gamma}
-	sel, err := ent.selection(ctx, core.Algorithm(req.Algo), p, e.opt.SelectionMemo)
+	ans, err := ent.answer(ctx, core.Algorithm(req.Algo), p, e.opt.SelectionMemo)
 	if err != nil {
 		return nil, fmt.Errorf("select: %w", err)
 	}
-	return &Result{
-		SS:        ent.ss,
-		Sel:       sel,
-		Breakdown: ent.ss.Evaluate(sel.Indices, req.Lambda),
-		Cache:     status,
-	}, nil
+	return &Result{SS: ent.ss, Sel: ans.sel, Breakdown: ans.breakdown, Cache: status, ans: ans}, nil
 }
 
 // scoreSet returns the cached score-set entry for key, computing it at
@@ -481,47 +484,13 @@ func (e *Engine) Stats() Stats {
 }
 
 // entry is one LRU slot: a score set plus its per-(algorithm, k, λ)
-// selection memo.
+// answer memo — the selection and everything rendered from it.
 type entry struct {
 	ss   *core.ScoreSet
 	mu   sync.Mutex
-	sels map[selKey]core.Selection
-}
-
-type selKey struct {
-	algo   core.Algorithm
-	k      int
-	lambda float64
+	sels map[selKey]*answer
 }
 
 func newEntry(ss *core.ScoreSet) *entry {
-	return &entry{ss: ss, sels: make(map[selKey]core.Selection)}
-}
-
-// selection returns the memoised Step-2 selection for (alg, p), computing
-// it outside the entry lock so distinct parameter sets never serialise.
-// Selection is deterministic given a score set, so a duplicated
-// computation under contention is wasted work, never a wrong answer.
-func (en *entry) selection(ctx context.Context, alg core.Algorithm, p core.Params, memoCap int) (core.Selection, error) {
-	k := selKey{algo: alg, k: p.K, lambda: p.Lambda}
-	en.mu.Lock()
-	sel, ok := en.sels[k]
-	en.mu.Unlock()
-	if ok {
-		return sel, nil
-	}
-	sel, err := core.SelectCtx(ctx, alg, en.ss, p)
-	if err != nil {
-		return core.Selection{}, err
-	}
-	en.mu.Lock()
-	if len(en.sels) >= memoCap {
-		for stale := range en.sels { // drop one arbitrary memo to stay bounded
-			delete(en.sels, stale)
-			break
-		}
-	}
-	en.sels[k] = sel
-	en.mu.Unlock()
-	return sel, nil
+	return &entry{ss: ss, sels: make(map[selKey]*answer)}
 }

@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/metrics"
-	"repro/internal/telemetry"
 	"repro/internal/textctx"
 )
 
@@ -238,7 +236,8 @@ func (r *QueryRequest) Normalize() (CacheKey, error) {
 		}
 	}
 	if r.snap != nil {
-		var ids []textctx.ItemID
+		// Stack-resident for the usual handful of keywords (NewSet copies).
+		ids := make([]textctx.ItemID, 0, 8)
 		r.droppedKw = nil // recomputed each call, so Normalize stays idempotent
 		for _, w := range r.Keywords {
 			w = strings.TrimSpace(w)
@@ -264,9 +263,24 @@ func (r *QueryRequest) Normalize() (CacheKey, error) {
 // singleflight group uses the same string, so a herd racing a mutation
 // can never coalesce onto another epoch's build.
 func (r *QueryRequest) cacheKey() CacheKey {
-	return CacheKey{s: fmt.Sprintf("e=%d;x=%016x;y=%016x;K=%d;g=%016x;s=%d;kw=%s",
-		r.Epoch(), math.Float64bits(r.X), math.Float64bits(r.Y), r.K,
-		math.Float64bits(r.Gamma), int(r.spatial), r.kwSet.Fingerprint())}
+	b := make([]byte, 0, 128)
+	b = strconv.AppendUint(append(b, "e="...), r.Epoch(), 10)
+	b = appendHex16(append(b, ";x="...), math.Float64bits(r.X))
+	b = appendHex16(append(b, ";y="...), math.Float64bits(r.Y))
+	b = strconv.AppendInt(append(b, ";K="...), int64(r.K), 10)
+	b = appendHex16(append(b, ";g="...), math.Float64bits(r.Gamma))
+	b = strconv.AppendInt(append(b, ";s="...), int64(r.spatial), 10)
+	b = r.kwSet.AppendFingerprint(append(b, ";kw="...))
+	return CacheKey{s: string(b)}
+}
+
+// appendHex16 appends v as 16 zero-padded lowercase hex digits.
+func appendHex16(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return b
 }
 
 // SpatialMethod returns the resolved spatial method (valid after
@@ -328,62 +342,3 @@ type QueryResponse struct {
 	// absent from every other endpoint's payload.
 	Explain any `json:"explain,omitempty"`
 }
-
-// BuildResponse renders a Result into the canonical response schema. tr,
-// when non-nil, contributes the per-stage timing diagnostics; the caller
-// owns policy-level diagnostics (degradation reports, request IDs) and
-// may add them to the returned value before encoding.
-func (e *Engine) BuildResponse(req *QueryRequest, res *Result, tr *telemetry.Trace) *QueryResponse {
-	var resp QueryResponse
-	resp.Query.X, resp.Query.Y = req.X, req.Y
-	resp.Query.K, resp.Query.SmallK = req.K, req.SmallK
-	resp.Query.Lambda, resp.Query.Gamma = req.Lambda, req.Gamma
-	resp.Query.Algo = req.Algo
-	// Echo the keywords as requested, not as resolved: a query whose words
-	// all missed the dictionary must not read back as keywordless.
-	resp.Query.Keywords = append([]string(nil), req.Keywords...)
-	resp.HPF = res.Breakdown.Total
-	resp.Breakdown = map[string]any{
-		"rel": res.Breakdown.Rel, "pC": res.Breakdown.PC, "pS": res.Breakdown.PS,
-	}
-	diag := metrics.Evaluate(res.SS, res.Sel.Indices)
-	resp.Diagnostics = map[string]any{
-		"inference_match":      diag.InferenceMatch,
-		"dominance":            diag.Dominance,
-		"rare_share":           diag.RareShare,
-		"type_coverage":        diag.TypeCoverage,
-		"directional_coverage": diag.DirectionalCoverage,
-		"diversity":            diag.Diversity,
-		"mean_relevance":       diag.MeanRelevance,
-		"spatial_method":       req.spatial.String(),
-		"cache":                res.Cache,
-		"corpus_epoch":         req.Epoch(),
-	}
-	if len(req.droppedKw) > 0 {
-		resp.Diagnostics["keywords_dropped"] = append([]string(nil), req.droppedKw...)
-	}
-	if tr != nil {
-		stages := map[string]any{}
-		for stage, d := range tr.Stages() {
-			stages[stage] = round3(d.Seconds() * 1e3)
-		}
-		resp.Diagnostics["stage_ms"] = stages
-		resp.Diagnostics["elapsed_ms"] = round3(tr.Elapsed().Seconds() * 1e3)
-	}
-	dict := req.corpus(e).Dict
-	for rank, idx := range res.Sel.Indices {
-		p := res.SS.Places[idx]
-		ctxWords := p.Context.Words(dict)
-		total := len(ctxWords)
-		if total > maxContextWords {
-			ctxWords = ctxWords[:maxContextWords]
-		}
-		resp.Results = append(resp.Results, PlaceResult{
-			Rank: rank + 1, ID: p.ID, X: p.Loc.X, Y: p.Loc.Y, Rel: p.Rel,
-			Context: ctxWords, ContextTotal: total, ContextTruncated: total > maxContextWords,
-		})
-	}
-	return &resp
-}
-
-func round3(v float64) float64 { return math.Round(v*1e3) / 1e3 }

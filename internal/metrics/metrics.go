@@ -9,6 +9,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -44,13 +45,17 @@ type Report struct {
 	MeanRelevance float64
 }
 
-// Evaluate computes the full report for r against ss.
+// Evaluate computes the full report for r against ss. The K×|context|
+// support scan — the dominant cost — runs once and is shared by the four
+// item diagnostics; the result is bitwise what the per-metric functions
+// return individually.
 func Evaluate(ss *core.ScoreSet, r []int) Report {
+	sup := supportOf(ss)
 	rep := Report{
-		FrequentKL:          FrequentItemKL(ss, r),
-		RareShare:           RareShare(ss, r),
-		Dominance:           DominanceAgreement(ss, r),
-		TypeCoverage:        TypeCoverage(ss, r),
+		FrequentKL:          frequentItemKL(sup, ss, r),
+		RareShare:           rareShare(sup, ss, r),
+		Dominance:           dominanceAgreement(sup, ss, r),
+		TypeCoverage:        typeCoverage(sup, ss, r),
 		DirectionalCoverage: DirectionalCoverage(ss, r, 8),
 		Diversity:           Diversity(ss, r),
 		MeanRelevance:       MeanRelevance(ss, r),
@@ -59,16 +64,63 @@ func Evaluate(ss *core.ScoreSet, r []int) Report {
 	return rep
 }
 
+// support is the frequent-item structure of S: the items carried by at
+// least minSupport(|S|) places, ascending by id, with their place counts.
+// Every item diagnostic reads only this — an item absent from it is rare.
+// Ascending order doubles as the accumulation order of the float sums
+// below (float addition is order-dependent, and map iteration order would
+// make repeated evaluations of one selection differ in the last bits).
+type support struct {
+	items  []textctx.ItemID
+	counts []int
+}
+
 // supportOf counts, for every contextual item, the number of places in S
-// carrying it.
-func supportOf(ss *core.ScoreSet) map[textctx.ItemID]int {
-	sup := make(map[textctx.ItemID]int)
+// carrying it, and keeps the frequent ones.
+func supportOf(ss *core.ScoreSet) support {
+	// Sized for the few distinct items per place a retrieved set carries,
+	// so the scan does not spend its time regrowing the map.
+	all := make(map[textctx.ItemID]int, 4*len(ss.Places))
 	for i := range ss.Places {
 		for _, it := range ss.Places[i].Context.Items() {
-			sup[it]++
+			all[it]++
 		}
 	}
+	minSup := minSupport(len(ss.Places))
+	var sup support
+	for it, c := range all {
+		if c >= minSup {
+			sup.items = append(sup.items, it)
+		}
+	}
+	slices.Sort(sup.items)
+	sup.counts = make([]int, len(sup.items))
+	for i, it := range sup.items {
+		sup.counts[i] = all[it]
+	}
 	return sup
+}
+
+// index returns the position of it among the frequent items, or -1 if it
+// is rare.
+func (s support) index(it textctx.ItemID) int {
+	if i, ok := slices.BinarySearch(s.items, it); ok {
+		return i
+	}
+	return -1
+}
+
+// occurrences counts, per frequent item, how many places of R carry it.
+func (s support) occurrences(ss *core.ScoreSet, r []int) []float64 {
+	occ := make([]float64, len(s.items))
+	for _, i := range r {
+		for _, it := range ss.Places[i].Context.Items() {
+			if f := s.index(it); f >= 0 {
+				occ[f]++
+			}
+		}
+	}
+	return occ
 }
 
 // minSupport converts the default fraction into an absolute count.
@@ -85,46 +137,31 @@ func minSupport(n int) int {
 // dominant item costs much more than over-representing it — the right
 // asymmetry for "how wrong is a user's inference about the area".
 func FrequentItemKL(ss *core.ScoreSet, r []int) float64 {
+	return frequentItemKL(supportOf(ss), ss, r)
+}
+
+func frequentItemKL(sup support, ss *core.ScoreSet, r []int) float64 {
 	if len(r) == 0 {
 		return math.Inf(1)
 	}
-	sup := supportOf(ss)
-	minSup := minSupport(len(ss.Places))
-	// Accumulate in sorted item order: float addition is order-dependent,
-	// and map iteration order would make repeated evaluations of the same
-	// selection differ in the last bits.
-	frequent := make([]textctx.ItemID, 0, len(sup))
-	for it, c := range sup {
-		if c >= minSup {
-			frequent = append(frequent, it)
-		}
-	}
-	sort.Slice(frequent, func(a, b int) bool { return frequent[a] < frequent[b] })
-	freqS := make(map[textctx.ItemID]float64, len(frequent))
 	var totS float64
-	for _, it := range frequent {
-		freqS[it] = float64(sup[it])
-		totS += float64(sup[it])
+	for _, c := range sup.counts {
+		totS += float64(c)
 	}
 	if totS == 0 {
 		return 0 // no frequent structure to misrepresent
 	}
-	freqR := make(map[textctx.ItemID]float64)
+	occR := sup.occurrences(ss, r)
 	var totR float64
-	for _, i := range r {
-		for _, it := range ss.Places[i].Context.Items() {
-			if _, ok := freqS[it]; ok {
-				freqR[it]++
-				totR++
-			}
-		}
+	for _, c := range occR {
+		totR += c
 	}
 	const alpha = 0.5
-	denom := totR + alpha*float64(len(freqS))
+	denom := totR + alpha*float64(len(sup.items))
 	var kl float64
-	for _, it := range frequent {
-		ps := freqS[it] / totS
-		pr := (freqR[it] + alpha) / denom
+	for f, c := range sup.counts {
+		ps := float64(c) / totS
+		pr := (occR[f] + alpha) / denom
 		kl += ps * math.Log(ps/pr)
 	}
 	if kl < 0 {
@@ -136,13 +173,15 @@ func FrequentItemKL(ss *core.ScoreSet, r []int) float64 {
 // RareShare returns the fraction of R's contextual item occurrences that
 // are rare in S. An empty R returns 1 (all noise, vacuously).
 func RareShare(ss *core.ScoreSet, r []int) float64 {
-	sup := supportOf(ss)
-	minSup := minSupport(len(ss.Places))
+	return rareShare(supportOf(ss), ss, r)
+}
+
+func rareShare(sup support, ss *core.ScoreSet, r []int) float64 {
 	var rare, occ float64
 	for _, i := range r {
 		for _, it := range ss.Places[i].Context.Items() {
 			occ++
-			if sup[it] < minSup {
+			if sup.index(it) < 0 {
 				rare++
 			}
 		}
@@ -158,22 +197,39 @@ func RareShare(ss *core.ScoreSet, r []int) float64 {
 // places identifies nothing) match S's top-3, weighting the top type
 // heaviest: 0.5·[top-1 agrees] + 0.3·overlap(top-2)/2 + 0.2·overlap(top-3)/3.
 func DominanceAgreement(ss *core.ScoreSet, r []int) float64 {
-	sup := supportOf(ss)
-	minSup := minSupport(len(ss.Places))
+	return dominanceAgreement(supportOf(ss), ss, r)
+}
+
+func dominanceAgreement(sup support, ss *core.ScoreSet, r []int) float64 {
 	maxSup := len(ss.Places) / 2
-	informative := func(it textctx.ItemID) bool {
-		return sup[it] >= minSup && sup[it] <= maxSup
-	}
-	topS := topItems(toFloat(sup), informative, 3, nil)
-	countR := make(map[textctx.ItemID]float64)
-	for _, i := range r {
-		for _, it := range ss.Places[i].Context.Items() {
-			if informative(it) {
-				countR[it]++
-			}
+	occR := sup.occurrences(ss, r)
+	var inS, inR []int // informative frequent-item positions, all and those R carries
+	for f, c := range sup.counts {
+		if c > maxSup {
+			continue
+		}
+		inS = append(inS, f)
+		if occR[f] > 0 {
+			inR = append(inR, f)
 		}
 	}
-	topR := topItems(countR, informative, 3, toFloat(sup))
+	// Positions ascend with item id, so "smaller position" is the
+	// deterministic smaller-id tie-break.
+	topS := top(inS, 3, func(a, b int) bool {
+		if sup.counts[a] != sup.counts[b] {
+			return sup.counts[a] > sup.counts[b]
+		}
+		return a < b
+	})
+	topR := top(inR, 3, func(a, b int) bool {
+		if occR[a] != occR[b] {
+			return occR[a] > occR[b]
+		}
+		if sup.counts[a] != sup.counts[b] {
+			return sup.counts[a] > sup.counts[b]
+		}
+		return a < b
+	})
 	var score float64
 	if len(topS) > 0 && len(topR) > 0 && topS[0] == topR[0] {
 		score += 0.5
@@ -186,20 +242,20 @@ func DominanceAgreement(ss *core.ScoreSet, r []int) float64 {
 // TypeCoverage returns the fraction (saturating at six items ≈ three
 // two-word types) of distinct frequent items of S appearing in R.
 func TypeCoverage(ss *core.ScoreSet, r []int) float64 {
+	return typeCoverage(supportOf(ss), ss, r)
+}
+
+func typeCoverage(sup support, ss *core.ScoreSet, r []int) float64 {
 	if len(r) == 0 {
 		return 0
 	}
-	sup := supportOf(ss)
-	minSup := minSupport(len(ss.Places))
-	covered := make(map[textctx.ItemID]bool)
-	for _, i := range r {
-		for _, it := range ss.Places[i].Context.Items() {
-			if sup[it] >= minSup {
-				covered[it] = true
-			}
+	var covered int
+	for _, c := range sup.occurrences(ss, r) {
+		if c > 0 {
+			covered++
 		}
 	}
-	c := float64(len(covered)) / 6
+	c := float64(covered) / 6
 	if c > 1 {
 		c = 1
 	}
@@ -265,56 +321,29 @@ func MeanRelevance(ss *core.ScoreSet, r []int) float64 {
 	return sum / float64(len(r))
 }
 
-func toFloat(m map[textctx.ItemID]int) map[textctx.ItemID]float64 {
-	out := make(map[textctx.ItemID]float64, len(m))
-	for k, v := range m {
-		out[k] = float64(v)
+// top returns the first n of xs under before, a strict total order.
+func top(xs []int, n int, before func(a, b int) bool) []int {
+	sort.Slice(xs, func(i, j int) bool { return before(xs[i], xs[j]) })
+	if len(xs) > n {
+		xs = xs[:n]
 	}
-	return out
+	return xs
 }
 
-// topItems returns up to n keys with the largest counts, ties broken by
-// higher secondary count (if given) then smaller id, for determinism.
-func topItems(counts map[textctx.ItemID]float64, ok func(textctx.ItemID) bool, n int, secondary map[textctx.ItemID]float64) []textctx.ItemID {
-	items := make([]textctx.ItemID, 0, len(counts))
-	for it, c := range counts {
-		if c > 0 && ok(it) {
-			items = append(items, it)
-		}
+// overlap is |prefix_n(a) ∩ prefix_n(b)| / n, for duplicate-free a and b.
+func overlap(a, b []int, n int) float64 {
+	if len(a) > n {
+		a = a[:n]
 	}
-	sort.Slice(items, func(a, b int) bool {
-		ca, cb := counts[items[a]], counts[items[b]]
-		if ca != cb {
-			return ca > cb
-		}
-		if secondary != nil && secondary[items[a]] != secondary[items[b]] {
-			return secondary[items[a]] > secondary[items[b]]
-		}
-		return items[a] < items[b]
-	})
-	if len(items) > n {
-		items = items[:n]
-	}
-	return items
-}
-
-// overlap is |prefix_n(a) ∩ prefix_n(b)| / n.
-func overlap(a, b []textctx.ItemID, n int) float64 {
-	na, nb := a, b
-	if len(na) > n {
-		na = na[:n]
-	}
-	if len(nb) > n {
-		nb = nb[:n]
-	}
-	set := make(map[textctx.ItemID]bool, len(na))
-	for _, it := range na {
-		set[it] = true
+	if len(b) > n {
+		b = b[:n]
 	}
 	var inter int
-	for _, it := range nb {
-		if set[it] {
-			inter++
+	for _, x := range a {
+		for _, y := range b {
+			if x == y {
+				inter++
+			}
 		}
 	}
 	return float64(inter) / float64(n)

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -154,3 +156,92 @@ func TestEvaluateReport(t *testing.T) {
 		}
 	}
 }
+
+// randomSet builds a scored set of n places drawing up to 7 words each
+// from a skewed vocabulary (vocab ≤ 0 gives every place words of its own,
+// so nothing is frequent).
+func randomSet(t testing.TB, rng *rand.Rand, n, vocab int) *core.ScoreSet {
+	t.Helper()
+	d := textctx.NewDict()
+	places := make([]core.Place, n)
+	for i := range places {
+		words := make([]string, rng.Intn(8))
+		for j := range words {
+			if vocab <= 0 {
+				words[j] = fmt.Sprintf("own-%d-%d", i, j)
+			} else {
+				words[j] = fmt.Sprintf("w%d", int(float64(vocab)*rng.Float64()*rng.Float64()))
+			}
+		}
+		places[i] = core.Place{
+			ID: fmt.Sprintf("p%d", i), Loc: geo.Pt(rng.Float64()*10, rng.Float64()*10),
+			Rel: rng.Float64(), Context: textctx.NewSetFromStrings(d, words),
+		}
+	}
+	ss, err := core.ComputeScores(geo.Pt(5, 5), places, core.ScoreOptions{Gamma: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
+// TestEvaluateMatchesPerMetricFunctions: Evaluate shares one support scan
+// across the item diagnostics; every field must still be bitwise what the
+// exported per-metric function returns on its own — including for an
+// empty and a one-place R and for sets with no frequent item at all.
+func TestEvaluateMatchesPerMetricFunctions(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(250)
+		vocab := 1 + rng.Intn(150)
+		if trial%10 == 0 {
+			vocab = 0 // all-rare contexts
+		}
+		ss := randomSet(t, rng, n, vocab)
+		k := trial % 3 // 0, 1, then a random size
+		if k == 2 {
+			k = 2 + rng.Intn(12)
+		}
+		if k > n {
+			k = n
+		}
+		r := rng.Perm(n)[:k]
+		got := Evaluate(ss, r)
+		kl := FrequentItemKL(ss, r)
+		want := Report{
+			FrequentKL: kl, InferenceMatch: 1 / (1 + kl),
+			RareShare: RareShare(ss, r), Dominance: DominanceAgreement(ss, r),
+			TypeCoverage:        TypeCoverage(ss, r),
+			DirectionalCoverage: DirectionalCoverage(ss, r, 8),
+			Diversity:           Diversity(ss, r), MeanRelevance: MeanRelevance(ss, r),
+		}
+		g := [...]float64{got.FrequentKL, got.InferenceMatch, got.RareShare, got.Dominance,
+			got.TypeCoverage, got.DirectionalCoverage, got.Diversity, got.MeanRelevance}
+		w := [...]float64{want.FrequentKL, want.InferenceMatch, want.RareShare, want.Dominance,
+			want.TypeCoverage, want.DirectionalCoverage, want.Diversity, want.MeanRelevance}
+		for i := range g {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("trial %d (n=%d vocab=%d k=%d): Evaluate = %+v, per-metric = %+v", trial, n, vocab, k, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkEvaluate is the cold diagnostics cost a cache miss pays, at the
+// two retrieval sizes the benchmark workloads use.
+func BenchmarkEvaluate(b *testing.B) {
+	for _, n := range []int{200, 1000} {
+		b.Run(fmt.Sprintf("K=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			ss := randomSet(b, rng, n, 400)
+			r := rng.Perm(n)[:10]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink = Evaluate(ss, r)
+			}
+		})
+	}
+}
+
+var sink Report

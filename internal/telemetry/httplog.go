@@ -12,9 +12,10 @@ import (
 	"time"
 )
 
-// RequestIDHeader is the header under which every response carries the
-// request's ID (client-supplied or generated).
-const RequestIDHeader = "X-Request-ID"
+// RequestIDHeader is the header (X-Request-ID) under which every response
+// carries the request's ID (client-supplied or generated), in net/http's
+// canonical spelling so Header.Get and Set need not derive it per call.
+const RequestIDHeader = "X-Request-Id"
 
 type requestIDKey struct{}
 

@@ -25,6 +25,11 @@ const (
 	StagePSS       = "step1_pss"
 	StageSelect    = "step2_select"
 	StageEncode    = "encode"
+	// StageBuild is the cold build of a response's request-invariant part
+	// — selection diagnostics, place rendering and fragment encode — paid
+	// once per (score set, algorithm, k, λ); a request served a memoised
+	// answer records no such span.
+	StageBuild = "build_response"
 	// StageShard is one shard's Step-1 priming inside a sharded retrieve:
 	// the parallel Search+refill that fills the shard's merge prefix. Its
 	// spans are children of the surrounding StageRetrieve span, one per
@@ -83,20 +88,22 @@ type Trace struct {
 // practically never does); a process-unique counter keeps them distinct.
 var tidFallback atomic.Uint64
 
-func randHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
-		v := tidFallback.Add(1)
-		for i := range b {
-			b[i] = byte(v >> (8 * (i % 8)))
-		}
-	}
-	return hex.EncodeToString(b)
-}
-
 // NewTrace starts a trace with a fresh trace ID; its clock starts now.
 func NewTrace() *Trace {
-	return &Trace{t0: time.Now(), id: randHex(16), root: randHex(8)}
+	// One read covers the 16-byte trace ID and the 8-byte span ID.
+	var raw [24]byte
+	if _, err := rand.Read(raw[:]); err != nil {
+		v := tidFallback.Add(1)
+		for i := range raw {
+			raw[i] = byte(v >> (8 * (i % 8)))
+		}
+	}
+	var hexed [2 * len(raw)]byte
+	hex.Encode(hexed[:], raw[:])
+	return &Trace{
+		t0: time.Now(), id: string(hexed[:32]), root: string(hexed[32:]),
+		spans: make([]Span, 0, 8), // a hit records 3 spans, an unsharded miss 7
+	}
 }
 
 // ID returns the trace's W3C trace-id (32 lowercase hex characters).
@@ -145,14 +152,15 @@ func (t *Trace) startSpan(stage string, parent int) (id int, end func(attrs ...A
 	}
 	start := time.Since(t.t0)
 	id = int(t.nextID.Add(1))
-	var once sync.Once
+	done := false
 	return id, func(attrs ...Attr) {
-		once.Do(func() {
-			d := time.Since(t.t0) - start
-			t.mu.Lock()
+		d := time.Since(t.t0) - start
+		t.mu.Lock()
+		if !done {
+			done = true
 			t.spans = append(t.spans, Span{ID: id, Parent: parent, Stage: stage, Start: start, Dur: d, Attrs: attrs})
-			t.mu.Unlock()
-		})
+		}
+		t.mu.Unlock()
 	}
 }
 
@@ -201,17 +209,47 @@ func (t *Trace) Spans() []Span {
 	return out
 }
 
-// Stages returns the total duration per stage name (a stage recorded
-// more than once accumulates).
+// StageTotal is one entry of a trace's per-stage rollup.
+type StageTotal struct {
+	Stage string
+	Dur   time.Duration
+}
+
+// StageTotals appends the total duration per stage name (a stage recorded
+// more than once accumulates) to dst, ascending by name — the order JSON
+// object keys are emitted in — and returns it. With a dst of enough
+// capacity it does not allocate.
+func (t *Trace) StageTotals(dst []StageTotal) []StageTotal {
+	if t == nil {
+		return dst
+	}
+	base := len(dst)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.spans {
+		i := base
+		for i < len(dst) && dst[i].Stage < s.Stage {
+			i++
+		}
+		if i == len(dst) || dst[i].Stage != s.Stage {
+			dst = append(dst, StageTotal{})
+			copy(dst[i+1:], dst[i:])
+			dst[i] = StageTotal{Stage: s.Stage}
+		}
+		dst[i].Dur += s.Dur
+	}
+	return dst
+}
+
+// Stages returns StageTotals as a map.
 func (t *Trace) Stages() map[string]time.Duration {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]time.Duration, len(t.spans))
-	for _, s := range t.spans {
-		out[s.Stage] += s.Dur
+	totals := t.StageTotals(nil)
+	out := make(map[string]time.Duration, len(totals))
+	for _, s := range totals {
+		out[s.Stage] = s.Dur
 	}
 	return out
 }
@@ -292,9 +330,11 @@ func Annotate(ctx context.Context, id int, attrs ...Attr) {
 	TraceFrom(ctx).Annotate(id, attrs...)
 }
 
-// TraceParentHeader is the W3C trace-context header accepted on ingress
-// and echoed (with this process's span ID) on egress.
-const TraceParentHeader = "traceparent"
+// TraceParentHeader is the W3C trace-context header (traceparent) accepted
+// on ingress and echoed (with this process's span ID) on egress. Header
+// names are case-insensitive; this is net/http's canonical spelling, which
+// Header.Get and Set would otherwise allocate to derive on every call.
+const TraceParentHeader = "Traceparent"
 
 // FormatTraceParent renders a version-00 traceparent value.
 func FormatTraceParent(traceID, spanID string) string {

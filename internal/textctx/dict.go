@@ -13,9 +13,9 @@ package textctx
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // ItemID is the dense identifier of an interned contextual item.
@@ -94,7 +94,7 @@ func NewSet(ids ...ItemID) Set {
 	}
 	s := make([]ItemID, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:1]
 	for _, v := range s[1:] {
 		if v != out[len(out)-1] {
@@ -134,14 +134,18 @@ func (s Set) Fingerprint() string {
 	if len(s.items) == 0 {
 		return ""
 	}
-	var b strings.Builder
+	return string(s.AppendFingerprint(nil))
+}
+
+// AppendFingerprint appends Fingerprint's encoding to dst.
+func (s Set) AppendFingerprint(dst []byte) []byte {
 	for i, id := range s.items {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.Itoa(int(id)))
+		dst = strconv.AppendInt(dst, int64(id), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // Words resolves the set back to strings using d.
