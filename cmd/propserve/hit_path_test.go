@@ -301,8 +301,9 @@ func TestNoStaleAnswerSurvivesSweep(t *testing.T) {
 	// served perEpoch more responses.
 	corpora := map[uint64]*dataset.Dataset{}
 	corpora[0], _ = s.eng.Snapshot()
+	next := int64(perEpoch)
 	for e := 1; e <= epochs; e++ {
-		for next := int64(e * perEpoch); served.Load() < next && !t.Failed(); {
+		for served.Load() < next && !t.Failed() {
 			runtime.Gosched()
 		}
 		rec := postJSON(t, s, "/v1/corpus", map[string]any{"upserts": []map[string]any{{
@@ -314,6 +315,7 @@ func TestNoStaleAnswerSurvivesSweep(t *testing.T) {
 		}
 		d, epoch := s.eng.Snapshot()
 		corpora[epoch] = d
+		next = served.Load() + perEpoch
 	}
 	for final := served.Load() + perEpoch; served.Load() < final && !t.Failed(); {
 		runtime.Gosched()

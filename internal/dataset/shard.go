@@ -222,10 +222,10 @@ func (c *shardCursor) refill(chunk int) {
 // When ctx carries a telemetry trace, each shard's priming records a
 // StageShard child span (shard index, primed count) and the k-way merge
 // a StageMerge span; after the merge, every shard span is annotated
-// with its refill count and merge_wait_ms — how long its primed prefix
+// with its refill count, merge_wait_ms — how long its primed prefix
 // sat waiting for the slowest shard before the merge began, which is
 // what attributes the fan-out barrier's cost to the shard that caused
-// it. Without a trace the only per-shard overhead is one nil check.
+// it — and the nodes its searcher expanded and objects it scored. Without a trace the only per-shard overhead is one nil check.
 func (sv *ShardView) Retrieve(ctx context.Context, q Query, K int) ([]core.Place, error) {
 	if K <= 0 {
 		return nil, fmt.Errorf("dataset: K = %d must be positive", K)
@@ -323,6 +323,8 @@ func (sv *ShardView) Retrieve(ctx context.Context, q Query, K int) ([]core.Place
 			telemetry.Annotate(ctx, c.spanID,
 				telemetry.Attr{Key: "refills", Value: c.refills},
 				telemetry.Attr{Key: "merge_wait_ms", Value: roundMS(mergeStart.Sub(c.primeEnd))},
+				telemetry.Attr{Key: "expanded", Value: c.s.Expanded},
+				telemetry.Attr{Key: "scored", Value: c.s.Scored},
 			)
 		}
 	}

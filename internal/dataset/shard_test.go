@@ -251,14 +251,19 @@ func TestShardRetrieveSpans(t *testing.T) {
 			if s.Parent != retrieveID {
 				t.Fatalf("shard span parent = %d, want retrieve span %d", s.Parent, retrieveID)
 			}
-			keys := map[string]bool{}
+			keys := map[string]any{}
 			for _, a := range s.Attrs {
-				keys[a.Key] = true
+				keys[a.Key] = a.Value
 			}
-			for _, want := range []string{"shard", "primed", "refills", "merge_wait_ms"} {
-				if !keys[want] {
+			for _, want := range []string{"shard", "primed", "refills", "merge_wait_ms", "expanded", "scored"} {
+				if _, ok := keys[want]; !ok {
 					t.Fatalf("shard span missing attr %q (has %v)", want, keys)
 				}
+			}
+			// Every populated shard opens at least its root (a leaf on
+			// a tiny shard) and scores at least the results it primed.
+			if keys["expanded"].(int) < 1 || keys["scored"].(int) < keys["primed"].(int) {
+				t.Fatalf("shard span work counters implausible: %v", keys)
 			}
 		case telemetry.StageMerge:
 			mergeSpans++

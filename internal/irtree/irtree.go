@@ -5,15 +5,16 @@
 // produces the ranked set S of relevant places that the proportionality
 // framework then selects from.
 //
-// The tree supports one-by-one insertion (quadratic split), Sort-Tile-
-// Recursive bulk loading, top-k spatial-keyword search with best-first
-// traversal and tight upper bounds, pure-spatial k-nearest-neighbour
-// search, and rectangular range search.
+// Trees are built once by Sort-Tile-Recursive bulk loading and are
+// read-only afterwards. The tree supports top-k spatial-keyword search
+// with best-first traversal and tight upper bounds, pure-spatial
+// k-nearest-neighbour search, and rectangular range search.
 package irtree
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/geo"
 	"repro/internal/textctx"
@@ -26,39 +27,32 @@ type Object struct {
 	Terms textctx.Set
 }
 
-// Default fan-out parameters.
-const (
-	defaultMaxEntries = 16
-	defaultMinEntries = 4
-)
+// maxEntries is the node fan-out.
+const maxEntries = 16
 
 type node struct {
 	leaf     bool
 	rect     geo.Rect
 	children []*node  // internal nodes
 	objects  []Object // leaf nodes
-	// terms is the node's inverted file: the set of distinct terms
-	// appearing anywhere in the subtree. It yields the admissible textual
-	// upper bound used by best-first search.
-	terms map[textctx.ItemID]struct{}
+	// terms is the node's inverted file: the sorted distinct terms
+	// appearing anywhere in the subtree. Together with minLen, the
+	// smallest term-set size in the subtree, it yields the admissible
+	// textual upper bound used by best-first search.
+	terms  []textctx.ItemID
+	minLen int
 }
 
 // Tree is an IR-tree. The zero value is not usable; call New or BulkLoad.
-// A Tree is safe for concurrent reads after all writes complete.
+// A Tree is immutable once built and safe for concurrent reads.
 type Tree struct {
-	root       *node
-	maxEntries int
-	minEntries int
-	size       int
+	root *node
+	size int
 }
 
-// New returns an empty IR-tree with the default fan-out.
+// New returns an empty IR-tree.
 func New() *Tree {
-	return &Tree{
-		root:       &node{leaf: true, terms: map[textctx.ItemID]struct{}{}},
-		maxEntries: defaultMaxEntries,
-		minEntries: defaultMinEntries,
-	}
+	return &Tree{root: &node{leaf: true}}
 }
 
 // Len returns the number of indexed objects.
@@ -73,245 +67,55 @@ func (t *Tree) Bounds() (geo.Rect, bool) {
 	return t.root.rect, true
 }
 
-// Insert adds obj to the tree.
-func (t *Tree) Insert(obj Object) error {
-	if !obj.Loc.Valid() {
-		return fmt.Errorf("irtree: invalid location %v for object %d", obj.Loc, obj.ID)
-	}
-	t.insert(obj)
-	return nil
-}
-
-func (t *Tree) insert(obj Object) {
-	leaf, path := t.chooseLeaf(obj.Loc)
-	leaf.objects = append(leaf.objects, obj)
-	// Every node on the path has a valid rect (chooseLeaf initialises the
-	// root's on the first insert), so extending is a plain union.
-	r := geo.RectOf(obj.Loc)
-	for _, n := range path {
-		n.rect = n.rect.Union(r)
-		for _, term := range obj.Terms.Items() {
-			n.terms[term] = struct{}{}
-		}
-	}
-	t.size++
-	// Split overflowing nodes bottom-up.
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		if n.entryCount() <= t.maxEntries {
-			break
-		}
-		left, right := t.split(n)
-		if i == 0 {
-			// Root split: grow the tree.
-			t.root = &node{
-				leaf:     false,
-				rect:     left.rect.Union(right.rect),
-				children: []*node{left, right},
-				terms:    unionTerms(left.terms, right.terms),
-			}
-		} else {
-			parent := path[i-1]
-			replaceChild(parent, n, left, right)
-		}
-	}
-}
-
-func (n *node) entryCount() int {
+// summarise computes a non-empty node's rect, inverted file and minLen
+// from its entries, merging the entries' sorted term lists.
+func (n *node) summarise() {
+	var lists [][]textctx.ItemID
 	if n.leaf {
-		return len(n.objects)
-	}
-	return len(n.children)
-}
-
-// chooseLeaf descends by least area enlargement (ties by smaller area),
-// returning the target leaf and the full root-to-leaf path.
-func (t *Tree) chooseLeaf(p geo.Point) (*node, []*node) {
-	n := t.root
-	path := []*node{n}
-	// Fix up the root rect for the very first insert.
-	if t.size == 0 {
-		n.rect = geo.RectOf(p)
-	}
-	for !n.leaf {
-		r := geo.RectOf(p)
-		var best *node
-		bestEnl, bestArea := math.Inf(1), math.Inf(1)
-		for _, c := range n.children {
-			enl := c.rect.EnlargementArea(r)
-			area := c.rect.Area()
-			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = c, enl, area
-			}
-		}
-		n = best
-		path = append(path, n)
-	}
-	return n, path
-}
-
-func replaceChild(parent, old, a, b *node) {
-	for i, c := range parent.children {
-		if c == old {
-			parent.children[i] = a
-			parent.children = append(parent.children, b)
-			return
-		}
-	}
-	panic("irtree: split child not found in parent")
-}
-
-// split performs the classic quadratic split on an overflowing node,
-// returning the two halves with recomputed rectangles and inverted files.
-func (t *Tree) split(n *node) (*node, *node) {
-	if n.leaf {
-		rects := make([]geo.Rect, len(n.objects))
-		for i, o := range n.objects {
-			rects[i] = geo.RectOf(o.Loc)
-		}
-		ga, gb := quadraticPartition(rects, t.minEntries)
-		a := &node{leaf: true, terms: map[textctx.ItemID]struct{}{}}
-		b := &node{leaf: true, terms: map[textctx.ItemID]struct{}{}}
-		for _, i := range ga {
-			a.objects = append(a.objects, n.objects[i])
-		}
-		for _, i := range gb {
-			b.objects = append(b.objects, n.objects[i])
-		}
-		a.recompute()
-		b.recompute()
-		return a, b
-	}
-	rects := make([]geo.Rect, len(n.children))
-	for i, c := range n.children {
-		rects[i] = c.rect
-	}
-	ga, gb := quadraticPartition(rects, t.minEntries)
-	a := &node{terms: map[textctx.ItemID]struct{}{}}
-	b := &node{terms: map[textctx.ItemID]struct{}{}}
-	for _, i := range ga {
-		a.children = append(a.children, n.children[i])
-	}
-	for _, i := range gb {
-		b.children = append(b.children, n.children[i])
-	}
-	a.recompute()
-	b.recompute()
-	return a, b
-}
-
-// recompute rebuilds a node's rect and inverted file from its entries.
-func (n *node) recompute() {
-	if n.terms == nil {
-		n.terms = map[textctx.ItemID]struct{}{}
-	} else {
-		clear(n.terms)
-	}
-	if n.leaf {
-		if len(n.objects) == 0 {
-			n.rect = geo.Rect{}
-			return
-		}
 		n.rect = geo.RectOf(n.objects[0].Loc)
+		n.minLen = n.objects[0].Terms.Len()
 		for _, o := range n.objects {
 			n.rect = n.rect.Extend(o.Loc)
-			for _, term := range o.Terms.Items() {
-				n.terms[term] = struct{}{}
-			}
+			n.minLen = min(n.minLen, o.Terms.Len())
+			lists = append(lists, o.Terms.Items())
 		}
-		return
-	}
-	if len(n.children) == 0 {
-		n.rect = geo.Rect{}
-		return
-	}
-	n.rect = n.children[0].rect
-	for _, c := range n.children {
-		n.rect = n.rect.Union(c.rect)
-		for term := range c.terms {
-			n.terms[term] = struct{}{}
+	} else {
+		n.rect = n.children[0].rect
+		n.minLen = n.children[0].minLen
+		for _, c := range n.children {
+			n.rect = n.rect.Union(c.rect)
+			n.minLen = min(n.minLen, c.minLen)
+			lists = append(lists, c.terms)
 		}
 	}
+	n.terms = unionAll(lists)
 }
 
-func unionTerms(a, b map[textctx.ItemID]struct{}) map[textctx.ItemID]struct{} {
-	out := make(map[textctx.ItemID]struct{}, len(a)+len(b))
-	for k := range a {
-		out[k] = struct{}{}
+// unionAll returns the sorted union of sorted, duplicate-free lists,
+// folding them pairwise through two reused buffers.
+func unionAll(lists [][]textctx.ItemID) []textctx.ItemID {
+	var acc, buf []textctx.ItemID
+	for _, l := range lists {
+		buf = buf[:0]
+		i, j := 0, 0
+		for i < len(acc) && j < len(l) {
+			switch {
+			case acc[i] < l[j]:
+				buf = append(buf, acc[i])
+				i++
+			case acc[i] > l[j]:
+				buf = append(buf, l[j])
+				j++
+			default:
+				buf = append(buf, acc[i])
+				i++
+				j++
+			}
+		}
+		buf = append(append(buf, acc[i:]...), l[j:]...)
+		acc, buf = buf, acc
 	}
-	for k := range b {
-		out[k] = struct{}{}
-	}
-	return out
-}
-
-// quadraticPartition splits indices 0..n−1 of rects into two groups using
-// Guttman's quadratic method, honouring the minimum fill m.
-func quadraticPartition(rects []geo.Rect, m int) (ga, gb []int) {
-	n := len(rects)
-	// Pick seeds: the pair wasting the most area if grouped together.
-	si, sj := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			waste := rects[i].Union(rects[j]).Area() - rects[i].Area() - rects[j].Area()
-			if waste > worst {
-				worst, si, sj = waste, i, j
-			}
-		}
-	}
-	ra, rb := rects[si], rects[sj]
-	ga, gb = []int{si}, []int{sj}
-	assigned := make([]bool, n)
-	assigned[si], assigned[sj] = true, true
-	for remaining := n - 2; remaining > 0; remaining-- {
-		// Force assignment if a group must take all the rest to reach m.
-		if len(ga)+remaining == m {
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					assigned[i] = true
-					ga = append(ga, i)
-					ra = ra.Union(rects[i])
-				}
-			}
-			return ga, gb
-		}
-		if len(gb)+remaining == m {
-			for i := 0; i < n; i++ {
-				if !assigned[i] {
-					assigned[i] = true
-					gb = append(gb, i)
-					rb = rb.Union(rects[i])
-				}
-			}
-			return ga, gb
-		}
-		// Pick the unassigned entry with the greatest preference.
-		pick, pickA := -1, false
-		bestDiff := math.Inf(-1)
-		for i := 0; i < n; i++ {
-			if assigned[i] {
-				continue
-			}
-			da := ra.EnlargementArea(rects[i])
-			db := rb.EnlargementArea(rects[i])
-			diff := math.Abs(da - db)
-			if diff > bestDiff {
-				bestDiff = diff
-				pick = i
-				pickA = da < db || (da == db && len(ga) <= len(gb))
-			}
-		}
-		assigned[pick] = true
-		if pickA {
-			ga = append(ga, pick)
-			ra = ra.Union(rects[pick])
-		} else {
-			gb = append(gb, pick)
-			rb = rb.Union(rects[pick])
-		}
-	}
-	return ga, gb
+	return append([]textctx.ItemID(nil), acc...)
 }
 
 // Height returns the tree height (1 for a root-only tree).
@@ -323,59 +127,64 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// checkInvariants walks the tree verifying structural invariants; it is
-// used by tests and returns the first violation found.
-func (t *Tree) checkInvariants() error {
-	var count int
-	var walk func(n *node, depth int, root bool) (int, error)
-	walk = func(n *node, depth int, root bool) (int, error) {
-		if n.leaf {
-			if !root && (len(n.objects) < t.minEntries || len(n.objects) > t.maxEntries) {
-				return 0, fmt.Errorf("leaf fill %d outside [%d, %d]", len(n.objects), t.minEntries, t.maxEntries)
-			}
-			for _, o := range n.objects {
-				count++
-				if !n.rect.Contains(o.Loc) {
-					return 0, fmt.Errorf("object %d outside leaf rect", o.ID)
-				}
-				for _, term := range o.Terms.Items() {
-					if _, ok := n.terms[term]; !ok {
-						return 0, fmt.Errorf("leaf inverted file missing term %d of object %d", term, o.ID)
-					}
-				}
-			}
-			return depth, nil
+// BulkLoad builds an IR-tree over objs using Sort-Tile-Recursive packing,
+// which produces a well-filled balanced tree. The input slice is not
+// modified.
+func BulkLoad(objs []Object) (*Tree, error) {
+	t := New()
+	for _, o := range objs {
+		if !o.Loc.Valid() {
+			return nil, &InvalidObjectError{ID: o.ID, Loc: o.Loc}
 		}
-		if !root && (len(n.children) < t.minEntries || len(n.children) > t.maxEntries) {
-			return 0, fmt.Errorf("node fill %d outside [%d, %d]", len(n.children), t.minEntries, t.maxEntries)
+	}
+	if len(objs) == 0 {
+		return t, nil
+	}
+	t.size = len(objs)
+
+	// Pack leaves with STR.
+	sorted := append([]Object(nil), objs...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Loc.X < sorted[j].Loc.X })
+	nLeaves := (len(sorted) + maxEntries - 1) / maxEntries
+	nSlices := int(math.Ceil(math.Sqrt(float64(nLeaves))))
+	sliceSz := nSlices * maxEntries
+
+	var leaves []*node
+	for s := 0; s < len(sorted); s += sliceSz {
+		end := min(s+sliceSz, len(sorted))
+		strip := sorted[s:end]
+		sort.Slice(strip, func(i, j int) bool { return strip[i].Loc.Y < strip[j].Loc.Y })
+		for o := 0; o < len(strip); o += maxEntries {
+			oe := min(o+maxEntries, len(strip))
+			leaf := &node{leaf: true, objects: append([]Object(nil), strip[o:oe]...)}
+			leaf.summarise()
+			leaves = append(leaves, leaf)
 		}
-		leafDepth := -1
-		for _, c := range n.children {
-			if !n.rect.ContainsRect(c.rect) {
-				return 0, fmt.Errorf("child rect escapes parent")
-			}
-			for term := range c.terms {
-				if _, ok := n.terms[term]; !ok {
-					return 0, fmt.Errorf("inverted file missing child term %d", term)
-				}
-			}
-			d, err := walk(c, depth+1, false)
-			if err != nil {
-				return 0, err
-			}
-			if leafDepth == -1 {
-				leafDepth = d
-			} else if leafDepth != d {
-				return 0, fmt.Errorf("unbalanced tree: leaf depths %d and %d", leafDepth, d)
-			}
+	}
+
+	// Build internal levels by packing children in groups.
+	level := leaves
+	for len(level) > 1 {
+		var next []*node
+		for s := 0; s < len(level); s += maxEntries {
+			e := min(s+maxEntries, len(level))
+			n := &node{children: append([]*node(nil), level[s:e]...)}
+			n.summarise()
+			next = append(next, n)
 		}
-		return leafDepth, nil
+		level = next
 	}
-	if _, err := walk(t.root, 0, true); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("size %d but found %d objects", t.size, count)
-	}
-	return nil
+	t.root = level[0]
+	return t, nil
+}
+
+// InvalidObjectError reports an object with a non-finite location.
+type InvalidObjectError struct {
+	ID  int32
+	Loc geo.Point
+}
+
+// Error implements error.
+func (e *InvalidObjectError) Error() string {
+	return fmt.Sprintf("irtree: invalid location %v for object %d", e.Loc, e.ID)
 }

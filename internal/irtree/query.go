@@ -1,10 +1,8 @@
 package irtree
 
 import (
-	"container/heap"
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/textctx"
@@ -12,7 +10,8 @@ import (
 
 // QueryOptions configures a top-k spatial-keyword query.
 type QueryOptions struct {
-	// K is the number of results to return.
+	// K is the number of results to return; a Searcher emits at most K
+	// (K ≤ 0 leaves its stream unbounded).
 	K int
 	// Beta weighs textual relevance against spatial proximity in
 	//   score = β·Jaccard(keywords, terms) + (1−β)·max(0, 1 − dist/MaxDist).
@@ -36,47 +35,74 @@ type Result struct {
 	TextSim float64
 }
 
-type pqEntry struct {
-	n     *node  // nil for object entries
-	obj   Object // valid when n == nil
+// entry is one frontier element: a node with an upper bound on its
+// subtree's scores, or an object with its exact score.
+type entry struct {
+	n     *node   // nil for object entries
+	o     *Object // valid when n == nil
 	bound float64
-	// exact results carry their final Dist/TextSim
+	// object entries carry their final Dist/TextSim
 	dist, tsim float64
 }
 
-type pq []pqEntry
-
-func (p pq) Len() int { return len(p) }
-
-// Less orders the frontier by descending bound, with a deterministic
+// before orders the frontier by descending bound, with a deterministic
 // tie-break: node entries expand before object entries of equal bound
-// (so every candidate with that score enters the heap before any is
+// (so every candidate with that score enters the frontier before any is
 // emitted), and equal-score objects emit in ascending ID. This makes
 // the emitted result sequence a canonical (score desc, ID asc) order —
 // independent of heap internals and of how the object set is split
 // across trees — which the sharded fan-out relies on to merge per-shard
 // top-k lists into the exact unsharded result.
-func (p pq) Less(i, j int) bool {
-	if p[i].bound != p[j].bound {
-		return p[i].bound > p[j].bound
+func before(a, b *entry) bool {
+	if a.bound != b.bound {
+		return a.bound > b.bound
 	}
-	in, jn := p[i].n != nil, p[j].n != nil
-	if in != jn {
-		return in
+	if (a.n != nil) != (b.n != nil) {
+		return a.n != nil
 	}
-	if !in {
-		return p[i].obj.ID < p[j].obj.ID
-	}
-	return false
+	return a.n == nil && a.o.ID < b.o.ID
 }
-func (p pq) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqEntry)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	n := len(old)
-	e := old[n-1]
-	*p = old[:n-1]
-	return e
+
+// frontier is a binary max-heap under before. Hand-rolled rather than
+// container/heap so pushes and pops neither box entries through an
+// interface nor call through one.
+type frontier []entry
+
+func (h *frontier) push(e entry) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !before(&s[i], &s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *frontier) pop() entry {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		best := 2*i + 1
+		if best >= last {
+			break
+		}
+		if r := best + 1; r < last && before(&s[r], &s[best]) {
+			best = r
+		}
+		if !before(&s[best], &s[i]) {
+			break
+		}
+		s[i], s[best] = s[best], s[i]
+		i = best
+	}
+	*h = s
+	return top
 }
 
 // TopK returns the k objects with the highest combined spatial-keyword
@@ -88,97 +114,174 @@ func (t *Tree) TopK(q geo.Point, keywords textctx.Set, opt QueryOptions) []Resul
 		return nil
 	}
 	s := t.Search(q, keywords, opt)
-	out := make([]Result, 0, opt.K)
-	for len(out) < opt.K {
+	out := make([]Result, 0, min(opt.K, t.size))
+	for {
 		r, ok := s.Next()
 		if !ok {
-			break
+			return out
 		}
 		out = append(out, r)
 	}
-	return out
 }
 
 // Searcher is an incremental top-k traversal: Next emits exactly the
-// sequence TopK would return — the canonical (score desc, ID asc) order
-// — one result at a time, retaining the best-first frontier between
-// calls. The sharded fan-out uses it to pull only as many per-shard
-// candidates as the global merge actually consumes, instead of a full
-// top-K from every shard.
+// sequence TopK would return — the canonical (score desc, ID asc) order,
+// at most QueryOptions.K results — one result at a time, retaining the
+// best-first frontier between calls. The sharded fan-out uses it to pull
+// only as many per-shard candidates as the global merge actually
+// consumes, instead of a full top-K from every shard.
+//
+// With K > 0 the searcher also keeps the K best exact scores it has
+// computed and never pushes an object or node whose score or bound is
+// strictly below the K-th of them: at least K objects outrank it, so it
+// cannot be among the first K emitted. Ties are kept, so the cutoff
+// never changes which objects are emitted or in what order.
 type Searcher struct {
-	h         pq
-	score     func(o Object) (s, d, ts float64)
-	nodeBound func(n *node) float64
+	h        frontier
+	q        geo.Point
+	keywords textctx.Set
+	beta     float64
+	maxDist  float64
+	k        int
+	emitted  int
+	// best is a min-heap of the k best exact scores computed so far.
+	best []float64
+
+	// Expanded and Scored count the nodes opened and the objects
+	// scored so far — the work the traversal has done.
+	Expanded, Scored int
 }
 
-// Search starts an incremental traversal. QueryOptions.K is ignored —
-// the caller bounds the stream by how far it pulls.
+// Search starts an incremental traversal emitting at most opt.K results.
 func (t *Tree) Search(q geo.Point, keywords textctx.Set, opt QueryOptions) *Searcher {
-	beta := opt.Beta
-	if beta == 0 {
-		beta = 0.5
+	s := &Searcher{q: q, keywords: keywords, beta: opt.Beta, k: opt.K}
+	if s.beta == 0 {
+		s.beta = 0.5
 	}
-	s := &Searcher{}
 	if t.size == 0 {
 		return s
 	}
-	maxDist := opt.MaxDist
-	if maxDist <= 0 {
-		maxDist = t.root.rect.Min.Dist(t.root.rect.Max)
-		if maxDist == 0 {
-			maxDist = 1 // all objects at one point; distances are all 0
+	s.maxDist = opt.MaxDist
+	if s.maxDist <= 0 {
+		s.maxDist = t.root.rect.Min.Dist(t.root.rect.Max)
+		if s.maxDist == 0 {
+			s.maxDist = 1 // all objects at one point; distances are all 0
 		}
 	}
-
-	s.score = func(o Object) (sc, d, ts float64) {
-		d = o.Loc.Dist(q)
-		ts = keywords.Jaccard(o.Terms)
-		prox := 1 - d/maxDist
-		if prox < 0 {
-			prox = 0
-		}
-		return beta*ts + (1-beta)*prox, d, ts
+	if s.k > 0 {
+		s.best = make([]float64, 0, min(s.k, t.size))
 	}
-	s.nodeBound = func(n *node) float64 {
-		// Textual bound: Jaccard(kw, C(p)) ≤ |kw ∩ terms(N)| / |kw| for
-		// every descendant p, since the union is at least |kw|.
-		var tb float64
-		if keywords.Len() > 0 {
-			inter := 0
-			for _, term := range keywords.Items() {
-				if _, ok := n.terms[term]; ok {
-					inter++
-				}
-			}
-			tb = float64(inter) / float64(keywords.Len())
-		}
-		prox := 1 - n.rect.MinDist(q)/maxDist
-		if prox < 0 {
-			prox = 0
-		}
-		return beta*tb + (1-beta)*prox
-	}
-	s.h = pq{{n: t.root, bound: s.nodeBound(t.root)}}
+	s.h = frontier{{n: t.root, bound: s.nodeBound(t.root)}}
 	return s
 }
 
-// Next returns the next result in canonical order, or ok=false when the
-// tree is exhausted.
-func (s *Searcher) Next() (Result, bool) {
-	for len(s.h) > 0 {
-		e := heap.Pop(&s.h).(pqEntry)
-		if e.n == nil {
-			return Result{Obj: e.obj, Score: e.bound, Dist: e.dist, TextSim: e.tsim}, true
+// combine is the relevance score for a textual and a spatial component.
+// It is monotone in both, so bounds on the components bound the score.
+func (s *Searcher) combine(ts, dist float64) float64 {
+	prox := 1 - dist/s.maxDist
+	if prox < 0 {
+		prox = 0
+	}
+	return s.beta*ts + (1-s.beta)*prox
+}
+
+// nodeBound is an admissible upper bound on the score of every object
+// below n. Textually, a descendant p with |C(p)| = c ≥ minLen sharing
+// i ≤ min(inter, c) keywords has Jaccard i/(|kw| + c − i), which is at
+// most inter/(|kw| + max(0, minLen − inter)). The bound survives
+// floating point because correctly rounded division and combine are
+// monotone in their arguments.
+func (s *Searcher) nodeBound(n *node) float64 {
+	var tb float64
+	if kw := s.keywords.Items(); len(kw) > 0 {
+		inter, lo := 0, 0
+		for _, term := range kw {
+			i, found := slices.BinarySearch(n.terms[lo:], term)
+			lo += i
+			if found {
+				inter++
+				lo++
+			}
 		}
+		tb = float64(inter) / float64(len(kw)+max(0, n.minLen-inter))
+	}
+	return s.combine(tb, n.rect.MinDist(s.q))
+}
+
+// cutoff returns the K-th best exact score computed so far, or −∞ while
+// fewer than K objects have been scored or the stream is unbounded.
+func (s *Searcher) cutoff() float64 {
+	if s.k <= 0 || len(s.best) < s.k {
+		return math.Inf(-1)
+	}
+	return s.best[0]
+}
+
+// admit records an exact score in the K-best min-heap.
+func (s *Searcher) admit(sc float64) {
+	switch {
+	case s.k <= 0:
+		return
+	case len(s.best) < s.k:
+		s.best = append(s.best, sc)
+		for i := len(s.best) - 1; i > 0; {
+			p := (i - 1) / 2
+			if s.best[p] <= s.best[i] {
+				break
+			}
+			s.best[i], s.best[p] = s.best[p], s.best[i]
+			i = p
+		}
+	case sc > s.best[0]:
+		s.best[0] = sc
+		for i := 0; ; {
+			m := 2*i + 1
+			if m >= len(s.best) {
+				break
+			}
+			if r := m + 1; r < len(s.best) && s.best[r] < s.best[m] {
+				m = r
+			}
+			if s.best[i] <= s.best[m] {
+				break
+			}
+			s.best[i], s.best[m] = s.best[m], s.best[i]
+			i = m
+		}
+	}
+}
+
+// Next returns the next result in canonical order, or ok=false when the
+// tree is exhausted or K results have been emitted.
+func (s *Searcher) Next() (Result, bool) {
+	for len(s.h) > 0 && (s.k <= 0 || s.emitted < s.k) {
+		e := s.h.pop()
+		if e.n == nil {
+			s.emitted++
+			return Result{Obj: *e.o, Score: e.bound, Dist: e.dist, TextSim: e.tsim}, true
+		}
+		if e.bound < s.cutoff() {
+			continue
+		}
+		s.Expanded++
 		if e.n.leaf {
-			for _, o := range e.n.objects {
-				sc, d, ts := s.score(o)
-				heap.Push(&s.h, pqEntry{obj: o, bound: sc, dist: d, tsim: ts})
+			for i := range e.n.objects {
+				o := &e.n.objects[i]
+				d := o.Loc.Dist(s.q)
+				ts := s.keywords.Jaccard(o.Terms)
+				sc := s.combine(ts, d)
+				s.Scored++
+				s.admit(sc)
+				if sc >= s.cutoff() {
+					s.h.push(entry{o: o, bound: sc, dist: d, tsim: ts})
+				}
 			}
 			continue
 		}
 		for _, c := range e.n.children {
-			heap.Push(&s.h, pqEntry{n: c, bound: s.nodeBound(c)})
+			if b := s.nodeBound(c); b >= s.cutoff() {
+				s.h.push(entry{n: c, bound: b})
+			}
 		}
 	}
 	return Result{}, false
@@ -190,22 +293,25 @@ func (t *Tree) NearestK(q geo.Point, k int) []Result {
 	if k <= 0 || t.size == 0 {
 		return nil
 	}
-	h := &pq{{n: t.root, bound: -t.root.rect.MinDist(q)}}
+	// The frontier pops the largest bound first, so bounds are negated
+	// distances.
+	h := frontier{{n: t.root, bound: -t.root.rect.MinDist(q)}}
 	var out []Result
-	for h.Len() > 0 && len(out) < k {
-		e := heap.Pop(h).(pqEntry)
+	for len(h) > 0 && len(out) < k {
+		e := h.pop()
 		if e.n == nil {
-			out = append(out, Result{Obj: e.obj, Dist: -e.bound})
+			out = append(out, Result{Obj: *e.o, Dist: -e.bound})
 			continue
 		}
 		if e.n.leaf {
-			for _, o := range e.n.objects {
-				heap.Push(h, pqEntry{obj: o, bound: -o.Loc.Dist(q)})
+			for i := range e.n.objects {
+				o := &e.n.objects[i]
+				h.push(entry{o: o, bound: -o.Loc.Dist(q)})
 			}
 			continue
 		}
 		for _, c := range e.n.children {
-			heap.Push(h, pqEntry{n: c, bound: -c.rect.MinDist(q)})
+			h.push(entry{n: c, bound: -c.rect.MinDist(q)})
 		}
 	}
 	return out
@@ -236,76 +342,4 @@ func (t *Tree) RangeSearch(r geo.Rect) []Object {
 	}
 	walk(t.root)
 	return out
-}
-
-// BulkLoad builds an IR-tree over objs using Sort-Tile-Recursive packing,
-// which produces a well-filled balanced tree much faster than repeated
-// insertion. The input slice is not modified.
-func BulkLoad(objs []Object) (*Tree, error) {
-	t := New()
-	for _, o := range objs {
-		if !o.Loc.Valid() {
-			return nil, &InvalidObjectError{ID: o.ID, Loc: o.Loc}
-		}
-	}
-	if len(objs) == 0 {
-		return t, nil
-	}
-	t.size = len(objs)
-
-	// Pack leaves with STR.
-	sorted := append([]Object(nil), objs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Loc.X < sorted[j].Loc.X })
-	cap_ := t.maxEntries
-	nLeaves := (len(sorted) + cap_ - 1) / cap_
-	nSlices := int(math.Ceil(math.Sqrt(float64(nLeaves))))
-	sliceSz := nSlices * cap_
-
-	var leaves []*node
-	for s := 0; s < len(sorted); s += sliceSz {
-		end := s + sliceSz
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		strip := sorted[s:end]
-		sort.Slice(strip, func(i, j int) bool { return strip[i].Loc.Y < strip[j].Loc.Y })
-		for o := 0; o < len(strip); o += cap_ {
-			oe := o + cap_
-			if oe > len(strip) {
-				oe = len(strip)
-			}
-			leaf := &node{leaf: true, objects: append([]Object(nil), strip[o:oe]...)}
-			leaf.recompute()
-			leaves = append(leaves, leaf)
-		}
-	}
-
-	// Build internal levels by packing children in groups.
-	level := leaves
-	for len(level) > 1 {
-		var next []*node
-		for s := 0; s < len(level); s += cap_ {
-			e := s + cap_
-			if e > len(level) {
-				e = len(level)
-			}
-			n := &node{children: append([]*node(nil), level[s:e]...)}
-			n.recompute()
-			next = append(next, n)
-		}
-		level = next
-	}
-	t.root = level[0]
-	return t, nil
-}
-
-// InvalidObjectError reports an object with a non-finite location.
-type InvalidObjectError struct {
-	ID  int32
-	Loc geo.Point
-}
-
-// Error implements error.
-func (e *InvalidObjectError) Error() string {
-	return fmt.Sprintf("irtree: invalid location %v for object %d", e.Loc, e.ID)
 }
