@@ -26,12 +26,13 @@ vet:
 # internal/engine carries the epoch-snapshot concurrency tests (mutations
 # racing pinned queries, singleflight leader panic/cancellation),
 # internal/wal the durability layer's locking, cmd/propserve the
-# /v1/corpus surface plus queries-during-replay, and internal/core +
-# internal/textctx the parallel Step-1 fills (bit-identity tests run the
+# /v1/corpus surface plus queries-during-replay, internal/pairs the one
+# Step-1 worker pool (pairs.Fill) and internal/core + internal/textctx +
+# internal/grid the fills that run on it (bit-identity tests run the
 # worker fan-outs), internal/irtree the shared trees that shards search
 # from concurrent goroutines — all must stay in this list.
 race:
-	$(GO) test -race ./internal/core ./internal/irtree ./internal/textctx ./internal/engine ./internal/registry ./internal/dataset ./internal/resilience ./internal/telemetry ./internal/tracestore ./internal/explain ./internal/grid ./internal/stream ./internal/wal ./internal/slo ./internal/loadgen ./cmd/propserve
+	$(GO) test -race ./internal/pairs ./internal/core ./internal/irtree ./internal/textctx ./internal/engine ./internal/registry ./internal/dataset ./internal/resilience ./internal/telemetry ./internal/tracestore ./internal/explain ./internal/grid ./internal/stream ./internal/wal ./internal/slo ./internal/loadgen ./cmd/propserve
 
 # The kill-recovery suite: child processes SIGKILL themselves at injected
 # WAL fault points; the parent recovers each directory and verifies no

@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestPipelineEngineMatrix(t *testing.T) {
 		nil, // default (msJh)
 		textctx.BaselineEngine{},
 		textctx.MSJHEngine{},
-		textctx.MSJHParallelEngine{Workers: 4},
+		textctx.MSJHEngine{Workers: 4},
 		textctx.NaiveInvertedEngine{},
 	}
 	spatials := []core.SpatialMethod{core.SpatialExact, core.SpatialSquaredGrid, core.SpatialRadialGrid}
@@ -142,9 +143,9 @@ func TestRetrievalFeedsSelection(t *testing.T) {
 	}
 }
 
-// TestPSSAgreesAcrossLayers cross-checks the three pSS computations the
-// system has (core exact path, grid baseline, parallel baseline) on
-// retrieved data.
+// TestPSSAgreesAcrossLayers cross-checks the pSS computations the system
+// has (core exact path, grid baseline, and the grid fill fanned out over
+// workers) on retrieved data.
 func TestPSSAgreesAcrossLayers(t *testing.T) {
 	_, q, places := integrationDataset(t)
 	ss, err := core.ComputeScores(q.Loc, places, core.ScoreOptions{Gamma: 1})
@@ -161,7 +162,11 @@ func TestPSSAgreesAcrossLayers(t *testing.T) {
 			t.Fatalf("pSS[%d]: core %g vs grid %g", i, ss.PSS[i], want[i])
 		}
 	}
-	par, _ := grid.PSSBaselineParallel(q.Loc, pts, 3)
+	sp, err := grid.AllPairsSpatialCtx(context.Background(), q.Loc, pts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := sp.RowSums()
 	for i := range want {
 		if want[i] != par[i] {
 			t.Fatalf("parallel pSS[%d] differs", i)

@@ -75,11 +75,10 @@ type ScoreOptions struct {
 	CustomSpatial func(q geo.Point, places []Place) (*pairs.Matrix, error)
 	// Workers fans the quadratic Step-1 fills (contextual all-pairs when
 	// Contextual is nil, the exact spatial all-pairs, and the squared-grid
-	// matrix fill) out over this many goroutines. ≤ 1 keeps every phase
-	// sequential; the parallel variants are bit-identical to the
-	// sequential ones, so Workers never changes any score. A non-nil
-	// Contextual engine is used as configured — it carries its own
-	// parallelism if any.
+	// matrix fill) out over this many goroutines through pairs.Fill. ≤ 1
+	// keeps every phase sequential; every worker count fills the same
+	// matrices bit for bit, so Workers never changes any score. A non-nil
+	// Contextual engine is used as configured (e.g. MSJHEngine.Workers).
 	Workers int
 }
 
@@ -133,11 +132,7 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 	}
 	engine := opt.Contextual
 	if engine == nil {
-		if opt.Workers > 1 {
-			engine = textctx.MSJHParallelEngine{Workers: opt.Workers}
-		} else {
-			engine = textctx.MSJHEngine{}
-		}
+		engine = textctx.MSJHEngine{Workers: opt.Workers}
 	}
 
 	sets := make([]textctx.Set, len(places))
@@ -147,117 +142,37 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 		pts[i] = places[i].Loc
 	}
 
+	// Each Step-1 stage is spanned here, at its boundary, and nowhere
+	// below: the engines and grid fills record no spans of their own, so
+	// every stage is counted exactly once whatever engine, spatial method
+	// or worker count runs it.
 	var sc *textctx.PairScores
+	var err error
+	endPCS := telemetry.StartSpan(ctx, telemetry.StagePCS)
 	if ce, ok := engine.(textctx.ContextEngine); ok {
-		var err error
-		if sc, err = ce.AllPairsCtx(ctx, sets); err != nil {
-			if ce := CtxErr(ctx); ce != nil {
-				return nil, ce
-			}
-			return nil, err
-		}
+		sc, err = ce.AllPairsCtx(ctx, sets)
 	} else {
-		// Context-free engines cannot record the pCS span themselves
-		// (ContextEngine implementations do, inside AllPairsCtx).
-		endPCS := telemetry.StartSpan(ctx, telemetry.StagePCS)
 		sc = engine.AllPairs(sets)
-		endPCS()
+	}
+	endPCS()
+	if err != nil {
+		return nil, stageErr(ctx, err)
 	}
 	if err := checkpoint(ctx, "scores:contextual"); err != nil {
 		return nil, err
 	}
 
-	cells := opt.GridCells
-	if cells <= 0 {
-		cells = len(places) // the paper's |G| ≈ K rule
+	endPSS := telemetry.StartSpan(ctx, telemetry.StagePSS)
+	sp, pss, gs, err := spatialScores(ctx, q, places, pts, opt)
+	endPSS()
+	if err != nil {
+		return nil, stageErr(ctx, err)
 	}
-	var sp *pairs.Matrix
-	var pss []float64
-	switch opt.Spatial {
-	case SpatialExact:
-		var err error
-		if opt.Workers > 1 {
-			// Bit-identical to the sequential fill; the parallel variant
-			// records the pSS span itself (once, on whichever path runs).
-			if sp, err = grid.AllPairsSpatialParallelCtx(ctx, q, pts, opt.Workers); err == nil {
-				pss = sp.RowSums()
-			}
-		} else {
-			pss, sp, err = grid.PSSBaselineCtx(ctx, q, pts)
+	if ec := explain.FromContext(ctx); ec != nil {
+		if gs.Kind == "squared" || gs.Kind == "radial" {
+			sampleGridError(&gs, q, pts, sp)
 		}
-		if err != nil {
-			if ce := CtxErr(ctx); ce != nil {
-				return nil, ce
-			}
-			return nil, err
-		}
-		if ec := explain.FromContext(ctx); ec != nil {
-			// Nothing is approximated; record the method so explain
-			// output still names the spatial path taken.
-			ec.SetGrid(explain.GridStats{Kind: "exact", Places: len(pts)})
-		}
-	case SpatialSquaredGrid:
-		// The pSS span is recorded here at the stage boundary; the grid
-		// fill variants (sequential or parallel, including the parallel
-		// variant's sequential fallback) record none, so the stage is
-		// counted exactly once. The exact path instead records it inside
-		// grid.AllPairsSpatial(Parallel)Ctx.
-		endPSS := telemetry.StartSpan(ctx, telemetry.StagePSS)
-		g, err := grid.NewSquared(q, pts, cells)
-		if err != nil {
-			endPSS()
-			return nil, err
-		}
-		pss = g.PSS(opt.SquaredTable)
-		if opt.Workers > 1 {
-			sp, err = g.ApproxAllPairsParallelCtx(ctx, opt.SquaredTable, opt.Workers)
-		} else {
-			sp, err = g.ApproxAllPairsCtx(ctx, opt.SquaredTable)
-		}
-		if err != nil {
-			endPSS()
-			if ce := CtxErr(ctx); ce != nil {
-				return nil, ce
-			}
-			return nil, err
-		}
-		endPSS()
-		if ec := explain.FromContext(ctx); ec != nil {
-			ec.SetGrid(gridStats("squared", g.Cells(), g.OccupiedCells(), q, pts, sp))
-		}
-	case SpatialRadialGrid:
-		endPSS := telemetry.StartSpan(ctx, telemetry.StagePSS)
-		g, err := grid.NewRadial(q, pts, cells)
-		if err != nil {
-			endPSS()
-			return nil, err
-		}
-		pss = g.PSS(opt.RadialTable)
-		sp = g.ApproxAllPairs(opt.RadialTable)
-		endPSS()
-		if ec := explain.FromContext(ctx); ec != nil {
-			ec.SetGrid(gridStats("radial", g.Sectors(), g.OccupiedSectors(), q, pts, sp))
-		}
-	case SpatialCustom:
-		if opt.CustomSpatial == nil {
-			return nil, fmt.Errorf("core: SpatialCustom requires CustomSpatial")
-		}
-		endPSS := telemetry.StartSpan(ctx, telemetry.StagePSS)
-		var err error
-		if sp, err = opt.CustomSpatial(q, places); err != nil {
-			endPSS()
-			return nil, err
-		}
-		endPSS()
-		if sp == nil || sp.N() != len(places) {
-			return nil, fmt.Errorf("core: CustomSpatial returned a matrix of wrong size")
-		}
-		pss = sp.RowSums()
-		if ec := explain.FromContext(ctx); ec != nil {
-			ec.SetGrid(explain.GridStats{Kind: "custom", Places: len(places)})
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown spatial method %v", opt.Spatial)
+		ec.SetGrid(gs)
 	}
 	if err := checkpoint(ctx, "scores:spatial"); err != nil {
 		return nil, err
@@ -281,18 +196,79 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 	}, nil
 }
 
-// gridStats assembles the explain grid statistics for an approximating
-// spatial method, including the sampled approximation error (exact sS
-// recomputed on explainErrSamples random pairs). Call only under an
-// explain collector: the sampling costs ~64 Ptolemy evaluations.
-func gridStats(kind string, cells, occupied int, q geo.Point, pts []geo.Point, approx *pairs.Matrix) explain.GridStats {
-	gs := explain.GridStats{Kind: kind, Cells: cells, OccupiedCells: occupied, Places: len(pts)}
-	if occupied > 0 {
-		gs.PlacesPerCell = float64(len(pts)) / float64(occupied)
+// stageErr maps a Step-1 stage failure onto the package's typed
+// cancellation errors when ctx has terminated, and passes it through
+// otherwise.
+func stageErr(ctx context.Context, err error) error {
+	if ce := CtxErr(ctx); ce != nil {
+		return ce
+	}
+	return err
+}
+
+// spatialScores computes the pairwise spatial similarity matrix and the
+// pSS vector with the configured method, plus the explain grid statistics
+// that cost nothing to collect (the sampled approximation error is left to
+// the caller).
+func spatialScores(ctx context.Context, q geo.Point, places []Place, pts []geo.Point, opt ScoreOptions) (sp *pairs.Matrix, pss []float64, gs explain.GridStats, err error) {
+	gs.Places = len(pts)
+	cells := opt.GridCells
+	if cells <= 0 {
+		cells = len(places) // the paper's |G| ≈ K rule
+	}
+	switch opt.Spatial {
+	case SpatialExact:
+		// Nothing is approximated; the method is still recorded so explain
+		// output names the spatial path taken.
+		gs.Kind = "exact"
+		if sp, err = grid.AllPairsSpatialCtx(ctx, q, pts, opt.Workers); err != nil {
+			return nil, nil, gs, err
+		}
+		return sp, sp.RowSums(), gs, nil
+	case SpatialSquaredGrid:
+		g, err := grid.NewSquared(q, pts, cells)
+		if err != nil {
+			return nil, nil, gs, err
+		}
+		gs.Kind, gs.Cells, gs.OccupiedCells = "squared", g.Cells(), g.OccupiedCells()
+		pss = g.PSS(opt.SquaredTable)
+		sp, err = g.ApproxAllPairsCtx(ctx, opt.SquaredTable, opt.Workers)
+		return sp, pss, gs, err
+	case SpatialRadialGrid:
+		g, err := grid.NewRadial(q, pts, cells)
+		if err != nil {
+			return nil, nil, gs, err
+		}
+		gs.Kind, gs.Cells, gs.OccupiedCells = "radial", g.Sectors(), g.OccupiedSectors()
+		pss = g.PSS(opt.RadialTable)
+		return g.ApproxAllPairs(opt.RadialTable), pss, gs, nil
+	case SpatialCustom:
+		if opt.CustomSpatial == nil {
+			return nil, nil, gs, fmt.Errorf("core: SpatialCustom requires CustomSpatial")
+		}
+		gs.Kind = "custom"
+		if sp, err = opt.CustomSpatial(q, places); err != nil {
+			return nil, nil, gs, err
+		}
+		if sp == nil || sp.N() != len(places) {
+			return nil, nil, gs, fmt.Errorf("core: CustomSpatial returned a matrix of wrong size")
+		}
+		return sp, sp.RowSums(), gs, nil
+	default:
+		return nil, nil, gs, fmt.Errorf("core: unknown spatial method %v", opt.Spatial)
+	}
+}
+
+// sampleGridError completes the explain statistics of an approximating
+// spatial method with its places per cell and the sampled approximation
+// error (exact sS recomputed on explainErrSamples random pairs). Call only
+// under an explain collector: the sampling costs ~64 Ptolemy evaluations.
+func sampleGridError(gs *explain.GridStats, q geo.Point, pts []geo.Point, approx *pairs.Matrix) {
+	if gs.OccupiedCells > 0 {
+		gs.PlacesPerCell = float64(len(pts)) / float64(gs.OccupiedCells)
 	}
 	es := grid.SampleApproxError(q, pts, approx, explainErrSamples)
 	gs.SampledPairs, gs.MeanAbsError, gs.MaxAbsError = es.Pairs, es.MeanAbs, es.MaxAbs
-	return gs
 }
 
 // SF returns the combined similarity sF(p_i, p_j) (Eq. 13).

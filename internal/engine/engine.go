@@ -85,11 +85,6 @@ type Options struct {
 	// K×K/2 float64 matrices (~12·K² bytes), so the right capacity
 	// depends on the expected K; 0 means 128.
 	CacheEntries int
-	// GridTableCells is |G_MAX| for the shared maximal squared-grid
-	// table; queries whose per-query grid exceeds it fall back to direct
-	// cell-centre computation (grid.SquaredTable.At). 0 means 1024,
-	// covering the paper's |G| ≈ K rule up to K = 1024.
-	GridTableCells int
 	// SelectionMemo bounds the per-entry (algorithm, k, λ) memo of
 	// selections and the answers rendered from them (a few KB each).
 	// 0 means 64.
@@ -111,19 +106,16 @@ type Options struct {
 	Shards int
 	// Step1Workers fans the quadratic Step-1 fills of a cache miss
 	// (contextual all-pairs, spatial all-pairs or grid matrix fill) out
-	// over this many goroutines. ≤ 1 keeps Step 1 sequential. The
-	// parallel variants are bit-identical to the sequential ones, so the
-	// knob never changes a response — which is why cache keys and the
-	// selection memo deliberately do not encode it.
+	// over this many goroutines (core.ScoreOptions.Workers). ≤ 1 keeps
+	// Step 1 sequential. Every worker count fills the same matrices bit
+	// for bit, so the knob never changes a response — which is why cache
+	// keys and the selection memo deliberately do not encode it.
 	Step1Workers int
 }
 
 func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 128
-	}
-	if o.GridTableCells <= 0 {
-		o.GridTableCells = 1024
 	}
 	if o.SelectionMemo <= 0 {
 		o.SelectionMemo = 64
@@ -170,7 +162,7 @@ type Engine struct {
 	wal   MutationLog
 
 	tblMu   sync.Mutex
-	squared map[int]*grid.SquaredTable // keyed by maximal side
+	squared *grid.SquaredTable // built on first use
 	radial  *grid.RadialTable
 
 	hits        atomic.Uint64
@@ -193,10 +185,9 @@ type Engine struct {
 func New(d *dataset.Dataset, opt Options) *Engine {
 	o := opt.withDefaults()
 	e := &Engine{
-		opt:     o,
-		cache:   newLRU(o.CacheEntries),
-		squared: make(map[int]*grid.SquaredTable),
-		wal:     o.WAL,
+		opt:   o,
+		cache: newLRU(o.CacheEntries),
+		wal:   o.WAL,
 	}
 	snap := &corpusSnapshot{epoch: o.InitialEpoch, data: d}
 	if o.Shards >= 2 {
@@ -247,19 +238,23 @@ func (e *Engine) ShardInfo() []dataset.ShardInfo {
 	return s.shards.Info()
 }
 
+// squaredTableCells is |G_MAX| for the shared maximal squared-grid table,
+// covering the paper's |G| ≈ K rule up to K = 1024 in an 8 MB table;
+// queries whose per-query grid exceeds it fall back to direct cell-centre
+// computation (grid.SquaredTable.At). The table grows with the fourth
+// power of its side, so it is deliberately not sized from MaxK.
+const squaredTableCells = 1024
+
 // SquaredTable returns the shared maximal squared-grid table, building it
-// on first use (once per resolution; see Theorem 7.1 for why one table
-// serves every query location and grid size).
+// on first use (see Theorem 7.1 for why one table serves every query
+// location and grid size).
 func (e *Engine) SquaredTable() *grid.SquaredTable {
-	side := grid.SideForCells(e.opt.GridTableCells)
 	e.tblMu.Lock()
 	defer e.tblMu.Unlock()
-	t, ok := e.squared[side]
-	if !ok {
-		t = grid.NewSquaredTable(side)
-		e.squared[side] = t
+	if e.squared == nil {
+		e.squared = grid.NewSquaredTable(grid.SideForCells(squaredTableCells))
 	}
-	return t
+	return e.squared
 }
 
 // RadialTable returns the shared radial-grid table. The table itself
@@ -471,9 +466,9 @@ func (e *Engine) Stats() Stats {
 		s.Shards = snap.shards.NumShards()
 	}
 	e.tblMu.Lock()
-	s.SquaredTables = len(e.squared)
-	for _, t := range e.squared {
-		s.TableBytes += t.Bytes()
+	if e.squared != nil {
+		s.SquaredTables = 1
+		s.TableBytes += e.squared.Bytes()
 	}
 	if e.radial != nil {
 		s.RadialResolutions = e.radial.Resolutions()

@@ -10,56 +10,45 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/pairs"
-	"repro/internal/telemetry"
 )
-
-// ctxCheckStride is the number of outer-loop rows between context polls in
-// the cancellable all-pairs loops: cancellation is observed within O(K)
-// pair computations while the poll cost stays negligible.
-const ctxCheckStride = 32
 
 // AllPairsSpatial computes the exact Ptolemy spatial similarity
 // sS(p_i, p_j) w.r.t. q for every pair of points — the baseline algorithm,
 // costing ~20 arithmetic operations per pair.
 func AllPairsSpatial(q geo.Point, pts []geo.Point) *pairs.Matrix {
-	m, _ := AllPairsSpatialCtx(context.Background(), q, pts)
+	m, _ := AllPairsSpatialCtx(context.Background(), q, pts, 1)
 	return m
 }
 
-// AllPairsSpatialCtx is AllPairsSpatial with cancellation checkpoints on
-// the outer row loop; on cancellation the partial matrix is discarded and
-// ctx.Err() returned.
-func AllPairsSpatialCtx(ctx context.Context, q geo.Point, pts []geo.Point) (*pairs.Matrix, error) {
-	defer telemetry.StartSpan(ctx, telemetry.StagePSS)()
-	n := len(pts)
-	m := pairs.New(n)
+// AllPairsSpatialCtx is AllPairsSpatial filled through pairs.Fill: rows fan
+// out over workers goroutines (≤ 1 keeps the fill sequential) with
+// cancellation checkpoints; every worker count yields the same matrix bit
+// for bit. On cancellation the partial matrix is discarded and ctx.Err()
+// returned.
+func AllPairsSpatialCtx(ctx context.Context, q geo.Point, pts []geo.Point, workers int) (*pairs.Matrix, error) {
 	// Hoist the per-point distances to q: the baseline recomputes them per
 	// pair, but sharing them is the natural implementation in Go and only
 	// strengthens the baseline we compare the grids against.
-	dq := make([]float64, n)
+	dq := make([]float64, len(pts))
 	for i, p := range pts {
 		dq[i] = p.Dist(q)
 	}
-	for i := 0; i < n; i++ {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	return pairs.Fill(ctx, len(pts), workers, func(m *pairs.Matrix) func(int) {
+		return func(i int) {
+			for j := i + 1; j < len(pts); j++ {
+				den := dq[i] + dq[j]
+				if den == 0 {
+					m.Set(i, j, 1) // both points coincide with q
+					continue
+				}
+				d := pts[i].Dist(pts[j]) / den
+				if d > 1 {
+					d = 1
+				}
+				m.Set(i, j, 1-d)
 			}
 		}
-		for j := i + 1; j < n; j++ {
-			den := dq[i] + dq[j]
-			if den == 0 {
-				m.Set(i, j, 1) // both points coincide with q
-				continue
-			}
-			d := pts[i].Dist(pts[j]) / den
-			if d > 1 {
-				d = 1
-			}
-			m.Set(i, j, 1-d)
-		}
-	}
-	return m, nil
+	})
 }
 
 // PSSBaseline returns the exact pSS(p_i) vector (Eq. 6) and the pairwise
@@ -71,7 +60,7 @@ func PSSBaseline(q geo.Point, pts []geo.Point) ([]float64, *pairs.Matrix) {
 
 // PSSBaselineCtx is PSSBaseline with cancellation checkpoints.
 func PSSBaselineCtx(ctx context.Context, q geo.Point, pts []geo.Point) ([]float64, *pairs.Matrix, error) {
-	m, err := AllPairsSpatialCtx(ctx, q, pts)
+	m, err := AllPairsSpatialCtx(ctx, q, pts, 1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -18,48 +18,41 @@ func ctxTestPoints(n int, seed int64) []geo.Point {
 	return pts
 }
 
+// TestAllPairsSpatialCtxCancelled: every cancellable fill rejects a dead
+// context at every worker count, returning ctx.Err() and no matrix.
 func TestAllPairsSpatialCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := geo.Pt(50, 50)
 	pts := ctxTestPoints(200, 1)
-	if _, err := AllPairsSpatialCtx(ctx, q, pts); !errors.Is(err, context.Canceled) {
-		t.Errorf("sequential: err = %v, want context.Canceled", err)
+	g, err := NewSquared(q, pts, len(pts))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := AllPairsSpatialParallelCtx(ctx, q, pts, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel: err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 4} {
+		if m, err := AllPairsSpatialCtx(ctx, q, pts, workers); !errors.Is(err, context.Canceled) || m != nil {
+			t.Errorf("exact, workers=%d: (%v, %v), want (nil, context.Canceled)", workers, m, err)
+		}
+		for _, tbl := range []*SquaredTable{nil, NewSquaredTable(16)} {
+			if m, err := g.ApproxAllPairsCtx(ctx, tbl, workers); !errors.Is(err, context.Canceled) || m != nil {
+				t.Errorf("squared, workers=%d: (%v, %v), want (nil, context.Canceled)", workers, m, err)
+			}
+		}
 	}
 	if _, _, err := PSSBaselineCtx(ctx, q, pts); !errors.Is(err, context.Canceled) {
 		t.Errorf("pss: err = %v, want context.Canceled", err)
 	}
 }
 
-func TestAllPairsSpatialCtxMatchesSequential(t *testing.T) {
-	q := geo.Pt(50, 50)
-	pts := ctxTestPoints(150, 2)
-	want := AllPairsSpatial(q, pts)
-	got, err := AllPairsSpatialParallelCtx(context.Background(), q, pts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if got.At(i, j) != want.At(i, j) {
-				t.Fatalf("At(%d,%d) = %v, want %v", i, j, got.At(i, j), want.At(i, j))
-			}
-		}
-	}
-}
-
 // TestParallelCancelMidFlight cancels while workers are running; the call
 // must return an error (not a partial matrix) and leave no goroutine
-// stuck — the deferred wait-group join would deadlock the test otherwise.
+// stuck — the driver's join would deadlock the test otherwise.
 func TestParallelCancelMidFlight(t *testing.T) {
 	q := geo.Pt(50, 50)
 	pts := ctxTestPoints(2000, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	m, err := AllPairsSpatialParallelCtx(ctx, q, pts, 8)
+	m, err := AllPairsSpatialCtx(ctx, q, pts, 8)
 	if err == nil {
 		// The race is legal: workers may finish before the cancel lands.
 		if m == nil {

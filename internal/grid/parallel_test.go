@@ -1,66 +1,65 @@
 package grid
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/geo"
 )
 
-// TestParallelSpatialIdentical: the parallel all-pairs computation must
-// match the sequential baseline exactly, for assorted worker counts.
+// TestParallelSpatialIdentical: the exact all-pairs fill must reproduce
+// the per-pair Ptolemy similarity bit for bit at every worker count, on
+// sizes on both sides of the row driver's fan-out threshold, and its row
+// sums must be the pSS vector PSSBaselineCtx reports.
 func TestParallelSpatialIdentical(t *testing.T) {
 	q := geo.Pt(0.3, 0.7)
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{0, 1, 10, 63, 64, 200} {
 		pts := uniformPoints(rng, q, n, 3)
-		want := AllPairsSpatial(q, pts)
+		pts = append(pts, q, q) // the den == 0 path
+		pss, _, err := PSSBaselineCtx(context.Background(), q, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{0, 1, 2, 7, 500} {
-			got := AllPairsSpatialParallel(q, pts, workers)
-			if want.N() != got.N() {
-				t.Fatalf("n=%d workers=%d: size mismatch", n, workers)
+			got, err := AllPairsSpatialCtx(context.Background(), q, pts, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if n > 1 {
-				if d := want.MaxAbsDiff(got); d != 0 {
-					t.Fatalf("n=%d workers=%d: differs by %g", n, workers, d)
+			for i := range pts {
+				for j := i + 1; j < len(pts); j++ {
+					want := geo.PtolemySimilarity(q, pts[i], pts[j])
+					if pts[i] == q && pts[j] == q {
+						want = 1 // both points coincide with q
+					}
+					if math.Float64bits(got.At(i, j)) != math.Float64bits(want) {
+						t.Fatalf("n=%d workers=%d: sS(%d,%d) = %v, want %v", n, workers, i, j, got.At(i, j), want)
+					}
+				}
+			}
+			for i, v := range got.RowSums() {
+				if math.Float64bits(v) != math.Float64bits(pss[i]) {
+					t.Fatalf("n=%d workers=%d: pSS[%d] = %v, want %v", n, workers, i, v, pss[i])
 				}
 			}
 		}
 	}
 }
 
-func TestPSSBaselineParallel(t *testing.T) {
-	q := geo.Pt(0, 0)
-	rng := rand.New(rand.NewSource(29))
-	pts := gaussianPoints(rng, q, 150, 1)
-	want, _ := PSSBaseline(q, pts)
-	got, cache := PSSBaselineParallel(q, pts, 4)
-	if cache.N() != len(pts) {
-		t.Fatal("cache size wrong")
-	}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("pSS[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func BenchmarkPSSBaselineSequentialK2000(b *testing.B) {
+func BenchmarkPSSBaselineK2000(b *testing.B) {
 	q := geo.Pt(0, 0)
 	rng := rand.New(rand.NewSource(1))
 	pts := uniformPoints(rng, q, 2000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PSSBaseline(q, pts)
-	}
-}
-
-func BenchmarkPSSBaselineParallelK2000(b *testing.B) {
-	q := geo.Pt(0, 0)
-	rng := rand.New(rand.NewSource(1))
-	pts := uniformPoints(rng, q, 2000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PSSBaselineParallel(q, pts, 0)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m, _ := AllPairsSpatialCtx(context.Background(), q, pts, workers)
+				m.RowSums()
+			}
+		})
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/pairs"
@@ -30,8 +27,8 @@ type Squared struct {
 	// = sS between the centres of occ[a] and occ[b], diagonal 1) built by
 	// cellScores for the fallback paths that compute similarities on the
 	// fly. mrow/pmi cache the maximal-grid index translation for the
-	// table-driven paths (keyed by mtbl). PSS and the ApproxAllPairs
-	// variants share the builds; not safe for concurrent first use.
+	// table-driven paths (keyed by mtbl). PSS and ApproxAllPairsCtx share
+	// the builds; not safe for concurrent first use.
 	cs   []float64
 	mrow []int32 // per occupied cell: flat index of its centre in the maximal grid
 	pmi  []int32 // per point: mrow of its cell
@@ -243,119 +240,45 @@ func (g *Squared) PSS(tbl *SquaredTable) []float64 {
 
 // ApproxAllPairs returns the approximate pairwise sS matrix in which each
 // point is replaced by its cell centre. This is what the optimised greedy
-// pipeline uses for the pairwise sF scores: with the occupied-cell table
-// in hand the n²/2 fill is one small-table load and one store per pair.
+// pipeline uses for the pairwise sF scores: with a similarity table in
+// hand the n²/2 fill is one table load and one store per pair.
 func (g *Squared) ApproxAllPairs(tbl *SquaredTable) *pairs.Matrix {
-	m, _ := g.ApproxAllPairsCtx(context.Background(), tbl)
+	m, _ := g.ApproxAllPairsCtx(context.Background(), tbl, 1)
 	return m
 }
 
-// ApproxAllPairsCtx is ApproxAllPairs with cancellation checkpoints on
-// the row loop; on cancellation the partial matrix is discarded and
-// ctx.Err() returned.
-func (g *Squared) ApproxAllPairsCtx(ctx context.Context, tbl *SquaredTable) (*pairs.Matrix, error) {
-	n := len(g.cellOf)
-	m := pairs.New(n)
+// ApproxAllPairsCtx is ApproxAllPairs filled through pairs.Fill: rows fan
+// out over workers goroutines (≤ 1 keeps the fill sequential) with
+// cancellation checkpoints; every worker count yields the same matrix bit
+// for bit. On cancellation the partial matrix is discarded and ctx.Err()
+// returned.
+func (g *Squared) ApproxAllPairsCtx(ctx context.Context, tbl *SquaredTable, workers int) (*pairs.Matrix, error) {
+	// Row i of the matrix is gathered out of row idx[i] of a flat
+	// similarity table src (rows of length stride, indexed by idx again):
+	// the maximal table translated through maximalIdx when tbl covers the
+	// grid — no O(occupied²) densified copy to build first — and the
+	// occupied-cell table otherwise. Both are built before the fan-out;
+	// the workers only read them.
+	var (
+		src    []float64
+		stride int
+		idx    []int32
+	)
 	if g.tableDriven(tbl) {
-		// Gather each matrix row straight out of the maximal table's row
-		// for the point's cell: one translated index per point (pmi), one
-		// load and one store per pair, and no O(occupied²) densified copy
-		// to build or allocate first.
-		_, pmi := g.maximalIdx(tbl)
-		mc := tbl.maxSide * tbl.maxSide
-		for i := 0; i < n; i++ {
-			if i%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			trow := tbl.v[int(pmi[i])*mc : int(pmi[i])*mc+mc]
-			row := m.Row(i)
-			for t, mj := range pmi[i+1:] {
-				row[t] = trow[mj]
-			}
-		}
-		return m, nil
-	}
-	ns := len(g.occ)
-	cs := g.cellScores()
-	for i := 0; i < n; i++ {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		crow := cs[int(g.occIdx[i])*ns : int(g.occIdx[i])*ns+ns]
-		row := m.Row(i)
-		for t, oj := range g.occIdx[i+1:] {
-			row[t] = crow[oj]
-		}
-	}
-	return m, nil
-}
-
-// ApproxAllPairsParallelCtx is ApproxAllPairsCtx with the row fill fanned
-// out over worker goroutines in row strides; each slot is written exactly
-// once, so the shared matrix needs no locking, and results are identical
-// to the sequential fill. Small inputs fall back to the sequential
-// variant. Neither path records a telemetry span — the squared-grid pSS
-// stage is spanned by the caller at the stage boundary, so the fallback
-// cannot double-count the stage.
-func (g *Squared) ApproxAllPairsParallelCtx(ctx context.Context, tbl *SquaredTable, workers int) (*pairs.Matrix, error) {
-	n := len(g.cellOf)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 64 {
-		return g.ApproxAllPairsCtx(ctx, tbl)
-	}
-	// Row sources are built before the fan-out; workers only read them.
-	var rowOf func(i int) []float64
-	if g.tableDriven(tbl) {
-		_, pmi := g.maximalIdx(tbl)
-		mc := tbl.maxSide * tbl.maxSide
-		rowOf = func(i int) []float64 {
-			return tbl.v[int(pmi[i])*mc : int(pmi[i])*mc+mc]
-		}
+		_, idx = g.maximalIdx(tbl)
+		src, stride = tbl.v, tbl.maxSide*tbl.maxSide
 	} else {
-		ns := len(g.occ)
-		cs := g.cellScores()
-		rowOf = func(i int) []float64 {
-			return cs[int(g.occIdx[i])*ns : int(g.occIdx[i])*ns+ns]
-		}
+		src, stride, idx = g.cellScores(), len(g.occ), g.occIdx
 	}
-	idx := g.occIdx
-	if g.tableDriven(tbl) {
-		idx = g.pmi
-	}
-	m := pairs.New(n)
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				crow := rowOf(i)
-				row := m.Row(i)
-				for t, oj := range idx[i+1:] {
-					row[t] = crow[oj]
-				}
+	return pairs.Fill(ctx, len(idx), workers, func(m *pairs.Matrix) func(int) {
+		return func(i int) {
+			crow := src[int(idx[i])*stride : int(idx[i])*stride+stride]
+			row := m.Row(i)
+			for t, oj := range idx[i+1:] {
+				row[t] = crow[oj]
 			}
-		}(w)
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return nil, ctx.Err()
-	}
-	return m, nil
+		}
+	})
 }
 
 // unitSS computes sS between the unit-scale centres of two cells of a grid

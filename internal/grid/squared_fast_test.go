@@ -18,34 +18,39 @@ func randomPts(rng *rand.Rand, n int) []geo.Point {
 }
 
 // TestSquaredTableDrivenMatchesPerPairLookup pins the occupied-cell table
-// optimisation to the semantics it replaced: every matrix entry and every
-// pSS value must match, bit for bit, what per-pair SquaredTable.At (or
-// unitSS without a table) produces.
+// optimisation to the semantics it replaced: every matrix entry, at every
+// worker count, and every pSS value must match, bit for bit, what per-pair
+// SquaredTable.At (or unitSS without a table) produces.
 func TestSquaredTableDrivenMatchesPerPairLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := geo.Pt(50, 50)
-	for _, n := range []int{1, 2, 37, 200} {
+	for _, n := range []int{1, 2, 37, 64, 200} {
 		pts := randomPts(rng, n)
 		for _, tbl := range []*SquaredTable{nil, NewSquaredTable(16), NewSquaredTable(4)} {
 			g, err := NewSquared(q, pts, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := g.ApproxAllPairs(tbl)
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					ci, cj := int(g.cellOf[i]), int(g.cellOf[j])
-					var want float64
-					switch {
-					case ci == cj:
-						want = 1
-					case tbl != nil:
-						want = tbl.At(g.side, ci, cj)
-					default:
-						want = unitSS(ci, cj, g.side)
-					}
-					if math.Float64bits(m.At(i, j)) != math.Float64bits(want) {
-						t.Fatalf("n=%d: entry (%d,%d) = %v, want %v", n, i, j, m.At(i, j), want)
+			for _, workers := range []int{0, 1, 3, 8} {
+				m, err := g.ApproxAllPairsCtx(context.Background(), tbl, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					for j := i + 1; j < n; j++ {
+						ci, cj := int(g.cellOf[i]), int(g.cellOf[j])
+						var want float64
+						switch {
+						case ci == cj:
+							want = 1
+						case tbl != nil:
+							want = tbl.At(g.side, ci, cj)
+						default:
+							want = unitSS(ci, cj, g.side)
+						}
+						if math.Float64bits(m.At(i, j)) != math.Float64bits(want) {
+							t.Fatalf("n=%d workers=%d: entry (%d,%d) = %v, want %v", n, workers, i, j, m.At(i, j), want)
+						}
 					}
 				}
 			}
@@ -76,48 +81,6 @@ func TestSquaredTableDrivenMatchesPerPairLookup(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestApproxAllPairsParallelMatchesSequential: the parallel fill (and its
-// small-input sequential fallback) must reproduce the sequential matrix
-// bit for bit.
-func TestApproxAllPairsParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	q := geo.Pt(50, 50)
-	tbl := NewSquaredTable(16)
-	for _, n := range []int{30, 64, 300} { // 30 exercises the fallback
-		pts := randomPts(rng, n)
-		g, err := NewSquared(q, pts, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := g.ApproxAllPairs(tbl)
-		for _, workers := range []int{1, 3, 8} {
-			got, err := g.ApproxAllPairsParallelCtx(context.Background(), tbl, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := want.MaxAbsDiff(got); d != 0 {
-				t.Errorf("n=%d workers=%d: max diff %v, want 0", n, workers, d)
-			}
-		}
-	}
-}
-
-// TestApproxAllPairsParallelCancelled: cancellation during the fan-out
-// discards the partial matrix and reports ctx.Err().
-func TestApproxAllPairsParallelCancelled(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	pts := randomPts(rng, 500)
-	g, err := NewSquared(geo.Pt(50, 50), pts, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if m, err := g.ApproxAllPairsParallelCtx(ctx, nil, 4); err == nil || m != nil {
-		t.Errorf("cancelled fill returned (%v, %v), want (nil, ctx error)", m, err)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/explain"
-	"repro/internal/telemetry"
+	"repro/internal/pairs"
 )
 
 // A JaccardEngine computes the all-pairs contextual similarity matrix
@@ -19,22 +19,16 @@ type JaccardEngine interface {
 }
 
 // A ContextEngine is a JaccardEngine that supports cooperative
-// cancellation: AllPairsCtx polls ctx on the outer comparison loop (every
-// ctxCheckStride rows, so a few thousand pair comparisons at most pass
-// between polls) and returns ctx.Err() instead of completing the
-// quadratic work. Callers on a serving path should prefer it.
+// cancellation: AllPairsCtx fills the matrix through pairs.Fill, which polls
+// ctx every few dozen rows (a few thousand pair comparisons at most pass
+// between polls), and returns ctx.Err() instead of completing the quadratic
+// work. Callers on a serving path should prefer it.
 type ContextEngine interface {
 	JaccardEngine
 	// AllPairsCtx is AllPairs with cancellation checkpoints; on
 	// cancellation the partial matrix is discarded and ctx.Err() returned.
 	AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error)
 }
-
-// ctxCheckStride is the number of outer-loop rows between context polls in
-// the all-pairs comparison loops — frequent enough that cancellation is
-// observed within a few thousand pair comparisons, rare enough that the
-// poll cost vanishes against the O(K) row work.
-const ctxCheckStride = 32
 
 // BaselineEngine is the paper's baseline: every one of the O(K²) pairs is
 // compared by probing a per-set hash table with the elements of the other
@@ -53,9 +47,7 @@ func (e BaselineEngine) AllPairs(sets []Set) *PairScores {
 
 // AllPairsCtx implements ContextEngine.
 func (BaselineEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error) {
-	defer telemetry.StartSpan(ctx, telemetry.StagePCS)()
 	n := len(sets)
-	ps := NewPairScores(n)
 	if ec := explain.FromContext(ctx); ec != nil {
 		// The baseline probes every pair unconditionally; it prunes
 		// nothing. Recording that makes engine comparisons explicit in
@@ -76,29 +68,25 @@ func (BaselineEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores,
 		tables[i] = t
 	}
 	// Comparison phase: probe table i with the elements of set j.
-	for i := 0; i < n; i++ {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		ti := tables[i]
-		li := sets[i].Len()
-		for j := i + 1; j < n; j++ {
-			inter := 0
-			for _, v := range sets[j].Items() {
-				if _, ok := ti[v]; ok {
-					inter++
+	return pairs.Fill(ctx, n, 1, func(ps *PairScores) func(int) {
+		return func(i int) {
+			ti := tables[i]
+			li := sets[i].Len()
+			for j := i + 1; j < n; j++ {
+				inter := 0
+				for _, v := range sets[j].Items() {
+					if _, ok := ti[v]; ok {
+						inter++
+					}
 				}
+				if inter == 0 {
+					continue
+				}
+				union := li + sets[j].Len() - inter
+				ps.Set(i, j, float64(inter)/float64(union))
 			}
-			if inter == 0 {
-				continue
-			}
-			union := li + sets[j].Len() - inter
-			ps.Set(i, j, float64(inter)/float64(union))
 		}
-	}
-	return ps, nil
+	})
 }
 
 // MSJHEngine implements micro set Jaccard hashing (Algorithm 1). An
@@ -106,7 +94,12 @@ func (BaselineEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores,
 // reverse (descending-index) order; pairs are then compared only if they
 // provably share an element, and each list scan stops as soon as it reaches
 // an index ≤ i, avoiding every redundant check. The result is exact.
-type MSJHEngine struct{}
+type MSJHEngine struct {
+	// Workers fans the comparison step out over this many goroutines
+	// (pairs.Fill); ≤ 1, the zero value, keeps it sequential. Every value
+	// yields the same matrix, bit for bit, and the same explain counters.
+	Workers int
+}
 
 // Name implements JaccardEngine.
 func (MSJHEngine) Name() string { return "msJh" }
@@ -117,11 +110,13 @@ func (e MSJHEngine) AllPairs(sets []Set) *PairScores {
 	return ps
 }
 
+// msjhTally counts one worker's explain introspection: pairs compared, and
+// postings scanned or cut by the reverse-order rule.
+type msjhTally struct{ compared, scanned, cut int64 }
+
 // AllPairsCtx implements ContextEngine.
-func (MSJHEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error) {
-	defer telemetry.StartSpan(ctx, telemetry.StagePCS)()
+func (e MSJHEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error) {
 	n := len(sets)
-	ps := NewPairScores(n)
 
 	// Step 1: generate the micro set hash table (msht). msHT[v] lists the
 	// indices of the sets containing v. Appending while scanning sets in
@@ -138,63 +133,74 @@ func (MSJHEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, err
 
 	// Step 2: compare sets economically. For each p_i we accumulate the
 	// intersection size against every later set that shares at least one
-	// element, using a scratch counter array plus a touched list so the
-	// per-i cost is proportional to the actual number of collisions.
+	// element, using a per-worker scratch counter array plus a touched list
+	// so the per-i cost is proportional to the actual number of collisions.
 	// Introspection (candidate vs compared pairs, postings cut by the
 	// reverse-order rule) is gated on the context-carried collector: the
 	// disabled path adds one per-set branch, never per-posting work.
 	ec := explain.FromContext(ctx)
-	var compared, postingsScanned, postingsCut int64
-	counts := make([]int32, n)
-	touched := make([]int32, 0, 64)
-	for i, s := range sets {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		touched = touched[:0]
-		for _, v := range s.Items() {
-			list := msht[v]
-			// Reverse order: indices descend from the end of the list, so
-			// stop at the first j ≤ i (that prefix was already processed
-			// in earlier iterations, or is i itself).
-			t := len(list) - 1
-			for ; t >= 0; t-- {
-				j := list[t]
-				if int(j) <= i {
-					break
+	var tallies []*msjhTally
+	ps, err := pairs.Fill(ctx, n, e.Workers, func(ps *PairScores) func(int) {
+		counts := make([]int32, n)
+		scratch := make([]int32, 0, 64)
+		tl := new(msjhTally)
+		tallies = append(tallies, tl)
+		return func(i int) {
+			s := sets[i]
+			touched := scratch[:0]
+			for _, v := range s.Items() {
+				list := msht[v]
+				// Reverse order: indices descend from the end of the list,
+				// so stop at the first j ≤ i (that prefix was already
+				// processed in earlier rows, or is i itself).
+				t := len(list) - 1
+				for ; t >= 0; t-- {
+					j := list[t]
+					if int(j) <= i {
+						break
+					}
+					if counts[j] == 0 {
+						touched = append(touched, j)
+					}
+					counts[j]++
 				}
-				if counts[j] == 0 {
-					touched = append(touched, j)
+				if ec != nil {
+					// The scan visited entries (t, len−1]; the prefix
+					// [0, t] is exactly what the j > i early cut-off
+					// skipped.
+					tl.scanned += int64(len(list) - 1 - t)
+					tl.cut += int64(t + 1)
 				}
-				counts[j]++
 			}
 			if ec != nil {
-				// The scan visited entries (t, len−1]; the prefix [0, t]
-				// is exactly what the j > i early cut-off skipped.
-				postingsScanned += int64(len(list) - 1 - t)
-				postingsCut += int64(t + 1)
+				tl.compared += int64(len(touched))
 			}
+			li := s.Len()
+			for _, j := range touched {
+				inter := counts[j]
+				counts[j] = 0
+				union := li + sets[j].Len() - int(inter)
+				ps.Set(i, int(j), float64(inter)/float64(union))
+			}
+			scratch = touched
 		}
-		if ec != nil {
-			compared += int64(len(touched))
-		}
-		li := s.Len()
-		for _, j := range touched {
-			inter := counts[j]
-			counts[j] = 0
-			union := li + sets[j].Len() - int(inter)
-			ps.Set(i, int(j), float64(inter)/float64(union))
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if ec != nil {
+		var sum msjhTally
+		for _, tl := range tallies {
+			sum.compared += tl.compared
+			sum.scanned += tl.scanned
+			sum.cut += tl.cut
+		}
 		cand := int64(n) * int64(n-1) / 2
 		ec.SetPruning(explain.Pruning{
 			Engine: "msJh", Sets: n,
-			CandidatePairs: cand, ComparedPairs: compared,
-			PrunedPairs:     cand - compared,
-			PostingsScanned: postingsScanned, PostingsCut: postingsCut,
+			CandidatePairs: cand, ComparedPairs: sum.compared,
+			PrunedPairs:     cand - sum.compared,
+			PostingsScanned: sum.scanned, PostingsCut: sum.cut,
 		})
 	}
 	return ps, nil

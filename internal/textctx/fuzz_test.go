@@ -6,13 +6,16 @@ import (
 )
 
 // FuzzEnginesAgree feeds arbitrary byte strings as set contents and
-// checks that msJh, the naive inverted engine and the baseline compute
-// identical similarity matrices, and that Jaccard stays within [0, 1].
+// checks that msJh (at a fuzzed worker count), the naive inverted engine
+// and the baseline compute identical similarity matrices, and that Jaccard
+// stays within [0, 1]. The three sets are padded with sets cut from their
+// concatenation to past the row driver's fan-out threshold, so worker
+// counts ≥ 2 really fan out.
 func FuzzEnginesAgree(f *testing.F) {
-	f.Add([]byte("abcd"), []byte("ad"), []byte("efg"))
-	f.Add([]byte(""), []byte("aa"), []byte("a"))
-	f.Add([]byte{0, 1, 2, 255}, []byte{255, 255}, []byte{7})
-	f.Fuzz(func(t *testing.T, a, b, c []byte) {
+	f.Add([]byte("abcd"), []byte("ad"), []byte("efg"), uint8(0))
+	f.Add([]byte(""), []byte("aa"), []byte("a"), uint8(3))
+	f.Add([]byte{0, 1, 2, 255}, []byte{255, 255}, []byte{7}, uint8(7))
+	f.Fuzz(func(t *testing.T, a, b, c []byte, workers uint8) {
 		toSet := func(raw []byte) Set {
 			ids := make([]ItemID, len(raw))
 			for i, v := range raw {
@@ -21,17 +24,22 @@ func FuzzEnginesAgree(f *testing.F) {
 			return NewSet(ids...)
 		}
 		sets := []Set{toSet(a), toSet(b), toSet(c)}
+		all := append(append(append([]byte{}, a...), b...), c...)
+		for k := 0; k < 64; k++ {
+			lo := k % (len(all) + 1)
+			sets = append(sets, toSet(all[lo:min(len(all), lo+k%7)]))
+		}
 		base := BaselineEngine{}.AllPairs(sets)
-		msjh := MSJHEngine{}.AllPairs(sets)
+		msjh := MSJHEngine{Workers: int(workers % 8)}.AllPairs(sets)
 		naive := NaiveInvertedEngine{}.AllPairs(sets)
 		if base.MaxAbsDiff(msjh) != 0 {
-			t.Fatal("msJh disagrees with baseline")
+			t.Fatalf("msJh (workers %d) disagrees with baseline", workers%8)
 		}
 		if base.MaxAbsDiff(naive) != 0 {
 			t.Fatal("naive-inverted disagrees with baseline")
 		}
-		for i := 0; i < 3; i++ {
-			for j := i + 1; j < 3; j++ {
+		for i := range sets {
+			for j := i + 1; j < len(sets); j++ {
 				if v := base.At(i, j); v < 0 || v > 1 {
 					t.Fatalf("similarity %g outside [0, 1]", v)
 				}
