@@ -46,8 +46,8 @@ func stripVolatile(t *testing.T, body []byte) map[string]any {
 	return m
 }
 
-// TestLegacyRetiredByDefault pins the retirement contract: without
-// -enable-legacy the pre-/v1 aliases answer 410 Gone, still carrying the
+// TestLegacyRetiredByDefault pins the retirement contract: the pre-/v1
+// aliases answer 410 Gone, still carrying the
 // Deprecation marker and a successor-version Link so clients learn the
 // replacement from the refusal itself.
 func TestLegacyRetiredByDefault(t *testing.T) {
@@ -73,64 +73,6 @@ func TestLegacyRetiredByDefault(t *testing.T) {
 		if !strings.Contains(body["error"], successor) {
 			t.Errorf("%s error = %q, want a pointer to %s", old, body["error"], successor)
 		}
-	}
-}
-
-// TestLegacySearchMatchesV1 pins the -enable-legacy compatibility
-// contract: /search and /v1/search serve identical payloads (modulo
-// per-request volatile fields), and the legacy route is marked
-// deprecated.
-func TestLegacySearchMatchesV1(t *testing.T) {
-	s := testServerCfg(t, Config{EnableLegacy: true})
-	const q = "?x=50&y=50&K=80&k=8&lambda=0.4&gamma=0.6&algo=iadu&spatial=radial"
-
-	v1 := get(t, s, "/v1/search"+q)
-	if v1.Code != http.StatusOK {
-		t.Fatalf("/v1/search status = %d: %s", v1.Code, v1.Body.String())
-	}
-	if v1.Header().Get("Deprecation") != "" {
-		t.Error("/v1/search carries a Deprecation header")
-	}
-
-	legacy := get(t, s, "/search"+q)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("/search status = %d: %s", legacy.Code, legacy.Body.String())
-	}
-	if legacy.Header().Get("Deprecation") != "true" {
-		t.Errorf("Deprecation = %q, want \"true\"", legacy.Header().Get("Deprecation"))
-	}
-	if link := legacy.Header().Get("Link"); !strings.Contains(link, "/v1/search") || !strings.Contains(link, "successor-version") {
-		t.Errorf("Link = %q, want successor-version pointing at /v1/search", link)
-	}
-
-	a, b := stripVolatile(t, v1.Body.Bytes()), stripVolatile(t, legacy.Body.Bytes())
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if !bytes.Equal(ja, jb) {
-		t.Errorf("payloads differ:\n/v1/search: %s\n/search:    %s", ja, jb)
-	}
-}
-
-func TestLegacyStatsMatchesV1(t *testing.T) {
-	s := testServerCfg(t, Config{EnableLegacy: true})
-	legacy := get(t, s, "/stats")
-	if legacy.Code != http.StatusOK || legacy.Header().Get("Deprecation") != "true" {
-		t.Fatalf("/stats status = %d, Deprecation = %q", legacy.Code, legacy.Header().Get("Deprecation"))
-	}
-	v1 := get(t, s, "/v1/stats")
-	if v1.Code != http.StatusOK {
-		t.Fatalf("/v1/stats status = %d", v1.Code)
-	}
-	var body map[string]any
-	if err := json.Unmarshal(v1.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	eng, ok := body["engine"].(map[string]any)
-	if !ok {
-		t.Fatalf("/v1/stats missing engine section: %v", body)
-	}
-	if _, ok := eng["cache"].(map[string]any); !ok {
-		t.Errorf("engine stats missing cache section: %v", eng)
 	}
 }
 

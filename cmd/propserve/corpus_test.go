@@ -49,9 +49,21 @@ func TestCorpusMutationRoundTrip(t *testing.T) {
 			"context": []string{"live-beacon"},
 		})
 	}
+	// The mutation is admitted like a query: one admission_wait span and
+	// one queue-wait sample.
+	admissionSamples := func() (spans, waits string) {
+		series := metricsSeries(t, s)
+		return series[`propserve_stage_seconds_count{stage="admission_wait"}`], series["propserve_gate_queue_wait_seconds_count"]
+	}
+	spansBefore, waitsBefore := admissionSamples()
 	rec = postJSON(t, s, "/v1/corpus", map[string]any{"upserts": ups, "deletes": []string{"no-such-id"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mutation: %d: %s", rec.Code, rec.Body.String())
+	}
+	spans, waits := admissionSamples()
+	if spansBefore != "1" || waitsBefore != "1" || spans != "2" || waits != "2" {
+		t.Errorf("admission_wait spans %s → %s, queue waits %s → %s; want 1 → 2 each",
+			spansBefore, spans, waitsBefore, waits)
 	}
 	var mres struct {
 		RequestID string   `json:"request_id"`

@@ -8,8 +8,7 @@
 // and un-scoped aliases that address the corpus named "default" —
 // /v1/search ≡ /v1/corpora/default/search, and likewise for explain,
 // batch, corpus and slo. The pre-versioning /search and /stats aliases
-// are retired and answer 410 Gone with a successor-version Link;
-// -enable-legacy re-opens them as deprecated pass-throughs:
+// are retired and answer 410 Gone with a successor-version Link:
 //
 //	GET  /healthz                → liveness: {"status":"ok", ...} plus admission-gate
 //	                               occupancy and the durability state; always 200 while
@@ -40,7 +39,8 @@
 //	                               (hit/miss/coalesced) in diagnostics
 //	POST /v1/batch               → {"queries":[{...}, ...]} runs up to -max-batch
 //	                               queries through a bounded worker pool; each element
-//	                               reports its own status from the same error taxonomy
+//	                               is clamped and degraded like a search and reports
+//	                               its own status from the same error taxonomy
 //	GET  /v1/explain             → /v1/search parameters evaluated under an
 //	                               introspection collector (greedy trace, msJh pruning
 //	                               counters, sampled grid error); requires
@@ -155,7 +155,6 @@ func main() {
 	traceBytes := fs.Int("trace-bytes", 0, "byte budget for each corpus's retained-trace ring (0: 4 MiB)")
 	traceExport := fs.String("trace-export", "", "file appending one JSON line per retained trace (empty: disabled)")
 	corporaDir := fs.String("corpora-dir", "", "directory holding one WAL subdirectory per named corpus; corpora created via POST /v1/corpora become durable, and existing subdirectories are re-registered at boot (empty: created corpora are volatile)")
-	enableLegacy := fs.Bool("enable-legacy", false, "re-open the retired pre-/v1 aliases /search and /stats as deprecated pass-throughs (default: they answer 410 Gone)")
 	fs.Parse(os.Args[1:])
 
 	cfg := Config{
@@ -183,7 +182,6 @@ func main() {
 
 		WALCompactRecords: *walCompactRecords,
 
-		EnableLegacy: *enableLegacy,
 		Shards:       *shards,
 		Step1Workers: *step1Workers,
 		CorporaDir:   *corporaDir,

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/grid"
 	"repro/internal/jsonx"
 	"repro/internal/registry"
 	"repro/internal/resilience"
@@ -68,9 +67,8 @@ type Config struct {
 	// RetryAfter is the Retry-After hint attached to 503 shed responses.
 	// Default 1s.
 	RetryAfter time.Duration
-	// Logf receives panic reports from the recovery middleware,
-	// deprecated-route warnings and response-encoding errors. Default
-	// log.Printf.
+	// Logf receives panic reports from the recovery middleware and
+	// response-encoding errors. Default log.Printf.
 	Logf func(format string, args ...any)
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// request (see telemetry.AccessEntry). Nil disables access logging.
@@ -119,10 +117,6 @@ type Config struct {
 	// the fraction of requests that are neither 5xx errors nor shed must
 	// stay above it. Default 0.999.
 	SLOAvailability float64
-	// EnableLegacy re-opens the retired pre-/v1 aliases (/search, /stats)
-	// as deprecated pass-throughs. Off by default: the aliases answer 410
-	// Gone with a successor-version Link instead.
-	EnableLegacy bool
 	// Shards, when >= 2, splits every corpus into that many spatial
 	// shards — each with its own inverted index, IR-tree and epoch — and
 	// fans Step-1 retrieval out across them in parallel. Results are
@@ -264,7 +258,7 @@ func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *eng
 		batchQueries: reg.Counter("propserve_batch_queries_total",
 			"Individual queries carried by batch requests."),
 		deprecated: reg.CounterVec("propserve_deprecated_requests_total",
-			"Requests served through deprecated pre-/v1 routes, by path.", "path"),
+			"Requests to the retired pre-/v1 routes, by path.", "path"),
 		slowQueries: reg.Counter("propserve_slow_queries_total",
 			"Queries whose end-to-end latency exceeded the slow-query threshold."),
 		mutations: reg.Counter("propserve_corpus_mutation_requests_total",
@@ -362,21 +356,19 @@ func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *eng
 // byte-compatible aliases onto the corpus named "default". The registry
 // itself is administered through GET/POST /v1/corpora and DELETE
 // /v1/corpora/{corpus}. The pre-versioning /search and /stats aliases
-// are retired: they answer 410 Gone unless Config.EnableLegacy re-opens
-// them as deprecated pass-throughs.
+// are retired: they answer 410 Gone.
 type Server struct {
-	handler  http.Handler
-	mux      *http.ServeMux
-	data     *dataset.Dataset
-	eng      *engine.Engine // default tenant's engine
-	cfg      Config
-	gate     *resilience.Gate // default tenant's gate
-	rec      *resilience.Recoverer
-	tel      *serverMetrics
-	slo      *slo.Tracker // default tenant's tracker; nil when Config.DisableSLO
-	start    time.Time
-	warnOnce sync.Map // deprecated path → *sync.Once
-	slowMu   sync.Mutex
+	handler http.Handler
+	mux     *http.ServeMux
+	data    *dataset.Dataset
+	eng     *engine.Engine // default tenant's engine
+	cfg     Config
+	gate    *resilience.Gate // default tenant's gate
+	rec     *resilience.Recoverer
+	tel     *serverMetrics
+	slo     *slo.Tracker // default tenant's tracker; nil when Config.DisableSLO
+	start   time.Time
+	slowMu  sync.Mutex
 	// traceExpMu serialises -trace-export writers so JSONL lines never
 	// interleave (retention decisions fire concurrently across handlers).
 	traceExpMu sync.Mutex
@@ -456,15 +448,9 @@ func NewServerWithEngine(eng *engine.Engine, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/corpora", s.handleCorporaList)
 	s.mux.HandleFunc("POST /v1/corpora", s.handleCorporaCreate)
 	s.mux.HandleFunc("DELETE /v1/corpora/{corpus}", s.handleCorporaDelete)
-	// The pre-/v1 aliases are retired; -enable-legacy re-opens them as
-	// deprecated pass-throughs for stragglers.
-	if cfg.EnableLegacy {
-		s.mux.HandleFunc("GET /search", s.deprecatedAlias("/search", "/v1/search", s.handleSearch))
-		s.mux.HandleFunc("GET /stats", s.deprecatedAlias("/stats", "/v1/stats", s.handleStats))
-	} else {
-		s.mux.HandleFunc("GET /search", s.legacyGone("/search", "/v1/search"))
-		s.mux.HandleFunc("GET /stats", s.legacyGone("/stats", "/v1/stats"))
-	}
+	// The pre-/v1 aliases are retired.
+	s.mux.HandleFunc("GET /search", s.legacyGone("/search", "/v1/search"))
+	s.mux.HandleFunc("GET /stats", s.legacyGone("/stats", "/v1/stats"))
 	s.rec = resilience.NewRecoverer(s.mux, cfg.Logf)
 	s.tel = newServerMetrics(s.gate, s.rec, s.eng)
 	s.registerDurabilityMetrics()
@@ -719,33 +705,6 @@ func (s *Server) registerSLOMetrics() {
 		})
 }
 
-// recordSLO stores one request's latency and outcome into its SLO class
-// and, when h is non-nil, stamps the exact recorded latency onto the
-// response as a Server-Timing header (so load generators can compare
-// client-observed latencies against the server's own samples without
-// network skew), followed by the per-stage breakdown from tr's span
-// tree (see serverTiming). Call it before the first body write —
-// headers are frozen after that — and pass a nil header on paths that
-// share a response with other work (batch elements).
-func (s *Server) recordSLO(tracker *slo.Tracker, h http.Header, class string, start time.Time, status int, tr *telemetry.Trace) {
-	d := time.Since(start)
-	if h != nil && tracker != nil {
-		h.Set("Server-Timing", serverTiming(d, tr))
-	}
-	tracker.Record(class, d, slo.OutcomeForStatus(status))
-}
-
-// searchClass maps the engine's cache verdict onto the SLO class: only a
-// straight LRU hit counts as the hit class; computed and coalesced
-// queries — and requests that failed before a verdict — count as misses,
-// the class with the looser objective.
-func searchClass(cache string) string {
-	if cache == engine.CacheHit {
-		return slo.ClassSearchHit
-	}
-	return slo.ClassSearchMiss
-}
-
 // sloStatsJSON renders one WindowStats as the /v1/slo JSON object. When
 // the tracker holds a retained-trace exemplar for a quantile's sketch
 // bucket, exemplar_trace maps the quantile name to a trace ID that
@@ -850,34 +809,16 @@ func (s *Server) DegradeWAL(err error) {
 // and /v1/stats.
 func (s *Server) walState() string { return s.def.WALState() }
 
-// deprecatedAlias serves old into the same handler as its /v1 successor,
-// marking the response with a Deprecation header (draft-ietf-httpapi-
-// deprecation-header) and a successor-version Link, and logging a
-// one-time warning per alias.
-func (s *Server) deprecatedAlias(old, successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		once, _ := s.warnOnce.LoadOrStore(old, &sync.Once{})
-		once.(*sync.Once).Do(func() {
-			s.cfg.Logf("propserve: deprecated route %s served; clients should move to %s", old, successor)
-		})
-		s.tel.deprecated.With(old).Inc()
-		h(w, r)
-	}
-}
-
-// legacyGone is the default fate of the retired pre-/v1 aliases: 410
-// Gone carrying the same Deprecation and successor-version Link headers
-// the pass-through used, so clients that never read the deprecation
-// signal still learn the replacement route from the refusal.
+// legacyGone is the fate of the retired pre-/v1 aliases: 410 Gone
+// carrying a Deprecation header (draft-ietf-httpapi-deprecation-header)
+// and a successor-version Link, so clients that never read the
+// deprecation signal still learn the replacement route from the refusal.
 func (s *Server) legacyGone(old, successor string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Deprecation", "true")
 		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
 		s.tel.deprecated.With(old).Inc()
-		s.writeError(w, http.StatusGone,
-			"%s was retired: use %s (or start the server with -enable-legacy)", old, successor)
+		s.writeError(w, http.StatusGone, "%s was retired: use %s", old, successor)
 	}
 }
 
@@ -1111,158 +1052,45 @@ func (s *Server) flushSpans(tr *telemetry.Trace) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	rq, ok := s.begin(w, r, "/v1/search", slo.ClassSearchMiss)
 	if !ok {
 		return
 	}
-	start := time.Now()
-	// One trace per request; the pipeline stages (engine, core, textctx,
-	// grid) find it through the context and record their spans on it.
-	// Whether the finished trace is retained is a tail decision — fin
-	// accumulates the facts, the deferred finish covers error and panic
-	// exits, and the success path finishes explicitly so the retained ID
-	// reaches the slow-query line.
-	tr, r := s.startTrace(w, r)
-	defer s.flushSpans(tr)
-	fin := &traceFinish{
-		endpoint:  "/v1/search",
-		requestID: w.Header().Get(telemetry.RequestIDHeader),
-		class:     slo.ClassSearchMiss,
-		exemplar:  true,
-	}
-	defer s.finishTrace(r.Context(), tn, tr, start, fin)
-
-	endParse := tr.StartSpan(telemetry.StageParse)
-	req, err := tn.Eng.RequestFromValues(r.URL.Query())
-	if err == nil {
-		_, err = req.Normalize()
-	}
-	endParse()
-	if err != nil {
-		fin.status = http.StatusBadRequest
-		s.recordSLO(tn.SLO, w.Header(), slo.ClassSearchMiss, start, http.StatusBadRequest, tr)
-		s.writeError(w, http.StatusBadRequest, "bad parameter: %v", err)
+	defer rq.exit()
+	req, deg, ok := rq.parse(func(e *engine.Engine) (*engine.QueryRequest, error) {
+		return e.RequestFromValues(r.URL.Query())
+	})
+	if !ok {
 		return
 	}
-
-	// Graceful degradation, part 1: K is the unit of quadratic work, so
-	// Normalize clamps it to the engine's ceiling; report the clamp.
-	var degraded degradation
-	if from := req.ClampedFrom(); from > 0 {
-		degraded.KClampedFrom = from
-		s.tel.degraded.With("k_clamp").Inc()
-		fin.degraded = true
-	}
-
-	// The deadline budget covers admission wait plus compute, and is
-	// bound to the client connection: a hang-up cancels r.Context() and
-	// with it every checkpointed loop downstream.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-
-	waitStart := time.Now()
-	endWait := tr.StartSpan(telemetry.StageAdmission)
-	release, err := tn.Gate.Acquire(ctx)
-	endWait()
-	s.tel.queueWait.Observe(time.Since(waitStart).Seconds())
+	res, err := rq.tn.Eng.Query(rq.ctx, req)
 	if err != nil {
-		status := statusFor(err)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
-		}
-		fin.status = status
-		s.recordSLO(tn.SLO, w.Header(), slo.ClassSearchMiss, start, status, tr)
-		s.writeError(w, status, "admission: %v", err)
+		rq.fail(statusFor(err), "%v", err)
 		return
 	}
-	defer release()
-
-	// Graceful degradation, part 2: if queueing consumed most of the
-	// budget, downshift the exact spatial method to the squared grid
-	// (Section 7.1.1) rather than miss the deadline — but only when the
-	// grid is actually the faster path for this instance size: below the
-	// measured crossover the approximation costs more than exact, so the
-	// downshift would trade accuracy for *worse* latency. Either way the
-	// decision and its evidence (remaining budget, instance size) are
-	// reported in diagnostics.degraded.
-	if req.SpatialMethod() == core.SpatialExact {
-		if remaining, ok := resilience.Remaining(ctx); ok && remaining < s.cfg.DegradeBudget {
-			if grid.SquaredLikelyFaster(req.K) {
-				req.Spatial = "squared"
-				if _, err := req.Normalize(); err != nil { // re-resolve; cannot fail on a valid request
-					fin.status = http.StatusInternalServerError
-					s.recordSLO(tn.SLO, w.Header(), slo.ClassSearchMiss, start, http.StatusInternalServerError, tr)
-					s.writeError(w, http.StatusInternalServerError, "downshift: %v", err)
-					return
-				}
-				degraded.Spatial = "exact→squared-grid (low budget)"
-				s.tel.degraded.With("spatial_downshift").Inc()
-				fin.degraded = true
-			} else {
-				// The request stays exact and undegraded; the skipped
-				// decision is still surfaced so a budget-starved small
-				// query is diagnosable.
-				degraded.Spatial = fmt.Sprintf("downshift skipped (K=%d below grid crossover)", req.K)
-				s.tel.degraded.With("spatial_downshift_skipped").Inc()
-			}
-			ms := round3(remaining.Seconds() * 1e3)
-			degraded.RemainingBudgetMS = &ms
-		}
-	}
-
-	res, err := tn.Eng.Query(ctx, req)
-	if err != nil {
-		fin.status = statusFor(err)
-		s.recordSLO(tn.SLO, w.Header(), slo.ClassSearchMiss, start, fin.status, tr)
-		s.writeError(w, fin.status, "%v", err)
-		return
-	}
-	telemetry.NoteCache(r.Context(), res.Cache)
-	telemetry.NoteEpoch(r.Context(), req.Epoch())
 
 	// The body is assembled into a buffer first so the engine's build and
 	// encode spans are closed — and can appear in the Server-Timing header
 	// — before any header freezes.
 	buf := getBuf()
 	defer putBuf(buf)
-	body, err := tn.Eng.AppendResponse(*buf, req, res, tr, fin.requestID, degraded.encode())
+	body, err := rq.tn.Eng.AppendResponse(*buf, req, res, rq.tr, rq.id, deg.encode())
 	if err != nil {
-		fin.status = http.StatusInternalServerError
-		s.recordSLO(tn.SLO, w.Header(), slo.ClassSearchMiss, start, fin.status, tr)
-		s.writeError(w, fin.status, "encode: %v", err)
+		rq.fail(http.StatusInternalServerError, "encode: %v", err)
 		return
 	}
 	body = append(body, '\n')
 	*buf = body
-	fin.status, fin.class = http.StatusOK, searchClass(res.Cache)
-	fin.cache, fin.epoch = res.Cache, req.Epoch()
-	s.recordSLO(tn.SLO, w.Header(), fin.class, start, http.StatusOK, tr)
+	// Only a straight LRU hit counts as the hit class; computed and
+	// coalesced queries stay in the miss class with the looser objective.
+	if res.Cache == engine.CacheHit {
+		rq.class = slo.ClassSearchHit
+	}
+	rq.cache, rq.epoch = res.Cache, req.Epoch()
+	rq.respond(http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-	s.finishTrace(r.Context(), tn, tr, start, fin)
-	s.maybeLogSlow("/v1/search", fin.requestID, tn.Name, fin.traceID, req, tr, res.Cache, nil)
-}
-
-// degradation is the diagnostics.degraded report of one search. Its
-// fields are declared in sorted key order, the order encoding/json gave
-// the map this replaces.
-type degradation struct {
-	KClampedFrom      int      `json:"K_clamped_from,omitempty"`
-	RemainingBudgetMS *float64 `json:"remaining_budget_ms,omitempty"`
-	Spatial           string   `json:"spatial,omitempty"`
-}
-
-// encode returns the report as JSON, or nil when nothing was degraded.
-func (d degradation) encode() json.RawMessage {
-	if d == (degradation{}) {
-		return nil
-	}
-	b, err := json.Marshal(d)
-	if err != nil { // unreachable: an int, a finite float and a string
-		panic(fmt.Sprintf("propserve: encode degradation: %v", err))
-	}
-	return b
 }
 
 // bufPool recycles response-assembly buffers: a search body, a batch
@@ -1284,70 +1112,35 @@ func putBuf(b *[]byte) { bufPool.Put(b) }
 // evaluated with Engine.Explain, which bypasses the score-set cache and
 // recomputes both steps under an introspection collector. The response is
 // the search payload plus an "explain" object carrying the greedy trace,
-// Step-1 pruning counters, and sampled grid-approximation error. Spatial
-// downshifting is deliberately skipped: an explain exists to show what the
-// requested configuration does, not a degraded stand-in.
+// Step-1 pruning counters, and sampled grid-approximation error. A K
+// clamp is reported like a search's; spatial downshifting is exempt (see
+// request.parse).
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.EnableExplain {
 		s.writeError(w, http.StatusForbidden, "explain disabled: start the server with -enable-explain")
 		return
 	}
-	tn, ok := s.tenantFor(w, r)
+	// Explains have no SLO class of their own; the miss class's slow
+	// threshold governs retention (an explain is at least a miss's work),
+	// but they are untracked: no SLO sample, and no exemplar — exemplars
+	// must point at tracked traffic.
+	rq, ok := s.begin(w, r, "/v1/explain", slo.ClassSearchMiss)
 	if !ok {
 		return
 	}
-	start := time.Now()
-	tr, r := s.startTrace(w, r)
-	defer s.flushSpans(tr)
-	// Explains have no SLO class of their own; the miss class's slow
-	// threshold governs retention (an explain is at least a miss's work),
-	// but no exemplar is noted — exemplars must point at tracked traffic.
-	fin := &traceFinish{
-		endpoint:  "/v1/explain",
-		requestID: w.Header().Get(telemetry.RequestIDHeader),
-		class:     slo.ClassSearchMiss,
-	}
-	defer s.finishTrace(r.Context(), tn, tr, start, fin)
-
-	endParse := tr.StartSpan(telemetry.StageParse)
-	req, err := tn.Eng.RequestFromValues(r.URL.Query())
-	if err == nil {
-		_, err = req.Normalize()
-	}
-	endParse()
-	if err != nil {
-		fin.status = http.StatusBadRequest
-		s.writeError(w, http.StatusBadRequest, "bad parameter: %v", err)
+	rq.tracked = false
+	defer rq.exit()
+	req, deg, ok := rq.parse(func(e *engine.Engine) (*engine.QueryRequest, error) {
+		return e.RequestFromValues(r.URL.Query())
+	})
+	if !ok {
 		return
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-
-	waitStart := time.Now()
-	endWait := tr.StartSpan(telemetry.StageAdmission)
-	release, err := tn.Gate.Acquire(ctx)
-	endWait()
-	s.tel.queueWait.Observe(time.Since(waitStart).Seconds())
+	res, rep, err := rq.tn.Eng.Explain(rq.ctx, req)
 	if err != nil {
-		status := statusFor(err)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
-		}
-		fin.status = status
-		s.writeError(w, status, "admission: %v", err)
+		rq.fail(statusFor(err), "%v", err)
 		return
 	}
-	defer release()
-
-	res, rep, err := tn.Eng.Explain(ctx, req)
-	if err != nil {
-		fin.status = statusFor(err)
-		s.writeError(w, fin.status, "%v", err)
-		return
-	}
-	telemetry.NoteCache(r.Context(), res.Cache)
-	telemetry.NoteEpoch(r.Context(), req.Epoch())
 	if rep.Pruning != nil {
 		s.tel.msjhPruned.Set(rep.Pruning.PrunedRatio)
 	}
@@ -1355,15 +1148,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.tel.gridErr.Set(rep.Grid.MeanAbsError)
 	}
 
-	resp := tn.Eng.BuildResponse(req, res, tr)
-	resp.RequestID = w.Header().Get(telemetry.RequestIDHeader)
+	resp := rq.tn.Eng.BuildResponse(req, res, rq.tr)
+	resp.RequestID = rq.id
 	resp.Explain = rep
-	endEncode := tr.StartSpan(telemetry.StageEncode)
+	if d := deg.encode(); d != nil {
+		resp.Diagnostics["degraded"] = d
+	}
+	rq.cache, rq.epoch, rq.report = res.Cache, req.Epoch(), rep
+	rq.respond(http.StatusOK)
+	endEncode := rq.tr.StartSpan(telemetry.StageEncode)
 	s.writeJSON(w, http.StatusOK, resp)
 	endEncode()
-	fin.status, fin.cache, fin.epoch = http.StatusOK, res.Cache, req.Epoch()
-	s.finishTrace(r.Context(), tn, tr, start, fin)
-	s.maybeLogSlow("/v1/explain", resp.RequestID, tn.Name, fin.traceID, req, tr, res.Cache, rep)
 }
 
 // slowQueryEntry is one slow-query log line: enough context to understand
@@ -1384,17 +1179,18 @@ type slowQueryEntry struct {
 	Explain     any            `json:"explain,omitempty"`
 }
 
-// maybeLogSlow emits one structured line when the request's trace elapsed
+// maybeLogSlow emits one structured line when the query's trace elapsed
 // beyond the slow-query threshold. The writer preference is SlowQueryLog,
 // then the access-log writer, then Logf; concurrent emitters are
 // serialised so lines never interleave. traceID is the retained-trace ID
 // when the tail sampler kept this request ("" otherwise — though a
 // query past the slow threshold is always retained while tracing is on,
 // so the line normally links straight to /v1/traces/{id}).
-func (s *Server) maybeLogSlow(endpoint, requestID, corpus, traceID string, req *engine.QueryRequest, tr *telemetry.Trace, cache string, explainRep any) {
+func (s *Server) maybeLogSlow(rq *request, traceID string) {
 	if s.cfg.SlowQuery <= 0 {
 		return
 	}
+	req, tr := rq.query, rq.tr
 	elapsed := tr.Elapsed()
 	if elapsed < s.cfg.SlowQuery {
 		return
@@ -1406,9 +1202,9 @@ func (s *Server) maybeLogSlow(endpoint, requestID, corpus, traceID string, req *
 	}
 	e := slowQueryEntry{
 		Time:        time.Now().UTC().Format(time.RFC3339Nano),
-		RequestID:   requestID,
-		Endpoint:    endpoint,
-		Corpus:      corpus,
+		RequestID:   rq.id,
+		Endpoint:    rq.endpoint,
+		Corpus:      rq.tn.Name,
 		TraceID:     traceID,
 		DurationMS:  round3(elapsed.Seconds() * 1e3),
 		ThresholdMS: round3(s.cfg.SlowQuery.Seconds() * 1e3),
@@ -1419,9 +1215,9 @@ func (s *Server) maybeLogSlow(endpoint, requestID, corpus, traceID string, req *
 			"algo": req.Algo, "spatial": req.Spatial,
 		},
 		StageMS:     stages,
-		Cache:       cache,
+		Cache:       rq.cache,
 		CorpusEpoch: req.Epoch(),
-		Explain:     explainRep,
+		Explain:     rq.report,
 	}
 	line, err := json.Marshal(e)
 	if err != nil {
@@ -1539,70 +1335,50 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(out)
 }
 
-// batchElement runs one batch query end to end: decode over the corpus
-// defaults, validate, admit through the gate, query the engine. Panics
+// batchElement runs one batch query through the request lifecycle, like
+// a search without a writer of its own: it is clamped, admitted and
+// degraded the same way and is one unit of the batch SLO class. Panics
 // are contained to the element (batch workers run outside the HTTP
 // recovery middleware's goroutine). Each element gets its own trace —
-// spans never bleed across elements — while requestID ties every element's
-// response and slow-query line back to the parent batch request.
+// spans never bleed across elements, and the parent batch's access-log
+// line adopts no element's trace ID — while requestID ties every
+// element's response and slow-query line back to the parent batch.
 func (s *Server) batchElement(parent context.Context, tn *registry.Tenant, requestID string, idx int, raw json.RawMessage) (item batchOutcome) {
-	start := time.Now()
-	tr := telemetry.NewTrace()
-	// Elements finish individually: a nil note context keeps the parent
-	// batch's access-log line from adopting one element's trace ID.
-	fin := &traceFinish{endpoint: "/v1/batch", requestID: requestID, class: slo.ClassBatch, exemplar: true}
+	rq := request{
+		s: s, tn: tn, tr: telemetry.NewTrace(), start: time.Now(),
+		endpoint: "/v1/batch", id: requestID, class: slo.ClassBatch, tracked: true,
+	}
+	rq.ctx = telemetry.WithTrace(parent, rq.tr)
 	defer func() {
 		if v := recover(); v != nil {
 			s.cfg.Logf("propserve: panic in batch element %d: %v", idx, v)
 			item = batchOutcome{status: http.StatusInternalServerError, err: "internal server error"}
 		}
-		// Each element is one unit of the batch SLO class; the shared
-		// response envelope means no per-element Server-Timing header.
-		s.recordSLO(tn.SLO, nil, slo.ClassBatch, start, item.status, tr)
-		fin.status = item.status
-		s.finishTrace(nil, tn, tr, start, fin)
 	}()
-	defer s.flushSpans(tr)
+	defer rq.exit()
+	failed := func() batchOutcome { return batchOutcome{status: rq.status, err: rq.err} }
 
-	endParse := tr.StartSpan(telemetry.StageParse)
-	req := tn.Eng.NewRequest()
-	err := json.Unmarshal(raw, req)
-	if err == nil {
-		_, err = req.Normalize()
+	req, deg, ok := rq.parse(func(e *engine.Engine) (*engine.QueryRequest, error) {
+		req := e.NewRequest()
+		return req, json.Unmarshal(raw, req)
+	})
+	if !ok {
+		return failed()
 	}
-	endParse()
+	res, err := tn.Eng.Query(rq.ctx, req)
 	if err != nil {
-		return batchOutcome{status: http.StatusBadRequest, err: fmt.Sprintf("bad query: %v", err)}
-	}
-
-	ctx, cancel := context.WithTimeout(parent, s.cfg.QueryTimeout)
-	defer cancel()
-	ctx = telemetry.WithTrace(ctx, tr)
-
-	waitStart := time.Now()
-	endWait := tr.StartSpan(telemetry.StageAdmission)
-	release, err := tn.Gate.Acquire(ctx)
-	endWait()
-	s.tel.queueWait.Observe(time.Since(waitStart).Seconds())
-	if err != nil {
-		return batchOutcome{status: statusFor(err), err: fmt.Sprintf("admission: %v", err)}
-	}
-	defer release()
-
-	res, err := tn.Eng.Query(ctx, req)
-	if err != nil {
-		return batchOutcome{status: statusFor(err), err: err.Error()}
+		rq.fail(statusFor(err), "%v", err)
+		return failed()
 	}
 	buf := getBuf()
-	if *buf, err = tn.Eng.AppendResponse(*buf, req, res, tr, requestID, nil); err != nil {
+	if *buf, err = tn.Eng.AppendResponse(*buf, req, res, rq.tr, requestID, deg.encode()); err != nil {
 		putBuf(buf)
-		return batchOutcome{status: http.StatusInternalServerError, err: fmt.Sprintf("encode: %v", err)}
+		rq.fail(http.StatusInternalServerError, "encode: %v", err)
+		return failed()
 	}
-	item = batchOutcome{status: http.StatusOK, body: buf}
-	fin.status, fin.cache, fin.epoch = http.StatusOK, res.Cache, req.Epoch()
-	s.finishTrace(nil, tn, tr, start, fin)
-	s.maybeLogSlow("/v1/batch", requestID, tn.Name, fin.traceID, req, tr, res.Cache, nil)
-	return item
+	rq.cache, rq.epoch = res.Cache, req.Epoch()
+	rq.respond(http.StatusOK)
+	return batchOutcome{status: http.StatusOK, body: buf}
 }
 
 // corpusResponse is the POST /v1/corpus payload: the engine's mutation
@@ -1624,100 +1400,61 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusForbidden, "corpus mutation disabled: start the server with -enable-mutation")
 		return
 	}
-	tn, ok := s.tenantFor(w, r)
+	// Everything past the enablement gate is mutation-class load. Mutations
+	// carry a trace too — mostly for the tail rules: a shed or WAL-refused
+	// mutation is exactly the request an operator goes looking for.
+	rq, ok := s.begin(w, r, "/v1/corpus", slo.ClassMutate)
 	if !ok {
 		return
 	}
-	// Everything past the enablement gate is mutation-class load; done
-	// stamps the exit status exactly once per request. Mutations carry a
-	// trace too — mostly for the tail rules: a shed or WAL-refused
-	// mutation is exactly the request an operator goes looking for.
-	start := time.Now()
-	tr, r := s.startTrace(w, r)
-	defer s.flushSpans(tr)
-	fin := &traceFinish{
-		endpoint:  "/v1/corpus",
-		requestID: w.Header().Get(telemetry.RequestIDHeader),
-		class:     slo.ClassMutate,
-		exemplar:  true,
-	}
-	defer s.finishTrace(r.Context(), tn, tr, start, fin)
-	recorded := false
-	done := func(code int) {
-		if !recorded {
-			recorded = true
-			fin.status = code
-			s.recordSLO(tn.SLO, w.Header(), slo.ClassMutate, start, code, tr)
-		}
-	}
+	defer rq.exit()
+	tn := rq.tn
 	// Durability gates, checked before the body is even read: mutations
 	// are shed while replay rebuilds the corpus (accepting one would fork
 	// history from a state that is still moving) and shed permanently in
 	// degraded mode (an unloggable mutation would be lost by the next
 	// restart, silently breaking the acknowledged-durability contract).
 	if !tn.Ready() {
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
-		done(http.StatusServiceUnavailable)
-		s.writeError(w, http.StatusServiceUnavailable, "recovering: corpus mutations resume when WAL replay completes")
+		rq.retryLater()
+		rq.fail(http.StatusServiceUnavailable, "recovering: corpus mutations resume when WAL replay completes")
 		return
 	}
 	if reason := tn.DegradedReason(); reason != "" {
-		done(http.StatusServiceUnavailable)
-		s.writeError(w, http.StatusServiceUnavailable, "durability degraded, mutations disabled: %s", reason)
+		rq.fail(http.StatusServiceUnavailable, "durability degraded, mutations disabled: %s", reason)
 		return
 	}
 	var m engine.Mutation
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err := dec.Decode(&m); err != nil {
-		done(http.StatusBadRequest)
-		s.writeError(w, http.StatusBadRequest, "bad mutation body: %v", err)
+		rq.fail(http.StatusBadRequest, "bad mutation body: %v", err)
 		return
 	}
 	if m.Size() == 0 {
-		done(http.StatusBadRequest)
-		s.writeError(w, http.StatusBadRequest, "empty mutation: provide \"upserts\" and/or \"deletes\"")
+		rq.fail(http.StatusBadRequest, "empty mutation: provide \"upserts\" and/or \"deletes\"")
 		return
 	}
 	if m.Size() > s.cfg.MaxMutationBatch {
-		done(http.StatusBadRequest)
-		s.writeError(w, http.StatusBadRequest, "mutation batch of %d operations exceeds the limit of %d",
+		rq.fail(http.StatusBadRequest, "mutation batch of %d operations exceeds the limit of %d",
 			m.Size(), s.cfg.MaxMutationBatch)
 		return
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
-	defer cancel()
-	release, err := tn.Gate.Acquire(ctx)
-	if err != nil {
-		status := statusFor(err)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
-		}
-		done(status)
-		s.writeError(w, status, "admission: %v", err)
+	if !rq.admit() {
 		return
 	}
-	defer release()
 
-	res, err := tn.Eng.Mutate(ctx, m)
+	res, err := tn.Eng.Mutate(rq.ctx, m)
 	if err != nil {
-		status := statusFor(err)
 		if errors.Is(err, engine.ErrWAL) {
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
+			rq.retryLater()
 		}
-		done(status)
-		s.writeError(w, status, "%v", err)
+		rq.fail(statusFor(err), "%v", err)
 		return
 	}
 	s.tel.mutations.Inc()
 	s.maybeCompactAsync(tn)
-	telemetry.NoteEpoch(r.Context(), res.Epoch)
-	fin.epoch = res.Epoch
-	done(http.StatusOK)
-	s.writeJSON(w, http.StatusOK, corpusResponse{
-		RequestID:      w.Header().Get(telemetry.RequestIDHeader),
-		MutationResult: *res,
-	})
+	rq.epoch = res.Epoch
+	rq.respond(http.StatusOK)
+	s.writeJSON(w, http.StatusOK, corpusResponse{RequestID: rq.id, MutationResult: *res})
 }
 
 // corpusSummary is one tenant's entry in GET /v1/corpora and the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +62,17 @@ func TestStats(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "dbpedia-like") {
 		t.Errorf("body = %s", rec.Body.String())
+	}
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	eng, ok := body["engine"].(map[string]any)
+	if !ok {
+		t.Fatalf("/v1/stats missing engine section: %v", body)
+	}
+	if _, ok := eng["cache"].(map[string]any); !ok {
+		t.Errorf("engine stats missing cache section: %v", eng)
 	}
 }
 
@@ -170,27 +182,65 @@ func TestSearchSpatialMethods(t *testing.T) {
 	}
 }
 
-// TestSearchClampsK verifies the graceful-degradation ceiling: requests
-// beyond -max-K are clamped and the clamp is reported in diagnostics.
+// TestSearchClampsK verifies the graceful-degradation ceiling on every
+// query endpoint: a request beyond -max-K is clamped, and the clamp is
+// reported in diagnostics, counted in propserve_degraded_total and
+// retained as a degraded trace — on a batch element and an explain
+// exactly as on a search.
 func TestSearchClampsK(t *testing.T) {
-	s := testServerCfg(t, Config{MaxK: 50})
-	rec := get(t, s, "/v1/search?K=400&k=5")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	s := testServerCfg(t, Config{MaxK: 50, EnableExplain: true})
+	clamps := func() float64 {
+		v, _ := strconv.ParseFloat(metricsSeries(t, s)[`propserve_degraded_total{reason="k_clamp"}`], 64)
+		return v
 	}
-	var resp searchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
+	decode := func(rec *httptest.ResponseRecorder) (resp searchResponse) {
+		t.Helper()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	if resp.Query.K != 50 {
-		t.Errorf("K = %d, want clamped 50", resp.Query.K)
-	}
-	deg, ok := resp.Diagnostics["degraded"].(map[string]any)
-	if !ok {
-		t.Fatalf("diagnostics missing degraded: %v", resp.Diagnostics)
-	}
-	if deg["K_clamped_from"] != float64(400) {
-		t.Errorf("K_clamped_from = %v, want 400", deg["K_clamped_from"])
+	for _, c := range []struct {
+		endpoint string
+		query    func() searchResponse // runs the clamped query
+	}{
+		{"/v1/search", func() searchResponse { return decode(get(t, s, "/v1/search?K=400&k=5")) }},
+		{"/v1/batch", func() searchResponse {
+			rec := postJSON(t, s, "/v1/batch", map[string]any{"queries": []any{map[string]any{"K": 400, "k": 5}}})
+			var env batchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || len(env.Results) != 1 || env.Results[0].Status != http.StatusOK {
+				t.Fatalf("batch: %v: %s", err, rec.Body.String())
+			}
+			return *env.Results[0].Response
+		}},
+		{"/v1/explain", func() searchResponse { return decode(get(t, s, "/v1/explain?K=400&k=5")) }},
+	} {
+		before := clamps()
+		resp := c.query()
+		if resp.Query.K != 50 {
+			t.Errorf("%s: K = %d, want clamped 50", c.endpoint, resp.Query.K)
+		}
+		deg, ok := resp.Diagnostics["degraded"].(map[string]any)
+		if !ok {
+			t.Errorf("%s: diagnostics missing degraded: %v", c.endpoint, resp.Diagnostics)
+		} else if deg["K_clamped_from"] != float64(400) {
+			t.Errorf("%s: K_clamped_from = %v, want 400", c.endpoint, deg["K_clamped_from"])
+		}
+		if d := clamps() - before; d != 1 {
+			t.Errorf("%s: k_clamp counter moved by %v, want 1", c.endpoint, d)
+		}
+		retained := 0
+		for _, row := range getJSON(t, s, "/v1/traces?reason=degraded")["traces"].([]any) {
+			if row.(map[string]any)["endpoint"] == c.endpoint {
+				retained++
+			}
+		}
+		if retained != 1 {
+			t.Errorf("%s: %d degraded traces retained, want 1", c.endpoint, retained)
+		}
 	}
 
 	// k larger than the ceiling cannot be satisfied at all: a client error.
@@ -248,6 +298,24 @@ func TestDowngradeBudgetSizeAware(t *testing.T) {
 	}
 	if sp, _ := deg["spatial"].(string); !strings.Contains(sp, "downshift skipped") {
 		t.Errorf("small: degraded.spatial = %v, want skipped decision", deg["spatial"])
+	}
+
+	// A batch element under the same starved budget downshifts like the
+	// same search.
+	rec = postJSON(t, s, "/v1/batch", map[string]any{
+		"queries": []any{map[string]any{"K": 200, "k": 5, "spatial": "exact"}},
+	})
+	var env batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || len(env.Results) != 1 || env.Results[0].Status != http.StatusOK {
+		t.Fatalf("batch: %v: %s", err, rec.Body.String())
+	}
+	el := env.Results[0].Response
+	if m := el.Diagnostics["spatial_method"]; m != "squared-grid" {
+		t.Errorf("batch: spatial_method = %v, want squared-grid", m)
+	}
+	deg, _ = el.Diagnostics["degraded"].(map[string]any)
+	if sp, _ := deg["spatial"].(string); !strings.Contains(sp, "exact→squared-grid") || deg["remaining_budget_ms"] == nil {
+		t.Errorf("batch: degraded = %v, want applied downshift with remaining_budget_ms", deg)
 	}
 }
 

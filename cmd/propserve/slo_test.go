@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // sloBody fetches and decodes GET /v1/slo.
@@ -136,6 +139,58 @@ func TestSLOBatchAndMutateClasses(t *testing.T) {
 	}
 	if st := mut.Header().Get("Server-Timing"); !strings.HasPrefix(st, "app;dur=") {
 		t.Errorf("mutation Server-Timing = %q", st)
+	}
+
+	// Every exit takes exactly one sample, refusals included; an explain
+	// is untracked and takes none. A one-slot gate with a 1ms queue wait
+	// sheds a search while the slot is held.
+	s = testServerCfg(t, Config{EnableMutation: true, EnableExplain: true, MaxInFlight: 1, QueueWait: time.Millisecond})
+	samples := func() map[string]float64 {
+		out := map[string]float64{}
+		body := sloBody(t, s)
+		for class := range body["classes"].(map[string]any) {
+			out[class], _ = classStats(t, body, class, "total")["count"].(float64)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name, class string // class "" expects no sample at all
+		status      int
+		do          func() *httptest.ResponseRecorder
+	}{
+		{"400 batch element", "batch", http.StatusOK, func() *httptest.ResponseRecorder {
+			return postJSON(t, s, "/v1/batch", json.RawMessage(`{"queries":[{"K":-1}]}`))
+		}},
+		{"explain", "", http.StatusOK, func() *httptest.ResponseRecorder {
+			return get(t, s, "/v1/explain?K=60&k=6")
+		}},
+		{"shed search", "search_miss", http.StatusServiceUnavailable, func() *httptest.ResponseRecorder {
+			release, err := s.gate.Acquire(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			return get(t, s, "/v1/search?K=60&k=6")
+		}},
+		{"recovering mutation", "mutate", http.StatusServiceUnavailable, func() *httptest.ResponseRecorder {
+			s.BeginRecovery()
+			return postJSON(t, s, "/v1/corpus", json.RawMessage(`{"upserts":[{"id":"slo-test","x":0.5,"y":0.5,"context":["alpha"]}]}`))
+		}},
+	} {
+		before := samples()
+		if rec := c.do(); rec.Code != c.status {
+			t.Fatalf("%s: status = %d, want %d: %s", c.name, rec.Code, c.status, rec.Body.String())
+		}
+		after := samples()
+		for class, n := range after {
+			want := 0.0
+			if class == c.class {
+				want = 1
+			}
+			if d := n - before[class]; d != want {
+				t.Errorf("%s: class %s took %v samples, want %v", c.name, class, d, want)
+			}
+		}
 	}
 }
 

@@ -3,9 +3,10 @@ package main
 // Tail-based trace retention and the trace API.
 //
 // Every search/explain/batch/mutation request runs under a hierarchical
-// telemetry.Trace; whether the finished trace is kept is decided at
-// request END, when the interesting facts — latency, status, shed,
-// degradation — are known. Head sampling would throw away exactly the
+// telemetry.Trace; whether the finished trace is kept is decided at the
+// request's exit (see lifecycle.go), when the interesting facts —
+// latency, status, shed, degradation — are known. Head sampling would
+// throw away exactly the
 // traces worth keeping, so retention is: slow/error/shed/degraded
 // always, a -trace-sample probabilistic remainder for the healthy fast
 // majority. Retained traces land in the tenant's tracestore ring,
@@ -29,56 +30,32 @@ import (
 // startTrace begins the request's trace: a caller-supplied W3C
 // traceparent is adopted (the request joins the caller's distributed
 // trace), the egress traceparent — this server's trace and span ID — is
-// echoed on the response, and the trace is planted in the request
+// echoed on the response, and the trace is planted in the returned
 // context for the pipeline stages.
-func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) (*telemetry.Trace, *http.Request) {
+func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) (*telemetry.Trace, context.Context) {
 	tr := telemetry.NewTrace()
 	if tid, pid, ok := telemetry.ParseTraceParent(r.Header.Get(telemetry.TraceParentHeader)); ok {
 		tr.SetRemote(tid, pid)
 	}
 	w.Header().Set(telemetry.TraceParentHeader, tr.TraceParent())
-	return tr, r.WithContext(telemetry.WithTrace(r.Context(), tr))
-}
-
-// traceFinish accumulates the facts the retention decision needs as a
-// handler runs; finishTrace consumes it exactly once (handlers call it
-// explicitly on the success path — so the retained ID can flow into the
-// slow-query line — and rely on a deferred call for error and panic
-// exits).
-type traceFinish struct {
-	endpoint  string
-	requestID string
-	class     string // SLO class used for the slow threshold and exemplar
-	status    int    // 0 means the handler never wrote: a recovered panic (500)
-	cache     string
-	epoch     uint64
-	degraded  bool
-	exemplar  bool // note the retained ID in the SLO exemplar table
-	done      bool
-	traceID   string // set by finishTrace when the trace was retained
+	return tr, telemetry.WithTrace(r.Context(), tr)
 }
 
 // finishTrace makes the tail-sampling decision for one finished request
 // and, when the trace is retained, stores it in the tenant's ring,
-// notes it as an SLO exemplar, reports it to the access log (noteCtx
-// may be nil — batch elements share their parent's log line), and
-// mirrors it to the -trace-export stream. Idempotent per traceFinish.
-func (s *Server) finishTrace(noteCtx context.Context, tn *registry.Tenant, tr *telemetry.Trace, start time.Time, fin *traceFinish) {
-	if fin.done {
-		return
+// notes it as an SLO exemplar (tracked requests only), reports it to the
+// access log (requests that own their writer only — batch elements share
+// their parent's log line), and mirrors it to the -trace-export stream.
+// It returns the retained trace's ID, or "".
+func (s *Server) finishTrace(rq *request) string {
+	tn, tr := rq.tn, rq.tr
+	if tn.Traces == nil {
+		return ""
 	}
-	fin.done = true
-	if tn == nil || tn.Traces == nil || tr == nil {
-		return
-	}
-	status := fin.status
-	if status == 0 {
-		status = http.StatusInternalServerError // recovered panic: middleware writes the 500
-	}
-	d := time.Since(start)
-	reason := s.traceReason(tn, fin.class, status, d, fin.degraded)
+	d := time.Since(rq.start)
+	reason := s.traceReason(tn, rq.class, rq.status, d, rq.degraded)
 	if reason == "" {
-		return
+		return ""
 	}
 	if reason == "sampled" {
 		s.tel.tracesSampled.Inc()
@@ -86,27 +63,27 @@ func (s *Server) finishTrace(noteCtx context.Context, tn *registry.Tenant, tr *t
 	id := tr.ID()
 	st := &tracestore.Trace{
 		ID:        id,
-		RequestID: fin.requestID,
+		RequestID: rq.id,
 		Corpus:    tn.Name,
-		Endpoint:  fin.endpoint,
-		Status:    status,
+		Endpoint:  rq.endpoint,
+		Status:    rq.status,
 		Reason:    reason,
-		Cache:     fin.cache,
-		Epoch:     fin.epoch,
+		Cache:     rq.cache,
+		Epoch:     rq.epoch,
 		Remote:    tr.RemoteParent(),
-		Start:     start,
+		Start:     rq.start,
 		Duration:  d,
 		Spans:     tr.Spans(),
 	}
 	tn.Traces.Add(st)
-	fin.traceID = id
-	if fin.exemplar {
-		tn.SLO.NoteExemplar(fin.class, d, id)
+	if rq.tracked {
+		tn.SLO.NoteExemplar(rq.class, d, id)
 	}
-	if noteCtx != nil {
-		telemetry.NoteTrace(noteCtx, id)
+	if rq.w != nil {
+		telemetry.NoteTrace(rq.ctx, id)
 	}
 	s.exportTrace(st)
+	return id
 }
 
 // traceReason decides retention: the tail rules always keep the traces
