@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-all cover bench bench-e2e bench-serve bench-suite bench-miss bench-wal bench-load bench-trace bench-diff crash-test check profile report report-small examples clean
+.PHONY: all build test vet race race-all cover bench bench-e2e bench-miss crash-test check profile report report-small examples clean
 
 all: check
 
@@ -14,8 +14,11 @@ check: build vet test race
 build:
 	$(GO) build ./...
 
+# benchmarks/ is a module of its own, so ./... skips its tests; they are
+# the one performance harness, so they run on every check.
 test:
 	$(GO) test ./...
+	cd benchmarks && $(GO) test ./...
 
 # benchmarks/ is a module of its own, so ./... neither builds nor vets it:
 # an internal/ API change could break harness/replay.go or gate.go unseen.
@@ -56,64 +59,13 @@ bench:
 bench-e2e:
 	$(GO) run -C benchmarks repro/benchmarks/cmd/propbench $(ARGS)
 
-# Measure the cross-query engine's repeated-query speedup (cache hit vs
-# miss) and write BENCH_engine.json. The acceptance bar is a ≥5x speedup.
-# SHARDS (default 4) times the sharded fan-out; SHARDS=0 the single tree.
-SHARDS ?= 4
-bench-serve:
-	BENCH_SERVE_OUT=$(CURDIR)/BENCH_engine.json BENCH_SERVE_SHARDS=$(SHARDS) $(GO) test ./internal/engine -run TestBenchServe -v
-	@cat BENCH_engine.json
-
-# Run the full perf-trajectory suite over the demo corpus: Step-1 engines
-# (baseline/msJh/minhash), spatial pSS methods (exact vs grids), and the
-# Step-2 greedy algorithms (IAdU vs ABP). Writes BENCH_step1.json,
-# BENCH_spatial.json and BENCH_select.json; compare two snapshots with
-# `go run ./cmd/benchdiff old.json new.json`.
-bench-suite:
-	BENCH_SUITE_DIR=$(CURDIR) $(GO) test ./internal/benchsuite -run 'TestBench(Step1|Spatial|Select)' -count=1 -v
-	@ls -l BENCH_step1.json BENCH_spatial.json BENCH_select.json
-
-# The large-corpus miss tier: spatial Step-1 (exact vs squared grid) on
-# K=2000 instances from 100k- and 1M-place corpora, and the incremental
-# ABP heap vs its rescan reference on the standard K=200 instance.
-# Writes BENCH_miss.json; benchdiff gates its *_ns_op fields. Corpus
-# generation dominates the runtime (the 1M tier takes ~20s to build).
+# The large-corpus miss tier, the one scale propbench does not reach:
+# spatial Step-1 (exact vs squared grid) on K=2000 instances from 100k-
+# and 1M-place corpora. Writes BENCH_miss.json. Corpus generation
+# dominates the runtime (the 1M tier takes ~20s to build).
 bench-miss:
-	BENCH_MISS_DIR=$(CURDIR) $(GO) test ./internal/benchsuite -run TestBenchMiss -count=1 -v -timeout 600s
+	BENCH_MISS_DIR=$(CURDIR) $(GO) test ./internal/grid -run TestBenchMiss -count=1 -v -timeout 600s
 	@cat BENCH_miss.json
-
-# Measure the durability overhead of mutations: no WAL vs sync=never vs
-# sync=always (one fsync per acknowledged batch). Writes BENCH_wal.json.
-bench-wal:
-	BENCH_WAL_OUT=$(CURDIR)/BENCH_wal.json $(GO) test ./cmd/propserve -run TestBenchWAL -count=1 -v
-	@cat BENCH_wal.json
-
-# Drive sustained open-loop load through an in-process server — one run
-# per traffic mix (hit-heavy, miss-heavy, mutation-interleaved) — and
-# write tail-latency/throughput/shed figures to BENCH_serve_load.json.
-# benchdiff gates the *_p99_ms and *_shed_rate fields between snapshots.
-bench-load:
-	BENCH_LOAD_OUT=$(CURDIR)/BENCH_serve_load.json $(GO) test ./cmd/propserve -run TestBenchServeLoad -count=1 -v -timeout 300s
-	@cat BENCH_serve_load.json
-
-# Prove the disabled-tracing path is nil-check-only: time the hit and
-# sharded-miss query paths with and without a per-request trace and
-# write BENCH_trace.json. hit_ns_op is comparable to BENCH_engine.json's
-# hit_ns_op; benchdiff gates the *_ns_op fields between snapshots.
-bench-trace:
-	BENCH_TRACE_OUT=$(CURDIR)/BENCH_trace.json $(GO) test ./internal/engine -run TestBenchTrace -count=1 -v
-	@cat BENCH_trace.json
-
-# Compare the working tree's fresh bench results against the committed
-# baselines (OLD=<dir> overrides where the baselines are read from).
-# benchdiff tolerates a missing baseline file (a new suite's first run
-# reports every field as "new" and passes).
-OLD ?= .
-bench-diff:
-	@for f in BENCH_step1 BENCH_spatial BENCH_select BENCH_miss BENCH_wal BENCH_serve_load BENCH_trace; do \
-		echo "--- $$f"; \
-		$(GO) run ./cmd/benchdiff $(OLD)/$$f.json $$f.json || true; \
-	done
 
 # Start propserve with the pprof debug listener and capture a 10s CPU
 # profile into cpu.pprof (inspect with: go tool pprof cpu.pprof).
@@ -141,6 +93,7 @@ examples:
 		echo "--- $$ex"; $(GO) run ./examples/$$ex || exit 1; \
 	done
 
+# Only untracked outputs: experiments_report.txt and results_csv/ are
+# committed (EXPERIMENTS.md cites them); `make report` overwrites them.
 clean:
-	rm -f experiments_report.txt test_output.txt bench_output.txt cpu.pprof
-	rm -rf results_csv
+	rm -f test_output.txt bench_output.txt cpu.pprof

@@ -20,7 +20,7 @@
 // The report carries two latency series: client-observed wall time and
 // the server-side duration from each response's Server-Timing header —
 // the exact values the server recorded into its /v1/slo tracker. -out
-// writes the report as JSON for benchdiff-style comparisons.
+// writes the report as JSON.
 package main
 
 import (

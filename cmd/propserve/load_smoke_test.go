@@ -13,10 +13,10 @@ import (
 
 // TestLoadSmoke runs a short burst of real HTTP load through the
 // loadgen harness against an in-process server and checks the contract
-// the full bench-load suite relies on: the server absorbs the load
-// cleanly, and the /v1/slo sketch quantiles agree with exact sample
-// quantiles to within one sketch bucket. It runs in plain `go test`, so
-// a broken harness or a drifting sketch blocks CI.
+// sustained load relies on: the server absorbs the load cleanly (no
+// transport errors, no 5xx), and the /v1/slo sketch quantiles agree
+// with exact sample quantiles to within one sketch bucket. It runs in
+// plain `go test`, so a broken harness or a drifting sketch blocks CI.
 func TestLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sustained-load smoke test skipped in -short mode")

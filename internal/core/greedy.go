@@ -381,8 +381,8 @@ func abpCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 // ABPRescan is the pre-incremental ABP: a full sort of the materialised
 // pairs followed by a linear scan with lazy endpoint invalidation. It is
 // kept as the reference implementation the incremental heap is proven
-// against (selections, gains and explain traces must match bit-for-bit)
-// and as the baseline the bench-miss tier measures the speedup over.
+// against (selections, gains and explain traces must match bit-for-bit
+// in abp_equiv_test).
 func ABPRescan(ss *ScoreSet, p Params) (Selection, error) {
 	return abpRescanCtx(context.Background(), ss, p)
 }

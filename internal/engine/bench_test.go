@@ -2,13 +2,8 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"runtime"
-	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 )
@@ -19,7 +14,7 @@ var (
 )
 
 // benchData mirrors the propserve demo corpus (DBpediaLike seed 7, 1500
-// places) so BENCH_engine.json reflects the served configuration.
+// places) so the benchmarks time the served configuration.
 func benchData(tb testing.TB) *dataset.Dataset {
 	tb.Helper()
 	benchDataOnce.Do(func() {
@@ -68,78 +63,5 @@ func BenchmarkEngineMiss(b *testing.B) {
 		if _, err := e.Query(context.Background(), benchRequest(e, x)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestBenchServe, gated on BENCH_SERVE_OUT, times the hit and miss paths
-// directly and writes the comparison to the named JSON file (the
-// `make bench-serve` target; CI runs it non-blocking). The acceptance
-// bar for the cross-query engine is a ≥5x repeated-query speedup.
-func TestBenchServe(t *testing.T) {
-	out := os.Getenv("BENCH_SERVE_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SERVE_OUT=<path> to write BENCH_engine.json")
-	}
-	d := benchData(t)
-	// BENCH_SERVE_SHARDS times the sharded fan-out instead of the single
-	// tree; the shard-equivalence suite guarantees identical results, so
-	// the two configurations are benchdiff-comparable on the same keys.
-	shards, _ := strconv.Atoi(os.Getenv("BENCH_SERVE_SHARDS"))
-	e := New(d, Options{CacheEntries: 4, Shards: shards})
-	e.SquaredTable()
-
-	const missRuns = 40
-	const hitRuns = 4000
-
-	time0 := time.Now()
-	for i := 0; i < missRuns; i++ {
-		x := 5 + float64(i)*1e-3
-		if _, err := e.Query(context.Background(), benchRequest(e, x)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	missNs := float64(time.Since(time0).Nanoseconds()) / missRuns
-
-	if _, err := e.Query(context.Background(), benchRequest(e, 50)); err != nil {
-		t.Fatal(err)
-	}
-	time1 := time.Now()
-	for i := 0; i < hitRuns; i++ {
-		if _, err := e.Query(context.Background(), benchRequest(e, 50)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hitNs := float64(time.Since(time1).Nanoseconds()) / hitRuns
-
-	speedup := missNs / hitNs
-	st := e.Stats()
-	report := map[string]any{
-		"benchmark":  "engine_repeated_query",
-		"dataset":    map[string]any{"name": d.Config.Name, "places": d.Config.Places, "seed": d.Config.Seed},
-		"query":      map[string]any{"K": 200, "k": 10, "spatial": "squared", "algo": "abp"},
-		"runs":       map[string]any{"miss": missRuns, "hit": hitRuns},
-		"miss_ns_op": missNs,
-		"hit_ns_op":  hitNs,
-		"speedup":    speedup,
-		"engine": map[string]any{
-			"shards":        st.Shards,
-			"cache_entries": st.Capacity,
-			"table_bytes":   st.TableBytes,
-			"builds":        st.Builds,
-			"evictions":     st.Evictions,
-		},
-		"go":   runtime.Version(),
-		"cpus": runtime.NumCPU(),
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("miss %.0f ns/op, hit %.0f ns/op, speedup %.1fx -> %s", missNs, hitNs, speedup, out)
-	if speedup < 5 {
-		t.Errorf("repeated-query speedup %.2fx below the 5x acceptance bar", speedup)
 	}
 }

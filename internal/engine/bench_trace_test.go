@@ -2,11 +2,7 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -43,84 +39,4 @@ func BenchmarkTraceOn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestBenchTrace, gated on BENCH_TRACE_OUT, times the hit and sharded
-// miss paths with tracing off and on and writes the comparison to the
-// named JSON file (the `make bench-trace` target; benchdiff gates the
-// *_ns_op fields at 15%). hit_ns_op is directly comparable to
-// BENCH_engine.json's hit_ns_op — the untraced hit path is the same
-// code either way.
-func TestBenchTrace(t *testing.T) {
-	out := os.Getenv("BENCH_TRACE_OUT")
-	if out == "" {
-		t.Skip("set BENCH_TRACE_OUT=<path> to write BENCH_trace.json")
-	}
-	d := benchData(t)
-	const shards = 4
-	e := New(d, Options{CacheEntries: 2, Shards: shards})
-	e.SquaredTable()
-
-	const missRuns = 40
-	const hitRuns = 4000
-
-	timeHit := func(traced bool) float64 {
-		if _, err := e.Query(context.Background(), benchRequest(e, 50)); err != nil {
-			t.Fatal(err)
-		}
-		t0 := time.Now()
-		for i := 0; i < hitRuns; i++ {
-			ctx := context.Background()
-			if traced {
-				ctx = telemetry.WithTrace(ctx, telemetry.NewTrace())
-			}
-			if _, err := e.Query(ctx, benchRequest(e, 50)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return float64(time.Since(t0).Nanoseconds()) / hitRuns
-	}
-	// The sharded miss is where the span tree is widest: per-shard prime
-	// spans, merge span, merge-wait annotations.
-	timeMiss := func(traced bool, xBase float64) float64 {
-		t0 := time.Now()
-		for i := 0; i < missRuns; i++ {
-			ctx := context.Background()
-			if traced {
-				ctx = telemetry.WithTrace(ctx, telemetry.NewTrace())
-			}
-			if _, err := e.Query(ctx, benchRequest(e, xBase+float64(i)*1e-3)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return float64(time.Since(t0).Nanoseconds()) / missRuns
-	}
-
-	hitOff := timeHit(false)
-	hitOn := timeHit(true)
-	missOff := timeMiss(false, 5)
-	missOn := timeMiss(true, 25)
-
-	report := map[string]any{
-		"benchmark":          "trace_off_on",
-		"dataset":            map[string]any{"name": d.Config.Name, "places": d.Config.Places, "seed": d.Config.Seed},
-		"query":              map[string]any{"K": 200, "k": 10, "spatial": "squared", "algo": "abp"},
-		"runs":               map[string]any{"miss": missRuns, "hit": hitRuns, "shards": shards},
-		"hit_ns_op":          hitOff,
-		"hit_traced_ns_op":   hitOn,
-		"miss_ns_op":         missOff,
-		"miss_traced_ns_op":  missOn,
-		"hit_overhead_ratio": hitOn / hitOff,
-		"go":                 runtime.Version(),
-		"cpus":               runtime.NumCPU(),
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("hit off %.0f / on %.0f ns/op, miss off %.0f / on %.0f ns/op -> %s",
-		hitOff, hitOn, missOff, missOn, out)
 }

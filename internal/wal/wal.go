@@ -25,7 +25,7 @@
 //
 // Fsync policy is configurable (SyncAlways / SyncInterval / SyncNever):
 // "always" gives zero acknowledged-batch loss on power failure at the
-// cost of one fsync per mutation (measured in BENCH_wal.json), the
+// cost of one fsync per mutation (propbench's wal.append_sync_us), the
 // other two trade a bounded window of acknowledged batches for
 // throughput. Transient append failures are retried with bounded
 // backoff (resilience.Retry); a failure that leaves the file state
