@@ -35,7 +35,7 @@ vet:
 # worker fan-outs), internal/irtree the shared trees that shards search
 # from concurrent goroutines — all must stay in this list.
 race:
-	$(GO) test -race ./internal/pairs ./internal/core ./internal/irtree ./internal/textctx ./internal/engine ./internal/registry ./internal/dataset ./internal/resilience ./internal/telemetry ./internal/tracestore ./internal/explain ./internal/grid ./internal/stream ./internal/wal ./internal/slo ./internal/loadgen ./cmd/propserve
+	$(GO) test -race ./internal/pairs ./internal/core ./internal/irtree ./internal/textctx ./internal/engine ./internal/registry ./internal/dataset ./internal/resilience ./internal/telemetry ./internal/tracestore ./internal/explain ./internal/grid ./internal/stream ./internal/wal ./internal/slo ./cmd/propserve
 
 # The kill-recovery suite: child processes SIGKILL themselves at injected
 # WAL fault points; the parent recovers each directory and verifies no

@@ -88,6 +88,11 @@ func TestCorporaCreateValidation(t *testing.T) {
 		{"name": ""},
 		{"name": "ok", "places": -1},
 		{"name": "ok", "places": 1_000_000},
+		// Distinct names: a row the server wrongly accepts must not turn
+		// the rows after it into 409s.
+		{"name": "shards-neg", "shards": -1},
+		{"name": "shards-big", "shards": maxShards + 1},
+		{"name": "cache-neg", "cache_entries": -1},
 	} {
 		rec := postJSON(t, s, "/v1/corpora", bad)
 		if rec.Code != http.StatusBadRequest {

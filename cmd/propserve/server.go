@@ -1491,10 +1491,23 @@ func (s *Server) handleCorporaList(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// maxShards bounds the shard count from -shards or a POST /v1/corpora
+// body: building a shard view and every write after it loop over all
+// shards, so the count multiplies the cost of each corpus write.
+const maxShards = 64
+
+// checkShards rejects a shard count outside [0, maxShards].
+func checkShards(n int) error {
+	if n < 0 || n > maxShards {
+		return fmt.Errorf("shards %d out of range [0, %d]", n, maxShards)
+	}
+	return nil
+}
+
 // createCorpusRequest is the POST /v1/corpora payload. Places and Seed
 // parameterise the generated corpus; Shards and CacheEntries override
 // the server-wide defaults for this tenant (0 inherits, shards=1 forces
-// unsharded).
+// unsharded; shards is capped at maxShards, negative values are 400s).
 type createCorpusRequest struct {
 	Name         string `json:"name"`
 	Places       int    `json:"places"`
@@ -1528,6 +1541,14 @@ func (s *Server) handleCorporaCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if cr.Places < 0 || cr.Places > 200_000 {
 		s.writeError(w, http.StatusBadRequest, "places %d out of range [0, 200000]", cr.Places)
+		return
+	}
+	if err := checkShards(cr.Shards); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if cr.CacheEntries < 0 {
+		s.writeError(w, http.StatusBadRequest, "cache_entries %d must not be negative", cr.CacheEntries)
 		return
 	}
 	if cr.Places == 0 {

@@ -25,6 +25,29 @@ func sloBody(t *testing.T, s *Server) map[string]any {
 	return body
 }
 
+// parseServerTiming splits a Server-Timing header into its
+// name;dur=<ms> entries, returning the leading entry's name and every
+// entry's milliseconds; a malformed entry fails the test.
+func parseServerTiming(t *testing.T, h string) (lead string, ms map[string]float64) {
+	t.Helper()
+	ms = map[string]float64{}
+	for i, part := range strings.Split(h, ",") {
+		name, dur, ok := strings.Cut(strings.TrimSpace(part), ";dur=")
+		if !ok {
+			t.Fatalf("Server-Timing %q: entry %q has no ;dur=", h, part)
+		}
+		v, err := strconv.ParseFloat(dur, 64)
+		if err != nil {
+			t.Fatalf("Server-Timing %q: %s dur = %q (%v)", h, name, dur, err)
+		}
+		if i == 0 {
+			lead = name
+		}
+		ms[name] = v
+	}
+	return lead, ms
+}
+
 func classStats(t *testing.T, body map[string]any, class, section string) map[string]any {
 	t.Helper()
 	classes, _ := body["classes"].(map[string]any)
@@ -91,20 +114,9 @@ func TestSLOServerTimingHeader(t *testing.T) {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	st := rec.Header().Get("Server-Timing")
-	if !strings.HasPrefix(st, "app;dur=") {
+	lead, entries := parseServerTiming(t, st)
+	if lead != "app" {
 		t.Fatalf("Server-Timing = %q, want leading app;dur=<ms>", st)
-	}
-	entries := map[string]float64{}
-	for _, part := range strings.Split(st, ",") {
-		name, dur, ok := strings.Cut(strings.TrimSpace(part), ";dur=")
-		if !ok {
-			t.Fatalf("Server-Timing entry %q has no ;dur=", part)
-		}
-		ms, err := strconv.ParseFloat(dur, 64)
-		if err != nil {
-			t.Fatalf("Server-Timing %s dur = %q (%v)", name, dur, err)
-		}
-		entries[name] = ms
 	}
 	if ms := entries["app"]; ms <= 0 || ms > 10_000 {
 		t.Errorf("Server-Timing app dur = %v, want (0, 10000]", ms)

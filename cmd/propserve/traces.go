@@ -134,7 +134,7 @@ func (s *Server) exportTrace(t *tracestore.Trace) {
 }
 
 // serverTiming renders the Server-Timing header value: the app total
-// first (loadgen and the SLO tests key on the leading entry), then the
+// first (the SLO and load tests key on the leading entry), then the
 // per-stage breakdown from the span tree — retrieve, select
 // (step2_select), build (the cold response build; absent when the answer
 // was memoised) and render (encode) — so clients see where the time went
