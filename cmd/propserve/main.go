@@ -127,7 +127,7 @@ func main() {
 	maxQueue := fs.Int("max-queue", 0, "max /search requests waiting for admission before shedding (0: same as -max-inflight)")
 	queueWait := fs.Duration("queue-wait", time.Second, "longest a request may wait for admission before shedding")
 	maxK := fs.Int("max-K", 2000, "ceiling on the retrieval size K (quadratic work unit); larger requests are clamped")
-	cacheEntries := fs.Int("cache-entries", 0, "score sets held in the engine's LRU cache (0: 128; one entry is ~12·K² bytes)")
+	cacheEntries := fs.Int("cache-entries", 0, "score sets held in the engine's LRU cache (0: 128; one entry is ~92·K bytes plus its answer memo)")
 	maxBatch := fs.Int("max-batch", 0, "max queries accepted in one POST /v1/batch request (0: 256)")
 	batchWorkers := fs.Int("batch-workers", 0, "worker pool size per batch request (0: GOMAXPROCS)")
 	degradeBudget := fs.Duration("degrade-budget", 0, "remaining-budget threshold that downshifts spatial=exact to the squared grid (0: query-timeout/4)")

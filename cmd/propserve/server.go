@@ -51,8 +51,8 @@ type Config struct {
 	// the server's unit of work ceiling. Larger requests are clamped and
 	// the clamp reported in diagnostics. Default 2000.
 	MaxK int
-	// CacheEntries bounds the engine's score-set LRU (a score set is
-	// ~12·K² bytes). Default 128.
+	// CacheEntries bounds the engine's score-set LRU (a cached score set
+	// is compact, ~92·K bytes, plus its answer memo). Default 128.
 	CacheEntries int
 	// MaxBatch caps the number of queries in one POST /v1/batch request.
 	// Default 256.
@@ -324,6 +324,9 @@ func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *eng
 	reg.GaugeFunc("propserve_engine_table_bytes",
 		"Combined footprint of the shared maximal grid tables.",
 		func() float64 { return float64(eng.Stats().TableBytes) })
+	reg.GaugeFunc("propserve_engine_cache_bytes",
+		"Score-set bytes of the entries resident in the engine LRU (answer memos excluded).",
+		func() float64 { return float64(eng.Stats().CacheBytes) })
 	reg.GaugeFunc("propserve_corpus_epoch",
 		"Currently published corpus epoch (0 until the first mutation).",
 		func() float64 { return float64(eng.Epoch()) })
@@ -1007,6 +1010,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 				"evictions": es.Evictions,
 				"entries":   es.Entries,
 				"capacity":  es.Capacity,
+				"bytes":     es.CacheBytes,
 				"hit_ratio": round3(es.HitRatio()),
 			},
 			"builds":       es.Builds,

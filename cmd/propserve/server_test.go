@@ -76,6 +76,32 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestCacheBytesExposed: the resident score-set bytes appear as
+// engine.cache.bytes in /v1/stats and as the propserve_engine_cache_bytes
+// gauge, with the same value.
+func TestCacheBytesExposed(t *testing.T) {
+	s := testServer(t)
+	if rec := get(t, s, "/v1/search?K=60&k=5"); rec.Code != http.StatusOK {
+		t.Fatalf("search status = %d", rec.Code)
+	}
+	var body struct {
+		Engine struct {
+			Cache struct {
+				Bytes int `json:"bytes"`
+			} `json:"cache"`
+		} `json:"engine"`
+	}
+	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Engine.Cache.Bytes <= 0 {
+		t.Fatalf("engine.cache.bytes = %d after a miss, want > 0", body.Engine.Cache.Bytes)
+	}
+	if got, want := metricsSeries(t, s)["propserve_engine_cache_bytes"], strconv.Itoa(body.Engine.Cache.Bytes); got != want {
+		t.Errorf("propserve_engine_cache_bytes = %q, /v1/stats says %s", got, want)
+	}
+}
+
 func TestSearchDefaults(t *testing.T) {
 	s := testServer(t)
 	rec := get(t, s, "/v1/search?K=80&k=8")

@@ -175,7 +175,7 @@ func TestABPScoresMatchPairHPF(t *testing.T) {
 	ss := mustScores(t, q, places, ScoreOptions{Gamma: 0.5})
 	for _, k := range []int{2, 7, 10} {
 		for _, lambda := range []float64{0, 0.3, 1} {
-			ps, err := abpScores(context.Background(), ss, k, lambda, "test")
+			ps, err := abpScores(context.Background(), ss, k, lambda, "test", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,6 +226,104 @@ func sortAbpPairs(ps []abpPair) {
 	for i := 1; i < len(ps); i++ {
 		for j := i; j > 0 && abpBefore(ps[j], ps[j-1]); j-- {
 			ps[j], ps[j-1] = ps[j-1], ps[j]
+		}
+	}
+}
+
+// TestABPDivTieOrder: ABP_D ranks its pairs by the ABP total order, so on
+// a tie-heavy λ = 1 instance — four prototypes repeated, so whole blocks
+// of pairs score exactly alike — the ranking does not depend on the order
+// the pairs arrive in, and the selection is the one an independent
+// insertion sort under that order yields.
+func TestABPDivTieOrder(t *testing.T) {
+	q := geo.Pt(0, 0)
+	protos := []Place{
+		{Loc: geo.Pt(1, 1), Rel: 0.5, Context: textctx.NewSet(1, 2)},
+		{Loc: geo.Pt(-1, 1), Rel: 0.5, Context: textctx.NewSet(2, 3)},
+		{Loc: geo.Pt(1, -1), Rel: 0.5, Context: textctx.NewSet(4)},
+		{Loc: geo.Pt(-1, -1), Rel: 0.5, Context: textctx.NewSet(1, 4)},
+	}
+	places := make([]Place, 24)
+	for i := range places {
+		places[i] = protos[i%len(protos)]
+		places[i].ID = word(i)
+	}
+	ss := mustScores(t, q, places, ScoreOptions{Gamma: 0.5})
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []int{2, 5, 8, 11} {
+		var ref []abpPair
+		for i := 0; i < ss.K(); i++ {
+			for j := i + 1; j < ss.K(); j++ {
+				ref = append(ref, abpPair{int32(i), int32(j), ss.divPair(i, j, k, 1)})
+			}
+		}
+		sortAbpPairs(ref)
+		for trial := 0; trial < 5; trial++ {
+			ps := append([]abpPair(nil), ref...)
+			rng.Shuffle(len(ps), func(a, b int) { ps[a], ps[b] = ps[b], ps[a] })
+			sortPairs(ps)
+			for i := range ps {
+				if ps[i] != ref[i] {
+					t.Fatalf("k=%d trial %d: rank %d is %+v after a shuffle, %+v before", k, trial, i, ps[i], ref[i])
+				}
+			}
+		}
+		var want []int
+		used := make([]bool, ss.K())
+		for _, pr := range ref {
+			if len(want)+2 > k {
+				break
+			}
+			if !used[pr.i] && !used[pr.j] {
+				used[pr.i], used[pr.j] = true, true
+				want = append(want, int(pr.i), int(pr.j))
+			}
+		}
+		got, err := ABPDiv(ss, Params{K: k, Lambda: 1, Gamma: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalInts(got.Indices[:len(want)], want) {
+			t.Errorf("k=%d: ABP_D selected %v, the total order selects %v first", k, got.Indices, want)
+		}
+	}
+}
+
+// TestABPScoresPrefix: a bounded abpScores keeps exactly the pairs that
+// rank first among all of them (or all pairs, for a large keep),
+// including on hub instances where one place's pairs fill the top of the
+// ranking, so ABP's pops run deep into dead pairs.
+func TestABPScoresPrefix(t *testing.T) {
+	q := geo.Pt(0, 0)
+	rng := rand.New(rand.NewSource(29))
+	for trial, n := range []int{12, 60, 150, 400} {
+		places := makePlaces(rng, q, n, 8, 30, 0.1)
+		if trial > 0 {
+			places[0].Rel, places[1].Rel = 1, 1 // hubs
+		}
+		ss := mustScores(t, q, places, ScoreOptions{Gamma: 0.5})
+		for _, k := range []int{2, 5, 10} {
+			all, err := abpScores(context.Background(), ss, k, 0.5, "test", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sortPairs(all)
+			for _, keep := range []int{1, 7, abpPrefix(n, k), len(all) - 1, len(all), len(all) + 5} {
+				got, err := abpScores(context.Background(), ss, k, 0.5, "test", keep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sortPairs(got)
+				want := all[:min(keep, len(all))]
+				if len(got) != len(want) && len(got) != len(all) {
+					t.Fatalf("n=%d k=%d keep=%d: %d pairs kept, want %d or all %d", n, k, keep, len(got), len(want), len(all))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d k=%d keep=%d: rank %d is %+v, want %+v", n, k, keep, i, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // TopK returns the k most relevant places (the paper's S_k baseline from
 // the user study: top-k by rF with no diversification).
 func TopK(ss *ScoreSet, p Params) (Selection, error) {
-	return topKCtx(context.Background(), ss, p)
+	return Select(AlgTopK, ss, p)
 }
 
 func topKCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
@@ -77,7 +77,7 @@ func (ss *ScoreSet) EvaluateDiv(r []int, lambda float64) float64 {
 // relevance + dissimilarity to the current R, with no proportional-to-S
 // term. Used as the ABP_D/IAdU_D baseline in the user evaluation.
 func IAdUDiv(ss *ScoreSet, p Params) (Selection, error) {
-	return iaduDivCtx(context.Background(), ss, p)
+	return Select(AlgIAdUDiv, ss, p)
 }
 
 func iaduDivCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
@@ -130,9 +130,11 @@ func iaduDivCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) 
 }
 
 // ABPDiv is the diversification-only variant of ABP: best unused pair by
-// the diversification objective, lazily invalidated.
+// the diversification objective, lazily invalidated. Pairs are ranked by
+// the same total order as ABP's (score descending, then (i, j)
+// ascending), so equal-score pairs select deterministically.
 func ABPDiv(ss *ScoreSet, p Params) (Selection, error) {
-	return abpDivCtx(context.Background(), ss, p)
+	return Select(AlgABPDiv, ss, p)
 }
 
 func abpDivCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
@@ -144,20 +146,16 @@ func abpDivCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 	if k == 1 {
 		return iaduDivCtx(ctx, ss, p)
 	}
-	type pair struct {
-		i, j  int32
-		score float64
-	}
-	ps := make([]pair, 0, n*(n-1)/2)
+	ps := make([]abpPair, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		if err := checkpoint(ctx, "select:abp-div"); err != nil {
 			return Selection{}, err
 		}
 		for j := i + 1; j < n; j++ {
-			ps = append(ps, pair{int32(i), int32(j), ss.divPair(i, j, k, p.Lambda)})
+			ps = append(ps, abpPair{int32(i), int32(j), ss.divPair(i, j, k, p.Lambda)})
 		}
 	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].score > ps[b].score })
+	sortPairs(ps)
 	r := make([]int, 0, k)
 	used := make([]bool, n)
 	for _, pr := range ps {
@@ -195,7 +193,7 @@ func abpDivCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 // with C(K, k) above ~2 million subsets return ErrTooLarge. Used to
 // validate the greedy algorithms' approximation quality on small inputs.
 func Exact(ss *ScoreSet, p Params) (Selection, error) {
-	return exactCtx(context.Background(), ss, p)
+	return Select(AlgExact, ss, p)
 }
 
 func exactCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {

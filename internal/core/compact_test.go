@@ -1,0 +1,198 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/grid"
+	"repro/internal/metrics"
+	"repro/internal/pairs"
+	"repro/internal/textctx"
+)
+
+// compactInstance draws n places around q with the cases the pair
+// functions branch on: empty and repeated contexts (disjoint pairs keep
+// +0), places on q and on top of each other (the exact path's zero
+// denominator, one grid cell for several places) and repeated relevances.
+// With ties set, places come from four prototypes only, so most pair
+// scores are exactly equal.
+func compactInstance(rng *rand.Rand, q geo.Point, n int, ties bool) []core.Place {
+	places := make([]core.Place, n)
+	for i := range places {
+		r := rng
+		if ties {
+			r = rand.New(rand.NewSource(int64(i % 4)))
+		}
+		ids := make([]textctx.ItemID, r.Intn(5))
+		for j := range ids {
+			ids[j] = textctx.ItemID(r.Intn(12))
+		}
+		loc := geo.Pt(q.X+r.NormFloat64()*3, q.Y+r.NormFloat64()*3)
+		switch r.Intn(8) {
+		case 0:
+			loc = q
+		case 1:
+			if i > 0 {
+				loc = places[i-1].Loc
+			}
+		}
+		places[i] = core.Place{
+			ID:      fmt.Sprintf("p%d", i),
+			Loc:     loc,
+			Rel:     float64(r.Intn(6)) / 5,
+			Context: textctx.NewSet(ids...),
+		}
+	}
+	return places
+}
+
+// compactMethods are the Step-1 configurations a compact set must
+// reproduce: the exact path, the squared grid gathering from a covering
+// table and computing cell-centre scores itself (the grid is wider than
+// the table), and the radial grid with and without its table. One case
+// fills with two workers.
+var compactMethods = []struct {
+	name string
+	opt  core.ScoreOptions
+}{
+	{"exact", core.ScoreOptions{Spatial: core.SpatialExact}},
+	{"exact-2w", core.ScoreOptions{Spatial: core.SpatialExact, Workers: 2}},
+	{"squared-table", core.ScoreOptions{Spatial: core.SpatialSquaredGrid, SquaredTable: grid.NewSquaredTable(12)}},
+	{"squared-wider", core.ScoreOptions{Spatial: core.SpatialSquaredGrid, SquaredTable: grid.NewSquaredTable(2)}},
+	{"radial-table", core.ScoreOptions{Spatial: core.SpatialRadialGrid, RadialTable: grid.NewRadialTable()}},
+	{"radial", core.ScoreOptions{Spatial: core.SpatialRadialGrid}},
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestCompactScoreSetBitIdentical: over random and tie-heavy instances ×
+// every spatial method × γ ∈ {0, 0.5, 1}, a compact score set reproduces
+// its full set exactly — every pair's sC, sS and sF, Evaluate, PlaceHPF,
+// PairHPF and metrics.Evaluate — and every registered algorithm selects
+// the same indices with the same HPF bits on both, odd k and λ = 1
+// included.
+func TestCompactScoreSetBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	q := geo.Pt(50, 50)
+	for _, n := range []int{2, 3, 9, 40, 120} {
+		for _, ties := range []bool{false, true} {
+			places := compactInstance(rng, q, n, ties)
+			for _, m := range compactMethods {
+				for _, gamma := range []float64{0, 0.5, 1} {
+					opt := m.opt
+					opt.Gamma = gamma
+					full, err := core.ComputeScores(q, places, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("n=%d ties=%v %s γ=%v", n, ties, m.name, gamma)
+					checkCompactPairs(t, label, full, rng)
+					if n <= 40 && gamma == 0.5 || n == 3 {
+						checkCompactSelections(t, label, full)
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkCompactPairs(t *testing.T, label string, full *core.ScoreSet, rng *rand.Rand) {
+	t.Helper()
+	c := full.Compact()
+	if c.SC != nil || c.SS != nil || c.SF != nil {
+		t.Fatalf("%s: Compact kept the triangles", label)
+	}
+	if c.Bytes() >= full.Bytes() {
+		t.Fatalf("%s: compact set holds %d bytes, full set %d", label, c.Bytes(), full.Bytes())
+	}
+	n := full.K()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			sc, sp, sf := c.Pair(i, j)
+			if !sameBits(sc, full.SC.At(i, j)) || !sameBits(sp, full.SS.At(i, j)) || !sameBits(sf, full.SF.At(i, j)) {
+				t.Fatalf("%s: pair (%d, %d) compact (%v, %v, %v), full (%v, %v, %v)", label, i, j,
+					sc, sp, sf, full.SC.At(i, j), full.SS.At(i, j), full.SF.At(i, j))
+			}
+		}
+	}
+	for k := 1; k < n && k <= 7; k++ {
+		r := rng.Perm(n)[:k]
+		for _, lambda := range []float64{0, 0.5, 1} {
+			if a, b := full.Evaluate(r, lambda), c.Evaluate(r, lambda); !sameBits(a.Total, b.Total) ||
+				!sameBits(a.PC, b.PC) || !sameBits(a.PS, b.PS) || !sameBits(a.Rel, b.Rel) {
+				t.Fatalf("%s: Evaluate(%v, λ=%v) full %+v, compact %+v", label, r, lambda, a, b)
+			}
+			for i := 0; i < n; i++ {
+				if a, b := full.PlaceHPF(i, r, k, lambda), c.PlaceHPF(i, r, k, lambda); !sameBits(a, b) {
+					t.Fatalf("%s: PlaceHPF(%d, %v) full %v, compact %v", label, i, r, a, b)
+				}
+			}
+			if k >= 2 {
+				if a, b := full.PairHPF(r[0], r[1], k, lambda), c.PairHPF(r[0], r[1], k, lambda); !sameBits(a, b) {
+					t.Fatalf("%s: PairHPF(%d, %d) full %v, compact %v", label, r[0], r[1], a, b)
+				}
+			}
+		}
+		if a, b := metrics.Evaluate(full, r), metrics.Evaluate(c, r); a != b {
+			t.Fatalf("%s: metrics.Evaluate(%v) full %+v, compact %+v", label, r, a, b)
+		}
+	}
+}
+
+func checkCompactSelections(t *testing.T, label string, full *core.ScoreSet) {
+	t.Helper()
+	c := full.Compact()
+	ctx := context.Background()
+	for _, alg := range core.Algorithms() {
+		for _, k := range []int{1, 2, 3, 5} {
+			if k >= full.K() || alg == core.AlgExact && full.K() > 9 {
+				continue // the brute force over C(K, k) subsets would dominate the test
+			}
+			for _, lambda := range []float64{0.5, 1} {
+				p := core.Params{K: k, Lambda: lambda, Gamma: full.Gamma}
+				want, werr := core.SelectCtx(ctx, alg, full, p)
+				got, gerr := core.SelectCtx(ctx, alg, c, p)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("%s %s k=%d λ=%v: full err %v, compact err %v", label, alg, k, lambda, werr, gerr)
+				}
+				if fmt.Sprint(want.Indices) != fmt.Sprint(got.Indices) || !sameBits(want.HPF, got.HPF) {
+					t.Fatalf("%s %s k=%d λ=%v: full %v (HPF %v), compact %v (HPF %v)",
+						label, alg, k, lambda, want.Indices, want.HPF, got.Indices, got.HPF)
+				}
+			}
+		}
+	}
+}
+
+// TestCompactKeepsUnrecomputableSets: a set whose pairs cannot be
+// recomputed exactly stays whole — a custom spatial scorer or an
+// approximate contextual engine.
+func TestCompactKeepsUnrecomputableSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	q := geo.Pt(0, 0)
+	places := compactInstance(rng, q, 12, false)
+	custom := core.ScoreOptions{Spatial: core.SpatialCustom, CustomSpatial: func(q geo.Point, ps []core.Place) (*pairs.Matrix, error) {
+		pts := make([]geo.Point, len(ps))
+		for i := range ps {
+			pts[i] = ps[i].Loc
+		}
+		return grid.AllPairsSpatial(q, pts), nil
+	}}
+	for _, opt := range []core.ScoreOptions{custom, {Contextual: textctx.MinHashEngine{T: 16}}} {
+		ss, err := core.ComputeScores(q, places, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := ss.Compact(); c != ss {
+			t.Errorf("Compact dropped the triangles of a set it cannot recompute (%+v)", opt)
+		}
+	}
+}

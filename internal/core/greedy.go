@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"repro/internal/explain"
@@ -33,7 +34,7 @@ func explainRound(ec *explain.Collector, ss *ScoreSet, round int, chosen []int, 
 // O(K·k + K log K); a 4-approximation when HPF satisfies the triangle
 // inequality (Theorem 8.2).
 func IAdU(ss *ScoreSet, p Params) (Selection, error) {
-	return iaduCtx(context.Background(), ss, p)
+	return Select(AlgIAdU, ss, p)
 }
 
 func iaduCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
@@ -144,20 +145,41 @@ func abpBefore(a, b abpPair) bool {
 	return a.j < b.j
 }
 
-// abpScores materialises the O(K²) pair scores. Both the heap-based ABP
-// and the sort-based rescan build their ranking from this one function,
-// so their inputs are bit-identical by construction. stage labels the
-// cancellation checkpoints (polled once per row).
+// sortPairs ranks ps by abpBefore. The order is total, so the ranking —
+// and every selection scanned from it — does not depend on the order ps
+// arrives in, ties included.
+func sortPairs(ps []abpPair) {
+	sort.Slice(ps, func(a, b int) bool { return abpBefore(ps[a], ps[b]) })
+}
+
+// abpScores scores all O(K²) pairs and returns the keep pairs that rank
+// first under abpBefore, in no particular order — or all of them, when
+// keep is 0 or over an eighth of K(K−1)/2 (selecting so long a prefix
+// costs more than it saves). Both the heap-based ABP and the sort-based
+// rescan build their ranking from this one function, so their inputs are
+// bit-identical by construction. stage labels the cancellation
+// checkpoints (polled once per row).
 //
-// The loop is PairHPF inlined with the per-call constants hoisted and the
-// sF matrix walked row-wise: every arithmetic operation appears in the
-// same order as in PairHPF, so each score is bit-identical to
-// ss.PairHPF(i, j, k, lambda) — only the per-pair struct loads, matrix
-// index arithmetic and recomputed constants are gone. This matters
-// because materialisation is the cost shared by every ABP variant: it
-// bounds the speedup the incremental heap can show over the rescan.
-func abpScores(ctx context.Context, ss *ScoreSet, k int, lambda float64, stage string) ([]abpPair, error) {
+// A bounded keep collects pairs in a buffer of 2·keep: when it fills,
+// abpSelect moves the keep best to its front, and from then on a pair is
+// collected only if it ranks before the keep-th best so far (cut). The
+// kept pairs are exactly the first keep of the whole ranking, held in
+// 2·keep·16 bytes instead of K(K−1)/2·16, at O(1) amortised per pair.
+//
+// The loop evaluates PairHPF's kernel, pairHPF, with the per-call
+// constants hoisted and the sF matrix walked row-wise, so each score is
+// bit-identical to ss.PairHPF(i, j, k, lambda) — only the per-pair struct
+// loads, matrix index arithmetic and recomputed constants are gone. This
+// matters because materialisation is the cost shared by every ABP variant:
+// it bounds the speedup the incremental heap can show over the rescan.
+// ss must hold its triangles (SelectCtx refills a compact set first).
+func abpScores(ctx context.Context, ss *ScoreSet, k int, lambda float64, stage string, keep int) ([]abpPair, error) {
 	n := ss.K()
+	size := n * (n - 1) / 2
+	bounded := keep > 0 && 8*keep <= size
+	if bounded {
+		size = 2 * keep
+	}
 	kf := float64(k - 1)
 	c1 := (1 - lambda) * float64(n-k) // (1−λ)(K−k), the relevance weight
 	rels := make([]float64, n)
@@ -165,7 +187,8 @@ func abpScores(ctx context.Context, ss *ScoreSet, k int, lambda float64, stage s
 		rels[i] = ss.Places[i].Rel
 	}
 	pfs := ss.PFS
-	ps := make([]abpPair, 0, n*(n-1)/2)
+	ps := make([]abpPair, 0, size)
+	cut := abpPair{score: math.Inf(-1)} // every pair ranks before it until ps first fills
 	for i := 0; i < n; i++ {
 		if err := checkpoint(ctx, stage); err != nil {
 			return nil, err
@@ -173,11 +196,57 @@ func abpScores(ctx context.Context, ss *ScoreSet, k int, lambda float64, stage s
 		ri, pi := rels[i], pfs[i]
 		for t, s := range ss.SF.Row(i) {
 			j := i + 1 + t
-			score := c1*(ri+rels[j])/kf + lambda*((pi+pfs[j])/kf-2*s)
-			ps = append(ps, abpPair{int32(i), int32(j), score})
+			p := abpPair{int32(i), int32(j), pairHPF(c1, kf, lambda, ri, rels[j], pi, pfs[j], s)}
+			if !abpBefore(p, cut) {
+				continue
+			}
+			if ps = append(ps, p); bounded && len(ps) == size {
+				abpSelect(ps, keep)
+				ps, cut = ps[:keep], ps[keep-1]
+			}
 		}
 	}
+	if bounded && len(ps) > keep {
+		abpSelect(ps, keep)
+		ps = ps[:keep]
+	}
 	return ps, nil
+}
+
+// abpSelect reorders ps so that its first m pairs are the m that rank
+// first under abpBefore, with the m-th of them at ps[m−1] (quickselect
+// with a median-of-three pivot; 1 ≤ m ≤ len(ps)).
+func abpSelect(ps []abpPair, m int) {
+	lo, hi := 0, len(ps)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		// Median of three to ps[hi], the pivot.
+		if abpBefore(ps[mid], ps[lo]) {
+			ps[mid], ps[lo] = ps[lo], ps[mid]
+		}
+		if abpBefore(ps[hi], ps[lo]) {
+			ps[hi], ps[lo] = ps[lo], ps[hi]
+		}
+		if abpBefore(ps[mid], ps[hi]) {
+			ps[mid], ps[hi] = ps[hi], ps[mid]
+		}
+		pivot, store := ps[hi], lo
+		for i := lo; i < hi; i++ {
+			if abpBefore(ps[i], pivot) {
+				ps[i], ps[store] = ps[store], ps[i]
+				store++
+			}
+		}
+		ps[store], ps[hi] = ps[hi], ps[store]
+		switch {
+		case store == m-1:
+			return
+		case store < m-1:
+			lo = store + 1
+		default:
+			hi = store - 1
+		}
+	}
 }
 
 // abpSiftDown restores the max-heap property (w.r.t. abpBefore) below
@@ -298,15 +367,21 @@ const abpPollStride = 256
 // 2-approximation under the Theorem 8.2 condition.
 //
 // Best-pair maintenance is incremental: the materialised pairs are
-// heapified in O(K²) and popped only until ⌊k/2⌋ disjoint pairs emerge —
-// a pair invalidated by an earlier selection is discarded lazily when it
+// heapified and popped only until ⌊k/2⌋ disjoint pairs emerge — a pair
+// invalidated by an earlier selection is discarded lazily when it
 // surfaces, never re-examined. This replaces the full O(K² log K²) sort
 // of the rescan baseline (kept as AlgABPRescan for the equivalence
 // property tests and the bench tier); selections, gains and explain
 // traces are identical because both variants rank by abpBefore over the
 // same abpScores materialisation.
+//
+// Only the first abpPrefix(K, k) pairs of that ranking are kept: every
+// pair the loop pops — explain's runner-up peeks included — is selected
+// (at most k/2), is the last runner-up, or touches one of the ≤ k places
+// selected by the end (at most k·(K−1) pairs), so no pop reaches past
+// rank k·K + k/2.
 func ABP(ss *ScoreSet, p Params) (Selection, error) {
-	return abpCtx(context.Background(), ss, p)
+	return Select(AlgABP, ss, p)
 }
 
 func abpCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
@@ -320,7 +395,7 @@ func abpCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 		return abpFirstPick(ec, ss, p.Lambda), nil
 	}
 
-	h, err := abpScores(ctx, ss, k, p.Lambda, "select:abp")
+	h, err := abpScores(ctx, ss, k, p.Lambda, "select:abp", abpPrefix(n, k))
 	if err != nil {
 		return Selection{}, err
 	}
@@ -378,13 +453,17 @@ func abpCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
 }
 
+// abpPrefix is the number of top-ranked pairs ABP keeps for K places and
+// result size k (see ABP for why no pop reaches past it).
+func abpPrefix(K, k int) int { return k*K + k }
+
 // ABPRescan is the pre-incremental ABP: a full sort of the materialised
 // pairs followed by a linear scan with lazy endpoint invalidation. It is
 // kept as the reference implementation the incremental heap is proven
 // against (selections, gains and explain traces must match bit-for-bit
 // in abp_equiv_test).
 func ABPRescan(ss *ScoreSet, p Params) (Selection, error) {
-	return abpRescanCtx(context.Background(), ss, p)
+	return Select(AlgABPRescan, ss, p)
 }
 
 func abpRescanCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
@@ -398,11 +477,11 @@ func abpRescanCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error
 		return abpFirstPick(ec, ss, p.Lambda), nil
 	}
 
-	ps, err := abpScores(ctx, ss, k, p.Lambda, "select:abp-rescan")
+	ps, err := abpScores(ctx, ss, k, p.Lambda, "select:abp-rescan", 0)
 	if err != nil {
 		return Selection{}, err
 	}
-	sort.Slice(ps, func(a, b int) bool { return abpBefore(ps[a], ps[b]) })
+	sortPairs(ps)
 	if err := checkpoint(ctx, "select:abp-rescan"); err != nil {
 		return Selection{}, err
 	}

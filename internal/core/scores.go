@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/explain"
 	"repro/internal/geo"
@@ -84,6 +85,12 @@ type ScoreOptions struct {
 
 // ScoreSet is the Step-1 output: every per-place and pairwise score the
 // greedy algorithms need, computed once and reused (Section 5).
+//
+// A set from ComputeScores holds the three pair triangles. Its Compact
+// form drops them and keeps O(K) state instead — the Step-1 options and,
+// for the grids, one cell or sector index per place — from which Pair
+// recomputes any single pair, and SelectCtx refills all of them, with the
+// functions the fills store them with: the same bits either way.
 type ScoreSet struct {
 	// Places is the retrieved set S in scoring order.
 	Places []Place
@@ -96,8 +103,19 @@ type ScoreSet struct {
 	// PFS[i] is pFS(p_i) = (1−γ)·pCS + γ·pSS (Eq. 11).
 	PFS []float64
 	// SC and SS are the pairwise contextual and spatial similarity
-	// caches; SF is the γ-weighted combination (Eq. 13).
+	// caches; SF is the γ-weighted combination (Eq. 13). All three are
+	// nil on a compact set; Pair reads a pair from either kind.
 	SC, SS, SF *pairs.Matrix
+
+	// opt are the Step-1 options the set was computed with, and sq/rad
+	// the per-place grid indices of the squared or radial method: what a
+	// compact set recomputes its pairs from. recomputable is false when
+	// the pairs cannot be recomputed exactly (SpatialCustom, an
+	// approximate contextual engine) or the set was assembled by hand.
+	opt          ScoreOptions
+	sq           grid.SquaredPairs
+	rad          grid.RadialPairs
+	recomputable bool
 }
 
 // K returns |S|, the number of scored places.
@@ -162,8 +180,9 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 		return nil, err
 	}
 
+	ss := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma, SC: sc, opt: opt}
 	endPSS := telemetry.StartSpan(ctx, telemetry.StagePSS)
-	sp, pss, gs, err := spatialScores(ctx, q, places, pts, opt)
+	sp, pss, gs, err := ss.spatialScores(ctx, pts)
 	endPSS()
 	if err != nil {
 		return nil, stageErr(ctx, err)
@@ -183,17 +202,96 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 	for i := range pfs {
 		pfs[i] = (1-opt.Gamma)*pcs[i] + opt.Gamma*pss[i]
 	}
-	return &ScoreSet{
-		Places: places,
-		Q:      q,
-		Gamma:  opt.Gamma,
-		PCS:    pcs,
-		PSS:    pss,
-		PFS:    pfs,
-		SC:     sc,
-		SS:     sp,
-		SF:     pairs.Combine(sc, sp, 1-opt.Gamma, opt.Gamma),
-	}, nil
+	ss.PCS, ss.PSS, ss.PFS = pcs, pss, pfs
+	ss.SS, ss.SF = sp, pairs.Combine(sc, sp, 1-opt.Gamma, opt.Gamma)
+	switch opt.Contextual.(type) {
+	case nil, textctx.MSJHEngine, textctx.BaselineEngine:
+		ss.recomputable = opt.Spatial != SpatialCustom
+	}
+	return ss, nil
+}
+
+// Compact returns ss without its pair triangles: a copy that shares
+// everything else and retains O(K) memory instead of three K(K−1)/2
+// float64 triangles. It returns ss itself when ss is compact already or
+// its pairs cannot be recomputed exactly (SpatialCustom, a contextual
+// engine other than msJh or the baseline, a set assembled by hand).
+func (ss *ScoreSet) Compact() *ScoreSet {
+	if ss.SF == nil || !ss.recomputable {
+		return ss
+	}
+	c := *ss
+	c.SC, c.SS, c.SF = nil, nil, nil
+	return &c
+}
+
+// full returns ss with its pair triangles: ss itself when it holds them,
+// and otherwise a fresh Step 1 over the same places with the recorded
+// options. Every fill is deterministic for every worker count, so the
+// refilled set equals the one ss was compacted from, bit for bit.
+func (ss *ScoreSet) full(ctx context.Context) (*ScoreSet, error) {
+	if ss.SF != nil {
+		return ss, nil
+	}
+	return ComputeScoresCtx(ctx, ss.Q, ss.Places, ss.opt)
+}
+
+// Bytes returns the memory ss holds of its own: the Places slice (the
+// places' IDs and context sets belong to the corpus and are not counted),
+// the per-place vectors and grid indices, and the pair triangles when it
+// has them.
+func (ss *ScoreSet) Bytes() int {
+	n := len(ss.Places)*int(unsafe.Sizeof(Place{})) +
+		8*(len(ss.PCS)+len(ss.PSS)+len(ss.PFS)) + ss.sq.Bytes() + ss.rad.Bytes()
+	for _, m := range [...]*pairs.Matrix{ss.SC, ss.SS, ss.SF} {
+		if m != nil {
+			n += m.Bytes()
+		}
+	}
+	return n
+}
+
+// Pair returns sC, sS and sF of the places i ≠ j. It reads the triangles
+// when ss holds them. A compact set recomputes the pair with the function
+// the fill stored it with — Jaccard (msJh's and the baseline's
+// expression, +0 for disjoint sets), the exact Ptolemy expression, the
+// grid's table element or unitSS call, and pairs.Blend for sF — so both
+// kinds return the same bits.
+func (ss *ScoreSet) Pair(i, j int) (sc, sp, sf float64) {
+	if ss.SF != nil {
+		k := ss.SF.Index(i, j) // the three triangles share one layout
+		return ss.SC.AtIndex(k), ss.SS.AtIndex(k), ss.SF.AtIndex(k)
+	}
+	return ss.recompute(i, j)
+}
+
+// sf returns sF(p_i, p_j) (Eq. 13) as Pair does, reading only the sF
+// triangle of a full set: the greedy loops need nothing else, and reading
+// all three triangles would cost them two more cache misses per pair.
+func (ss *ScoreSet) sf(i, j int) float64 {
+	if ss.SF != nil {
+		return ss.SF.At(i, j)
+	}
+	_, _, sf := ss.recompute(i, j)
+	return sf
+}
+
+// recompute evaluates one pair of a compact set (see Pair).
+func (ss *ScoreSet) recompute(i, j int) (sc, sp, sf float64) {
+	if i > j {
+		i, j = j, i // every fill computes a pair once, as (i, j) with i < j
+	}
+	pi, pj := &ss.Places[i], &ss.Places[j]
+	sc = pi.Context.Jaccard(pj.Context)
+	switch ss.opt.Spatial {
+	case SpatialSquaredGrid:
+		sp = ss.sq.At(i, j)
+	case SpatialRadialGrid:
+		sp = ss.rad.At(i, j)
+	default:
+		sp = grid.ExactPairSS(ss.Q, pi.Loc, pj.Loc)
+	}
+	return sc, sp, pairs.Blend(1-ss.Gamma, sc, ss.Gamma, sp)
 }
 
 // stageErr maps a Step-1 stage failure onto the package's typed
@@ -207,10 +305,12 @@ func stageErr(ctx context.Context, err error) error {
 }
 
 // spatialScores computes the pairwise spatial similarity matrix and the
-// pSS vector with the configured method, plus the explain grid statistics
-// that cost nothing to collect (the sampled approximation error is left to
-// the caller).
-func spatialScores(ctx context.Context, q geo.Point, places []Place, pts []geo.Point, opt ScoreOptions) (sp *pairs.Matrix, pss []float64, gs explain.GridStats, err error) {
+// pSS vector of ss's places (at pts) with the configured method, plus the
+// explain grid statistics that cost nothing to collect (the sampled
+// approximation error is left to the caller). For the grids it records
+// the per-place indices Pair recomputes a pair from in ss.
+func (ss *ScoreSet) spatialScores(ctx context.Context, pts []geo.Point) (sp *pairs.Matrix, pss []float64, gs explain.GridStats, err error) {
+	q, places, opt := ss.Q, ss.Places, ss.opt
 	gs.Places = len(pts)
 	cells := opt.GridCells
 	if cells <= 0 {
@@ -232,6 +332,7 @@ func spatialScores(ctx context.Context, q geo.Point, places []Place, pts []geo.P
 		}
 		gs.Kind, gs.Cells, gs.OccupiedCells = "squared", g.Cells(), g.OccupiedCells()
 		pss = g.PSS(opt.SquaredTable)
+		ss.sq = g.Pairs(opt.SquaredTable)
 		sp, err = g.ApproxAllPairsCtx(ctx, opt.SquaredTable, opt.Workers)
 		return sp, pss, gs, err
 	case SpatialRadialGrid:
@@ -241,6 +342,7 @@ func spatialScores(ctx context.Context, q geo.Point, places []Place, pts []geo.P
 		}
 		gs.Kind, gs.Cells, gs.OccupiedCells = "radial", g.Sectors(), g.OccupiedSectors()
 		pss = g.PSS(opt.RadialTable)
+		ss.rad = g.Pairs(opt.RadialTable)
 		return g.ApproxAllPairs(opt.RadialTable), pss, gs, nil
 	case SpatialCustom:
 		if opt.CustomSpatial == nil {
@@ -271,18 +373,28 @@ func sampleGridError(gs *explain.GridStats, q geo.Point, pts []geo.Point, approx
 	gs.SampledPairs, gs.MeanAbsError, gs.MaxAbsError = es.Pairs, es.MeanAbs, es.MaxAbs
 }
 
-// SF returns the combined similarity sF(p_i, p_j) (Eq. 13).
-func (ss *ScoreSet) sf(i, j int) float64 { return ss.SF.At(i, j) }
-
 // PairHPF returns the pairwise holistic score HPF(p_i, p_j) of Eq. 15 for
 // result size k and weight λ. It requires k ≥ 2 (the formula divides by
 // k−1); selection of a single place degenerates to ranking by rF.
 func (ss *ScoreSet) PairHPF(i, j, k int, lambda float64) float64 {
-	K := len(ss.Places)
-	kf := float64(k - 1)
-	rel := (1 - lambda) * float64(K-k) * (ss.Places[i].Rel + ss.Places[j].Rel) / kf
-	prop := lambda * ((ss.PFS[i]+ss.PFS[j])/kf - 2*ss.sf(i, j))
-	return rel + prop
+	// ss.sf open-coded: PairHPF is the greedy loops' per-pair call, and
+	// sf does not inline, which costs IAdU a fifth of its time.
+	var sf float64
+	if ss.SF != nil {
+		sf = ss.SF.At(i, j)
+	} else {
+		_, _, sf = ss.recompute(i, j)
+	}
+	return pairHPF((1-lambda)*float64(len(ss.Places)-k), float64(k-1), lambda,
+		ss.Places[i].Rel, ss.Places[j].Rel, ss.PFS[i], ss.PFS[j], sf)
+}
+
+// pairHPF is Eq. 15 from its parts: c1 = (1−λ)(K−k), kf = k−1, the two
+// relevances, the two pFS scores and sF of the pair. PairHPF and ABP's
+// pair materialisation both evaluate it, so their scores agree bit for
+// bit; it is small enough to inline into the materialisation loop.
+func pairHPF(c1, kf, lambda, ri, rj, fi, fj, sf float64) float64 {
+	return c1*(ri+rj)/kf + lambda*((fi+fj)/kf-2*sf)
 }
 
 // PlaceHPF returns the per-place holistic score HPF(p_i) of Eq. 9 w.r.t.
@@ -310,8 +422,9 @@ func (ss *ScoreSet) Evaluate(r []int, lambda float64) Breakdown {
 		var scr, ssr float64
 		for _, j := range r {
 			if j != i {
-				scr += ss.SC.At(i, j)
-				ssr += ss.SS.At(i, j)
+				sc, sp, _ := ss.Pair(i, j)
+				scr += sc
+				ssr += sp
 			}
 		}
 		b.PC += ss.PCS[i] - scr // pC(p_i) = pCS − pCR (Eq. 2)

@@ -20,10 +20,10 @@ const (
 	AlgIAdU      Algorithm = "iadu"       // proportional, incremental-add greedy
 	AlgIAdUHeap  Algorithm = "iadu-heap"  // IAdU with heap-based selection
 	AlgABPEager  Algorithm = "abp-eager"  // ABP with eager pair invalidation
-	AlgTopK      Algorithm = "topk"     // top-k by relevance (S_k baseline)
-	AlgABPDiv    Algorithm = "abp-div"  // diversification-only ABP (ABP_D)
-	AlgIAdUDiv   Algorithm = "iadu-div" // diversification-only IAdU
-	AlgExact     Algorithm = "exact"    // brute force (small instances only)
+	AlgTopK      Algorithm = "topk"       // top-k by relevance (S_k baseline)
+	AlgABPDiv    Algorithm = "abp-div"    // diversification-only ABP (ABP_D)
+	AlgIAdUDiv   Algorithm = "iadu-div"   // diversification-only IAdU
+	AlgExact     Algorithm = "exact"      // brute force (small instances only)
 )
 
 // Every registered implementation threads a context through its greedy
@@ -64,11 +64,18 @@ func Select(alg Algorithm, ss *ScoreSet, p Params) (Selection, error) {
 
 // SelectCtx runs the named algorithm with cooperative cancellation: the
 // greedy loops poll ctx once per outer iteration and return an error
-// matching ErrCancelled or ErrDeadline as soon as ctx terminates.
+// matching ErrCancelled or ErrDeadline as soon as ctx terminates. On a
+// compact score set it first refills the pair triangles from the places
+// with the recorded Step-1 options (a Step 1 without the retrieval), so
+// the algorithm runs on exactly the pairs the set was compacted from.
 func SelectCtx(ctx context.Context, alg Algorithm, ss *ScoreSet, p Params) (Selection, error) {
 	f, ok := registry[alg]
 	if !ok {
 		return Selection{}, fmt.Errorf("core: unknown algorithm %q (have %v)", alg, Algorithms())
+	}
+	ss, err := ss.full(ctx)
+	if err != nil {
+		return Selection{}, err
 	}
 	explain.FromContext(ctx).SetAlgorithm(string(alg))
 	defer telemetry.StartSpan(ctx, telemetry.StageSelect)()

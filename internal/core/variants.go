@@ -3,7 +3,6 @@ package core
 import (
 	"container/heap"
 	"context"
-	"sort"
 )
 
 // contribHeap is an indexed max-heap over candidate contributions,
@@ -69,7 +68,7 @@ func (h *contribHeap) popMax() int { return int(heap.Pop(h).(int32)) }
 // differently, so results are compared by HPF, not by identity. Kept as
 // the DESIGN.md "IAdU array-update vs heap" ablation.
 func IAdUHeap(ss *ScoreSet, p Params) (Selection, error) {
-	return iaduHeapCtx(context.Background(), ss, p)
+	return Select(AlgIAdUHeap, ss, p)
 }
 
 func iaduHeapCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
@@ -127,7 +126,7 @@ func iaduHeapCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error)
 // instead of skipping them lazily during the scan. Same selections; kept
 // as the DESIGN.md "ABP lazy vs eager" ablation.
 func ABPEager(ss *ScoreSet, p Params) (Selection, error) {
-	return abpEagerCtx(context.Background(), ss, p)
+	return Select(AlgABPEager, ss, p)
 }
 
 func abpEagerCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
@@ -139,13 +138,13 @@ func abpEagerCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error)
 	if k == 1 {
 		return abpCtx(ctx, ss, p)
 	}
-	ps, err := abpScores(ctx, ss, k, p.Lambda, "select:abp-eager")
+	ps, err := abpScores(ctx, ss, k, p.Lambda, "select:abp-eager", 0)
 	if err != nil {
 		return Selection{}, err
 	}
 	// Sort by the shared ABP total order so equal-score ties select the
 	// same pairs as the lazy variants.
-	sort.Slice(ps, func(a, b int) bool { return abpBefore(ps[a], ps[b]) })
+	sortPairs(ps)
 
 	r := make([]int, 0, k)
 	used := make([]bool, n)

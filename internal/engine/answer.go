@@ -54,11 +54,13 @@ type selKey struct {
 }
 
 // answer returns the memoised answer for (alg, p), computing the selection
-// and its HPF breakdown outside the entry lock so distinct parameter sets
-// never serialise. Selection is deterministic given a score set, so a
-// duplicated computation under contention is wasted work, never a wrong
-// answer.
-func (en *entry) answer(ctx context.Context, alg core.Algorithm, p core.Params, memoCap int) (*answer, error) {
+// and its HPF breakdown on ss outside the entry lock so distinct parameter
+// sets never serialise. ss is the entry's own score set, or the full set
+// it was compacted from when the leader of a miss selects before caching
+// it; the two give the same bits. Selection is deterministic given a
+// score set, so a duplicated computation under contention is wasted work,
+// never a wrong answer.
+func (en *entry) answer(ctx context.Context, ss *core.ScoreSet, alg core.Algorithm, p core.Params, memoCap int) (*answer, error) {
 	k := selKey{algo: alg, k: p.K, lambda: math.Float64bits(p.Lambda)}
 	en.mu.Lock()
 	a, ok := en.sels[k]
@@ -66,11 +68,11 @@ func (en *entry) answer(ctx context.Context, alg core.Algorithm, p core.Params, 
 	if ok {
 		return a, nil
 	}
-	sel, err := core.SelectCtx(ctx, alg, en.ss, p)
+	sel, err := core.SelectCtx(ctx, alg, ss, p)
 	if err != nil {
 		return nil, err
 	}
-	a = &answer{sel: sel, breakdown: en.ss.Evaluate(sel.Indices, p.Lambda)}
+	a = &answer{sel: sel, breakdown: ss.Evaluate(sel.Indices, p.Lambda)}
 	en.mu.Lock()
 	if len(en.sels) >= memoCap {
 		for stale := range en.sels { // drop one arbitrary memo to stay bounded

@@ -12,14 +12,22 @@
 //     exactly once per (grid kind, resolution), and shares it across every
 //     query forever.
 //  2. Score sets. The Step-1 output (*core.ScoreSet: retrieved set S plus
-//     the all-pairs contextual/spatial similarity caches) is valid only
-//     for the full Step-1 parameter key — location, interned keyword set,
+//     the all-pairs contextual/spatial similarities) is valid only for the
+//     full Step-1 parameter key — location, interned keyword set,
 //     retrieval size K, γ, and spatial method. Score sets are cached in a
-//     size-bounded LRU keyed by that canonicalised key.
+//     size-bounded LRU keyed by that canonicalised key, in their compact
+//     form (core.ScoreSet.Compact): the places, the pCS/pSS/pFS vectors
+//     and what recomputes any pair bit for bit — O(K) bytes, not the
+//     three K(K−1)/2 float64 triangles, which live only while a request
+//     selects on them.
 //  3. Answers. Step 2 is deterministic given a score set, so each cache
 //     entry memoises, per (algorithm, k, λ), the selection together with
 //     everything rendered from it: HPF breakdown, diagnostics, places and
-//     their encoded JSON (see answer).
+//     their encoded JSON (see answer). The request that computes a score
+//     set selects its own answer on the full set before caching the
+//     compact one; a later new (algorithm, k, λ) refills the triangles
+//     from the cached places (core.SelectCtx) — Step 1 without the
+//     retrieval, not counted as a build.
 //
 // Concurrent identical requests are deduplicated with a singleflight
 // group: one caller (the leader) computes Step 1 in its own goroutine —
@@ -81,9 +89,10 @@ type Options struct {
 	// clamped during Normalize (the clamp is observable via
 	// QueryRequest.ClampedFrom). 0 disables clamping.
 	MaxK int
-	// CacheEntries bounds the score-set LRU. A score set holds three
-	// K×K/2 float64 matrices (~12·K² bytes), so the right capacity
-	// depends on the expected K; 0 means 128.
+	// CacheEntries bounds the score-set LRU. A cached score set is
+	// compact: ~92·K bytes (the places plus the per-place vectors and grid
+	// indices; Stats.CacheBytes sums them) next to its answer memo. 0
+	// means 128.
 	CacheEntries int
 	// SelectionMemo bounds the per-entry (algorithm, k, λ) memo of
 	// selections and the answers rendered from them (a few KB each).
@@ -272,7 +281,9 @@ func (e *Engine) RadialTable() *grid.RadialTable {
 // Result is the evaluated output of one query.
 type Result struct {
 	// SS is the (possibly shared) score set. Callers must treat it as
-	// read-only: it may be serving other requests concurrently.
+	// read-only: it may be serving other requests concurrently. It may be
+	// compact (no pair triangles, see core.ScoreSet.Compact); read pairs
+	// through SS.Pair.
 	SS *core.ScoreSet
 	// Sel is the Step-2 selection; its Indices slice may be shared with
 	// other requests and must not be mutated.
@@ -300,7 +311,9 @@ func (e *Engine) Query(ctx context.Context, req *QueryRequest) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	ent, status, err := e.scoreSet(ctx, req, key.String())
+	alg := core.Algorithm(req.Algo)
+	p := core.Params{K: req.SmallK, Lambda: req.Lambda, Gamma: req.Gamma}
+	ent, status, ans, err := e.scoreSet(ctx, req, key.String(), alg, p)
 	if err != nil {
 		return nil, err
 	}
@@ -308,22 +321,28 @@ func (e *Engine) Query(ctx context.Context, req *QueryRequest) (*Result, error) 
 		return nil, fmt.Errorf("%w: retrieved %d places; need more than k=%d",
 			ErrBadRequest, ent.ss.K(), req.SmallK)
 	}
-	p := core.Params{K: req.SmallK, Lambda: req.Lambda, Gamma: req.Gamma}
-	ans, err := ent.answer(ctx, core.Algorithm(req.Algo), p, e.opt.SelectionMemo)
-	if err != nil {
-		return nil, fmt.Errorf("select: %w", err)
+	if ans == nil {
+		if ans, err = ent.answer(ctx, ent.ss, alg, p, e.opt.SelectionMemo); err != nil {
+			return nil, fmt.Errorf("select: %w", err)
+		}
 	}
 	return &Result{SS: ent.ss, Sel: ans.sel, Breakdown: ans.breakdown, Cache: status, ans: ans}, nil
 }
 
 // scoreSet returns the cached score-set entry for key, computing it at
-// most once per key across concurrent callers.
-func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string) (*entry, string, error) {
+// most once per key across concurrent callers. The caller that computes
+// it (the leader) also selects its own answer for (alg, p) on the full
+// set and memoises it before the compact form is cached, so a miss runs
+// Step 1 once. The third result is that answer (nil for every other
+// caller); the leader's selection failure is returned as the error.
+func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string, alg core.Algorithm, p core.Params) (*entry, string, *answer, error) {
 	for {
 		if ent, ok := e.cache.get(key); ok {
 			e.hits.Add(1)
-			return ent, CacheHit, nil
+			return ent, CacheHit, nil, nil
 		}
+		var leaderAns *answer
+		var selErr error
 		ent, shared, err := e.flight.do(ctx, key, func() (*entry, error) {
 			// Double-check under the flight: a previous leader may have
 			// cached the entry between our lookup and winning the flight,
@@ -331,9 +350,13 @@ func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string) (*
 			if ent, ok := e.cache.get(key); ok {
 				return ent, nil
 			}
-			ent, err := e.build(ctx, req)
+			full, err := e.build(ctx, req)
 			if err != nil {
 				return nil, err
+			}
+			ent := newEntry(full.Compact())
+			if full.K() > p.K {
+				leaderAns, selErr = ent.answer(ctx, full, alg, p, e.opt.SelectionMemo)
 			}
 			e.cache.add(key, ent)
 			return ent, nil
@@ -341,10 +364,13 @@ func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string) (*
 		if err == nil {
 			if shared {
 				e.coalesced.Add(1)
-				return ent, CacheCoalesced, nil
+				return ent, CacheCoalesced, nil, nil
 			}
 			e.misses.Add(1)
-			return ent, CacheMiss, nil
+			if selErr != nil {
+				return nil, "", nil, fmt.Errorf("select: %w", selErr)
+			}
+			return ent, CacheMiss, leaderAns, nil
 		}
 		if shared && ctx.Err() == nil {
 			// The shared failure was the leader's (its cancellation, or its
@@ -356,15 +382,16 @@ func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string) (*
 		if !shared {
 			e.buildErrors.Add(1)
 		}
-		return nil, "", err
+		return nil, "", nil, err
 	}
 }
 
 // build runs retrieval plus Step 1 for req on the caller's context,
-// against the corpus epoch the request pinned when it was created. The
-// per-stage spans land on the caller's trace, and the caller's deadline
-// and cancellation govern the computation through the core checkpoints.
-func (e *Engine) build(ctx context.Context, req *QueryRequest) (*entry, error) {
+// against the corpus epoch the request pinned when it was created, and
+// returns the full score set. The per-stage spans land on the caller's
+// trace, and the caller's deadline and cancellation govern the
+// computation through the core checkpoints.
+func (e *Engine) build(ctx context.Context, req *QueryRequest) (*core.ScoreSet, error) {
 	e.builds.Add(1)
 	loc := geo.Pt(req.X, req.Y)
 	// BeginSpan rather than StartSpan: a sharded retrieve records one
@@ -390,7 +417,7 @@ func (e *Engine) build(ctx context.Context, req *QueryRequest) (*entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("score: %w", err)
 	}
-	return newEntry(ss), nil
+	return ss, nil
 }
 
 // Stats is a point-in-time snapshot of the Engine's reuse counters. The
@@ -424,6 +451,10 @@ type Stats struct {
 	Places int
 	// Entries and Capacity describe the LRU occupancy.
 	Entries, Capacity int
+	// CacheBytes is the score-set memory of the resident entries
+	// (core.ScoreSet.Bytes, counted once at insert). Their answer memos
+	// are not included.
+	CacheBytes int
 	// SquaredTables and RadialResolutions count the memoised maximal
 	// grid tables per kind; TableBytes is their combined footprint.
 	SquaredTables, RadialResolutions int
@@ -461,6 +492,7 @@ func (e *Engine) Stats() Stats {
 		Places:         len(snap.data.Places),
 		Entries:        e.cache.len(),
 		Capacity:       e.opt.CacheEntries,
+		CacheBytes:     e.cache.bytes(),
 	}
 	if snap.shards != nil {
 		s.Shards = snap.shards.NumShards()
@@ -481,11 +513,13 @@ func (e *Engine) Stats() Stats {
 // entry is one LRU slot: a score set plus its per-(algorithm, k, λ)
 // answer memo — the selection and everything rendered from it.
 type entry struct {
-	ss   *core.ScoreSet
+	ss *core.ScoreSet
+	// size is ss.Bytes(), fixed when the entry is made; the LRU sums it.
+	size int
 	mu   sync.Mutex
 	sels map[selKey]*answer
 }
 
 func newEntry(ss *core.ScoreSet) *entry {
-	return &entry{ss: ss, sels: make(map[selKey]*answer)}
+	return &entry{ss: ss, size: ss.Bytes(), sels: make(map[selKey]*answer)}
 }

@@ -18,9 +18,10 @@ const CacheBypass = "bypass"
 // alongside the result. The LRU and singleflight layers are deliberately
 // bypassed: a cached score set carries no pruning counters and a memoised
 // selection carries no greedy trace, so serving either would return an
-// empty report. The recomputed entry still warms the cache when the key
-// was not already resident (the work is done, so keep it), but never
-// displaces a resident entry's memoised selections.
+// empty report. The recomputed score set still warms the cache, in its
+// compact form, when the key was not already resident (the work is done,
+// so keep it), but never displaces a resident entry's memoised
+// selections; the response is selected and rendered on the full set.
 //
 // The report's second return is self-contained (deep-copied by
 // Collector.Report), safe to retain and serialise after the call.
@@ -35,30 +36,30 @@ func (e *Engine) Explain(ctx context.Context, req *QueryRequest) (*Result, *expl
 	ctx = explain.WithCollector(ctx, col)
 
 	cached := e.cache.contains(key.String())
-	ent, err := e.build(ctx, req)
+	ss, err := e.build(ctx, req)
 	if err != nil {
 		e.buildErrors.Add(1)
 		return nil, nil, err
 	}
 	if !cached {
-		e.cache.add(key.String(), ent)
+		e.cache.add(key.String(), newEntry(ss.Compact()))
 	}
 
-	if ent.ss.K() <= req.SmallK {
+	if ss.K() <= req.SmallK {
 		return nil, nil, fmt.Errorf("%w: retrieved %d places; need more than k=%d",
-			ErrBadRequest, ent.ss.K(), req.SmallK)
+			ErrBadRequest, ss.K(), req.SmallK)
 	}
 	p := core.Params{K: req.SmallK, Lambda: req.Lambda, Gamma: req.Gamma}
 	// Step 2 runs directly, not through the entry's selection memo: the
 	// greedy rounds must actually execute for the trace to exist.
-	sel, err := core.SelectCtx(ctx, core.Algorithm(req.Algo), ent.ss, p)
+	sel, err := core.SelectCtx(ctx, core.Algorithm(req.Algo), ss, p)
 	if err != nil {
 		return nil, nil, fmt.Errorf("select: %w", err)
 	}
 	res := &Result{
-		SS:        ent.ss,
+		SS:        ss,
 		Sel:       sel,
-		Breakdown: ent.ss.Evaluate(sel.Indices, req.Lambda),
+		Breakdown: ss.Evaluate(sel.Indices, req.Lambda),
 		Cache:     CacheBypass,
 	}
 	return res, col.Report(), nil

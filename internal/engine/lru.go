@@ -7,14 +7,15 @@ import (
 )
 
 // lruCache is a size-bounded, mutex-guarded LRU over score-set entries.
-// Capacity is counted in entries, not bytes: a score set's footprint is
-// ~12·K² bytes (three packed K×K symmetric matrices), so the caller picks
-// the capacity for its K ceiling (see Options.CacheEntries).
+// Capacity is counted in entries, not bytes: a cached score set is
+// compact, ~92·K bytes (see Options.CacheEntries). The resident entries'
+// score-set bytes are summed as they come and go.
 type lruCache struct {
 	mu        sync.Mutex
 	capacity  int
 	ll        *list.List // front = most recently used
 	items     map[string]*list.Element
+	size      int // Σ entry.size over the resident entries
 	evictions atomic.Uint64
 }
 
@@ -51,16 +52,19 @@ func (c *lruCache) get(key string) (*entry, bool) {
 func (c *lruCache) add(key string, v *entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.size += v.size
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruItem).val = v
+		it := el.Value.(*lruItem)
+		c.size -= it.val.size
+		it.val = v
 		c.ll.MoveToFront(el)
 		return
 	}
 	c.items[key] = c.ll.PushFront(&lruItem{key: key, val: v})
 	if c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruItem).key)
+		oldest := c.ll.Remove(c.ll.Back()).(*lruItem)
+		delete(c.items, oldest.key)
+		c.size -= oldest.val.size
 		c.evictions.Add(1)
 	}
 }
@@ -79,6 +83,7 @@ func (c *lruCache) sweep(stale func(key string) bool) int {
 		if stale(it.key) {
 			c.ll.Remove(el)
 			delete(c.items, it.key)
+			c.size -= it.val.size
 			n++
 		}
 		el = next
@@ -99,6 +104,13 @@ func (c *lruCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// bytes returns the summed score-set bytes of the resident entries.
+func (c *lruCache) bytes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.size
 }
 
 func (c *lruCache) evicted() uint64 { return c.evictions.Load() }

@@ -36,19 +36,31 @@ func AllPairsSpatialCtx(ctx context.Context, q geo.Point, pts []geo.Point, worke
 	return pairs.Fill(ctx, len(pts), workers, func(m *pairs.Matrix) func(int) {
 		return func(i int) {
 			for j := i + 1; j < len(pts); j++ {
-				den := dq[i] + dq[j]
-				if den == 0 {
-					m.Set(i, j, 1) // both points coincide with q
-					continue
-				}
-				d := pts[i].Dist(pts[j]) / den
-				if d > 1 {
-					d = 1
-				}
-				m.Set(i, j, 1-d)
+				m.Set(i, j, exactSS(dq[i], dq[j], pts[i], pts[j]))
 			}
 		}
 	})
+}
+
+// ExactPairSS returns the entry (i, j) of AllPairsSpatial(q, pts) for
+// pi = pts[i], pj = pts[j], bit for bit: it evaluates the fill's own
+// per-pair expression on the same operands.
+func ExactPairSS(q, pi, pj geo.Point) float64 {
+	return exactSS(pi.Dist(q), pj.Dist(q), pi, pj)
+}
+
+// exactSS is the exact Ptolemy similarity of pi and pj given their
+// distances dqi, dqj to the query location.
+func exactSS(dqi, dqj float64, pi, pj geo.Point) float64 {
+	den := dqi + dqj
+	if den == 0 {
+		return 1 // both points coincide with q
+	}
+	d := pi.Dist(pj) / den
+	if d > 1 {
+		d = 1
+	}
+	return 1 - d
 }
 
 // PSSBaseline returns the exact pSS(p_i) vector (Eq. 6) and the pairwise

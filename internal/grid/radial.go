@@ -154,22 +154,44 @@ func (r *Radial) PSS(tbl *RadialTable) []float64 {
 func (r *Radial) ApproxAllPairs(tbl *RadialTable) *pairs.Matrix {
 	n := len(r.cellOf)
 	m := pairs.New(n)
+	p := r.Pairs(tbl)
 	for i := 0; i < n; i++ {
-		ci := int(r.cellOf[i])
 		for j := i + 1; j < n; j++ {
-			cj := int(r.cellOf[j])
-			switch {
-			case ci == cj:
-				m.Set(i, j, 1)
-			case tbl != nil:
-				m.Set(i, j, tbl.At(r.rings, ci, cj))
-			default:
-				m.Set(i, j, unitRadialSS(ci, cj, r.slices))
-			}
+			m.Set(i, j, p.At(i, j))
 		}
 	}
 	return m
 }
+
+// RadialPairs is the O(K) state from which any single entry of the matrix
+// ApproxAllPairs fills can be reproduced: ApproxAllPairs fills every entry
+// through RadialPairs.At. The zero value is unused.
+type RadialPairs struct {
+	tbl           *RadialTable
+	rings, slices int
+	cell          []int32 // sector index of every point
+}
+
+// Pairs returns the pair state for the matrix ApproxAllPairs(tbl) fills.
+func (r *Radial) Pairs(tbl *RadialTable) RadialPairs {
+	return RadialPairs{tbl: tbl, rings: r.rings, slices: r.slices, cell: r.cellOf}
+}
+
+// At returns sS between points i < j, as ApproxAllPairs stores it.
+func (p RadialPairs) At(i, j int) float64 {
+	ci, cj := int(p.cell[i]), int(p.cell[j])
+	switch {
+	case ci == cj:
+		return 1
+	case p.tbl != nil:
+		return p.tbl.At(p.rings, ci, cj)
+	default:
+		return unitRadialSS(ci, cj, p.slices)
+	}
+}
+
+// Bytes returns the memory footprint of the per-point sector indices.
+func (p RadialPairs) Bytes() int { return len(p.cell) * 4 }
 
 func unitRadialSS(ci, cj, slices int) float64 {
 	return geo.PtolemySimilarity(geo.Pt(0, 0),

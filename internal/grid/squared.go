@@ -281,6 +281,46 @@ func (g *Squared) ApproxAllPairsCtx(ctx context.Context, tbl *SquaredTable, work
 	})
 }
 
+// SquaredPairs is the O(K) state from which any single entry of the
+// matrix ApproxAllPairsCtx fills can be reproduced bit for bit: the same
+// table element the fill gathers, or the same unitSS call that built the
+// occupied-cell table it gathers from otherwise. The zero value is unused.
+type SquaredPairs struct {
+	tbl  *SquaredTable // nil when the fill did not gather from a table
+	side int
+	// idx holds, per point, the flat G_MAX index of its cell when tbl is
+	// set and the cell index in this grid otherwise.
+	idx []int32
+}
+
+// Pairs returns the pair state for the matrix ApproxAllPairsCtx(ctx, tbl,
+// …) fills.
+func (g *Squared) Pairs(tbl *SquaredTable) SquaredPairs {
+	if g.tableDriven(tbl) {
+		_, pmi := g.maximalIdx(tbl)
+		return SquaredPairs{tbl: tbl, side: g.side, idx: pmi}
+	}
+	return SquaredPairs{side: g.side, idx: g.cellOf}
+}
+
+// At returns sS between points i and j (i ≠ j).
+func (p SquaredPairs) At(i, j int) float64 {
+	a, b := int(p.idx[i]), int(p.idx[j])
+	if p.tbl != nil {
+		return p.tbl.v[a*p.tbl.Cells()+b]
+	}
+	if a == b {
+		return 1
+	}
+	if a > b {
+		a, b = b, a // cellScores computes each cell pair in ascending order
+	}
+	return unitSS(a, b, p.side)
+}
+
+// Bytes returns the memory footprint of the per-point indices.
+func (p SquaredPairs) Bytes() int { return len(p.idx) * 4 }
+
 // unitSS computes sS between the unit-scale centres of two cells of a grid
 // with the given side, w.r.t. the grid centre (Theorem 7.1 guarantees this
 // equals the true-scale value).

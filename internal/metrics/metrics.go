@@ -302,7 +302,8 @@ func Diversity(ss *core.ScoreSet, r []int) float64 {
 	var n int
 	for a := 0; a < len(r); a++ {
 		for b := a + 1; b < len(r); b++ {
-			sum += ss.SF.At(r[a], r[b])
+			_, _, sf := ss.Pair(r[a], r[b])
+			sum += sf
 			n++
 		}
 	}

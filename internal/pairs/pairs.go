@@ -39,6 +39,14 @@ func (m *Matrix) idx(i, j int) int {
 // At returns the score of the pair (i, j), i ≠ j.
 func (m *Matrix) At(i, j int) float64 { return m.val[m.idx(i, j)] }
 
+// Index returns the position of the pair (i, j), i ≠ j, in the packed
+// triangle. Matrices over the same n objects store a pair at the same
+// position, so one Index serves a read of each of them through AtIndex.
+func (m *Matrix) Index(i, j int) int { return m.idx(i, j) }
+
+// AtIndex returns the score stored at position k (see Index).
+func (m *Matrix) AtIndex(k int) float64 { return m.val[k] }
+
 // Row returns the mutable slice of scores of the pairs (i, i+1) … (i, n−1):
 // entry t of the returned slice is the score of (i, i+1+t). Bulk fills use
 // it to write a whole row without per-entry index arithmetic; the slice
@@ -101,15 +109,22 @@ func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
 	return max
 }
 
-// Combine returns a new matrix whose entries are wa·a + wb·b, the weighted
-// similarity sF of Eq. 13 when a holds sC and b holds sS.
+// Bytes returns the memory footprint of the packed triangle.
+func (m *Matrix) Bytes() int { return len(m.val) * 8 }
+
+// Combine returns a new matrix whose entries are Blend(wa, a, wb, b), the
+// weighted similarity sF of Eq. 13 when a holds sC and b holds sS.
 func Combine(a, b *Matrix, wa, wb float64) *Matrix {
 	if a.n != b.n {
 		panic("pairs: Matrix size mismatch")
 	}
 	out := New(a.n)
 	for k := range out.val {
-		out.val[k] = wa*a.val[k] + wb*b.val[k]
+		out.val[k] = Blend(wa, a.val[k], wb, b.val[k])
 	}
 	return out
 }
+
+// Blend is one entry of Combine: wa·a + wb·b. Code that recomputes a
+// single sF entry calls it too, so the entry it gets has Combine's bits.
+func Blend(wa, a, wb, b float64) float64 { return wa*a + wb*b }

@@ -180,15 +180,25 @@ func (s Set) UnionSize(o Set) int {
 	return len(s.items) + len(o.items) - s.IntersectionSize(o)
 }
 
-// Jaccard returns |s ∩ o| / |s ∪ o|. Two empty sets have similarity 0,
-// the conventional choice that keeps empty contexts from attracting each
-// other in the proportionality scores.
+// Jaccard returns |s ∩ o| / |s ∪ o|. Disjoint sets — two empty sets
+// included — have similarity +0, the conventional choice that keeps empty
+// contexts from attracting each other in the proportionality scores and
+// the value the all-pairs engines leave in a pair they never compare. A
+// non-zero value comes from jaccard, the expression those engines store,
+// so every entry of their matrices equals Jaccard of its two sets bit for
+// bit.
 func (s Set) Jaccard(o Set) float64 {
-	u := s.UnionSize(o)
-	if u == 0 {
+	inter := s.IntersectionSize(o)
+	if inter == 0 {
 		return 0
 	}
-	return float64(s.IntersectionSize(o)) / float64(u)
+	return jaccard(inter, len(s.items), len(o.items))
+}
+
+// jaccard is the similarity of two sets of sizes li and lj that share
+// inter ≥ 1 items.
+func jaccard(inter, li, lj int) float64 {
+	return float64(inter) / float64(li+lj-inter)
 }
 
 // Equal reports whether s and o contain exactly the same items.

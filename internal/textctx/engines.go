@@ -82,8 +82,7 @@ func (BaselineEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores,
 				if inter == 0 {
 					continue
 				}
-				union := li + sets[j].Len() - inter
-				ps.Set(i, j, float64(inter)/float64(union))
+				ps.Set(i, j, jaccard(inter, li, sets[j].Len()))
 			}
 		}
 	})
@@ -179,8 +178,7 @@ func (e MSJHEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, e
 			for _, j := range touched {
 				inter := counts[j]
 				counts[j] = 0
-				union := li + sets[j].Len() - int(inter)
-				ps.Set(i, int(j), float64(inter)/float64(union))
+				ps.Set(i, int(j), jaccard(int(inter), li, sets[j].Len()))
 			}
 			scratch = touched
 		}
