@@ -137,7 +137,7 @@ func TestSearchCacheDiagnostics(t *testing.T) {
 
 func TestBatchMixedResults(t *testing.T) {
 	s := testServer(t)
-	word := s.data.Places[0].Context.Words(s.data.Dict)[0]
+	word := s.eng.Corpus().Places[0].Context.Words(s.eng.Corpus().Dict)[0]
 	body := map[string]any{
 		"queries": []map[string]any{
 			{"K": 60, "k": 5}, // defaults for the rest

@@ -101,7 +101,7 @@ func canon(t *testing.T, body []byte) string {
 // fields are stripped.
 func TestHitMissColdBodiesAgree(t *testing.T) {
 	s := testServerCfg(t, Config{MaxK: 90})
-	word := s.data.Places[0].Context.Words(s.data.Dict)[0]
+	word := s.eng.Corpus().Places[0].Context.Words(s.eng.Corpus().Dict)[0]
 	n := 0
 	for _, algo := range []string{"abp", "iadu"} {
 		for _, k := range []int{3, 8} {
@@ -190,7 +190,7 @@ func TestHitMissColdBodiesAgree(t *testing.T) {
 // each response must echo its own keywords and dropped list.
 func TestKeywordSpellingsShareAnswerNotEcho(t *testing.T) {
 	s := testServer(t)
-	word := s.data.Places[0].Context.Words(s.data.Dict)[0]
+	word := s.eng.Corpus().Places[0].Context.Words(s.eng.Corpus().Dict)[0]
 	fetch := func(keywords string) searchResponse {
 		t.Helper()
 		rec := get(t, s, "/v1/search?K=60&k=5&keywords="+url.QueryEscape(keywords))

@@ -59,10 +59,11 @@
 //	DELETE /v1/corpora/{name}    → unregisters a corpus and closes its WAL (files
 //	                               stay on disk); the default corpus is protected
 //
-// With -shards=N (2 ≤ N ≤ 64) every corpus is split into N spatial shards —
-// each with its own inverted index, IR-tree and epoch — and Step-1
-// retrieval fans out across them in parallel. Sharded results are
-// exactly those of the unsharded engine (see DESIGN.md). Independently,
+// Every corpus is served as N spatial shards (-shards, 1 ≤ N ≤ 64; 0
+// means 1), each with its own IR-tree and epoch; one shard is the
+// corpus's own tree. With N ≥ 2, Step-1 retrieval fans out across the
+// shards in parallel, and results are exactly those of one shard (see
+// DESIGN.md). Independently,
 // -step1-workers=N fans the quadratic Step-1 score fills of a cache miss
 // (contextual all-pairs, spatial all-pairs or grid matrix fill) out over
 // N goroutines; the parallel fills are bit-identical to the sequential
@@ -148,7 +149,7 @@ func main() {
 	walSyncInterval := fs.Duration("wal-sync-interval", 100*time.Millisecond, "fsync cadence under -wal-sync=interval")
 	walRequired := fs.Bool("wal-required", true, "treat WAL open/recovery failure as fatal; false degrades to serving reads and shedding mutations with 503")
 	walCompactRecords := fs.Int("wal-compact-records", 0, "log length in records beyond which a mutation triggers background snapshot compaction (0: 1024)")
-	shards := fs.Int("shards", 0, "spatial shards per corpus for parallel Step-1 fan-out (0 or 1: unsharded; at most 64; results are identical either way)")
+	shards := fs.Int("shards", 0, "spatial shards per corpus for parallel Step-1 fan-out (0 or 1: one shard, the corpus's own tree; at most 64; results are identical either way)")
 	step1Workers := fs.Int("step1-workers", 0, "goroutines for the quadratic Step-1 fills of a cache miss (contextual all-pairs, spatial all-pairs, grid matrix fill); 0 or 1: sequential; results are identical either way")
 	traces := fs.Bool("traces", true, "retain per-request traces (tail-based: slow/error/shed/degraded always, -trace-sample for the rest) and serve GET /v1/traces")
 	traceSample := fs.Float64("trace-sample", 0.01, "probability that a fast, healthy request's trace is retained (tail rules retain regardless; negative: tail-only)")

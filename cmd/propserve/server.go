@@ -117,10 +117,11 @@ type Config struct {
 	// the fraction of requests that are neither 5xx errors nor shed must
 	// stay above it. Default 0.999.
 	SLOAvailability float64
-	// Shards, when >= 2, splits every corpus into that many spatial
-	// shards — each with its own inverted index, IR-tree and epoch — and
-	// fans Step-1 retrieval out across them in parallel. Results are
-	// exactly those of the unsharded engine. 0 or 1 serves unsharded.
+	// Shards is the number of spatial shards every corpus is split into
+	// (engine.Options.Shards), each with its own IR-tree and epoch. With
+	// two or more, Step-1 retrieval fans out across them in parallel;
+	// results are exactly those of one shard. 0 means 1: the corpus's
+	// own tree.
 	Shards int
 	// Step1Workers fans the quadratic Step-1 fills of a cache miss out
 	// over this many goroutines (engine.Options.Step1Workers). ≤ 1 keeps
@@ -363,7 +364,6 @@ func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *eng
 type Server struct {
 	handler http.Handler
 	mux     *http.ServeMux
-	data    *dataset.Dataset
 	eng     *engine.Engine // default tenant's engine
 	cfg     Config
 	gate    *resilience.Gate // default tenant's gate
@@ -414,7 +414,6 @@ func NewServerWithEngine(eng *engine.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		mux:   http.NewServeMux(),
-		data:  eng.Corpus(),
 		eng:   eng,
 		cfg:   cfg,
 		reg:   registry.New(),
@@ -597,7 +596,7 @@ func (s *Server) registerTenantMetrics() {
 		"Currently published epoch of each corpus.",
 		perTenant(func(tn *registry.Tenant) float64 { return float64(tn.Eng.Epoch()) }))
 	reg.GaugeSeriesFunc("propserve_tenant_shards",
-		"Spatial shards each corpus's Step-1 retrieval fans out across (0 when unsharded).",
+		"Spatial shards each corpus's Step-1 retrieval runs over (1 for a corpus's own tree).",
 		perTenant(func(tn *registry.Tenant) float64 { return float64(tn.Eng.Stats().Shards) }))
 	reg.GaugeSeriesFunc("propserve_tenant_cache_hit_ratio",
 		"Score-set LRU hit ratio of each corpus's engine (0 before any lookup).",
@@ -1511,7 +1510,7 @@ func checkShards(n int) error {
 // createCorpusRequest is the POST /v1/corpora payload. Places and Seed
 // parameterise the generated corpus; Shards and CacheEntries override
 // the server-wide defaults for this tenant (0 inherits, shards=1 forces
-// unsharded; shards is capped at maxShards, negative values are 400s).
+// one shard; shards is capped at maxShards, negative values are 400s).
 type createCorpusRequest struct {
 	Name         string `json:"name"`
 	Places       int    `json:"places"`

@@ -143,7 +143,7 @@ func TestSearchAllAlgorithms(t *testing.T) {
 func TestSearchWithKeywordsAndLocation(t *testing.T) {
 	s := testServer(t)
 	// Use a real vocabulary word so the keyword resolves.
-	word := s.data.Places[0].Context.Words(s.data.Dict)[0]
+	word := s.eng.Corpus().Places[0].Context.Words(s.eng.Corpus().Dict)[0]
 	rec := get(t, s, "/v1/search?x=50&y=50&K=60&k=5&keywords="+word)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())

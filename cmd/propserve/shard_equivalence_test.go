@@ -1,7 +1,8 @@
 package main
 
 // Shard-equivalence property suite: a server running with -shards=4 must
-// be observationally identical to an unsharded one through /v1/search —
+// be observationally identical to a default ("unsharded": one shard, the
+// corpus's own tree) one through /v1/search —
 // same result IDs, same scores, same diagnostics (modulo per-request
 // timings, which stripVolatile removes). The engine-level proof lives in
 // internal/engine/shard_test.go; this suite pins the property at the
@@ -45,7 +46,7 @@ func TestShardEquivalenceHTTP(t *testing.T) {
 	if got := sharded.def.Eng.Stats().Shards; got != 4 {
 		t.Fatalf("sharded server reports %d shards, want 4", got)
 	}
-	word := unsharded.data.Places[0].Context.Words(unsharded.data.Dict)[0]
+	word := unsharded.eng.Corpus().Places[0].Context.Words(unsharded.eng.Corpus().Dict)[0]
 	queries := equivalenceQueries(word)
 
 	compare := func(phase string) {
@@ -77,8 +78,8 @@ func TestShardEquivalenceHTTP(t *testing.T) {
 			{"id": "eq:c", "x": 12.3, "y": 86.9, "context": []string{word}},
 		},
 		"deletes": []string{
-			unsharded.data.Places[3].Label,
-			unsharded.data.Places[250].Label,
+			unsharded.eng.Corpus().Places[3].Label,
+			unsharded.eng.Corpus().Places[250].Label,
 		},
 	}
 	ra := postJSON(t, unsharded, "/v1/corpus", mutation)

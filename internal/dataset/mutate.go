@@ -66,16 +66,24 @@ func (d *Dataset) Apply(b Batch) (*Dataset, ApplyStats, error) {
 // core.ErrDeadline (wrapping the context error), mirroring the scoring
 // and selection loops.
 func (d *Dataset) ApplyCtx(ctx context.Context, b Batch) (*Dataset, ApplyStats, error) {
+	next, st, _, err := d.apply(ctx, b)
+	return next, st, err
+}
+
+// apply is ApplyCtx that also returns the indices in d.Places of the
+// places the batch deleted or replaced, which is how ShardView.Apply
+// finds the shards a batch touches without a label map of its own.
+func (d *Dataset) apply(ctx context.Context, b Batch) (*Dataset, ApplyStats, []int, error) {
 	var st ApplyStats
 	if b.Size() == 0 {
-		return nil, st, fmt.Errorf("dataset: empty mutation batch")
+		return nil, st, nil, fmt.Errorf("dataset: empty mutation batch")
 	}
 	for _, u := range b.Upserts {
 		if u.ID == "" {
-			return nil, st, fmt.Errorf("dataset: upsert with empty id")
+			return nil, st, nil, fmt.Errorf("dataset: upsert with empty id")
 		}
 		if !geo.Pt(u.X, u.Y).Valid() {
-			return nil, st, fmt.Errorf("dataset: upsert %q at non-finite location (%v, %v)", u.ID, u.X, u.Y)
+			return nil, st, nil, fmt.Errorf("dataset: upsert %q at non-finite location (%v, %v)", u.ID, u.X, u.Y)
 		}
 	}
 
@@ -103,18 +111,20 @@ scan:
 	// wants.
 	const checkpointStride = 4096
 	if err := core.CtxErr(ctx); err != nil {
-		return nil, st, err
+		return nil, st, nil, err
 	}
 
-	byID := make(map[string]int, len(d.Places))
+	oldID := make(map[string]int, len(d.Places))
 	for i, p := range d.Places {
-		byID[p.Label] = i
+		oldID[p.Label] = i
 	}
 
+	var touched []int
 	drop := make(map[int]bool, len(b.Deletes))
 	for _, id := range b.Deletes {
-		if i, ok := byID[id]; ok && !drop[i] {
+		if i, ok := oldID[id]; ok && !drop[i] {
 			drop[i] = true
+			touched = append(touched, i)
 			st.Deleted++
 		} else {
 			st.Missing = append(st.Missing, id)
@@ -125,7 +135,7 @@ scan:
 	for i, p := range d.Places {
 		if i%checkpointStride == 0 && i > 0 {
 			if err := core.CtxErr(ctx); err != nil {
-				return nil, st, err
+				return nil, st, nil, err
 			}
 		}
 		if !drop[i] {
@@ -133,12 +143,15 @@ scan:
 		}
 	}
 	// The compaction above shifted indices; rebuild the ID map over it.
-	byID = make(map[string]int, len(places))
+	byID := make(map[string]int, len(places))
 	for i, p := range places {
 		byID[p.Label] = i
 	}
 
 	for _, u := range b.Upserts {
+		if i, ok := oldID[u.ID]; ok {
+			touched = append(touched, i)
+		}
 		before := dict.Len()
 		rec := PlaceRecord{
 			Label:   u.ID,
@@ -156,13 +169,13 @@ scan:
 	}
 
 	if len(places) < 2 {
-		return nil, ApplyStats{}, fmt.Errorf("dataset: mutation would leave %d places; need at least 2", len(places))
+		return nil, ApplyStats{}, nil, fmt.Errorf("dataset: mutation would leave %d places; need at least 2", len(places))
 	}
 
 	// Last exit before the index rebuild, the other O(n log n) chunk of
 	// the batch cost.
 	if err := core.CtxErr(ctx); err != nil {
-		return nil, st, err
+		return nil, st, nil, err
 	}
 
 	objs := make([]irtree.Object, len(places))
@@ -171,7 +184,7 @@ scan:
 	}
 	idx, err := irtree.BulkLoad(objs)
 	if err != nil {
-		return nil, ApplyStats{}, fmt.Errorf("dataset: rebuild index: %w", err)
+		return nil, ApplyStats{}, nil, fmt.Errorf("dataset: rebuild index: %w", err)
 	}
-	return &Dataset{Config: d.Config, Dict: dict, Places: places, Index: idx}, st, nil
+	return &Dataset{Config: d.Config, Dict: dict, Places: places, Index: idx}, st, touched, nil
 }

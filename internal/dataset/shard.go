@@ -2,11 +2,14 @@ package dataset
 
 // Spatial sharding of a corpus for parallel Step-1 fan-out.
 //
-// A ShardView partitions the place set by grid cell into n shards, each
-// with its own IR-tree (and therefore its own inverted index). Retrieve
-// fans the top-K query out across the shards in parallel and lazily
-// merges the per-shard canonical result streams back into the exact
-// sequence the unsharded tree would emit. Exactness rests on two facts:
+// A ShardView partitions the place set by grid cell into n ≥ 1 shards,
+// each with its own IR-tree (and therefore its own inverted index). A
+// one-shard view is the corpus itself: its shard is the base dataset's
+// own tree under the identity mapping, so it costs no second bulk load.
+// Retrieve runs the first shard on the calling goroutine, fans the top-K
+// query out across the others in parallel, and lazily merges the
+// per-shard canonical result streams back into the exact sequence the
+// unsharded tree would emit. Exactness rests on two facts:
 //
 //  1. An object's score β·Jaccard + (1−β)·proximity depends only on the
 //     object, the query and the explicit Beta/MaxDist — never on which
@@ -42,14 +45,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Shard is one spatial partition: a subset of the corpus places in
-// global order with its own IR-tree.
+// Shard is one spatial partition: a subset of the corpus places with its
+// own IR-tree. The records themselves stay in the base dataset.
 type Shard struct {
-	// Places holds the shard's subset of the corpus, in global order.
-	Places []PlaceRecord
-	// Global maps a local object ID (index into Places, and the IDs the
-	// shard's tree ranks by) to the place's global corpus index. It is
-	// strictly increasing, so local-ID order agrees with global order.
+	// Global maps a local object ID (the IDs the shard's tree ranks by)
+	// to the place's global corpus index. It is strictly increasing, so
+	// local-ID order agrees with global order.
 	Global []int32
 	// Index is the shard's IR-tree over local object IDs.
 	Index *irtree.Tree
@@ -74,17 +75,17 @@ type ShardView struct {
 	Shards       []*Shard
 }
 
-// NewShardView partitions d into n shards, each built at epoch. n must
-// be at least 2 (a single shard is just the unsharded dataset).
+// NewShardView partitions d into n ≥ 1 shards, each built at epoch. A
+// one-shard view wraps d itself: its shard serves d.Index.
 func NewShardView(d *Dataset, n int, epoch uint64) (*ShardView, error) {
-	if n < 2 {
-		n = 2
+	if n < 1 {
+		return nil, fmt.Errorf("dataset: %d shards; need at least 1", n)
 	}
 	sv := &ShardView{base: d, n: n}
 	sv.initGrid()
 	assign := sv.assignAll(d.Places)
 	for sid := 0; sid < n; sid++ {
-		sh, err := buildShard(d.Places, assign, sid, epoch)
+		sh, err := sv.buildShard(assign, sid, epoch)
 		if err != nil {
 			return nil, err
 		}
@@ -136,21 +137,25 @@ func (sv *ShardView) assignAll(places []PlaceRecord) []int {
 	return assign
 }
 
-// buildShard collects shard sid's places (in global order) and bulk-loads
-// its tree. The error is unreachable for places that already passed the
-// base index's location validation.
-func buildShard(places []PlaceRecord, assign []int, sid int, epoch uint64) (*Shard, error) {
+// buildShard collects shard sid's members of the view's base (in global
+// order) and bulk-loads their tree; the single shard of a one-shard view
+// takes the base's own tree instead. The error is unreachable for places
+// that already passed the base index's location validation.
+func (sv *ShardView) buildShard(assign []int, sid int, epoch uint64) (*Shard, error) {
 	sh := &Shard{Epoch: epoch}
 	for i, a := range assign {
-		if a != sid {
-			continue
+		if a == sid {
+			sh.Global = append(sh.Global, int32(i))
 		}
-		sh.Places = append(sh.Places, places[i])
-		sh.Global = append(sh.Global, int32(i))
 	}
-	objs := make([]irtree.Object, len(sh.Places))
-	for i, p := range sh.Places {
-		objs[i] = irtree.Object{ID: int32(i), Loc: p.Loc, Terms: p.Context}
+	if sv.n == 1 {
+		sh.Index = sv.base.Index
+		return sh, nil
+	}
+	objs := make([]irtree.Object, len(sh.Global))
+	for li, g := range sh.Global {
+		p := sv.base.Places[g]
+		objs[li] = irtree.Object{ID: int32(li), Loc: p.Loc, Terms: p.Context}
 	}
 	idx, err := irtree.BulkLoad(objs)
 	if err != nil {
@@ -170,7 +175,7 @@ func (sv *ShardView) NumShards() int { return sv.n }
 func (sv *ShardView) Info() []ShardInfo {
 	out := make([]ShardInfo, len(sv.Shards))
 	for i, sh := range sv.Shards {
-		out[i] = ShardInfo{Places: len(sh.Places), Epoch: sh.Epoch}
+		out[i] = ShardInfo{Places: len(sh.Global), Epoch: sh.Epoch}
 	}
 	return out
 }
@@ -185,13 +190,33 @@ type shardCursor struct {
 	i    int
 	done bool // stream exhausted
 
-	// Tracing bookkeeping, populated only when the retrieve is traced:
-	// the shard's span ID (for post-merge annotation), when its priming
-	// finished, and how many refills the merge pulled from it.
+	// Tracing bookkeeping, populated only when a fanned-out retrieve is
+	// traced: the shard's span ID (for post-merge annotation), when its
+	// priming finished, and how many refills the merge pulled from it.
 	sid      int
 	spanID   int
 	primeEnd time.Time
 	refills  int
+}
+
+// prime opens the shard's searcher and buffers its first chunk results,
+// recording a StageShard span when traced.
+func (c *shardCursor) prime(ctx context.Context, q Query, opt irtree.QueryOptions, chunk int, traced bool) {
+	var end func(...telemetry.Attr)
+	if traced {
+		c.spanID, end = telemetry.StartSpanAttrs(ctx, telemetry.StageShard)
+	}
+	c.s = c.sh.Index.Search(q.Loc, q.Keywords, opt)
+	c.buf = make([]irtree.Result, 0, min(chunk, len(c.sh.Global)))
+	c.refill(chunk)
+	if traced {
+		c.primeEnd = time.Now()
+		end(
+			telemetry.Attr{Key: "shard", Value: c.sid},
+			telemetry.Attr{Key: "primed", Value: len(c.buf)},
+			telemetry.Attr{Key: "exhausted", Value: c.done},
+		)
+	}
 }
 
 // refill extends the cursor's buffer by up to chunk results.
@@ -208,24 +233,30 @@ func (c *shardCursor) refill(chunk int) {
 	}
 }
 
-// Retrieve answers q with the K most relevant places by fanning the
-// query out across the shards and lazily merging their canonical result
-// streams. Each shard primes K/n plus slack results in parallel; the
-// serial k-way merge then consumes the prefixes in exact global order,
-// pulling more from a shard's retained cursor only when the merge
-// actually drains its prefix (a skewed query concentrating the top-K in
-// one shard). Total retrieval work is therefore ~K emissions spread
-// across the shards rather than n·K, while the output stays exactly
-// (bitwise) what the unsharded Dataset.Retrieve returns; see the
-// package comment for why.
+// Retrieve answers q with the K most relevant places (the paper's S):
+// the IR-trees rank by rF = ½·Jaccard(keywords, context) +
+// ½·(1 − dist/maxDist), with distances normalised by the corpus extent
+// diagonal. Each shard primes K/n plus slack results — the first on the
+// calling goroutine, the others in parallel — and the serial k-way merge
+// then consumes the prefixes in exact global order, pulling more from a
+// shard's retained cursor only when the merge actually drains its prefix
+// (a skewed query concentrating the top-K in one shard). Total retrieval
+// work is therefore ~K emissions spread across the shards rather than
+// n·K, while the output stays exactly (bitwise) what the unsharded
+// Dataset.Retrieve returns; see the package comment for why. A one-shard
+// view primes all K on the calling goroutine and the merge only reads
+// them out.
 //
-// When ctx carries a telemetry trace, each shard's priming records a
-// StageShard child span (shard index, primed count) and the k-way merge
-// a StageMerge span; after the merge, every shard span is annotated
-// with its refill count, merge_wait_ms — how long its primed prefix
-// sat waiting for the slowest shard before the merge began, which is
-// what attributes the fan-out barrier's cost to the shard that caused
-// it — and the nodes its searcher expanded and objects it scored. Without a trace the only per-shard overhead is one nil check.
+// When the retrieve fans out and ctx carries a telemetry trace, each
+// shard's priming records a StageShard child span (shard index, primed
+// count) and the k-way merge a StageMerge span; after the merge, every
+// shard span is annotated with its refill count, merge_wait_ms — how
+// long its primed prefix sat waiting for the slowest shard before the
+// merge began, which is what attributes the fan-out barrier's cost to
+// the shard that caused it — and the nodes its searcher expanded and
+// objects it scored. A retrieve that does not fan out records nothing
+// beneath the caller's span. Without a trace the only per-shard overhead
+// is one nil check.
 func (sv *ShardView) Retrieve(ctx context.Context, q Query, K int) ([]core.Place, error) {
 	if K <= 0 {
 		return nil, fmt.Errorf("dataset: K = %d must be positive", K)
@@ -235,39 +266,24 @@ func (sv *ShardView) Retrieve(ctx context.Context, q Query, K int) ([]core.Place
 
 	var curs []*shardCursor
 	for sid, sh := range sv.Shards {
-		if len(sh.Places) > 0 {
+		if len(sh.Global) > 0 {
 			curs = append(curs, &shardCursor{sh: sh, sid: sid})
 		}
 	}
 	if len(curs) == 0 {
 		return nil, nil
 	}
-	prime := K/len(curs) + 16
-	if prime > K {
-		prime = K
-	}
-	traced := telemetry.TraceFrom(ctx) != nil
+	prime := min(K/len(curs)+16, K)
+	traced := len(curs) > 1 && telemetry.TraceFrom(ctx) != nil
 	var wg sync.WaitGroup
-	for _, c := range curs {
+	for _, c := range curs[1:] {
 		wg.Add(1)
 		go func(c *shardCursor) {
 			defer wg.Done()
-			var end func(...telemetry.Attr)
-			if traced {
-				c.spanID, end = telemetry.StartSpanAttrs(ctx, telemetry.StageShard)
-			}
-			c.s = c.sh.Index.Search(q.Loc, q.Keywords, opt)
-			c.refill(prime)
-			if traced {
-				c.primeEnd = time.Now()
-				end(
-					telemetry.Attr{Key: "shard", Value: c.sid},
-					telemetry.Attr{Key: "primed", Value: len(c.buf)},
-					telemetry.Attr{Key: "exhausted", Value: c.done},
-				)
-			}
+			c.prime(ctx, q, opt, prime, traced)
 		}(c)
 	}
+	curs[0].prime(ctx, q, opt, prime, traced)
 	wg.Wait()
 
 	var (
@@ -283,7 +299,7 @@ func (sv *ShardView) Retrieve(ctx context.Context, q Query, K int) ([]core.Place
 	// stream is already in that order within its shard (Global is
 	// strictly increasing, so local-ID ties agree with global ties), so
 	// always taking the best head reproduces the unsharded sequence.
-	out := make([]core.Place, 0, K)
+	out := make([]core.Place, 0, min(K, len(sv.base.Places)))
 	for len(out) < K {
 		var (
 			best   *shardCursor
@@ -341,41 +357,34 @@ func roundMS(d time.Duration) float64 {
 // ApplyCtx and derives the successor view, rebuilding only the shards
 // the batch touches: the shard of every deleted place's old location,
 // and for upserts both the new location's shard and (for replacements)
-// the old one. Untouched shards keep their tree, place slice and epoch
-// — a mutation batch leaves them byte-identical — and only have their
-// Global lists renumbered, since deletes shift later global indices.
-// Rebuilt shards take nextEpoch, which is how per-shard epochs compose
-// into the corpus epoch.
+// the old one. Untouched shards keep their tree and epoch — a mutation
+// batch leaves them byte-identical — and only have their Global lists
+// renumbered, since deletes shift later global indices. Rebuilt shards
+// take nextEpoch, which is how per-shard epochs compose into the corpus
+// epoch. A one-shard view always takes the tree ApplyCtx built.
 func (sv *ShardView) Apply(ctx context.Context, b Batch, nextEpoch uint64) (*Dataset, *ShardView, ApplyStats, error) {
-	next, st, err := sv.base.ApplyCtx(ctx, b)
+	next, st, touched, err := sv.base.apply(ctx, b)
 	if err != nil {
 		return nil, nil, st, err
 	}
 
-	// Affected shards, computed against the OLD corpus (ApplyCtx already
-	// validated every upsert's coordinates).
-	oldByLabel := make(map[string]int, len(sv.base.Places))
-	for i, p := range sv.base.Places {
-		oldByLabel[p.Label] = i
-	}
-	affected := make(map[int]bool, sv.n)
-	for _, id := range b.Deletes {
-		if i, ok := oldByLabel[id]; ok {
-			affected[sv.shardOf(sv.base.Places[i].Loc)] = true
-		}
+	// Affected shards, computed against the OLD corpus (apply already
+	// validated every upsert's coordinates). A one-shard view's shard is
+	// always rebuilt: it must serve next's tree, not the old one.
+	affected := make([]bool, sv.n)
+	affected[0] = sv.n == 1
+	for _, i := range touched {
+		affected[sv.shardOf(sv.base.Places[i].Loc)] = true
 	}
 	for _, u := range b.Upserts {
 		affected[sv.shardOf(geo.Pt(u.X, u.Y))] = true
-		if i, ok := oldByLabel[u.ID]; ok {
-			affected[sv.shardOf(sv.base.Places[i].Loc)] = true
-		}
 	}
 
 	nv := &ShardView{base: next, n: sv.n, g: sv.g, cellW: sv.cellW, cellH: sv.cellH}
 	assign := nv.assignAll(next.Places)
 	for sid := 0; sid < sv.n; sid++ {
 		if affected[sid] {
-			sh, err := buildShard(next.Places, assign, sid, nextEpoch)
+			sh, err := nv.buildShard(assign, sid, nextEpoch)
 			if err != nil {
 				return nil, nil, st, err
 			}
@@ -397,7 +406,7 @@ func (sv *ShardView) Apply(ctx context.Context, b Batch, nextEpoch uint64) (*Dat
 		if len(global) != len(old.Global) {
 			// Defensive: membership changed where it could not have.
 			// Rebuild rather than serve a corrupt mapping.
-			sh, err := buildShard(next.Places, assign, sid, nextEpoch)
+			sh, err := nv.buildShard(assign, sid, nextEpoch)
 			if err != nil {
 				return nil, nil, st, err
 			}
@@ -405,7 +414,6 @@ func (sv *ShardView) Apply(ctx context.Context, b Batch, nextEpoch uint64) (*Dat
 			continue
 		}
 		nv.Shards = append(nv.Shards, &Shard{
-			Places: old.Places,
 			Global: global,
 			Index:  old.Index,
 			Epoch:  old.Epoch,

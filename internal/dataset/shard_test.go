@@ -44,11 +44,35 @@ func assertRetrieveEqual(t *testing.T, d *Dataset, sv *ShardView, q Query, K int
 	}
 }
 
-// TestShardViewPartition: every place lands in exactly one shard, and
-// Global lists are strictly increasing (local order = global order).
+// assertShardRecords checks that every object in each shard's tree sits
+// at, and carries the context of, the corpus record its Global entry
+// names, and that the shard holds exactly its Global members.
+func assertShardRecords(t *testing.T, sv *ShardView, d *Dataset) {
+	t.Helper()
+	for sid, sh := range sv.Shards {
+		if sh.Index.Len() != len(sh.Global) {
+			t.Fatalf("shard %d: tree holds %d objects, Global %d", sid, sh.Index.Len(), len(sh.Global))
+		}
+		bounds, ok := sh.Index.Bounds()
+		if !ok {
+			continue
+		}
+		for _, o := range sh.Index.RangeSearch(bounds) {
+			rec := d.Places[sh.Global[o.ID]]
+			if o.Loc != rec.Loc || !o.Terms.Equal(rec.Context) {
+				t.Fatalf("shard %d local %d: tree object does not match corpus record %q",
+					sid, o.ID, rec.Label)
+			}
+		}
+	}
+}
+
+// TestShardViewPartition: every place lands in exactly one shard, the
+// shard its location maps to, and Global lists are strictly increasing
+// (local order = global order). A one-shard view is the corpus itself.
 func TestShardViewPartition(t *testing.T) {
 	d := shardTestData(t, 3, 400)
-	for _, n := range []int{2, 3, 4, 7} {
+	for _, n := range []int{1, 2, 3, 4, 7} {
 		sv, err := NewShardView(d, n, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -59,10 +83,7 @@ func TestShardViewPartition(t *testing.T) {
 		seen := make(map[int32]int)
 		total := 0
 		for sid, sh := range sv.Shards {
-			if len(sh.Places) != len(sh.Global) {
-				t.Fatalf("shard %d: %d places but %d globals", sid, len(sh.Places), len(sh.Global))
-			}
-			total += len(sh.Places)
+			total += len(sh.Global)
 			prev := int32(-1)
 			for li, g := range sh.Global {
 				if g <= prev {
@@ -73,14 +94,21 @@ func TestShardViewPartition(t *testing.T) {
 					t.Fatalf("place %d in shards %d and %d", g, other, sid)
 				}
 				seen[g] = sid
-				if sv.Shards[sid].Places[li].Label != d.Places[g].Label {
-					t.Fatalf("shard %d local %d maps to wrong record", sid, li)
+				if got := sv.shardOf(d.Places[g].Loc); got != sid {
+					t.Fatalf("place %d held by shard %d but maps to shard %d", g, sid, got)
 				}
 			}
 		}
 		if total != len(d.Places) {
 			t.Fatalf("n=%d: shards hold %d places, corpus %d", n, total, len(d.Places))
 		}
+		assertShardRecords(t, sv, d)
+		if n == 1 && sv.Shards[0].Index != d.Index {
+			t.Fatal("one-shard view bulk-loaded a tree of its own instead of serving d.Index")
+		}
+	}
+	if _, err := NewShardView(d, 0, 0); err == nil {
+		t.Fatal("NewShardView accepted 0 shards")
 	}
 }
 
@@ -93,7 +121,7 @@ func TestShardRetrieveEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{2, 4, 7} {
+	for _, n := range []int{1, 2, 4, 7} {
 		sv, err := NewShardView(d, n, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -112,10 +140,17 @@ func TestShardRetrieveEquivalence(t *testing.T) {
 
 // TestShardApplyEquivalence: after mutations, the successor view still
 // matches the (independently mutated) unsharded dataset, untouched
-// shards keep their epoch, and touched shards take the new one.
+// shards keep their epoch, and touched shards take the new one. A
+// one-shard view serves the tree of each new base, never a copy.
 func TestShardApplyEquivalence(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { testShardApplyEquivalence(t, n) })
+	}
+}
+
+func testShardApplyEquivalence(t *testing.T, n int) {
 	d := shardTestData(t, 3, 300)
-	sv, err := NewShardView(d, 4, 0)
+	sv, err := NewShardView(d, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +180,13 @@ func TestShardApplyEquivalence(t *testing.T) {
 		if len(next.Places) != len(flat.Places) {
 			t.Fatalf("gen %d: sharded corpus %d places, flat %d", gen, len(next.Places), len(flat.Places))
 		}
+		if sv.Base() != next {
+			t.Fatalf("gen %d: successor view wraps a different dataset than Apply returned", gen)
+		}
+		if n == 1 && sv.Shards[0].Index != next.Index {
+			t.Fatalf("gen %d: one-shard view does not serve the new base's tree", gen)
+		}
+		assertShardRecords(t, sv, next)
 		for qi, q := range qs {
 			assertRetrieveEqual(t, flat, sv, q, 100,
 				fmt.Sprintf("gen=%d q=%d", gen, qi))
@@ -187,14 +229,7 @@ func TestShardApplyRenumbersUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sid, sh := range nv.Shards {
-		for li, g := range sh.Global {
-			if sh.Places[li].Label != next.Places[g].Label {
-				t.Fatalf("shard %d local %d: Global points at %q, shard holds %q",
-					sid, li, next.Places[g].Label, sh.Places[li].Label)
-			}
-		}
-	}
+	assertShardRecords(t, nv, next)
 	untouched := 0
 	for sid, sh := range nv.Shards {
 		if sh.Epoch == 0 {
@@ -220,7 +255,7 @@ func TestShardRetrieveSpans(t *testing.T) {
 	}
 	populated := 0
 	for _, sh := range sv.Shards {
-		if len(sh.Places) > 0 {
+		if len(sh.Global) > 0 {
 			populated++
 		}
 	}

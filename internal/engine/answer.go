@@ -98,7 +98,7 @@ func (e *Engine) render(req *QueryRequest, res *Result, tr *telemetry.Trace) *an
 	}
 	a.once.Do(func() {
 		defer tr.StartSpan(telemetry.StageBuild)()
-		a.build(req, res.SS, req.corpus(e).Dict)
+		a.build(req, res.SS, req.corpus().Dict)
 	})
 	return a
 }

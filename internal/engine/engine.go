@@ -38,14 +38,14 @@
 //
 // The Engine is safe for concurrent use. The corpus is held behind an
 // epoch-versioned, atomically swapped snapshot: Mutate builds the next
-// immutable epoch copy-on-write (dataset.Apply) and publishes it with one
-// pointer swap, while every request pins the snapshot current when it was
-// created and reads it for its whole lifetime — a query never observes a
-// half-applied batch. Score-set cache keys carry the epoch (stale-epoch
-// entries are proactively swept after each mutation), whereas the maximal
-// grid tables are deliberately epoch-free: by Theorem 7.1 they depend
-// only on cell geometry, never on corpus content, and so are shared
-// across every epoch forever.
+// immutable epoch copy-on-write (dataset.ShardView.Apply) and publishes
+// it with one pointer swap, while every request pins the snapshot current
+// when it was created and reads it for its whole lifetime — a query never
+// observes a half-applied batch. Score-set cache keys carry the epoch
+// (stale-epoch entries are proactively swept after each mutation),
+// whereas the maximal grid tables are deliberately epoch-free: by
+// Theorem 7.1 they depend only on cell geometry, never on corpus
+// content, and so are shared across every epoch forever.
 package engine
 
 import (
@@ -107,11 +107,11 @@ type Options struct {
 	// is published (see Mutate). Recovery attaches it after replay via
 	// SetWAL instead, so replayed batches are not re-logged.
 	WAL MutationLog
-	// Shards, when >= 2, splits the corpus into that many spatial shards
-	// (grid-cell partitions, each with its own IR-tree) and runs Step-1
-	// retrieval as a parallel fan-out with an exact merge — results are
-	// bitwise identical to the unsharded engine (see dataset.ShardView).
-	// 0 or 1 serves the single unsharded tree.
+	// Shards is the number of spatial shards the corpus is split into
+	// (grid-cell partitions, each with its own IR-tree; see
+	// dataset.ShardView). With two or more, Step-1 retrieval is a
+	// parallel fan-out with an exact merge, and results are bitwise
+	// identical to one shard's. 0 means 1: the corpus's own tree.
 	Shards int
 	// Step1Workers fans the quadratic Step-1 fills of a cache miss
 	// (contextual all-pairs, spatial all-pairs or grid matrix fill) out
@@ -132,27 +132,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// corpusSnapshot is one immutable corpus epoch. Requests pin the snapshot
-// current when they were created (NewRequest) and read it — places, index
-// and dictionary — for their whole lifetime, so a mutation published
-// mid-query is invisible to them.
+// corpusSnapshot is one immutable corpus epoch: the shard view over the
+// epoch's dataset (view.Base()). Requests pin the snapshot current when
+// they were created (NewRequest) and read it — places, shards and
+// dictionary — for their whole lifetime, so a mutation published
+// mid-query is invisible to them. Mutate derives the successor view,
+// sharing untouched shards.
 type corpusSnapshot struct {
 	epoch uint64
-	data  *dataset.Dataset
-	// shards is the sharded view of data when Options.Shards >= 2, nil
-	// otherwise. It is immutable like data: Mutate derives a successor
-	// view (sharing untouched shards) and publishes both together.
-	shards *dataset.ShardView
-}
-
-// retrieve answers q from this snapshot — parallel shard fan-out when
-// sharded, the single IR-tree otherwise. Both paths return bitwise
-// identical results.
-func (s *corpusSnapshot) retrieve(ctx context.Context, q dataset.Query, K int) ([]core.Place, error) {
-	if s.shards != nil {
-		return s.shards.Retrieve(ctx, q, K)
-	}
-	return s.data.Retrieve(q, K)
+	view  *dataset.ShardView
 }
 
 // Engine serves proportionality queries over one registered corpus,
@@ -198,18 +186,14 @@ func New(d *dataset.Dataset, opt Options) *Engine {
 		cache: newLRU(o.CacheEntries),
 		wal:   o.WAL,
 	}
-	snap := &corpusSnapshot{epoch: o.InitialEpoch, data: d}
-	if o.Shards >= 2 {
-		sv, err := dataset.NewShardView(d, o.Shards, o.InitialEpoch)
-		if err != nil {
-			// Unreachable for a dataset whose own index was built over the
-			// same locations; a failure here means the dataset invariant
-			// (valid locations) is already broken.
-			panic(fmt.Sprintf("engine: shard corpus: %v", err))
-		}
-		snap.shards = sv
+	sv, err := dataset.NewShardView(d, max(o.Shards, 1), o.InitialEpoch)
+	if err != nil {
+		// Unreachable for a dataset whose own index was built over the
+		// same locations; a failure here means the dataset invariant
+		// (valid locations) is already broken.
+		panic(fmt.Sprintf("engine: shard corpus: %v", err))
 	}
-	e.snap.Store(snap)
+	e.snap.Store(&corpusSnapshot{epoch: o.InitialEpoch, view: sv})
 	return e
 }
 
@@ -223,14 +207,14 @@ func (e *Engine) SetWAL(w MutationLog) {
 }
 
 // Corpus returns the currently published corpus epoch's dataset.
-func (e *Engine) Corpus() *dataset.Dataset { return e.snap.Load().data }
+func (e *Engine) Corpus() *dataset.Dataset { return e.snap.Load().view.Base() }
 
 // Snapshot returns the currently published corpus dataset and its epoch
 // as one consistent pair — what a compaction must read, since Corpus()
 // and Epoch() individually can straddle a concurrent mutation.
 func (e *Engine) Snapshot() (*dataset.Dataset, uint64) {
 	s := e.snap.Load()
-	return s.data, s.epoch
+	return s.view.Base(), s.epoch
 }
 
 // Epoch returns the currently published corpus epoch (0 until the first
@@ -238,14 +222,8 @@ func (e *Engine) Snapshot() (*dataset.Dataset, uint64) {
 func (e *Engine) Epoch() uint64 { return e.snap.Load().epoch }
 
 // ShardInfo returns the published snapshot's per-shard footprints (size
-// and last-rebuild epoch), or nil when the engine is unsharded.
-func (e *Engine) ShardInfo() []dataset.ShardInfo {
-	s := e.snap.Load()
-	if s.shards == nil {
-		return nil
-	}
-	return s.shards.Info()
-}
+// and last-rebuild epoch), one per shard.
+func (e *Engine) ShardInfo() []dataset.ShardInfo { return e.snap.Load().view.Info() }
 
 // squaredTableCells is |G_MAX| for the shared maximal squared-grid table,
 // covering the paper's |G| ≈ K rule up to K = 1024 in an 8 MB table;
@@ -394,10 +372,10 @@ func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string, al
 func (e *Engine) build(ctx context.Context, req *QueryRequest) (*core.ScoreSet, error) {
 	e.builds.Add(1)
 	loc := geo.Pt(req.X, req.Y)
-	// BeginSpan rather than StartSpan: a sharded retrieve records one
+	// BeginSpan rather than StartSpan: a fanned-out retrieve records one
 	// child span per shard plus the merge under this span.
 	rctx, endRetrieve := telemetry.BeginSpan(ctx, telemetry.StageRetrieve)
-	places, err := req.snapshot(e).retrieve(rctx, dataset.Query{Loc: loc, Keywords: req.kwSet}, req.K)
+	places, err := req.snap.view.Retrieve(rctx, dataset.Query{Loc: loc, Keywords: req.kwSet}, req.K)
 	endRetrieve()
 	if err != nil {
 		return nil, fmt.Errorf("retrieve: %w", err)
@@ -459,7 +437,8 @@ type Stats struct {
 	// grid tables per kind; TableBytes is their combined footprint.
 	SquaredTables, RadialResolutions int
 	TableBytes                       int
-	// Shards is the spatial shard count (0 when unsharded).
+	// Shards is the spatial shard count (1 unless Options.Shards asked
+	// for more).
 	Shards int
 }
 
@@ -489,13 +468,11 @@ func (e *Engine) Stats() Stats {
 		PlacesUpserted: e.upserted.Load(),
 		PlacesDeleted:  e.deleted.Load(),
 		SweptEntries:   e.swept.Load(),
-		Places:         len(snap.data.Places),
+		Places:         len(snap.view.Base().Places),
 		Entries:        e.cache.len(),
 		Capacity:       e.opt.CacheEntries,
 		CacheBytes:     e.cache.bytes(),
-	}
-	if snap.shards != nil {
-		s.Shards = snap.shards.NumShards()
+		Shards:         snap.view.NumShards(),
 	}
 	e.tblMu.Lock()
 	if e.squared != nil {

@@ -335,6 +335,26 @@ func TestKeywordResolution(t *testing.T) {
 	}
 }
 
+// TestUnpinnedRequestRejected: a request built as a literal rather than
+// by NewRequest is pinned to no corpus epoch, so it has no dictionary to
+// resolve its keywords against. Normalize must refuse it rather than
+// retrieve without the keywords, and Query must never build for it.
+func TestUnpinnedRequestRejected(t *testing.T) {
+	d := testData(t)
+	e := New(d, Options{})
+	word := d.Places[0].Context.Words(d.Dict)[0]
+	req := &QueryRequest{X: 50, Y: 50, K: 100, SmallK: 10, Lambda: 0.5, Gamma: 0.5, Keywords: []string{word}}
+	if _, err := req.Normalize(); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Normalize on an unpinned request: err = %v, want ErrBadRequest", err)
+	}
+	if _, err := e.Query(context.Background(), req); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("Query on an unpinned request: err = %v, want ErrBadRequest", err)
+	}
+	if st := e.Stats(); st.Builds != 0 {
+		t.Fatalf("unpinned request ran %d builds", st.Builds)
+	}
+}
+
 func TestRequestFromValues(t *testing.T) {
 	e := New(testData(t), Options{})
 	q, _ := url.ParseQuery("x=10&y=20&K=60&k=5&lambda=0.25&gamma=0.75&algo=iadu&spatial=radial&keywords=a,b")

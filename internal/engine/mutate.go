@@ -58,9 +58,9 @@ type MutationResult struct {
 
 // Mutate applies m as one atomic batch and publishes the next corpus
 // epoch. The new epoch is built copy-on-write off the current one
-// (dataset.ApplyCtx), so in-flight queries — pinned to the snapshot their
-// request was created on — keep reading their epoch undisturbed and no
-// query ever observes a half-applied batch. After the swap, every cached
+// (dataset.ShardView.Apply), so in-flight queries — pinned to the
+// snapshot their request was created on — keep reading their epoch
+// undisturbed and no query ever observes a half-applied batch. After the swap, every cached
 // score set of an older epoch is unreachable (cache keys carry the epoch)
 // and is proactively swept from the LRU; the singleflight key carries the
 // epoch too, so a herd racing the mutation can never be handed a
@@ -97,23 +97,11 @@ func (e *Engine) Mutate(ctx context.Context, m Mutation) (*MutationResult, error
 	}
 
 	cur := e.snap.Load()
-	batch := dataset.Batch{Upserts: m.Upserts, Deletes: m.Deletes}
-	var (
-		next       *dataset.Dataset
-		nextShards *dataset.ShardView
-		st         dataset.ApplyStats
-		err        error
-	)
-	if cur.shards != nil {
-		// Sharded corpus: the view's Apply runs the same copy-on-write
-		// ApplyCtx and additionally rebuilds only the shards the batch
-		// touches, stamping them with the new epoch (untouched shards keep
-		// their tree and epoch — that is how per-shard epochs compose into
-		// the corpus epoch).
-		next, nextShards, st, err = cur.shards.Apply(ctx, batch, cur.epoch+1)
-	} else {
-		next, st, err = cur.data.ApplyCtx(ctx, batch)
-	}
+	// The view's Apply runs the copy-on-write dataset.ApplyCtx and
+	// rebuilds only the shards the batch touches, stamping them with the
+	// new epoch (untouched shards keep their tree and epoch — that is how
+	// per-shard epochs compose into the corpus epoch).
+	next, nextView, st, err := cur.view.Apply(ctx, dataset.Batch{Upserts: m.Upserts, Deletes: m.Deletes}, cur.epoch+1)
 	if err != nil {
 		if errors.Is(err, core.ErrCancelled) || errors.Is(err, core.ErrDeadline) {
 			return nil, err
@@ -139,7 +127,7 @@ func (e *Engine) Mutate(ctx context.Context, m Mutation) (*MutationResult, error
 			return nil, fmt.Errorf("%w: %v", ErrWAL, err)
 		}
 	}
-	ns := &corpusSnapshot{epoch: cur.epoch + 1, data: next, shards: nextShards}
+	ns := &corpusSnapshot{epoch: cur.epoch + 1, view: nextView}
 	e.snap.Store(ns)
 
 	// Every cache key is prefixed with its epoch; after the swap nothing

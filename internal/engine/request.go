@@ -48,7 +48,7 @@ type QueryRequest struct {
 	Spatial string `json:"spatial"`
 
 	// Filled by NewRequest / Normalize.
-	snap        *corpusSnapshot
+	snap        corpusSnapshot
 	maxK        int
 	kwSet       textctx.Set
 	droppedKw   []string
@@ -63,8 +63,8 @@ type QueryRequest struct {
 // resolves keywords, retrieves and renders against that snapshot for its
 // whole lifetime, regardless of mutations racing it.
 func (e *Engine) NewRequest() *QueryRequest {
-	snap := e.snap.Load()
-	center := snap.data.Config.Extent / 2
+	snap := *e.snap.Load()
+	center := snap.view.Base().Config.Extent / 2
 	return &QueryRequest{
 		X: center, Y: center,
 		K: 100, SmallK: 10,
@@ -74,33 +74,12 @@ func (e *Engine) NewRequest() *QueryRequest {
 	}
 }
 
-// corpus returns the dataset the request is pinned to, falling back to
-// the engine's current epoch for requests not built via NewRequest.
-func (r *QueryRequest) corpus(e *Engine) *dataset.Dataset {
-	if r.snap != nil {
-		return r.snap.data
-	}
-	return e.Corpus()
-}
-
-// snapshot returns the corpus snapshot the request is pinned to (data
-// plus the sharded view when the engine shards), falling back to the
-// engine's current epoch for requests not built via NewRequest.
-func (r *QueryRequest) snapshot(e *Engine) *corpusSnapshot {
-	if r.snap != nil {
-		return r.snap
-	}
-	return e.snap.Load()
-}
+// corpus returns the dataset the request is pinned to.
+func (r *QueryRequest) corpus() *dataset.Dataset { return r.snap.view.Base() }
 
 // Epoch returns the corpus epoch the request is pinned to (0 for requests
-// not built via NewRequest).
-func (r *QueryRequest) Epoch() uint64 {
-	if r.snap == nil {
-		return 0
-	}
-	return r.snap.epoch
-}
+// not built via NewRequest, which Normalize rejects).
+func (r *QueryRequest) Epoch() uint64 { return r.snap.epoch }
 
 // RequestFromValues builds a request from URL query parameters, replacing
 // the scattered per-parameter parsing servers used to carry. Parameters
@@ -177,12 +156,17 @@ func (k CacheKey) String() string { return k.s }
 
 // Normalize validates every field, applies the engine's K ceiling,
 // resolves the keywords against the corpus dictionary, and returns the
-// canonicalised cache key. All failures wrap ErrBadRequest. Normalize is
-// idempotent and must be called (directly or via Query) before the
-// SpatialMethod/ClampedFrom/KeywordSet accessors mean anything.
+// canonicalised cache key. All failures wrap ErrBadRequest, including a
+// request not built via NewRequest, which has no corpus to resolve its
+// keywords against. Normalize is idempotent and must be called (directly
+// or via Query) before the SpatialMethod/ClampedFrom/KeywordSet accessors
+// mean anything.
 func (r *QueryRequest) Normalize() (CacheKey, error) {
 	bad := func(format string, args ...any) (CacheKey, error) {
 		return CacheKey{}, fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
+	}
+	if r.snap.view == nil {
+		return bad("request is not pinned to a corpus epoch; build it with Engine.NewRequest")
 	}
 	for _, f := range [...]struct {
 		name string
@@ -235,23 +219,22 @@ func (r *QueryRequest) Normalize() (CacheKey, error) {
 			return bad("k = %d must be smaller than the server's K ceiling %d", r.SmallK, r.maxK)
 		}
 	}
-	if r.snap != nil {
-		// Stack-resident for the usual handful of keywords (NewSet copies).
-		ids := make([]textctx.ItemID, 0, 8)
-		r.droppedKw = nil // recomputed each call, so Normalize stays idempotent
-		for _, w := range r.Keywords {
-			w = strings.TrimSpace(w)
-			if w == "" {
-				continue
-			}
-			if id, ok := r.snap.data.Dict.Lookup(w); ok {
-				ids = append(ids, id)
-			} else {
-				r.droppedKw = append(r.droppedKw, w)
-			}
+	// Stack-resident for the usual handful of keywords (NewSet copies).
+	ids := make([]textctx.ItemID, 0, 8)
+	r.droppedKw = nil // recomputed each call, so Normalize stays idempotent
+	dict := r.corpus().Dict
+	for _, w := range r.Keywords {
+		w = strings.TrimSpace(w)
+		if w == "" {
+			continue
 		}
-		r.kwSet = textctx.NewSet(ids...)
+		if id, ok := dict.Lookup(w); ok {
+			ids = append(ids, id)
+		} else {
+			r.droppedKw = append(r.droppedKw, w)
+		}
 	}
+	r.kwSet = textctx.NewSet(ids...)
 	r.normalized = true
 	return r.cacheKey(), nil
 }

@@ -38,16 +38,22 @@ var unimported = map[string]string{
 	"repro/internal/invindex": "kept until the sharded-retrieval work adopts or deletes it (ROADMAP item 2)",
 }
 
-// goList runs `go list` with args from the module root and returns its
-// output lines. It fails rather than skips when go is not on PATH: a
-// budget check that silently skips guards nothing.
-func goList(t *testing.T, args ...string) []string {
+// goBin returns the go tool's path. It fails rather than skips when go
+// is not on PATH: a check that silently skips guards nothing.
+func goBin(t *testing.T) string {
 	t.Helper()
-	goBin, err := exec.LookPath("go")
+	bin, err := exec.LookPath("go")
 	if err != nil {
 		t.Fatalf("go not found on PATH: %v", err)
 	}
-	out, err := exec.Command(goBin, append([]string{"list"}, args...)...).Output()
+	return bin
+}
+
+// goList runs `go list` with args from the module root and returns its
+// output lines.
+func goList(t *testing.T, args ...string) []string {
+	t.Helper()
+	out, err := exec.Command(goBin(t), append([]string{"list"}, args...)...).Output()
 	if err != nil {
 		if ee, ok := err.(*exec.ExitError); ok {
 			t.Fatalf("go list %v: %v\n%s", args, err, ee.Stderr)
@@ -94,5 +100,17 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 		if _, ok := unimported[p]; !ok {
 			t.Errorf("%s has no non-test importer in ./...", p)
 		}
+	}
+}
+
+// TestBenchmarkModuleCompiles vets the nested benchmarks module, which
+// `go build ./...` and `go test ./...` at the root never compile: it
+// builds against repro/internal, so a change there can break the
+// benchmark without failing anything else.
+func TestBenchmarkModuleCompiles(t *testing.T) {
+	cmd := exec.Command(goBin(t), "vet", "./...")
+	cmd.Dir = "benchmarks"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in benchmarks/: %v\n%s", err, out)
 	}
 }
