@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,7 +53,7 @@ func hitPathServer(tb testing.TB) (*Server, string) {
 }
 
 // BenchmarkSearchHitHandler is the number the hit path is judged by: one
-// repeated /v1/search through the full middleware stack into a recorder.
+// repeated /v1/search through the full handler stack into a recorder.
 func BenchmarkSearchHitHandler(b *testing.B) {
 	s, target := hitPathServer(b)
 	req := httptest.NewRequest(http.MethodGet, target, nil)
@@ -365,7 +366,8 @@ func TestNoStaleAnswerSurvivesSweep(t *testing.T) {
 
 // TestSearchHitHandlerAllocs is the allocation budget of a memoised hit
 // through the whole handler stack (259 allocs/op before the answer memo).
-// The recorder itself accounts for 7 of them.
+// The recorder itself accounts for 7 of them. A -race build moves 3 more
+// values to the heap.
 func TestSearchHitHandlerAllocs(t *testing.T) {
 	s, target := hitPathServer(t)
 	req := httptest.NewRequest(http.MethodGet, target, nil)
@@ -376,8 +378,16 @@ func TestSearchHitHandlerAllocs(t *testing.T) {
 			t.Fatalf("status %d", rec.Code)
 		}
 	})
-	if allocs > 66 {
-		t.Errorf("hit handler = %v allocs/op, budget 66", allocs)
+	budget := 57.0
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			if kv.Key == "-race" && kv.Value == "true" {
+				budget += 3
+			}
+		}
+	}
+	if allocs > budget {
+		t.Errorf("hit handler = %v allocs/op, budget %v", allocs, budget)
 	}
 }
 

@@ -1,13 +1,16 @@
 package main
 
 // The one request lifecycle shared by search, explain, batch elements and
-// corpus writes. Every such request opens a record (begin, or a literal
-// for a batch element), passes the one admission step (admit) — queries
+// corpus writes. Every HTTP request owns one record, opened by
+// Server.ServeHTTP inside the writer every route sees (the exchange);
+// tenantFor and begin fill it in, and a batch element opens a literal of
+// its own. A request passes the one admission step (admit) — queries
 // through the one parse → clamp → admit → degrade step (parse) — and
 // leaves through the one exit, which runs in two phases: respond before
 // the first body byte, exit after the body (deferred, so error and
 // panic exits take it too). The handlers only call the engine and write
-// their bodies.
+// their bodies; the request counter, latency histogram and access-log
+// line are written from the record once the handler returns.
 
 import (
 	"context"
@@ -28,8 +31,8 @@ import (
 )
 
 // request is the record of one request from the mux to its exit: the
-// facts the SLO sample, the retained trace, the access log and the
-// slow-query line are all taken from.
+// facts the SLO sample, the retained trace, the access log, the request
+// counters and the slow-query line are all taken from.
 type request struct {
 	s        *Server
 	tn       *registry.Tenant
@@ -38,7 +41,7 @@ type request struct {
 	ctx      context.Context     // carries tr; after admit, the deadline budget too
 	cancel   context.CancelFunc  // releases the deadline budget (set by admit)
 	release  func()              // releases the admission slot (set by admit)
-	start    time.Time
+	start    time.Time           // ServeHTTP's instant; a batch element's own
 	endpoint string
 	id       string // X-Request-ID; a batch element carries its batch's
 	class    string // SLO class: the sample, the slow threshold and the exemplar
@@ -46,27 +49,55 @@ type request struct {
 	err      string // the error message, for a batch element's slot
 	cache    string
 	epoch    uint64
+	traceID  string // the retained trace's ID; "" when the trace was dropped
 	degraded bool
 	tracked  bool                 // take an SLO sample and note the exemplar (all but explain)
 	query    *engine.QueryRequest // the parsed query; nil for corpus writes
 	report   any                  // an explain's introspection report, for the slow-query line
 }
 
-// begin resolves the tenant and opens the record of a request that owns
-// its response, starting its trace. On an unknown corpus it has written
-// the 404 and returns false.
-func (s *Server) begin(w http.ResponseWriter, r *http.Request, endpoint, class string) (request, bool) {
-	tn, ok := s.tenantFor(w, r)
-	if !ok {
-		return request{}, false
+// exchange is the writer every route sees: the one status/bytes
+// recorder of a request, holding the request's record.
+type exchange struct {
+	http.ResponseWriter
+	rq     request
+	status int // 0 until the first WriteHeader or Write
+	bytes  int64
+}
+
+// WriteHeader implements http.ResponseWriter; the first status wins.
+func (x *exchange) WriteHeader(code int) {
+	if x.status == 0 {
+		x.status = code
 	}
-	start := time.Now()
-	tr, ctx := s.startTrace(w, r)
-	return request{
-		s: s, tn: tn, tr: tr, w: w, ctx: ctx, start: start,
-		endpoint: endpoint, id: w.Header().Get(telemetry.RequestIDHeader),
-		class: class, tracked: true,
-	}, true
+	x.ResponseWriter.WriteHeader(code)
+}
+
+// Write implements http.ResponseWriter.
+func (x *exchange) Write(b []byte) (int, error) {
+	if x.status == 0 {
+		x.status = http.StatusOK
+	}
+	n, err := x.ResponseWriter.Write(b)
+	x.bytes += int64(n)
+	return n, err
+}
+
+// recordOf returns the record of the request w answers: every route is
+// reached through ServeHTTP, so w is its exchange.
+func recordOf(w http.ResponseWriter) *request { return &w.(*exchange).rq }
+
+// begin resolves the tenant and fills in the record of a request that
+// owns its response, starting its trace. On an unknown corpus it has
+// written the 404 and returns false.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, endpoint, class string) (*request, bool) {
+	if _, ok := s.tenantFor(w, r); !ok {
+		return nil, false
+	}
+	rq := recordOf(w)
+	rq.s, rq.w, rq.endpoint, rq.class, rq.tracked = s, w, endpoint, class, true
+	rq.tr, rq.ctx = s.startTrace(w, r)
+	return rq, true
 }
 
 // respond is the first phase of the exit, run once before the first body
@@ -111,10 +142,10 @@ func (rq *request) retryLater() {
 
 // exit is the second phase, deferred by every handler: it releases the
 // admission slot and the deadline budget, takes the SLO sample if no
-// response began (a recovered panic, which the middleware answers with
-// 500), makes the tail-retention decision, notes the request's facts for
-// the access log, writes the slow-query line and flushes the spans into
-// propserve_stage_seconds.
+// response began (a recovered panic, which the recovery answers with
+// 500), computes the request's one duration, makes the tail-retention
+// decision and writes the slow-query line from it, and flushes the
+// spans into propserve_stage_seconds.
 func (rq *request) exit() {
 	if rq.release != nil {
 		rq.release()
@@ -123,16 +154,11 @@ func (rq *request) exit() {
 		rq.cancel()
 	}
 	rq.respond(http.StatusInternalServerError)
+	d := time.Since(rq.start)
 	s := rq.s
-	traceID := s.finishTrace(rq)
-	if rq.w != nil && rq.status == http.StatusOK {
-		if rq.cache != "" {
-			telemetry.NoteCache(rq.ctx, rq.cache)
-		}
-		telemetry.NoteEpoch(rq.ctx, rq.epoch)
-	}
+	s.finishTrace(rq, d)
 	if rq.query != nil && rq.status == http.StatusOK {
-		s.maybeLogSlow(rq, traceID)
+		s.maybeLogSlow(rq, d)
 	}
 	s.flushSpans(rq.tr)
 }

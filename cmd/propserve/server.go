@@ -71,7 +71,8 @@ type Config struct {
 	// response-encoding errors. Default log.Printf.
 	Logf func(format string, args ...any)
 	// AccessLog, when non-nil, receives one structured JSON line per
-	// request (see telemetry.AccessEntry). Nil disables access logging.
+	// request (see telemetry.AccessEntry), written from the request's
+	// record after its handler returns. Nil disables access logging.
 	AccessLog io.Writer
 	// EnableExplain opens GET /v1/explain, which recomputes both pipeline
 	// steps under an introspection collector and bypasses the score-set
@@ -83,7 +84,9 @@ type Config struct {
 	// 0 disables slow-query logging.
 	SlowQuery time.Duration
 	// SlowQueryLog receives slow-query lines. Nil falls back to AccessLog's
-	// writer, then to Logf.
+	// writer, then to Logf. Every JSON-line writer (access, slow-query,
+	// trace export) is serialised under one lock, so lines never
+	// interleave, even on a shared writer.
 	SlowQueryLog io.Writer
 	// EnableMutation opens POST /v1/corpus, which applies upsert/delete
 	// batches and publishes a new corpus epoch. Off by default: a mutable
@@ -362,19 +365,18 @@ func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *eng
 // /v1/corpora/{corpus}. The pre-versioning /search and /stats aliases
 // are retired: they answer 410 Gone.
 type Server struct {
-	handler http.Handler
-	mux     *http.ServeMux
-	eng     *engine.Engine // default tenant's engine
-	cfg     Config
-	gate    *resilience.Gate // default tenant's gate
-	rec     *resilience.Recoverer
-	tel     *serverMetrics
-	slo     *slo.Tracker // default tenant's tracker; nil when Config.DisableSLO
-	start   time.Time
-	slowMu  sync.Mutex
-	// traceExpMu serialises -trace-export writers so JSONL lines never
-	// interleave (retention decisions fire concurrently across handlers).
-	traceExpMu sync.Mutex
+	mux   *http.ServeMux
+	eng   *engine.Engine // default tenant's engine
+	cfg   Config
+	gate  *resilience.Gate // default tenant's gate
+	rec   *resilience.Recoverer
+	tel   *serverMetrics
+	slo   *slo.Tracker // default tenant's tracker; nil when Config.DisableSLO
+	start time.Time
+	// logMu serialises every JSON-line writer (access log, slow-query
+	// log, -trace-export), so lines never interleave even when two of
+	// them share one writer.
+	logMu sync.Mutex
 
 	// Multi-tenant state: reg maps corpus names to tenants, def is the
 	// tenant the un-scoped /v1 aliases address. Each tenant carries its
@@ -430,16 +432,19 @@ func NewServerWithEngine(eng *engine.Engine, cfg Config) *Server {
 	// corpus. The same handler serves both forms (tenantFor resolves the
 	// {corpus} segment, absent means default), so the alias payloads are
 	// byte-identical to their scoped counterparts.
-	s.mux.HandleFunc("GET /v1/search", s.handleSearch)
-	s.mux.HandleFunc("GET /v1/corpora/{corpus}/search", s.handleSearch)
-	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
-	s.mux.HandleFunc("GET /v1/corpora/{corpus}/explain", s.handleExplain)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/corpora/{corpus}/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/corpus", s.handleCorpus)
-	s.mux.HandleFunc("POST /v1/corpora/{corpus}/corpus", s.handleCorpus)
-	s.mux.HandleFunc("GET /v1/slo", s.handleSLO)
-	s.mux.HandleFunc("GET /v1/corpora/{corpus}/slo", s.handleSLO)
+	for _, rt := range []struct {
+		method, name string
+		handle       http.HandlerFunc
+	}{
+		{"GET", "search", s.handleSearch},
+		{"GET", "explain", s.handleExplain},
+		{"POST", "batch", s.handleBatch},
+		{"POST", "corpus", s.handleCorpus},
+		{"GET", "slo", s.handleSLO},
+	} {
+		s.mux.HandleFunc(rt.method+" /v1/"+rt.name, rt.handle)
+		s.mux.HandleFunc(rt.method+" /v1/corpora/{corpus}/"+rt.name, rt.handle)
+	}
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	// Retained traces: the list spans every corpus (or one via ?corpus=),
 	// the by-ID lookup searches all rings — trace IDs are random 128-bit
@@ -460,23 +465,71 @@ func NewServerWithEngine(eng *engine.Engine, cfg Config) *Server {
 	s.registerTenantMetrics()
 	s.registerTraceMetrics()
 	s.mux.Handle("GET /metrics", s.tel.reg)
-
-	// Middleware, innermost first: panic recovery around the routes, the
-	// access log outside it (so recovered 500s are logged with their
-	// status), request counting outside that, and request-ID assignment
-	// outermost so every response — including 4xx/5xx shed and panic
-	// paths — carries X-Request-ID.
-	var h http.Handler = s.rec
-	if cfg.AccessLog != nil {
-		h = telemetry.AccessLog(h, cfg.AccessLog)
-	}
-	h = s.instrument(h)
-	s.handler = telemetry.RequestID(h)
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
+// ServeHTTP is the one handler around every route. It assigns the
+// request its ID and sets it on the response before any route runs, so
+// shed and panic responses carry it too; it opens the request's exchange
+// (one status/bytes recorder holding the record begin and tenantFor fill
+// in) and serves the routes inside panic recovery, so a recovered 500 is
+// recorded with its status and body. Once they return, the request
+// counter, the latency histogram and the access-log line are all taken
+// from that one record and that one start instant.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	x := &exchange{ResponseWriter: w}
+	x.rq.start = time.Now()
+	x.rq.id = telemetry.AdoptRequestID(r.Header.Get(telemetry.RequestIDHeader))
+	w.Header().Set(telemetry.RequestIDHeader, x.rq.id)
+	s.rec.ServeHTTP(x, r)
+	d := time.Since(x.rq.start)
+	status := x.status
+	if status == 0 {
+		status = http.StatusOK // the route wrote nothing: net/http sends 200
+	}
+	s.tel.requests.With(strconv.Itoa(status)).Inc()
+	s.tel.requestSeconds.Observe(d.Seconds())
+	if s.cfg.AccessLog != nil {
+		s.logAccess(x, r, d)
+	}
+}
+
+// logAccess writes the access-log line of one finished exchange. The
+// cache verdict and epoch are those of a query or corpus write that
+// succeeded; the corpus is the tenant the request resolved to.
+func (s *Server) logAccess(x *exchange, r *http.Request, d time.Duration) {
+	rq := &x.rq
+	e := telemetry.AccessEntry{
+		Time:       rq.start.UTC().Format(time.RFC3339Nano),
+		RequestID:  rq.id,
+		Method:     r.Method,
+		Path:       r.URL.Path,
+		Query:      r.URL.RawQuery,
+		Status:     x.status,
+		Bytes:      x.bytes,
+		DurationMS: float64(d.Microseconds()) / 1e3,
+		Remote:     r.RemoteAddr,
+		TraceID:    rq.traceID,
+	}
+	if rq.tn != nil {
+		e.Corpus = rq.tn.Name
+	}
+	if rq.status == http.StatusOK {
+		e.Cache, e.CorpusEpoch = rq.cache, &rq.epoch
+	}
+	s.writeLine(s.cfg.AccessLog, e)
+}
+
+// writeLine appends v to out as one JSON line under the one log lock.
+func (s *Server) writeLine(out io.Writer, v any) {
+	line, err := json.Marshal(v)
+	if err != nil {
+		return // the log entries cannot actually fail to marshal
+	}
+	s.logMu.Lock()
+	out.Write(append(line, '\n'))
+	s.logMu.Unlock()
+}
 
 // newTenant assembles one corpus's serving stack from the server
 // configuration: the engine plus a tenant-private admission gate and SLO
@@ -503,17 +556,15 @@ func (s *Server) newTenant(name string, eng *engine.Engine) *registry.Tenant {
 // the legacy aliases, which have no segment either). A miss writes the
 // 404 itself so handlers can plain-return.
 func (s *Server) tenantFor(w http.ResponseWriter, r *http.Request) (*registry.Tenant, bool) {
-	name := r.PathValue("corpus")
-	if name == "" {
-		telemetry.NoteCorpus(r.Context(), registry.DefaultName)
-		return s.def, true
+	tn := s.def
+	if name := r.PathValue("corpus"); name != "" {
+		var ok bool
+		if tn, ok = s.reg.Get(name); !ok {
+			s.writeError(w, http.StatusNotFound, "unknown corpus %q", name)
+			return nil, false
+		}
 	}
-	tn, ok := s.reg.Get(name)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "unknown corpus %q", name)
-		return nil, false
-	}
-	telemetry.NoteCorpus(r.Context(), tn.Name)
+	recordOf(w).tn = tn
 	return tn, true
 }
 
@@ -822,22 +873,6 @@ func (s *Server) legacyGone(old, successor string) http.HandlerFunc {
 		s.tel.deprecated.With(old).Inc()
 		s.writeError(w, http.StatusGone, "%s was retired: use %s", old, successor)
 	}
-}
-
-// instrument counts every response by status code and observes the
-// end-to-end latency.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sr := telemetry.NewStatusRecorder(w)
-		next.ServeHTTP(sr, r)
-		status := sr.Status()
-		if status == 0 {
-			status = http.StatusOK // handler wrote nothing: net/http sends 200
-		}
-		s.tel.requests.With(strconv.Itoa(status)).Inc()
-		s.tel.requestSeconds.Observe(time.Since(start).Seconds())
-	})
 }
 
 // writeJSON writes v with the given status. Encode errors (a client
@@ -1182,34 +1217,28 @@ type slowQueryEntry struct {
 	Explain     any            `json:"explain,omitempty"`
 }
 
-// maybeLogSlow emits one structured line when the query's trace elapsed
-// beyond the slow-query threshold. The writer preference is SlowQueryLog,
-// then the access-log writer, then Logf; concurrent emitters are
-// serialised so lines never interleave. traceID is the retained-trace ID
-// when the tail sampler kept this request ("" otherwise — though a
-// query past the slow threshold is always retained while tracing is on,
-// so the line normally links straight to /v1/traces/{id}).
-func (s *Server) maybeLogSlow(rq *request, traceID string) {
-	if s.cfg.SlowQuery <= 0 {
+// maybeLogSlow emits one structured line when the query's duration d,
+// the one exit computed, exceeds the slow-query threshold. The writer
+// preference is SlowQueryLog, then the access-log writer, then Logf. The
+// retention decision read the same d against a threshold no higher, so
+// while tracing is on the line always names the retained trace.
+func (s *Server) maybeLogSlow(rq *request, d time.Duration) {
+	if s.cfg.SlowQuery <= 0 || d <= s.cfg.SlowQuery {
 		return
 	}
-	req, tr := rq.query, rq.tr
-	elapsed := tr.Elapsed()
-	if elapsed < s.cfg.SlowQuery {
-		return
-	}
+	req := rq.query
 	s.tel.slowQueries.Inc()
 	stages := map[string]any{}
-	for stage, d := range tr.Stages() {
-		stages[stage] = round3(d.Seconds() * 1e3)
+	for stage, sd := range rq.tr.Stages() {
+		stages[stage] = round3(sd.Seconds() * 1e3)
 	}
 	e := slowQueryEntry{
 		Time:        time.Now().UTC().Format(time.RFC3339Nano),
 		RequestID:   rq.id,
 		Endpoint:    rq.endpoint,
 		Corpus:      rq.tn.Name,
-		TraceID:     traceID,
-		DurationMS:  round3(elapsed.Seconds() * 1e3),
+		TraceID:     rq.traceID,
+		DurationMS:  round3(d.Seconds() * 1e3),
 		ThresholdMS: round3(s.cfg.SlowQuery.Seconds() * 1e3),
 		Query: map[string]any{
 			"x": req.X, "y": req.Y, "keywords": req.Keywords,
@@ -1222,21 +1251,17 @@ func (s *Server) maybeLogSlow(rq *request, traceID string) {
 		CorpusEpoch: req.Epoch(),
 		Explain:     rq.report,
 	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
 	out := s.cfg.SlowQueryLog
 	if out == nil {
 		out = s.cfg.AccessLog
 	}
 	if out == nil {
-		s.cfg.Logf("propserve: slow query: %s", line)
+		if line, err := json.Marshal(e); err == nil {
+			s.cfg.Logf("propserve: slow query: %s", line)
+		}
 		return
 	}
-	s.slowMu.Lock()
-	out.Write(append(line, '\n'))
-	s.slowMu.Unlock()
+	s.writeLine(out, e)
 }
 
 // batchRequest is the POST /v1/batch payload: a list of QueryRequest

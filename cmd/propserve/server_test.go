@@ -17,7 +17,7 @@ func testServer(t *testing.T) *Server {
 	return testServerCfg(t, Config{})
 }
 
-func testServerCfg(t *testing.T, cfg Config) *Server {
+func testServerCfg(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	dcfg := dataset.DBpediaLike(5)
 	dcfg.Places = 500

@@ -15,7 +15,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -42,20 +41,20 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) (*telemetry.
 }
 
 // finishTrace makes the tail-sampling decision for one finished request
-// and, when the trace is retained, stores it in the tenant's ring,
-// notes it as an SLO exemplar (tracked requests only), reports it to the
-// access log (requests that own their writer only — batch elements share
-// their parent's log line), and mirrors it to the -trace-export stream.
-// It returns the retained trace's ID, or "".
-func (s *Server) finishTrace(rq *request) string {
+// of duration d and, when the trace is retained, stores it in the
+// tenant's ring, notes it as an SLO exemplar (tracked requests only),
+// mirrors it to the -trace-export stream and records its ID in rq — the
+// trace_id of the request's access-log and slow-query lines (a batch
+// element's record is its own, so the batch's access line names no
+// element's trace).
+func (s *Server) finishTrace(rq *request, d time.Duration) {
 	tn, tr := rq.tn, rq.tr
 	if tn.Traces == nil {
-		return ""
+		return
 	}
-	d := time.Since(rq.start)
 	reason := s.traceReason(tn, rq.class, rq.status, d, rq.degraded)
 	if reason == "" {
-		return ""
+		return
 	}
 	if reason == "sampled" {
 		s.tel.tracesSampled.Inc()
@@ -79,11 +78,10 @@ func (s *Server) finishTrace(rq *request) string {
 	if rq.tracked {
 		tn.SLO.NoteExemplar(rq.class, d, id)
 	}
-	if rq.w != nil {
-		telemetry.NoteTrace(rq.ctx, id)
+	rq.traceID = id
+	if s.cfg.TraceExport != nil {
+		s.writeLine(s.cfg.TraceExport, traceJSON(st))
 	}
-	s.exportTrace(st)
-	return id
 }
 
 // traceReason decides retention: the tail rules always keep the traces
@@ -114,23 +112,6 @@ func (s *Server) traceReason(tn *registry.Tenant, class string, status int, d ti
 		return "sampled"
 	}
 	return ""
-}
-
-// exportTrace mirrors one retained trace to the -trace-export stream as
-// a JSON line (the same object GET /v1/traces/{id} serves), serialising
-// concurrent writers so lines never interleave.
-func (s *Server) exportTrace(t *tracestore.Trace) {
-	out := s.cfg.TraceExport
-	if out == nil {
-		return
-	}
-	line, err := json.Marshal(traceJSON(t))
-	if err != nil {
-		return
-	}
-	s.traceExpMu.Lock()
-	out.Write(append(line, '\n'))
-	s.traceExpMu.Unlock()
 }
 
 // serverTiming renders the Server-Timing header value: the app total

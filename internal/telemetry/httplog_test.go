@@ -1,148 +1,33 @@
 package telemetry
 
 import (
-	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
 func TestRequestIDGeneratedAndEchoed(t *testing.T) {
-	var fromCtx string
-	h := RequestID(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fromCtx = RequestIDFrom(r.Context())
-		w.WriteHeader(http.StatusOK)
-	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
-	id := rec.Header().Get(RequestIDHeader)
-	if id == "" || id != fromCtx {
-		t.Fatalf("header id %q, context id %q; want equal and non-empty", id, fromCtx)
+	id := AdoptRequestID("")
+	if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+		t.Fatalf("generated id %q, want 16 hex characters", id)
 	}
-
 	// A second request gets a different ID.
-	rec2 := httptest.NewRecorder()
-	h.ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/", nil))
-	if rec2.Header().Get(RequestIDHeader) == id {
+	if AdoptRequestID("") == id {
 		t.Error("two requests share one generated ID")
+	}
+	// A generated ID is itself well-formed, so a client may echo it back.
+	if got := AdoptRequestID(id); got != id {
+		t.Errorf("generated ID %q not reused when echoed: %q", id, got)
 	}
 }
 
 func TestRequestIDClientSupplied(t *testing.T) {
-	h := RequestID(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-
-	req := httptest.NewRequest(http.MethodGet, "/", nil)
-	req.Header.Set(RequestIDHeader, "client-id-42")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if got := rec.Header().Get(RequestIDHeader); got != "client-id-42" {
+	if got := AdoptRequestID("client-id-42"); got != "client-id-42" {
 		t.Errorf("well-formed client ID not reused: %q", got)
 	}
-
 	// Malformed (header-splitting, overlong) IDs are replaced, not echoed.
-	for _, bad := range []string{"x y", "a\"b", strings.Repeat("z", 100), "dollar$"} {
-		req := httptest.NewRequest(http.MethodGet, "/", nil)
-		req.Header.Set(RequestIDHeader, bad)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if got := rec.Header().Get(RequestIDHeader); got == bad || got == "" {
-			t.Errorf("malformed ID %q echoed as %q", bad, got)
+	for _, bad := range []string{"x y", "a\"b", strings.Repeat("z", 100), "dollar$", "a\r\nb"} {
+		if got := AdoptRequestID(bad); got == bad || len(got) != 16 {
+			t.Errorf("malformed ID %q adopted as %q", bad, got)
 		}
 	}
-}
-
-func TestStatusRecorder(t *testing.T) {
-	rec := httptest.NewRecorder()
-	sr := NewStatusRecorder(rec)
-	if sr.Status() != 0 {
-		t.Errorf("untouched status = %d, want 0", sr.Status())
-	}
-	sr.WriteHeader(http.StatusTeapot)
-	sr.WriteHeader(http.StatusOK) // superfluous; first wins
-	sr.Write([]byte("hello"))
-	if sr.Status() != http.StatusTeapot {
-		t.Errorf("status = %d, want 418", sr.Status())
-	}
-	if sr.BytesWritten() != 5 {
-		t.Errorf("bytes = %d, want 5", sr.BytesWritten())
-	}
-
-	// Implicit 200 on first Write.
-	sr2 := NewStatusRecorder(httptest.NewRecorder())
-	sr2.Write([]byte("x"))
-	if sr2.Status() != http.StatusOK {
-		t.Errorf("implicit status = %d, want 200", sr2.Status())
-	}
-}
-
-func TestAccessLogWritesStructuredLine(t *testing.T) {
-	var buf strings.Builder
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNotFound)
-		w.Write([]byte("nope"))
-	})
-	h := RequestID(AccessLog(inner, &buf))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?K=10&k=2", nil))
-
-	line := strings.TrimSpace(buf.String())
-	var e AccessEntry
-	if err := json.Unmarshal([]byte(line), &e); err != nil {
-		t.Fatalf("access log line is not JSON: %v (%q)", err, line)
-	}
-	if e.Method != http.MethodGet || e.Path != "/search" || e.Query != "K=10&k=2" {
-		t.Errorf("entry = %+v", e)
-	}
-	if e.Status != http.StatusNotFound || e.Bytes != 4 {
-		t.Errorf("status/bytes = %d/%d, want 404/4", e.Status, e.Bytes)
-	}
-	if e.RequestID != rec.Header().Get(RequestIDHeader) {
-		t.Errorf("log id %q != header id %q", e.RequestID, rec.Header().Get(RequestIDHeader))
-	}
-	if e.DurationMS < 0 || e.Time == "" {
-		t.Errorf("missing timing: %+v", e)
-	}
-}
-
-func TestAccessLogNotes(t *testing.T) {
-	var buf strings.Builder
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		NoteCache(r.Context(), "hit")
-		NoteEpoch(r.Context(), 42)
-		w.Write([]byte("ok"))
-	})
-	h := AccessLog(inner, &buf)
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/search", nil))
-
-	line := strings.TrimSpace(buf.String())
-	var e AccessEntry
-	if err := json.Unmarshal([]byte(line), &e); err != nil {
-		t.Fatalf("access log line is not JSON: %v (%q)", err, line)
-	}
-	if e.Cache != "hit" {
-		t.Errorf("cache = %q, want hit", e.Cache)
-	}
-	if e.CorpusEpoch == nil || *e.CorpusEpoch != 42 {
-		t.Errorf("corpus_epoch = %v, want 42", e.CorpusEpoch)
-	}
-	if !strings.Contains(line, `"corpus_epoch":42`) {
-		t.Errorf("line missing corpus_epoch: %q", line)
-	}
-
-	// Without a note the field is omitted entirely.
-	buf.Reset()
-	h = AccessLog(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok"))
-	}), &buf)
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if line := strings.TrimSpace(buf.String()); strings.Contains(line, "corpus_epoch") {
-		t.Errorf("unnoted line carries corpus_epoch: %q", line)
-	}
-}
-
-func TestNoteEpochWithoutMiddleware(t *testing.T) {
-	NoteEpoch(context.Background(), 7) // must not panic
-	NoteCache(context.Background(), "hit")
 }

@@ -1,8 +1,8 @@
 // Package telemetry is the zero-dependency observability substrate of
 // the serving path: atomic counters, gauges and fixed-bucket histograms
 // with Prometheus text-format exposition (metrics.go), a per-request
-// stage Trace threaded through context (trace.go), and HTTP middleware
-// for request-ID generation and structured JSON access logs
+// stage Trace threaded through context (trace.go), and the request-ID
+// rules and structured JSON access-log entry the server writes
 // (httplog.go).
 //
 // The package sits below every other package of the repository — it

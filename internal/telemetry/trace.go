@@ -346,6 +346,9 @@ func FormatTraceParent(traceID, spanID string) string {
 // invalid "ff", requires well-formed non-zero IDs, and returns ok=false
 // for anything malformed — the caller then starts a fresh trace.
 func ParseTraceParent(h string) (traceID, spanID string, ok bool) {
+	if h == "" { // most requests carry none: skip the split's allocation
+		return "", "", false
+	}
 	h = strings.TrimSpace(h)
 	parts := strings.Split(h, "-")
 	if len(parts) < 4 {
