@@ -63,11 +63,11 @@
 // means 1), each with its own IR-tree and epoch; one shard is the
 // corpus's own tree. With N ≥ 2, Step-1 retrieval fans out across the
 // shards in parallel, and results are exactly those of one shard (see
-// DESIGN.md). Independently,
-// -step1-workers=N fans the quadratic Step-1 score fills of a cache miss
-// (contextual all-pairs, spatial all-pairs or grid matrix fill) out over
-// N goroutines; the parallel fills are bit-identical to the sequential
-// ones, so responses and cache contents do not depend on the setting.
+// DESIGN.md). Step 1 of a cache miss is one sequential fused pass;
+// -step1-workers=N is still accepted but reaches only explicitly
+// configured matrix engines (engine.Options.Step1Workers), which the
+// server does not configure, so responses, cache contents and timings do
+// not depend on it.
 //
 // With -wal-dir set, mutations are durable: each batch is appended to a
 // checksummed write-ahead log (fsynced per -wal-sync) strictly before its
@@ -150,7 +150,7 @@ func main() {
 	walRequired := fs.Bool("wal-required", true, "treat WAL open/recovery failure as fatal; false degrades to serving reads and shedding mutations with 503")
 	walCompactRecords := fs.Int("wal-compact-records", 0, "log length in records beyond which a mutation triggers background snapshot compaction (0: 1024)")
 	shards := fs.Int("shards", 0, "spatial shards per corpus for parallel Step-1 fan-out (0 or 1: one shard, the corpus's own tree; at most 64; results are identical either way)")
-	step1Workers := fs.Int("step1-workers", 0, "goroutines for the quadratic Step-1 fills of a cache miss (contextual all-pairs, spatial all-pairs, grid matrix fill); 0 or 1: sequential; results are identical either way")
+	step1Workers := fs.Int("step1-workers", 0, "goroutines for the Step-1 fills of explicitly configured matrix engines; a cache miss runs one sequential fused Step-1 pass, which ignores it, so the server's results and timings are the same for every value")
 	traces := fs.Bool("traces", true, "retain per-request traces (tail-based: slow/error/shed/degraded always, -trace-sample for the rest) and serve GET /v1/traces")
 	traceSample := fs.Float64("trace-sample", 0.01, "probability that a fast, healthy request's trace is retained (tail rules retain regardless; negative: tail-only)")
 	traceBytes := fs.Int("trace-bytes", 0, "byte budget for each corpus's retained-trace ring (0: 4 MiB)")

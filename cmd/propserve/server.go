@@ -126,10 +126,10 @@ type Config struct {
 	// results are exactly those of one shard. 0 means 1: the corpus's
 	// own tree.
 	Shards int
-	// Step1Workers fans the quadratic Step-1 fills of a cache miss out
-	// over this many goroutines (engine.Options.Step1Workers). ≤ 1 keeps
-	// Step 1 sequential; results are identical either way, so the knob
-	// trades CPU for miss latency without affecting caches or responses.
+	// Step1Workers is engine.Options.Step1Workers. A cache miss runs the
+	// sequential fused Step-1 pass, which ignores it; the setting reaches
+	// only explicitly configured matrix engines, so it affects neither
+	// caches nor responses.
 	Step1Workers int
 	// CorporaDir, when set, makes corpora created through POST /v1/corpora
 	// durable: each corpus logs to its own WAL under CorporaDir/<name> and

@@ -69,7 +69,8 @@ func TestPipelineEngineMatrix(t *testing.T) {
 					// All exact contextual engines must agree exactly.
 					for i := 0; i < 5; i++ {
 						for j := i + 1; j < 5; j++ {
-							if ss.SC.At(i, j) != exactRef.SC.At(i, j) {
+							sc, _, _ := ss.Pair(i, j)
+							if ref, _, _ := exactRef.Pair(i, j); sc != ref {
 								t.Fatalf("contextual engines disagree at (%d,%d)", i, j)
 							}
 						}

@@ -75,7 +75,9 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // its full set exactly — every pair's sC, sS and sF, Evaluate, PlaceHPF,
 // PairHPF and metrics.Evaluate — and every registered algorithm selects
 // the same indices with the same HPF bits on both, odd k and λ = 1
-// included.
+// included. A full set of the default engine holds only the sF triangle,
+// so the pairs are checked against the triangles the matrix engines fill
+// (msJh and the spatial fill, with the case's workers).
 func TestCompactScoreSetBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	q := geo.Pt(50, 50)
@@ -90,8 +92,13 @@ func TestCompactScoreSetBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					opt.Contextual = textctx.MSJHEngine{Workers: opt.Workers}
+					oracle, err := core.ComputeScores(q, places, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
 					label := fmt.Sprintf("n=%d ties=%v %s γ=%v", n, ties, m.name, gamma)
-					checkCompactPairs(t, label, full, rng)
+					checkCompactPairs(t, label, full, oracle, rng)
 					if n <= 40 && gamma == 0.5 || n == 3 {
 						checkCompactSelections(t, label, full)
 					}
@@ -101,7 +108,7 @@ func TestCompactScoreSetBitIdentical(t *testing.T) {
 	}
 }
 
-func checkCompactPairs(t *testing.T, label string, full *core.ScoreSet, rng *rand.Rand) {
+func checkCompactPairs(t *testing.T, label string, full, oracle *core.ScoreSet, rng *rand.Rand) {
 	t.Helper()
 	c := full.Compact()
 	if c.SC != nil || c.SS != nil || c.SF != nil {
@@ -116,11 +123,23 @@ func checkCompactPairs(t *testing.T, label string, full *core.ScoreSet, rng *ran
 			if i == j {
 				continue
 			}
-			sc, sp, sf := c.Pair(i, j)
-			if !sameBits(sc, full.SC.At(i, j)) || !sameBits(sp, full.SS.At(i, j)) || !sameBits(sf, full.SF.At(i, j)) {
-				t.Fatalf("%s: pair (%d, %d) compact (%v, %v, %v), full (%v, %v, %v)", label, i, j,
-					sc, sp, sf, full.SC.At(i, j), full.SS.At(i, j), full.SF.At(i, j))
+			wsc, wsp, wsf := oracle.SC.At(i, j), oracle.SS.At(i, j), oracle.SF.At(i, j)
+			for _, ss := range []*core.ScoreSet{c, full} {
+				sc, sp, sf := ss.Pair(i, j)
+				if !sameBits(sc, wsc) || !sameBits(sp, wsp) || !sameBits(sf, wsf) {
+					t.Fatalf("%s: pair (%d, %d) reads (%v, %v, %v), matrix engines (%v, %v, %v)", label, i, j,
+						sc, sp, sf, wsc, wsp, wsf)
+				}
 			}
+			if !sameBits(full.SF.At(i, j), wsf) {
+				t.Fatalf("%s: sF(%d, %d) = %v, matrix engines %v", label, i, j, full.SF.At(i, j), wsf)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if !sameBits(full.PCS[i], oracle.PCS[i]) || !sameBits(full.PSS[i], oracle.PSS[i]) || !sameBits(full.PFS[i], oracle.PFS[i]) {
+			t.Fatalf("%s: place %d vectors (%v, %v, %v), matrix engines (%v, %v, %v)", label, i,
+				full.PCS[i], full.PSS[i], full.PFS[i], oracle.PCS[i], oracle.PSS[i], oracle.PFS[i])
 		}
 	}
 	for k := 1; k < n && k <= 7; k++ {

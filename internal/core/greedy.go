@@ -172,7 +172,7 @@ func sortPairs(ps []abpPair) {
 // loads, matrix index arithmetic and recomputed constants are gone. This
 // matters because materialisation is the cost shared by every ABP variant:
 // it bounds the speedup the incremental heap can show over the rescan.
-// ss must hold its triangles (SelectCtx refills a compact set first).
+// ss must hold its sF triangle (SelectCtx refills a compact set first).
 func abpScores(ctx context.Context, ss *ScoreSet, k int, lambda float64, stage string, keep int) ([]abpPair, error) {
 	n := ss.K()
 	size := n * (n - 1) / 2

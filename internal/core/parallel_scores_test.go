@@ -35,7 +35,8 @@ func tiePronePlaces(n int) []Place {
 }
 
 // requireSameScoreSet asserts two score sets are bit-identical: every
-// vector entry and every pairwise matrix entry must share float bits.
+// vector entry, every pair's sC and sS as Pair returns them, and every
+// entry of the sF triangle must share float bits.
 func requireSameScoreSet(t *testing.T, label string, a, b *ScoreSet) {
 	t.Helper()
 	n := a.K()
@@ -53,11 +54,13 @@ func requireSameScoreSet(t *testing.T, label string, a, b *ScoreSet) {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if math.Float64bits(a.SC.At(i, j)) != math.Float64bits(b.SC.At(i, j)) {
-				t.Fatalf("%s: SC(%d,%d) bits differ", label, i, j)
+			asc, asp, _ := a.Pair(i, j)
+			bsc, bsp, _ := b.Pair(i, j)
+			if math.Float64bits(asc) != math.Float64bits(bsc) {
+				t.Fatalf("%s: sC(%d,%d) bits differ", label, i, j)
 			}
-			if math.Float64bits(a.SS.At(i, j)) != math.Float64bits(b.SS.At(i, j)) {
-				t.Fatalf("%s: SS(%d,%d) bits differ", label, i, j)
+			if math.Float64bits(asp) != math.Float64bits(bsp) {
+				t.Fatalf("%s: sS(%d,%d) bits differ", label, i, j)
 			}
 			if math.Float64bits(a.SF.At(i, j)) != math.Float64bits(b.SF.At(i, j)) {
 				t.Fatalf("%s: SF(%d,%d) bits differ", label, i, j)
@@ -66,12 +69,13 @@ func requireSameScoreSet(t *testing.T, label string, a, b *ScoreSet) {
 	}
 }
 
-// TestComputeScoresWorkersBitIdentical: Step 1 with Workers > 1 must
-// produce the same score set, bit for bit, as the sequential path — the
-// invariant that lets the engine share cache keys and memoised selections
-// across worker settings. Covers random instances and the tie-prone
-// instance, both spatial methods, and sizes straddling the parallel
-// fallback thresholds.
+// TestComputeScoresWorkersBitIdentical: the matrix engines filled with
+// Workers > 1 (msJh's comparison step and the spatial fill fanned out)
+// must produce the same score set, bit for bit, as the sequential fused
+// pass of the default engine — the invariant that lets the engine share
+// cache keys and memoised selections across worker settings. Covers
+// random instances and the tie-prone instance, both spatial methods, and
+// sizes straddling the parallel fallback thresholds.
 func TestComputeScoresWorkersBitIdentical(t *testing.T) {
 	q := geo.Pt(0, 0)
 	rng := rand.New(rand.NewSource(9))
@@ -83,8 +87,9 @@ func TestComputeScoresWorkersBitIdentical(t *testing.T) {
 	for name, places := range instances {
 		for _, spatial := range []SpatialMethod{SpatialExact, SpatialSquaredGrid} {
 			serial := mustScores(t, q, places, ScoreOptions{Gamma: 0.5, Spatial: spatial})
-			for _, workers := range []int{2, 4, 7} {
-				par := mustScores(t, q, places, ScoreOptions{Gamma: 0.5, Spatial: spatial, Workers: workers})
+			for _, workers := range []int{1, 2, 4, 7} {
+				par := mustScores(t, q, places, ScoreOptions{Gamma: 0.5, Spatial: spatial,
+					Contextual: textctx.MSJHEngine{Workers: workers}, Workers: workers})
 				requireSameScoreSet(t, name+"/"+spatial.String(), serial, par)
 			}
 		}
@@ -93,13 +98,14 @@ func TestComputeScoresWorkersBitIdentical(t *testing.T) {
 
 // TestSelectionTiesBreakIdenticallySerialParallel: the float-bit
 // canonicalisation property behind the engine's worker-agnostic selection
-// memo — on a tie-heavy instance, Step 2 over a parallel-built score set
-// must select exactly what it selects over the serial one.
+// memo — on a tie-heavy instance, Step 2 over a score set the matrix
+// engines filled in parallel must select exactly what it selects over
+// the fused pass's.
 func TestSelectionTiesBreakIdenticallySerialParallel(t *testing.T) {
 	q := geo.Pt(0, 0)
 	places := tiePronePlaces(90)
 	serial := mustScores(t, q, places, ScoreOptions{Gamma: 0.5})
-	par := mustScores(t, q, places, ScoreOptions{Gamma: 0.5, Workers: 4})
+	par := mustScores(t, q, places, ScoreOptions{Gamma: 0.5, Contextual: textctx.MSJHEngine{Workers: 4}, Workers: 4})
 	for _, alg := range []Algorithm{AlgABP, AlgABPRescan, AlgIAdU, AlgIAdUHeap} {
 		p := Params{K: 9, Lambda: 0.5, Gamma: 0.5}
 		a, err := Select(alg, serial, p)

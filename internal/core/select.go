@@ -65,7 +65,7 @@ func Select(alg Algorithm, ss *ScoreSet, p Params) (Selection, error) {
 // SelectCtx runs the named algorithm with cooperative cancellation: the
 // greedy loops poll ctx once per outer iteration and return an error
 // matching ErrCancelled or ErrDeadline as soon as ctx terminates. On a
-// compact score set it first refills the pair triangles from the places
+// compact score set it first refills the sF triangle from the places
 // with the recorded Step-1 options (a Step 1 without the retrieval), so
 // the algorithm runs on exactly the pairs the set was compacted from.
 func SelectCtx(ctx context.Context, alg Algorithm, ss *ScoreSet, p Params) (Selection, error) {

@@ -52,7 +52,8 @@ func missQuery(t testing.TB, e *Engine, i, K, k int, algo, spatial string) *Resu
 }
 
 // entryBudget is the most a resident K=1000 entry may retain: its compact
-// score set (~92 KB) plus the answer memo. A full set is ~12 MB.
+// score set (~92 KB) plus the answer memo. A full set adds its 4 MB sF
+// triangle.
 const entryBudget = 256 << 10
 
 // TestCompactEntryFootprint: the heap grows by at most entryBudget per
@@ -214,26 +215,27 @@ func TestCompactEntryConcurrentSelKeys(t *testing.T) {
 // per fresh-key miss (retrieval, Step 1, Step 2, rendering) on the
 // benchmark's 20k corpus with its server settings (2 shards, 2 Step-1
 // workers), k=20, λ=γ=0.5. The last row is a memo miss on a resident
-// K=1000 entry: the triangles refilled from its places, then Step 2.
-// Measured 2026-10-18 on the parent commit 2bb9b94 plus the change that
-// made cache entries compact and bounded ABP's pair prefix (the K=1000
-// ABP rows were 20.8 MB before it); every row's budget is its
-// measurement + 10 %. Lower a row when a change shrinks it.
+// K=1000 entry: the sF triangle refilled from its places, then Step 2.
+// Measured 2026-10-19 with Step 1 as the fused pass, which fills one
+// K(K−1)/2 triangle where the matrix engines filled three (the K=1000
+// rows were 12.5–13.5 MB before it, and 20.8 MB for ABP before compact
+// entries); every row's budget is its measurement + 10 %. Lower a row
+// when a change shrinks it.
 var missBytes = []struct {
 	K             int
 	algo, spatial string
 	memo          bool
 	measured      uint64
 }{
-	{200, "iadu", "exact", false, 726_952},
-	{200, "iadu", "squared", false, 734_602},
-	{200, "abp", "exact", false, 1_060_844},
-	{200, "abp", "squared", false, 1_065_076},
-	{1000, "iadu", "exact", false, 12_809_760},
-	{1000, "iadu", "squared", false, 12_826_136},
-	{1000, "abp", "exact", false, 13_456_500},
-	{1000, "abp", "squared", false, 13_495_144},
-	{1000, "iadu", "squared", true, 12_479_964},
+	{200, "iadu", "exact", false, 372_684},
+	{200, "iadu", "squared", false, 376_734},
+	{200, "abp", "exact", false, 705_068},
+	{200, "abp", "squared", false, 707_872},
+	{1000, "iadu", "exact", false, 4_744_876},
+	{1000, "iadu", "squared", false, 4_761_208},
+	{1000, "abp", "exact", false, 5_393_460},
+	{1000, "abp", "squared", false, 5_433_720},
+	{1000, "iadu", "squared", true, 4_520_052},
 }
 
 // TestMissBytesBudget holds every missBytes row to its budget, averaged

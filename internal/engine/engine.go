@@ -18,14 +18,14 @@
 //     size-bounded LRU keyed by that canonicalised key, in their compact
 //     form (core.ScoreSet.Compact): the places, the pCS/pSS/pFS vectors
 //     and what recomputes any pair bit for bit — O(K) bytes, not the
-//     three K(K−1)/2 float64 triangles, which live only while a request
-//     selects on them.
+//     K(K−1)/2 float64 sF triangle, which lives only while a request
+//     selects on it.
 //  3. Answers. Step 2 is deterministic given a score set, so each cache
 //     entry memoises, per (algorithm, k, λ), the selection together with
 //     everything rendered from it: HPF breakdown, diagnostics, places and
 //     their encoded JSON (see answer). The request that computes a score
 //     set selects its own answer on the full set before caching the
-//     compact one; a later new (algorithm, k, λ) refills the triangles
+//     compact one; a later new (algorithm, k, λ) refills the triangle
 //     from the cached places (core.SelectCtx) — Step 1 without the
 //     retrieval, not counted as a build.
 //
@@ -113,12 +113,13 @@ type Options struct {
 	// parallel fan-out with an exact merge, and results are bitwise
 	// identical to one shard's. 0 means 1: the corpus's own tree.
 	Shards int
-	// Step1Workers fans the quadratic Step-1 fills of a cache miss
-	// (contextual all-pairs, spatial all-pairs or grid matrix fill) out
-	// over this many goroutines (core.ScoreOptions.Workers). ≤ 1 keeps
-	// Step 1 sequential. Every worker count fills the same matrices bit
-	// for bit, so the knob never changes a response — which is why cache
-	// keys and the selection memo deliberately do not encode it.
+	// Step1Workers is passed on as core.ScoreOptions.Workers. A cache
+	// miss runs Step 1 as one sequential fused pass (the default
+	// contextual engine), which ignores it: the setting reaches only
+	// explicitly configured matrix engines, whose fills it fans out over
+	// this many goroutines. Every worker count yields the same bits, so
+	// the knob never changes a response — which is why cache keys and the
+	// selection memo deliberately do not encode it.
 	Step1Workers int
 }
 

@@ -26,6 +26,14 @@ func AllPairsSpatial(q geo.Point, pts []geo.Point) *pairs.Matrix {
 // for bit. On cancellation the partial matrix is discarded and ctx.Err()
 // returned.
 func AllPairsSpatialCtx(ctx context.Context, q geo.Point, pts []geo.Point, workers int) (*pairs.Matrix, error) {
+	return pairs.FillRows(ctx, len(pts), workers, ExactRows(q, pts))
+}
+
+// ExactRows returns the row function of AllPairsSpatial(q, pts): rows(i,
+// row) writes sS(p_i, p_j) for j = i+1 … n−1 into row[j−i−1]. It keeps no
+// state beyond the per-point distances to q, so any number of goroutines
+// may call it at once.
+func ExactRows(q geo.Point, pts []geo.Point) func(i int, row []float64) {
 	// Hoist the per-point distances to q: the baseline recomputes them per
 	// pair, but sharing them is the natural implementation in Go and only
 	// strengthens the baseline we compare the grids against.
@@ -33,13 +41,12 @@ func AllPairsSpatialCtx(ctx context.Context, q geo.Point, pts []geo.Point, worke
 	for i, p := range pts {
 		dq[i] = p.Dist(q)
 	}
-	return pairs.Fill(ctx, len(pts), workers, func(m *pairs.Matrix) func(int) {
-		return func(i int) {
-			for j := i + 1; j < len(pts); j++ {
-				m.Set(i, j, exactSS(dq[i], dq[j], pts[i], pts[j]))
-			}
+	return func(i int, row []float64) {
+		for t := range row {
+			j := i + 1 + t
+			row[t] = exactSS(dq[i], dq[j], pts[i], pts[j])
 		}
-	})
+	}
 }
 
 // ExactPairSS returns the entry (i, j) of AllPairsSpatial(q, pts) for

@@ -22,7 +22,7 @@ func TestSampleApproxErrorExactMatrix(t *testing.T) {
 	q := geo.Pt(50, 50)
 	pts := samplePts(40, 1)
 	exact := AllPairsSpatial(q, pts)
-	es := SampleApproxError(q, pts, exact, 64)
+	es := SampleApproxError(q, pts, exact.At, 64)
 	if es.Pairs == 0 {
 		t.Fatal("no pairs sampled")
 	}
@@ -43,7 +43,7 @@ func TestSampleApproxErrorGrid(t *testing.T) {
 	}
 	approx := g.ApproxAllPairs(nil)
 
-	es := SampleApproxError(q, pts, approx, 64)
+	es := SampleApproxError(q, pts, approx.At, 64)
 	if es.Pairs != 64 {
 		t.Errorf("Pairs = %d, want 64", es.Pairs)
 	}
@@ -57,7 +57,7 @@ func TestSampleApproxErrorGrid(t *testing.T) {
 	if es.MeanAbs > 0.2 {
 		t.Errorf("MeanAbs = %v, implausibly large for |G| ≈ K", es.MeanAbs)
 	}
-	if again := SampleApproxError(q, pts, approx, 64); again != es {
+	if again := SampleApproxError(q, pts, approx.At, 64); again != es {
 		t.Errorf("sampling not deterministic: %+v vs %+v", es, again)
 	}
 }
@@ -71,7 +71,7 @@ func TestSampleApproxErrorExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := SampleApproxError(q, pts, g.ApproxAllPairs(nil), 64)
+	es := SampleApproxError(q, pts, g.ApproxAllPairs(nil).At, 64)
 	if es.Pairs != 28 {
 		t.Errorf("Pairs = %d, want exhaustive 28", es.Pairs)
 	}
@@ -84,6 +84,6 @@ func TestSampleApproxErrorDegenerate(t *testing.T) {
 	}
 	pts := samplePts(10, 4)
 	if es := SampleApproxError(q, pts, nil, 64); es.Pairs != 0 {
-		t.Errorf("nil matrix sampled %d pairs", es.Pairs)
+		t.Errorf("nil pair function sampled %d pairs", es.Pairs)
 	}
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -152,15 +153,33 @@ func (r *Radial) PSS(tbl *RadialTable) []float64 {
 // ApproxAllPairs returns the approximate pairwise sS matrix in which each
 // point is replaced by its sector representative.
 func (r *Radial) ApproxAllPairs(tbl *RadialTable) *pairs.Matrix {
-	n := len(r.cellOf)
-	m := pairs.New(n)
-	p := r.Pairs(tbl)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, p.At(i, j))
+	m, _ := pairs.FillRows(context.Background(), len(r.cellOf), 1, r.Rows(tbl))
+	return m
+}
+
+// Rows returns the row function of ApproxAllPairs(tbl): rows(i, row)
+// writes sS of the points i, j for j = i+1 … n−1 into row[j−i−1], the
+// value RadialPairs.At returns for the pair. With a table, row i is
+// gathered from the row of i's sector in the table's matrix for this ring
+// count, fetched once here (its diagonal holds RadialPairs.At's 1 for two
+// points in one sector). Any number of goroutines may call rows at once.
+func (r *Radial) Rows(tbl *RadialTable) func(i int, row []float64) {
+	cell := r.cellOf
+	if tbl == nil {
+		p := r.Pairs(nil)
+		return func(i int, row []float64) {
+			for t := range row {
+				row[t] = p.At(i, i+1+t)
+			}
 		}
 	}
-	return m
+	m, sectors := tbl.matrix(r.rings), r.Sectors()
+	return func(i int, row []float64) {
+		crow := m[int(cell[i])*sectors : int(cell[i])*sectors+sectors]
+		for t, cj := range cell[i+1:] {
+			row[t] = crow[cj]
+		}
+	}
 }
 
 // RadialPairs is the O(K) state from which any single entry of the matrix
@@ -235,15 +254,20 @@ func (t *RadialTable) Bytes() int {
 // and cj of a radial grid with the given ring count, computing and caching
 // the matrix for that ring count on first use.
 func (t *RadialTable) At(rings, ci, cj int) float64 {
+	return t.matrix(rings)[ci*rings*4*rings+cj]
+}
+
+// matrix returns the sectors×sectors similarity matrix for the ring
+// count, building and memoising it on first use.
+func (t *RadialTable) matrix(rings int) []float64 {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	m, ok := t.per[rings]
 	if !ok {
 		m = buildRadialMatrix(rings)
 		t.per[rings] = m
 	}
-	t.mu.Unlock()
-	sectors := rings * 4 * rings
-	return m[ci*sectors+cj]
+	return m
 }
 
 func buildRadialMatrix(rings int) []float64 {

@@ -253,12 +253,17 @@ func (g *Squared) ApproxAllPairs(tbl *SquaredTable) *pairs.Matrix {
 // for bit. On cancellation the partial matrix is discarded and ctx.Err()
 // returned.
 func (g *Squared) ApproxAllPairsCtx(ctx context.Context, tbl *SquaredTable, workers int) (*pairs.Matrix, error) {
-	// Row i of the matrix is gathered out of row idx[i] of a flat
-	// similarity table src (rows of length stride, indexed by idx again):
-	// the maximal table translated through maximalIdx when tbl covers the
-	// grid — no O(occupied²) densified copy to build first — and the
-	// occupied-cell table otherwise. Both are built before the fan-out;
-	// the workers only read them.
+	return pairs.FillRows(ctx, len(g.cellOf), workers, g.Rows(tbl))
+}
+
+// Rows returns the row function of ApproxAllPairsCtx(…, tbl, …): rows(i,
+// row) writes sS of the points i, j for j = i+1 … n−1 into row[j−i−1].
+// Row i is gathered out of row idx[i] of a flat similarity table src (rows
+// of length stride, indexed by idx again): the maximal table translated
+// through maximalIdx when tbl covers the grid — no O(occupied²) densified
+// copy to build first — and the occupied-cell table otherwise. Both are
+// built here, so any number of goroutines may call rows at once.
+func (g *Squared) Rows(tbl *SquaredTable) func(i int, row []float64) {
 	var (
 		src    []float64
 		stride int
@@ -270,15 +275,12 @@ func (g *Squared) ApproxAllPairsCtx(ctx context.Context, tbl *SquaredTable, work
 	} else {
 		src, stride, idx = g.cellScores(), len(g.occ), g.occIdx
 	}
-	return pairs.Fill(ctx, len(idx), workers, func(m *pairs.Matrix) func(int) {
-		return func(i int) {
-			crow := src[int(idx[i])*stride : int(idx[i])*stride+stride]
-			row := m.Row(i)
-			for t, oj := range idx[i+1:] {
-				row[t] = crow[oj]
-			}
+	return func(i int, row []float64) {
+		crow := src[int(idx[i])*stride : int(idx[i])*stride+stride]
+		for t, oj := range idx[i+1:] {
+			row[t] = crow[oj]
 		}
-	})
+	}
 }
 
 // SquaredPairs is the O(K) state from which any single entry of the

@@ -96,14 +96,14 @@ func TestSampleApproxErrorSampleSizeExactUnderSampling(t *testing.T) {
 	// show up as Pairs < 64 distinct contributions.
 	pts := randomPts(rng, 12)
 	exact := AllPairsSpatial(q, pts)
-	es := SampleApproxError(q, pts, exact, 64)
+	es := SampleApproxError(q, pts, exact.At, 64)
 	if es.Pairs != 64 {
 		t.Errorf("Pairs = %d, want 64", es.Pairs)
 	}
 	if es.MaxAbs != 0 || es.MeanAbs != 0 {
 		t.Errorf("error against exact matrix = %+v, want zero", es)
 	}
-	if again := SampleApproxError(q, pts, exact, 64); again != es {
+	if again := SampleApproxError(q, pts, exact.At, 64); again != es {
 		t.Errorf("sampling not deterministic: %+v vs %+v", again, es)
 	}
 }

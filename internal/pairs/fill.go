@@ -77,3 +77,12 @@ func Fill(ctx context.Context, n, workers int, newWorker func(m *Matrix) func(i 
 	}
 	return m, nil
 }
+
+// FillRows is Fill for a row function that keeps no per-worker state:
+// rows(i, m.Row(i)) writes the pairs (i, j > i) of row i and may run on
+// several goroutines at once.
+func FillRows(ctx context.Context, n, workers int, rows func(i int, row []float64)) (*Matrix, error) {
+	return Fill(ctx, n, workers, func(m *Matrix) func(int) {
+		return func(i int) { rows(i, m.Row(i)) }
+	})
+}

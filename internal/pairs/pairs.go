@@ -127,4 +127,8 @@ func Combine(a, b *Matrix, wa, wb float64) *Matrix {
 
 // Blend is one entry of Combine: wa·a + wb·b. Code that recomputes a
 // single sF entry calls it too, so the entry it gets has Combine's bits.
-func Blend(wa, a, wb, b float64) float64 { return wa*a + wb*b }
+// The explicit conversions round each product before the sum: without
+// them the compiler may fuse a product and the sum into one multiply-add
+// (it does on arm64), and a fused and an unfused call site of Blend would
+// disagree in the last bit.
+func Blend(wa, a, wb, b float64) float64 { return float64(wa*a) + float64(wb*b) }
