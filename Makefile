@@ -8,7 +8,8 @@ GO ?= go
 all: check
 
 # Default verification path: build, vet, tests, and the race detector on
-# the concurrency-bearing packages (serving path, parallel Step 1, stream).
+# the concurrency-bearing packages (serving path, Step-1 fills over shared
+# grid tables, sharded retrieval).
 check: build vet test race
 
 build:
@@ -36,13 +37,13 @@ cross:
 # internal/engine carries the epoch-snapshot concurrency tests (mutations
 # racing pinned queries, singleflight leader panic/cancellation),
 # internal/wal the durability layer's locking, cmd/propserve the
-# /v1/corpus surface plus queries-during-replay, internal/pairs the one
-# Step-1 worker pool (pairs.Fill) and internal/core + internal/textctx +
-# internal/grid the fills that run on it (bit-identity tests run the
-# worker fan-outs), internal/irtree the shared trees that shards search
-# from concurrent goroutines — all must stay in this list.
+# /v1/corpus surface plus queries-during-replay, internal/pairs +
+# internal/core + internal/textctx + internal/grid the Step-1 fills that
+# concurrent requests run over shared grid tables, internal/irtree the
+# shared trees that shards search from concurrent goroutines — all must
+# stay in this list.
 race:
-	$(GO) test -race ./internal/pairs ./internal/core ./internal/irtree ./internal/textctx ./internal/engine ./internal/registry ./internal/dataset ./internal/resilience ./internal/telemetry ./internal/tracestore ./internal/explain ./internal/grid ./internal/stream ./internal/wal ./internal/slo ./cmd/propserve
+	$(GO) test -race ./internal/pairs ./internal/core ./internal/irtree ./internal/textctx ./internal/engine ./internal/registry ./internal/dataset ./internal/resilience ./internal/telemetry ./internal/tracestore ./internal/explain ./internal/grid ./internal/wal ./internal/slo ./cmd/propserve
 
 # The kill-recovery suite: child processes SIGKILL themselves at injected
 # WAL fault points; the parent recovers each directory and verifies no
@@ -96,7 +97,7 @@ report-small:
 	$(GO) run ./cmd/experiments -scale small
 
 examples:
-	for ex in quickstart museums geotags rdfplaces roadnet stream geosocial; do \
+	for ex in quickstart museums geotags rdfplaces roadnet; do \
 		echo "--- $$ex"; $(GO) run ./examples/$$ex || exit 1; \
 	done
 

@@ -64,10 +64,8 @@
 // corpus's own tree. With N ≥ 2, Step-1 retrieval fans out across the
 // shards in parallel, and results are exactly those of one shard (see
 // DESIGN.md). Step 1 of a cache miss is one sequential fused pass;
-// -step1-workers=N is still accepted but reaches only explicitly
-// configured matrix engines (engine.Options.Step1Workers), which the
-// server does not configure, so responses, cache contents and timings do
-// not depend on it.
+// -step1-workers=N is ignored and accepted only so that existing command
+// lines still parse.
 //
 // With -wal-dir set, mutations are durable: each batch is appended to a
 // checksummed write-ahead log (fsynced per -wal-sync) strictly before its
@@ -150,7 +148,7 @@ func main() {
 	walRequired := fs.Bool("wal-required", true, "treat WAL open/recovery failure as fatal; false degrades to serving reads and shedding mutations with 503")
 	walCompactRecords := fs.Int("wal-compact-records", 0, "log length in records beyond which a mutation triggers background snapshot compaction (0: 1024)")
 	shards := fs.Int("shards", 0, "spatial shards per corpus for parallel Step-1 fan-out (0 or 1: one shard, the corpus's own tree; at most 64; results are identical either way)")
-	step1Workers := fs.Int("step1-workers", 0, "goroutines for the Step-1 fills of explicitly configured matrix engines; a cache miss runs one sequential fused Step-1 pass, which ignores it, so the server's results and timings are the same for every value")
+	fs.Int("step1-workers", 0, "ignored: Step 1 is one sequential pass; accepted so existing command lines still parse")
 	traces := fs.Bool("traces", true, "retain per-request traces (tail-based: slow/error/shed/degraded always, -trace-sample for the rest) and serve GET /v1/traces")
 	traceSample := fs.Float64("trace-sample", 0.01, "probability that a fast, healthy request's trace is retained (tail rules retain regardless; negative: tail-only)")
 	traceBytes := fs.Int("trace-bytes", 0, "byte budget for each corpus's retained-trace ring (0: 4 MiB)")
@@ -187,9 +185,8 @@ func main() {
 
 		WALCompactRecords: *walCompactRecords,
 
-		Shards:       *shards,
-		Step1Workers: *step1Workers,
-		CorporaDir:   *corporaDir,
+		Shards:     *shards,
+		CorporaDir: *corporaDir,
 
 		DisableTraces: !*traces,
 		TraceSample:   *traceSample,

@@ -126,11 +126,6 @@ type Config struct {
 	// results are exactly those of one shard. 0 means 1: the corpus's
 	// own tree.
 	Shards int
-	// Step1Workers is engine.Options.Step1Workers. A cache miss runs the
-	// sequential fused Step-1 pass, which ignores it; the setting reaches
-	// only explicitly configured matrix engines, so it affects neither
-	// caches nor responses.
-	Step1Workers int
 	// CorporaDir, when set, makes corpora created through POST /v1/corpora
 	// durable: each corpus logs to its own WAL under CorporaDir/<name> and
 	// recovers from it on re-creation or restart. The default corpus keeps
@@ -405,7 +400,6 @@ func engineOptions(cfg Config) engine.Options {
 		MaxK:         cfg.MaxK,
 		CacheEntries: cfg.CacheEntries,
 		Shards:       cfg.Shards,
-		Step1Workers: cfg.Step1Workers,
 	}
 }
 

@@ -21,7 +21,5 @@
 //	internal/metrics   — selection-quality diagnostics
 //	internal/usereval  — simulated user-study evaluator panel
 //	internal/roadnet   — road-network distance extension (future work)
-//	internal/stream    — sliding-window streaming extension
-//	internal/geosocial — Gowalla-style geo-social retrieval substrate
 //	internal/bench     — experiment harness regenerating the paper's figures
 package repro

@@ -4,7 +4,6 @@
 package repro_test
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -46,7 +45,6 @@ func TestPipelineEngineMatrix(t *testing.T) {
 		nil, // default (msJh)
 		textctx.BaselineEngine{},
 		textctx.MSJHEngine{},
-		textctx.MSJHEngine{Workers: 4},
 		textctx.NaiveInvertedEngine{},
 	}
 	spatials := []core.SpatialMethod{core.SpatialExact, core.SpatialSquaredGrid, core.SpatialRadialGrid}
@@ -145,8 +143,8 @@ func TestRetrievalFeedsSelection(t *testing.T) {
 }
 
 // TestPSSAgreesAcrossLayers cross-checks the pSS computations the system
-// has (core exact path, grid baseline, and the grid fill fanned out over
-// workers) on retrieved data.
+// has (core exact path, grid baseline, and the row sums of the exact
+// all-pairs fill) on retrieved data.
 func TestPSSAgreesAcrossLayers(t *testing.T) {
 	_, q, places := integrationDataset(t)
 	ss, err := core.ComputeScores(q.Loc, places, core.ScoreOptions{Gamma: 1})
@@ -163,14 +161,10 @@ func TestPSSAgreesAcrossLayers(t *testing.T) {
 			t.Fatalf("pSS[%d]: core %g vs grid %g", i, ss.PSS[i], want[i])
 		}
 	}
-	sp, err := grid.AllPairsSpatialCtx(context.Background(), q.Loc, pts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := sp.RowSums()
+	rows := grid.AllPairsSpatial(q.Loc, pts).RowSums()
 	for i := range want {
-		if want[i] != par[i] {
-			t.Fatalf("parallel pSS[%d] differs", i)
+		if want[i] != rows[i] {
+			t.Fatalf("row-sum pSS[%d] differs", i)
 		}
 	}
 }

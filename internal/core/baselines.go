@@ -56,7 +56,7 @@ func RandomSelect(ss *ScoreSet, p Params, seed int64) (Selection, error) {
 // them off.
 func (ss *ScoreSet) divPair(i, j, k int, lambda float64) float64 {
 	rel := (1 - lambda) * (ss.Places[i].Rel + ss.Places[j].Rel) / float64(k-1)
-	div := 2 * lambda / float64(k-1) * (1 - ss.sf(i, j))
+	div := float64(2 * lambda / float64(k-1) * (1 - ss.sf(i, j)))
 	return rel + div
 }
 

@@ -54,14 +54,12 @@ func compactInstance(rng *rand.Rand, q geo.Point, n int, ties bool) []core.Place
 // compactMethods are the Step-1 configurations a compact set must
 // reproduce: the exact path, the squared grid gathering from a covering
 // table and computing cell-centre scores itself (the grid is wider than
-// the table), and the radial grid with and without its table. One case
-// fills with two workers.
+// the table), and the radial grid with and without its table.
 var compactMethods = []struct {
 	name string
 	opt  core.ScoreOptions
 }{
 	{"exact", core.ScoreOptions{Spatial: core.SpatialExact}},
-	{"exact-2w", core.ScoreOptions{Spatial: core.SpatialExact, Workers: 2}},
 	{"squared-table", core.ScoreOptions{Spatial: core.SpatialSquaredGrid, SquaredTable: grid.NewSquaredTable(12)}},
 	{"squared-wider", core.ScoreOptions{Spatial: core.SpatialSquaredGrid, SquaredTable: grid.NewSquaredTable(2)}},
 	{"radial-table", core.ScoreOptions{Spatial: core.SpatialRadialGrid, RadialTable: grid.NewRadialTable()}},
@@ -77,7 +75,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // the same indices with the same HPF bits on both, odd k and λ = 1
 // included. A full set of the default engine holds only the sF triangle,
 // so the pairs are checked against the triangles the matrix engines fill
-// (msJh and the spatial fill, with the case's workers).
+// (msJh and the spatial fill).
 func TestCompactScoreSetBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	q := geo.Pt(50, 50)
@@ -92,7 +90,7 @@ func TestCompactScoreSetBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opt.Contextual = textctx.MSJHEngine{Workers: opt.Workers}
+					opt.Contextual = textctx.MSJHEngine{}
 					oracle, err := core.ComputeScores(q, places, opt)
 					if err != nil {
 						t.Fatal(err)

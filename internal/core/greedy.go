@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/explain"
 )
@@ -149,7 +149,15 @@ func abpBefore(a, b abpPair) bool {
 // and every selection scanned from it — does not depend on the order ps
 // arrives in, ties included.
 func sortPairs(ps []abpPair) {
-	sort.Slice(ps, func(a, b int) bool { return abpBefore(ps[a], ps[b]) })
+	slices.SortFunc(ps, func(a, b abpPair) int {
+		switch {
+		case abpBefore(a, b):
+			return -1
+		case abpBefore(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // abpScores scores all O(K²) pairs and returns the keep pairs that rank

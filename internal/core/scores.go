@@ -74,14 +74,6 @@ type ScoreOptions struct {
 	// in [0, 1]; pSS is derived from its row sums. Used to swap Euclidean
 	// Ptolemy similarity for alternatives such as road-network distance.
 	CustomSpatial func(q geo.Point, places []Place) (*pairs.Matrix, error)
-	// Workers fans the spatial matrix fill of the matrix path (a
-	// Contextual engine set, or SpatialCustom, which also fills msJh on
-	// this many goroutines) out through pairs.Fill. The default fused
-	// pass is sequential and ignores it. ≤ 1 keeps every phase
-	// sequential; every worker count fills the same matrices bit for bit,
-	// so Workers never changes any score. A non-nil Contextual engine is
-	// used as configured (e.g. MSJHEngine.Workers).
-	Workers int
 }
 
 // ScoreSet is the Step-1 output: every per-place and pairwise score the
@@ -136,7 +128,7 @@ func ComputeScores(q geo.Point, places []Place, opt ScoreOptions) (*ScoreSet, er
 // quadratic all-pairs phases poll ctx (directly when the configured
 // engines support it, at stage boundaries otherwise) and abandon the
 // computation as soon as ctx terminates, returning an error matching
-// ErrCancelled or ErrDeadline. No goroutines outlive the call.
+// ErrCancelled or ErrDeadline.
 //
 // With the default contextual engine (Contextual nil) and the exact or a
 // grid spatial method, Step 1 is one sequential row pass (fusedStep1)
@@ -146,7 +138,7 @@ func ComputeScores(q geo.Point, places []Place, opt ScoreOptions) (*ScoreSet, er
 // bits for every vector and every pair. Each Step-1 stage is spanned in
 // those two, at its boundary, and nowhere below: the engines and grid
 // fills record no spans of their own, so every stage is counted exactly
-// once whatever engine, spatial method or worker count runs it.
+// once whatever engine or spatial method runs it.
 func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt ScoreOptions) (*ScoreSet, error) {
 	if err := checkpoint(ctx, "scores:start"); err != nil {
 		return nil, err
@@ -186,14 +178,14 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 }
 
 // matrixStep1 is Step 1 over explicitly configured engines: the
-// contextual engine (msJh on opt.Workers goroutines when none is set, as
-// for SpatialCustom) fills the sC triangle, the spatial method the sS
-// triangle (on opt.Workers goroutines), and sF is their combination.
+// contextual engine (msJh when none is set, as for SpatialCustom) fills
+// the sC triangle, the spatial method the sS triangle, and sF is their
+// combination.
 func (ss *ScoreSet) matrixStep1(ctx context.Context, pts []geo.Point) error {
 	opt := ss.opt
 	engine := opt.Contextual
 	if engine == nil {
-		engine = textctx.MSJHEngine{Workers: opt.Workers}
+		engine = textctx.MSJHEngine{}
 	}
 	sets := make([]textctx.Set, len(ss.Places))
 	for i := range ss.Places {
@@ -253,7 +245,7 @@ func (ss *ScoreSet) spatialMatrix(ctx context.Context, pts []geo.Point) (*pairs.
 	if err != nil {
 		return nil, nil, err
 	}
-	sp, err := pairs.FillRows(ctx, len(pts), ss.opt.Workers, rows)
+	sp, err := pairs.FillRows(ctx, len(pts), rows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -281,8 +273,8 @@ func (ss *ScoreSet) Compact() *ScoreSet {
 // full returns ss with its sF triangle: ss itself when it holds it, and
 // otherwise a fresh Step 1 over the same places with the recorded
 // options — for the default engine the fused pass, which fills sF only.
-// Every fill is deterministic for every worker count, so the refilled set
-// equals the one ss was compacted from, bit for bit.
+// Every fill is deterministic, so the refilled set equals the one ss was
+// compacted from, bit for bit.
 func (ss *ScoreSet) full(ctx context.Context) (*ScoreSet, error) {
 	if ss.SF != nil {
 		return ss, nil
@@ -458,7 +450,7 @@ func (ss *ScoreSet) PlaceHPF(i int, r []int, k int, lambda float64) float64 {
 			pfr += ss.sf(i, j)
 		}
 	}
-	return (1-lambda)*float64(K-k)*ss.Places[i].Rel + lambda*(ss.PFS[i]-pfr)
+	return float64((1-lambda)*float64(K-k)*ss.Places[i].Rel) + float64(lambda*(ss.PFS[i]-pfr))
 }
 
 // Evaluate computes HPF(R) (Eq. 10) for the candidate subset r, together
@@ -481,7 +473,7 @@ func (ss *ScoreSet) Evaluate(r []int, lambda float64) Breakdown {
 		b.PS += ss.PSS[i] - ssr // pS(p_i) = pSS − pSR (Eq. 5)
 	}
 	b.Rel *= float64(K - k)
-	b.Total = (1-lambda)*b.Rel + lambda*((1-ss.Gamma)*b.PC+ss.Gamma*b.PS)
+	b.Total = pairs.Blend(1-lambda, b.Rel, lambda, pairs.Blend(1-ss.Gamma, b.PC, ss.Gamma, b.PS))
 	return b
 }
 

@@ -241,7 +241,7 @@ var missBytes = []struct {
 // TestMissBytesBudget holds every missBytes row to its budget, averaged
 // over four requests after one unmeasured warm-up.
 func TestMissBytesBudget(t *testing.T) {
-	e := New(missCorpus(t), Options{Shards: 2, Step1Workers: 2})
+	e := New(missCorpus(t), Options{Shards: 2})
 	e.SquaredTable()
 	var ms runtime.MemStats
 	loc := 0

@@ -113,14 +113,6 @@ type Options struct {
 	// parallel fan-out with an exact merge, and results are bitwise
 	// identical to one shard's. 0 means 1: the corpus's own tree.
 	Shards int
-	// Step1Workers is passed on as core.ScoreOptions.Workers. A cache
-	// miss runs Step 1 as one sequential fused pass (the default
-	// contextual engine), which ignores it: the setting reaches only
-	// explicitly configured matrix engines, whose fills it fans out over
-	// this many goroutines. Every worker count yields the same bits, so
-	// the knob never changes a response — which is why cache keys and the
-	// selection memo deliberately do not encode it.
-	Step1Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -385,7 +377,7 @@ func (e *Engine) build(ctx context.Context, req *QueryRequest) (*core.ScoreSet, 
 		return nil, fmt.Errorf("%w: retrieved %d places; need more than k=1",
 			ErrBadRequest, len(places))
 	}
-	opt := core.ScoreOptions{Gamma: req.Gamma, Spatial: req.spatial, Workers: e.opt.Step1Workers}
+	opt := core.ScoreOptions{Gamma: req.Gamma, Spatial: req.spatial}
 	switch req.spatial {
 	case core.SpatialSquaredGrid:
 		opt.SquaredTable = e.SquaredTable()

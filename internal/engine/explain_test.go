@@ -3,56 +3,46 @@ package engine
 import (
 	"context"
 	"testing"
-
-	"repro/internal/explain"
 )
 
 // TestExplainReturnsReport: Explain evaluates the query and yields a
 // self-contained report with the greedy trace, pruning counters and grid
-// statistics, matching what Query would have selected — and the same
-// pruning counters whatever the Step-1 worker count.
+// statistics, matching what Query would have selected.
 func TestExplainReturnsReport(t *testing.T) {
-	var pruning []explain.Pruning
-	for _, workers := range []int{0, 4} {
-		e := New(testData(t), Options{Step1Workers: workers})
-		req := e.NewRequest()
-		req.K, req.SmallK = 80, 8
+	e := New(testData(t), Options{})
+	req := e.NewRequest()
+	req.K, req.SmallK = 80, 8
 
-		res, rep, err := e.Explain(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache != CacheBypass {
-			t.Errorf("workers=%d: Cache = %q, want %q", workers, res.Cache, CacheBypass)
-		}
-		if rep.Algorithm != req.Algo {
-			t.Errorf("workers=%d: Algorithm = %q, want %q", workers, rep.Algorithm, req.Algo)
-		}
-		if len(rep.Rounds) == 0 {
-			t.Errorf("workers=%d: report has no greedy rounds", workers)
-		}
-		if rep.Pruning == nil || rep.Pruning.CandidatePairs == 0 {
-			t.Fatalf("workers=%d: Pruning = %+v, want populated", workers, rep.Pruning)
-		}
-		pruning = append(pruning, *rep.Pruning)
-		if rep.Grid == nil || rep.Grid.Kind != "squared" || rep.Grid.SampledPairs == 0 {
-			t.Errorf("workers=%d: Grid = %+v, want squared stats with a sampled error", workers, rep.Grid)
-		}
-
-		// The same request through Query must select identically — explain
-		// is read-only introspection.
-		q := e.NewRequest()
-		q.K, q.SmallK = 80, 8
-		qres, err := e.Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIndices(res.Sel.Indices, qres.Sel.Indices) {
-			t.Errorf("workers=%d: Explain selected %v, Query selected %v", workers, res.Sel.Indices, qres.Sel.Indices)
-		}
+	res, rep, err := e.Explain(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pruning[0] != pruning[1] {
-		t.Errorf("pruning differs across Step1Workers: %+v (0) vs %+v (4)", pruning[0], pruning[1])
+	if res.Cache != CacheBypass {
+		t.Errorf("Cache = %q, want %q", res.Cache, CacheBypass)
+	}
+	if rep.Algorithm != req.Algo {
+		t.Errorf("Algorithm = %q, want %q", rep.Algorithm, req.Algo)
+	}
+	if len(rep.Rounds) == 0 {
+		t.Error("report has no greedy rounds")
+	}
+	if rep.Pruning == nil || rep.Pruning.CandidatePairs == 0 {
+		t.Fatalf("Pruning = %+v, want populated", rep.Pruning)
+	}
+	if rep.Grid == nil || rep.Grid.Kind != "squared" || rep.Grid.SampledPairs == 0 {
+		t.Errorf("Grid = %+v, want squared stats with a sampled error", rep.Grid)
+	}
+
+	// The same request through Query must select identically — explain
+	// is read-only introspection.
+	q := e.NewRequest()
+	q.K, q.SmallK = 80, 8
+	qres, err := e.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameIndices(res.Sel.Indices, qres.Sel.Indices) {
+		t.Errorf("Explain selected %v, Query selected %v", res.Sel.Indices, qres.Sel.Indices)
 	}
 }
 

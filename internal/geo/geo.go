@@ -24,7 +24,7 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 func (p Point) Dist(o Point) float64 {
 	dx := p.X - o.X
 	dy := p.Y - o.Y
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // SqDist returns the squared Euclidean distance between p and o. It avoids

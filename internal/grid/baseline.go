@@ -16,23 +16,20 @@ import (
 // sS(p_i, p_j) w.r.t. q for every pair of points — the baseline algorithm,
 // costing ~20 arithmetic operations per pair.
 func AllPairsSpatial(q geo.Point, pts []geo.Point) *pairs.Matrix {
-	m, _ := AllPairsSpatialCtx(context.Background(), q, pts, 1)
+	m, _ := AllPairsSpatialCtx(context.Background(), q, pts)
 	return m
 }
 
-// AllPairsSpatialCtx is AllPairsSpatial filled through pairs.Fill: rows fan
-// out over workers goroutines (≤ 1 keeps the fill sequential) with
-// cancellation checkpoints; every worker count yields the same matrix bit
-// for bit. On cancellation the partial matrix is discarded and ctx.Err()
-// returned.
-func AllPairsSpatialCtx(ctx context.Context, q geo.Point, pts []geo.Point, workers int) (*pairs.Matrix, error) {
-	return pairs.FillRows(ctx, len(pts), workers, ExactRows(q, pts))
+// AllPairsSpatialCtx is AllPairsSpatial filled through pairs.FillRows,
+// with its cancellation checkpoints. On cancellation the partial matrix is
+// discarded and ctx.Err() returned.
+func AllPairsSpatialCtx(ctx context.Context, q geo.Point, pts []geo.Point) (*pairs.Matrix, error) {
+	return pairs.FillRows(ctx, len(pts), ExactRows(q, pts))
 }
 
 // ExactRows returns the row function of AllPairsSpatial(q, pts): rows(i,
 // row) writes sS(p_i, p_j) for j = i+1 … n−1 into row[j−i−1]. It keeps no
-// state beyond the per-point distances to q, so any number of goroutines
-// may call it at once.
+// state beyond the per-point distances to q.
 func ExactRows(q geo.Point, pts []geo.Point) func(i int, row []float64) {
 	// Hoist the per-point distances to q: the baseline recomputes them per
 	// pair, but sharing them is the natural implementation in Go and only
@@ -79,7 +76,7 @@ func PSSBaseline(q geo.Point, pts []geo.Point) ([]float64, *pairs.Matrix) {
 
 // PSSBaselineCtx is PSSBaseline with cancellation checkpoints.
 func PSSBaselineCtx(ctx context.Context, q geo.Point, pts []geo.Point) ([]float64, *pairs.Matrix, error) {
-	m, err := AllPairsSpatialCtx(ctx, q, pts, 1)
+	m, err := AllPairsSpatialCtx(ctx, q, pts)
 	if err != nil {
 		return nil, nil, err
 	}

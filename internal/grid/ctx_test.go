@@ -19,7 +19,7 @@ func ctxTestPoints(n int, seed int64) []geo.Point {
 }
 
 // TestAllPairsSpatialCtxCancelled: every cancellable fill rejects a dead
-// context at every worker count, returning ctx.Err() and no matrix.
+// context, returning ctx.Err() and no matrix.
 func TestAllPairsSpatialCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -29,14 +29,12 @@ func TestAllPairsSpatialCtxCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		if m, err := AllPairsSpatialCtx(ctx, q, pts, workers); !errors.Is(err, context.Canceled) || m != nil {
-			t.Errorf("exact, workers=%d: (%v, %v), want (nil, context.Canceled)", workers, m, err)
-		}
-		for _, tbl := range []*SquaredTable{nil, NewSquaredTable(16)} {
-			if m, err := g.ApproxAllPairsCtx(ctx, tbl, workers); !errors.Is(err, context.Canceled) || m != nil {
-				t.Errorf("squared, workers=%d: (%v, %v), want (nil, context.Canceled)", workers, m, err)
-			}
+	if m, err := AllPairsSpatialCtx(ctx, q, pts); !errors.Is(err, context.Canceled) || m != nil {
+		t.Errorf("exact: (%v, %v), want (nil, context.Canceled)", m, err)
+	}
+	for _, tbl := range []*SquaredTable{nil, NewSquaredTable(16)} {
+		if m, err := g.ApproxAllPairsCtx(ctx, tbl); !errors.Is(err, context.Canceled) || m != nil {
+			t.Errorf("squared: (%v, %v), want (nil, context.Canceled)", m, err)
 		}
 	}
 	if _, _, err := PSSBaselineCtx(ctx, q, pts); !errors.Is(err, context.Canceled) {
@@ -44,17 +42,17 @@ func TestAllPairsSpatialCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestParallelCancelMidFlight cancels while workers are running; the call
-// must return an error (not a partial matrix) and leave no goroutine
-// stuck — the driver's join would deadlock the test otherwise.
+// TestParallelCancelMidFlight cancels from another goroutine while the
+// exact fill runs; the call must return either the whole matrix or an
+// error with no partial matrix.
 func TestParallelCancelMidFlight(t *testing.T) {
 	q := geo.Pt(50, 50)
 	pts := ctxTestPoints(2000, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
-	m, err := AllPairsSpatialCtx(ctx, q, pts, 8)
+	m, err := AllPairsSpatialCtx(ctx, q, pts)
 	if err == nil {
-		// The race is legal: workers may finish before the cancel lands.
+		// The race is legal: the fill may finish before the cancel lands.
 		if m == nil {
 			t.Fatal("nil matrix without error")
 		}

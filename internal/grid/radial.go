@@ -153,7 +153,7 @@ func (r *Radial) PSS(tbl *RadialTable) []float64 {
 // ApproxAllPairs returns the approximate pairwise sS matrix in which each
 // point is replaced by its sector representative.
 func (r *Radial) ApproxAllPairs(tbl *RadialTable) *pairs.Matrix {
-	m, _ := pairs.FillRows(context.Background(), len(r.cellOf), 1, r.Rows(tbl))
+	m, _ := pairs.FillRows(context.Background(), len(r.cellOf), r.Rows(tbl))
 	return m
 }
 
@@ -162,7 +162,7 @@ func (r *Radial) ApproxAllPairs(tbl *RadialTable) *pairs.Matrix {
 // value RadialPairs.At returns for the pair. With a table, row i is
 // gathered from the row of i's sector in the table's matrix for this ring
 // count, fetched once here (its diagonal holds RadialPairs.At's 1 for two
-// points in one sector). Any number of goroutines may call rows at once.
+// points in one sector).
 func (r *Radial) Rows(tbl *RadialTable) func(i int, row []float64) {
 	cell := r.cellOf
 	if tbl == nil {

@@ -243,26 +243,23 @@ func (g *Squared) PSS(tbl *SquaredTable) []float64 {
 // pipeline uses for the pairwise sF scores: with a similarity table in
 // hand the n²/2 fill is one table load and one store per pair.
 func (g *Squared) ApproxAllPairs(tbl *SquaredTable) *pairs.Matrix {
-	m, _ := g.ApproxAllPairsCtx(context.Background(), tbl, 1)
+	m, _ := g.ApproxAllPairsCtx(context.Background(), tbl)
 	return m
 }
 
-// ApproxAllPairsCtx is ApproxAllPairs filled through pairs.Fill: rows fan
-// out over workers goroutines (≤ 1 keeps the fill sequential) with
-// cancellation checkpoints; every worker count yields the same matrix bit
-// for bit. On cancellation the partial matrix is discarded and ctx.Err()
-// returned.
-func (g *Squared) ApproxAllPairsCtx(ctx context.Context, tbl *SquaredTable, workers int) (*pairs.Matrix, error) {
-	return pairs.FillRows(ctx, len(g.cellOf), workers, g.Rows(tbl))
+// ApproxAllPairsCtx is ApproxAllPairs filled through pairs.FillRows, with
+// its cancellation checkpoints. On cancellation the partial matrix is
+// discarded and ctx.Err() returned.
+func (g *Squared) ApproxAllPairsCtx(ctx context.Context, tbl *SquaredTable) (*pairs.Matrix, error) {
+	return pairs.FillRows(ctx, len(g.cellOf), g.Rows(tbl))
 }
 
-// Rows returns the row function of ApproxAllPairsCtx(…, tbl, …): rows(i,
+// Rows returns the row function of ApproxAllPairsCtx(…, tbl): rows(i,
 // row) writes sS of the points i, j for j = i+1 … n−1 into row[j−i−1].
 // Row i is gathered out of row idx[i] of a flat similarity table src (rows
 // of length stride, indexed by idx again): the maximal table translated
 // through maximalIdx when tbl covers the grid — no O(occupied²) densified
-// copy to build first — and the occupied-cell table otherwise. Both are
-// built here, so any number of goroutines may call rows at once.
+// copy to build first — and the occupied-cell table otherwise, built here.
 func (g *Squared) Rows(tbl *SquaredTable) func(i int, row []float64) {
 	var (
 		src    []float64
@@ -295,8 +292,8 @@ type SquaredPairs struct {
 	idx []int32
 }
 
-// Pairs returns the pair state for the matrix ApproxAllPairsCtx(ctx, tbl,
-// …) fills.
+// Pairs returns the pair state for the matrix ApproxAllPairsCtx(ctx, tbl)
+// fills.
 func (g *Squared) Pairs(tbl *SquaredTable) SquaredPairs {
 	if g.tableDriven(tbl) {
 		_, pmi := g.maximalIdx(tbl)

@@ -18,9 +18,9 @@ func randomPts(rng *rand.Rand, n int) []geo.Point {
 }
 
 // TestSquaredTableDrivenMatchesPerPairLookup pins the occupied-cell table
-// optimisation to the semantics it replaced: every matrix entry, at every
-// worker count, and every pSS value must match, bit for bit, what per-pair
-// SquaredTable.At (or unitSS without a table) produces.
+// optimisation to the semantics it replaced: every matrix entry and every
+// pSS value must match, bit for bit, what per-pair SquaredTable.At (or
+// unitSS without a table) produces.
 func TestSquaredTableDrivenMatchesPerPairLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := geo.Pt(50, 50)
@@ -31,26 +31,24 @@ func TestSquaredTableDrivenMatchesPerPairLookup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{0, 1, 3, 8} {
-				m, err := g.ApproxAllPairsCtx(context.Background(), tbl, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					for j := i + 1; j < n; j++ {
-						ci, cj := int(g.cellOf[i]), int(g.cellOf[j])
-						var want float64
-						switch {
-						case ci == cj:
-							want = 1
-						case tbl != nil:
-							want = tbl.At(g.side, ci, cj)
-						default:
-							want = unitSS(ci, cj, g.side)
-						}
-						if math.Float64bits(m.At(i, j)) != math.Float64bits(want) {
-							t.Fatalf("n=%d workers=%d: entry (%d,%d) = %v, want %v", n, workers, i, j, m.At(i, j), want)
-						}
+			m, err := g.ApproxAllPairsCtx(context.Background(), tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					ci, cj := int(g.cellOf[i]), int(g.cellOf[j])
+					var want float64
+					switch {
+					case ci == cj:
+						want = 1
+					case tbl != nil:
+						want = tbl.At(g.side, ci, cj)
+					default:
+						want = unitSS(ci, cj, g.side)
+					}
+					if math.Float64bits(m.At(i, j)) != math.Float64bits(want) {
+						t.Fatalf("n=%d: entry (%d,%d) = %v, want %v", n, i, j, m.At(i, j), want)
 					}
 				}
 			}

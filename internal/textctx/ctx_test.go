@@ -26,7 +26,7 @@ func TestContextEnginesCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sets := ctxTestSets(200, 40, 1)
-	for _, e := range []ContextEngine{MSJHEngine{}, BaselineEngine{}, MSJHEngine{Workers: 4}} {
+	for _, e := range []ContextEngine{MSJHEngine{}, BaselineEngine{}} {
 		if _, err := e.AllPairsCtx(ctx, sets); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", e.Name(), err)
 		}
@@ -38,7 +38,7 @@ func TestContextEnginesCancelled(t *testing.T) {
 func TestContextEnginesLiveMatchAllPairs(t *testing.T) {
 	sets := ctxTestSets(120, 30, 2)
 	want := MSJHEngine{}.AllPairs(sets)
-	for _, e := range []ContextEngine{MSJHEngine{}, BaselineEngine{}, MSJHEngine{Workers: 4}} {
+	for _, e := range []ContextEngine{MSJHEngine{}, BaselineEngine{}} {
 		got, err := e.AllPairsCtx(context.Background(), sets)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)

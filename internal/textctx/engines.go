@@ -68,22 +68,20 @@ func (BaselineEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores,
 		tables[i] = t
 	}
 	// Comparison phase: probe table i with the elements of set j.
-	return pairs.Fill(ctx, n, 1, func(ps *PairScores) func(int) {
-		return func(i int) {
-			ti := tables[i]
-			li := sets[i].Len()
-			for j := i + 1; j < n; j++ {
-				inter := 0
-				for _, v := range sets[j].Items() {
-					if _, ok := ti[v]; ok {
-						inter++
-					}
+	return pairs.Fill(ctx, n, func(ps *PairScores, i int) {
+		ti := tables[i]
+		li := sets[i].Len()
+		for j := i + 1; j < n; j++ {
+			inter := 0
+			for _, v := range sets[j].Items() {
+				if _, ok := ti[v]; ok {
+					inter++
 				}
-				if inter == 0 {
-					continue
-				}
-				ps.Set(i, j, jaccard(inter, li, sets[j].Len()))
 			}
+			if inter == 0 {
+				continue
+			}
+			ps.Set(i, j, jaccard(inter, li, sets[j].Len()))
 		}
 	})
 }
@@ -93,12 +91,7 @@ func (BaselineEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores,
 // reverse (descending-index) order; pairs are then compared only if they
 // provably share an element, and each list scan stops as soon as it reaches
 // an index ≤ i, avoiding every redundant check. The result is exact.
-type MSJHEngine struct {
-	// Workers fans the comparison step out over this many goroutines
-	// (pairs.Fill); ≤ 1, the zero value, keeps it sequential. Every value
-	// yields the same matrix, bit for bit, and the same explain counters.
-	Workers int
-}
+type MSJHEngine struct{}
 
 // Name implements JaccardEngine.
 func (MSJHEngine) Name() string { return "msJh" }
@@ -109,12 +102,8 @@ func (e MSJHEngine) AllPairs(sets []Set) *PairScores {
 	return ps
 }
 
-// msjhTally counts one worker's explain introspection: pairs compared, and
-// postings scanned or cut by the reverse-order rule.
-type msjhTally struct{ compared, scanned, cut int64 }
-
 // AllPairsCtx implements ContextEngine.
-func (e MSJHEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error) {
+func (MSJHEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error) {
 	n := len(sets)
 
 	// Step 1: generate the micro set hash table (msht). msHT[v] lists the
@@ -132,73 +121,62 @@ func (e MSJHEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, e
 
 	// Step 2: compare sets economically. For each p_i we accumulate the
 	// intersection size against every later set that shares at least one
-	// element, using a per-worker scratch counter array plus a touched list
-	// so the per-i cost is proportional to the actual number of collisions.
+	// element, using a scratch counter array plus a touched list so the
+	// per-i cost is proportional to the actual number of collisions.
 	// Introspection (candidate vs compared pairs, postings cut by the
 	// reverse-order rule) is gated on the context-carried collector: the
 	// disabled path adds one per-set branch, never per-posting work.
 	ec := explain.FromContext(ctx)
-	var tallies []*msjhTally
-	ps, err := pairs.Fill(ctx, n, e.Workers, func(ps *PairScores) func(int) {
-		counts := make([]int32, n)
-		scratch := make([]int32, 0, 64)
-		tl := new(msjhTally)
-		tallies = append(tallies, tl)
-		return func(i int) {
-			s := sets[i]
-			touched := scratch[:0]
-			for _, v := range s.Items() {
-				list := msht[v]
-				// Reverse order: indices descend from the end of the list,
-				// so stop at the first j ≤ i (that prefix was already
-				// processed in earlier rows, or is i itself).
-				t := len(list) - 1
-				for ; t >= 0; t-- {
-					j := list[t]
-					if int(j) <= i {
-						break
-					}
-					if counts[j] == 0 {
-						touched = append(touched, j)
-					}
-					counts[j]++
+	var compared, scanned, cut int64
+	counts := make([]int32, n)
+	touched := make([]int32, 0, 64)
+	ps, err := pairs.Fill(ctx, n, func(ps *PairScores, i int) {
+		s := sets[i]
+		touched = touched[:0]
+		for _, v := range s.Items() {
+			list := msht[v]
+			// Reverse order: indices descend from the end of the list,
+			// so stop at the first j ≤ i (that prefix was already
+			// processed in earlier rows, or is i itself).
+			t := len(list) - 1
+			for ; t >= 0; t-- {
+				j := list[t]
+				if int(j) <= i {
+					break
 				}
-				if ec != nil {
-					// The scan visited entries (t, len−1]; the prefix
-					// [0, t] is exactly what the j > i early cut-off
-					// skipped.
-					tl.scanned += int64(len(list) - 1 - t)
-					tl.cut += int64(t + 1)
+				if counts[j] == 0 {
+					touched = append(touched, j)
 				}
+				counts[j]++
 			}
 			if ec != nil {
-				tl.compared += int64(len(touched))
+				// The scan visited entries (t, len−1]; the prefix
+				// [0, t] is exactly what the j > i early cut-off
+				// skipped.
+				scanned += int64(len(list) - 1 - t)
+				cut += int64(t + 1)
 			}
-			li := s.Len()
-			for _, j := range touched {
-				inter := counts[j]
-				counts[j] = 0
-				ps.Set(i, int(j), jaccard(int(inter), li, sets[j].Len()))
-			}
-			scratch = touched
+		}
+		if ec != nil {
+			compared += int64(len(touched))
+		}
+		li := s.Len()
+		for _, j := range touched {
+			inter := counts[j]
+			counts[j] = 0
+			ps.Set(i, int(j), jaccard(int(inter), li, sets[j].Len()))
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
 	if ec != nil {
-		var sum msjhTally
-		for _, tl := range tallies {
-			sum.compared += tl.compared
-			sum.scanned += tl.scanned
-			sum.cut += tl.cut
-		}
 		cand := int64(n) * int64(n-1) / 2
 		ec.SetPruning(explain.Pruning{
 			Engine: "msJh", Sets: n,
-			CandidatePairs: cand, ComparedPairs: sum.compared,
-			PrunedPairs:     cand - sum.compared,
-			PostingsScanned: sum.scanned, PostingsCut: sum.cut,
+			CandidatePairs: cand, ComparedPairs: compared,
+			PrunedPairs:     cand - compared,
+			PostingsScanned: scanned, PostingsCut: cut,
 		})
 	}
 	return ps, nil

@@ -49,7 +49,7 @@ func TestMSJHFigure4(t *testing.T) {
 }
 
 func TestEnginesEmptyAndSingleton(t *testing.T) {
-	for _, e := range []JaccardEngine{BaselineEngine{}, MSJHEngine{}, MSJHEngine{Workers: 4}, MinHashEngine{T: 16}} {
+	for _, e := range []JaccardEngine{BaselineEngine{}, MSJHEngine{}, MinHashEngine{T: 16}} {
 		ps := e.AllPairs(nil)
 		if ps.N() != 0 {
 			t.Errorf("%s: AllPairs(nil).N = %d", e.Name(), ps.N())
