@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,5 +58,38 @@ func TestRunWritesCSV(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "squared_err") {
 		t.Errorf("csv content: %s", data)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the pinned results_csv files from the current code")
+
+// TestFig12aPinned reruns the full-scale fig12a, the user study that runs
+// ABP_D, and compares its CSV byte for byte with the committed
+// results_csv/fig12a.csv. The figure is deterministic, so any change to
+// the selections of ABP, ABP_D or S_k or to the study panel shows up as a
+// diff. Run with -update to rewrite the file.
+func TestFig12aPinned(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-scale", "full", "-fig", "fig12a", "-csv", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "fig12a.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := filepath.Join("..", "..", "results_csv", "fig12a.csv")
+	if *update {
+		if err := os.WriteFile(pinned, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("fig12a.csv differs from %s:\n got:\n%s\nwant:\n%s", pinned, got, want)
 	}
 }

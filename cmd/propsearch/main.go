@@ -41,7 +41,7 @@ func run(args []string, stdout io.Writer) error {
 	k := fs.Int("k", 10, "size of the selected set R")
 	lambda := fs.Float64("lambda", 0.5, "relevance vs proportionality weight λ")
 	gamma := fs.Float64("gamma", 0.5, "contextual vs spatial weight γ")
-	algo := fs.String("algo", "abp", "selection algorithm (abp, iadu, topk, abp-div, iadu-div, ...)")
+	algo := fs.String("algo", "abp", fmt.Sprintf("selection algorithm, one of %v", core.Algorithms()))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -127,6 +127,33 @@ func TestExplainBypassesServerCache(t *testing.T) {
 	}
 }
 
+// TestExplainRoundsPerAlgorithm: every greedy records its rounds, the
+// diversified baselines too, since they run on the same bodies — one per
+// place for IAdU, one per pair (and one for an odd k's last place) for
+// ABP.
+func TestExplainRoundsPerAlgorithm(t *testing.T) {
+	s := testServerCfg(t, Config{EnableExplain: true})
+	for algo, want := range map[string]int{"abp": 3, "abp-div": 3, "iadu": 5, "iadu-div": 5} {
+		rec := get(t, s, "/v1/explain?K=60&k=5&algo="+algo)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", algo, rec.Code, rec.Body.String())
+		}
+		var resp struct {
+			Explain struct {
+				Algorithm string            `json:"algorithm"`
+				Rounds    []json.RawMessage `json:"rounds"`
+			} `json:"explain"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Explain.Algorithm != algo || len(resp.Explain.Rounds) != want {
+			t.Errorf("%s: explain recorded %d rounds as %q, want %d (k=5)",
+				algo, len(resp.Explain.Rounds), resp.Explain.Algorithm, want)
+		}
+	}
+}
+
 // syncBuffer lets handler goroutines and test assertions share a buffer.
 type syncBuffer struct {
 	mu sync.Mutex

@@ -164,7 +164,10 @@ func TestSearchErrors(t *testing.T) {
 		"/v1/search?K=abc",
 		"/v1/search?lambda=2",
 		"/v1/search?lambda=-0.1",
-		"/v1/search?algo=sorcery",     // unknown algorithm
+		"/v1/search?algo=sorcery",   // unknown algorithm
+		"/v1/search?algo=iadu-heap", // ablation variants, no longer served
+		"/v1/search?algo=abp-eager",
+		"/v1/search?algo=abp-rescan",
 		"/v1/search?spatial=wormhole", // unknown spatial method
 		"/v1/search?K=5&k=10",         // k ≥ K
 		"/v1/search?K=10&k=10",

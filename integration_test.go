@@ -76,8 +76,7 @@ func TestPipelineEngineMatrix(t *testing.T) {
 				}
 			}
 			for name, alg := range map[string]func(*core.ScoreSet, core.Params) (core.Selection, error){
-				"IAdU": core.IAdU, "IAdUHeap": core.IAdUHeap,
-				"ABP": core.ABP, "ABPEager": core.ABPEager,
+				"IAdU": core.IAdU, "ABP": core.ABP,
 				"TopK": core.TopK, "IAdUDiv": core.IAdUDiv, "ABPDiv": core.ABPDiv,
 			} {
 				sel, err := alg(ss, core.Params{K: 10, Lambda: 0.5, Gamma: 0.5})

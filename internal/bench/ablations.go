@@ -3,7 +3,6 @@ package bench
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/textctx"
 )
@@ -14,9 +13,7 @@ import (
 //     per-pair hash baseline;
 //  2. precomputed cell-centre similarity tables vs on-the-fly Ptolemy
 //     computation inside the grid;
-//  3. greedy implementation variants (IAdU array vs heap, ABP lazy vs
-//     eager pair invalidation);
-//  4. the |G| ≈ K rule vs fixed coarse/fine grids (time and error).
+//  3. the |G| ≈ K rule vs fixed coarse/fine grids (time and error).
 func (e *Env) Ablations() *Table {
 	t := &Table{
 		Name:   "ablations",
@@ -58,38 +55,7 @@ func (e *Env) Ablations() *Table {
 		t.AddRow("squared-pss", variant.name, ms(tm), "-")
 	}
 
-	// 3. Greedy implementation variants: array-scan vs heap IAdU, lazy vs
-	// eager ABP, at the default setting.
-	{
-		params := core.Params{K: e.Scale.Defaultk, Lambda: 0.5, Gamma: 0.5}
-		for _, v := range []struct {
-			name string
-			alg  func(*core.ScoreSet, core.Params) (core.Selection, error)
-		}{
-			{"IAdU-array", core.IAdU},
-			{"IAdU-heap", core.IAdUHeap},
-			{"ABP-lazy", core.ABP},
-			{"ABP-eager", core.ABPEager},
-		} {
-			v := v
-			tm := avgTime(e.dbQueries, func(qd *queryData) {
-				ss, err := core.ComputeScores(qd.query.Loc, qd.topK(K), core.ScoreOptions{
-					Gamma:        0.5,
-					Spatial:      core.SpatialSquaredGrid,
-					SquaredTable: e.SqTbl,
-				})
-				if err != nil {
-					panic(err)
-				}
-				if _, err := v.alg(ss, params); err != nil {
-					panic(err)
-				}
-			})
-			t.AddRow("greedy-variant", v.name, ms(tm), "-")
-		}
-	}
-
-	// 4. |G| sizing rule: compare error and time at fixed coarse/fine
+	// 3. |G| sizing rule: compare error and time at fixed coarse/fine
 	// grids vs |G| = K.
 	for _, gs := range []struct {
 		name  string

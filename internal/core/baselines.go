@@ -55,9 +55,17 @@ func RandomSelect(ss *ScoreSet, p Params, seed int64) (Selection, error) {
 // both terms live on the same k-proportional scale and λ genuinely trades
 // them off.
 func (ss *ScoreSet) divPair(i, j, k int, lambda float64) float64 {
-	rel := (1 - lambda) * (ss.Places[i].Rel + ss.Places[j].Rel) / float64(k-1)
-	div := float64(2 * lambda / float64(k-1) * (1 - ss.sf(i, j)))
-	return rel + div
+	kf := float64(k - 1)
+	return divScore(1-lambda, 2*lambda/kf, kf, ss.Places[i].Rel, ss.Places[j].Rel, ss.sf(i, j))
+}
+
+// divScore is divPair from its parts: d1 = 1−λ, d2 = 2λ/(k−1), kf = k−1,
+// the two relevances and sF of the pair. divPair and ABP_D's pair
+// materialisation both evaluate it, so their scores agree bit for bit.
+func divScore(d1, d2, kf, ri, rj, sf float64) float64 {
+	// The conversion rounds the product on its own, so no platform fuses
+	// it into a multiply-add (see pairs.Blend).
+	return d1*(ri+rj)/kf + float64(d2*(1-sf))
 }
 
 // EvaluateDiv computes the diversification objective of R (relevance plus
@@ -75,117 +83,18 @@ func (ss *ScoreSet) EvaluateDiv(r []int, lambda float64) float64 {
 // IAdUDiv is the diversification-only variant of IAdU (the framework of
 // Cai et al. [5] that the paper adapts): greedy insertion maximising
 // relevance + dissimilarity to the current R, with no proportional-to-S
-// term. Used as the ABP_D/IAdU_D baseline in the user evaluation.
+// term. It is IAdU's body with divPair as the pair score. Used as the
+// ABP_D/IAdU_D baseline in the user evaluation.
 func IAdUDiv(ss *ScoreSet, p Params) (Selection, error) {
 	return Select(AlgIAdUDiv, ss, p)
 }
 
-func iaduDivCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
-	n := ss.K()
-	if err := p.validate(n); err != nil {
-		return Selection{}, err
-	}
-	k := p.K
-	r := make([]int, 0, k)
-	used := make([]bool, n)
-	best := 0
-	for i := 1; i < n; i++ {
-		if ss.Places[i].Rel > ss.Places[best].Rel {
-			best = i
-		}
-	}
-	r = append(r, best)
-	used[best] = true
-	if k == 1 {
-		return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
-	}
-	contrib := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if !used[i] {
-			contrib[i] = ss.divPair(i, best, k, p.Lambda)
-		}
-	}
-	for len(r) < k {
-		if err := checkpoint(ctx, "select:iadu-div"); err != nil {
-			return Selection{}, err
-		}
-		bi := -1
-		for i := 0; i < n; i++ {
-			if !used[i] && (bi < 0 || contrib[i] > contrib[bi]) {
-				bi = i
-			}
-		}
-		r = append(r, bi)
-		used[bi] = true
-		if len(r) == k {
-			break
-		}
-		for i := 0; i < n; i++ {
-			if !used[i] {
-				contrib[i] += ss.divPair(i, bi, k, p.Lambda)
-			}
-		}
-	}
-	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
-}
-
-// ABPDiv is the diversification-only variant of ABP: best unused pair by
-// the diversification objective, lazily invalidated. Pairs are ranked by
-// the same total order as ABP's (score descending, then (i, j)
-// ascending), so equal-score pairs select deterministically.
+// ABPDiv is the diversification-only variant of ABP: ABP's body with
+// divPair as the pair score, so the best unused pair by the
+// diversification objective is taken from the same bounded prefix and
+// heap, and equal-score pairs select by the same total order.
 func ABPDiv(ss *ScoreSet, p Params) (Selection, error) {
 	return Select(AlgABPDiv, ss, p)
-}
-
-func abpDivCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
-	n := ss.K()
-	if err := p.validate(n); err != nil {
-		return Selection{}, err
-	}
-	k := p.K
-	if k == 1 {
-		return iaduDivCtx(ctx, ss, p)
-	}
-	ps := make([]abpPair, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		if err := checkpoint(ctx, "select:abp-div"); err != nil {
-			return Selection{}, err
-		}
-		for j := i + 1; j < n; j++ {
-			ps = append(ps, abpPair{int32(i), int32(j), ss.divPair(i, j, k, p.Lambda)})
-		}
-	}
-	sortPairs(ps)
-	r := make([]int, 0, k)
-	used := make([]bool, n)
-	for _, pr := range ps {
-		if len(r)+2 > k {
-			break
-		}
-		if used[pr.i] || used[pr.j] {
-			continue
-		}
-		used[pr.i], used[pr.j] = true, true
-		r = append(r, int(pr.i), int(pr.j))
-	}
-	if len(r) < k {
-		bi := -1
-		var bc float64
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			var c float64
-			for _, j := range r {
-				c += ss.divPair(i, j, k, p.Lambda)
-			}
-			if bi < 0 || c > bc {
-				bi, bc = i, c
-			}
-		}
-		r = append(r, bi)
-	}
-	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
 }
 
 // Exact solves Problem 1 by enumerating every k-subset of S and returning

@@ -255,7 +255,7 @@ func TestParamValidation(t *testing.T) {
 	}
 	for i, p := range bad {
 		for name, alg := range map[string]func(*ScoreSet, Params) (Selection, error){
-			"IAdU": IAdU, "ABP": ABP, "TopK": TopK, "Exact": Exact,
+			"IAdU": IAdU, "ABP": ABP, "IAdUDiv": IAdUDiv, "ABPDiv": ABPDiv, "TopK": TopK, "Exact": Exact,
 		} {
 			if _, err := alg(ss, p); err == nil {
 				t.Errorf("%s accepted bad params %d: %+v", name, i, p)

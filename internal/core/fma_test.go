@@ -11,13 +11,15 @@ import (
 
 // identityPath lists the functions whose arithmetic must round exactly as
 // written on every platform: the pair fills and their combination, the
-// fused pass, the per-pair recompute of a compact set and the pair HPF.
-// A compact set recomputes a pair with the function the fill stored it
-// with; that gives the same bits only while the compiler fuses a multiply
-// and an add in neither, so none may compile to a fused multiply-add.
-// The evaluation functions and the distance under the exact spatial path
-// join them, so that the breakdowns and scores the answer goldens record
-// on amd64 are the ones arm64 computes.
+// fused pass, the per-pair recompute of a compact set and the two pair
+// scores with ABP's materialisation of them. A compact set recomputes a
+// pair with the function the fill stored it with; that gives the same
+// bits only while the compiler fuses a multiply and an add in neither, so
+// none may compile to a fused multiply-add. The evaluation functions, the
+// distances, the squared and radial grids, the IR-tree's retrieval score
+// and the generators of the golden corpus join them, so that the corpus,
+// retrieval, breakdowns and scores the answer goldens record on amd64 are
+// the ones arm64 computes.
 var identityPath = []string{
 	"repro/internal/pairs.Blend",
 	"repro/internal/pairs.Combine",
@@ -32,25 +34,55 @@ var identityPath = []string{
 	"repro/internal/core.(*ScoreSet).Evaluate",
 	"repro/internal/core.(*ScoreSet).PlaceHPF",
 	"repro/internal/core.(*ScoreSet).divPair",
+	"repro/internal/core.divScore",
 	"repro/internal/geo.Point.Dist",
+	"repro/internal/geo.Point.SqDist",
+	"repro/internal/geo.FarthestDist",
+	"repro/internal/geo.Rect.MinDist",
+	"repro/internal/geo.Rect.MaxDist",
+	"repro/internal/geo.Rect.EnlargementArea",
+	"repro/internal/grid.unitSS",
+	"repro/internal/grid.unitCenter",
+	"repro/internal/grid.(*Squared).CellOf",
+	"repro/internal/grid.(*Squared).CellCenter",
+	"repro/internal/grid.(*Squared).PSS",
+	"repro/internal/grid.NewSquaredTable",
+	"repro/internal/grid.NewSquared",
+	"repro/internal/grid.NewRadial",
+	"repro/internal/grid.(*Radial).Representative",
+	"repro/internal/grid.(*Radial).PSS",
+	"repro/internal/irtree.(*Searcher).combine",
+	"repro/internal/irtree.(*Searcher).nodeBound",
+	"repro/internal/irtree.(*Searcher).Next",
+	"repro/internal/dataset.UniformPoints",
+	"repro/internal/dataset.GaussianPoints",
+	"repro/internal/dataset.Generate",
 }
 
-// TestNoFusedMultiplyAddOnArm64 compiles internal/pairs, internal/geo and
-// internal/core for arm64, where the compiler fuses a multiply feeding an add unless an
-// explicit conversion rounds the product first, and fails if any
-// identityPath function (with what it inlines) contains a fused
-// multiply-add instruction.
+// asmPackages are the packages identityPath draws from.
+var asmPackages = []string{"pairs", "geo", "grid", "irtree", "dataset", "core"}
+
+// TestNoFusedMultiplyAddOnArm64 compiles the asmPackages for arm64, where
+// the compiler fuses a multiply feeding an add unless an explicit
+// conversion rounds the product first, and fails if any identityPath
+// function (with what it inlines) contains a fused multiply-add
+// instruction.
 func TestNoFusedMultiplyAddOnArm64(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-compiles three packages for arm64")
+		t.Skip("cross-compiles six packages for arm64")
 	}
 	gobin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skipf("no go command: %v", err)
 	}
-	cmd := exec.Command(gobin, "build", "-o", os.DevNull,
-		"-gcflags=repro/internal/pairs=-S", "-gcflags=repro/internal/geo=-S",
-		"-gcflags=repro/internal/core=-S", "repro/internal/core")
+	args := []string{"build", "-o", os.DevNull}
+	for _, p := range asmPackages {
+		args = append(args, "-gcflags=repro/internal/"+p+"=-S")
+	}
+	for _, p := range asmPackages {
+		args = append(args, "repro/internal/"+p)
+	}
+	cmd := exec.Command(gobin, args...)
 	cmd.Env = append(os.Environ(), "GOARCH=arm64", "GOOS=linux", "CGO_ENABLED=0")
 	var asm bytes.Buffer
 	cmd.Stderr = &asm

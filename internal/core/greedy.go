@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"slices"
 
 	"repro/internal/explain"
 )
@@ -26,6 +25,36 @@ func explainRound(ec *explain.Collector, ss *ScoreSet, round int, chosen []int, 
 	ec.Round(r)
 }
 
+// pairRule is the pair objective a greedy body maximises. The paper
+// adapts IAdU and ABP from the diversification framework of Cai et al.
+// [5]: the two greedies stay the same and only the pair score changes, so
+// each has one body, parameterised by the rule.
+type pairRule uint8
+
+const (
+	ruleHPF pairRule = iota // HPF(p_i, p_j) of Eq. 15: IAdU and ABP
+	ruleDiv                 // divPair: IAdU_D and ABP_D
+)
+
+// addScores adds rule's score of the pair (p_i, p_j), for result size
+// k ≥ 2 and weight λ, to contrib[i] for every unused place i. Each rule
+// has its own loop, so the per-pair call stays direct.
+func (rule pairRule) addScores(ss *ScoreSet, contrib []float64, used []bool, j, k int, lambda float64) {
+	if rule == ruleDiv {
+		for i := range contrib {
+			if !used[i] {
+				contrib[i] += ss.divPair(i, j, k, lambda)
+			}
+		}
+		return
+	}
+	for i := range contrib {
+		if !used[i] {
+			contrib[i] += ss.PairHPF(i, j, k, lambda)
+		}
+	}
+}
+
 // IAdU implements the Incremental Add and Update greedy algorithm
 // (Section 5, adapted from Cai et al.): it iteratively adds to R the place
 // with the largest contribution cHPF (Eq. 17) — the relevance score for
@@ -37,7 +66,8 @@ func IAdU(ss *ScoreSet, p Params) (Selection, error) {
 	return Select(AlgIAdU, ss, p)
 }
 
-func iaduCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
+// iadu runs IAdU with the contributions summed from rule's pair scores.
+func (rule pairRule) iadu(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 	n := ss.K()
 	if err := p.validate(n); err != nil {
 		return Selection{}, err
@@ -75,14 +105,10 @@ func iaduCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 	}
 
 	// Contributions of all remaining places against the current R,
-	// maintained incrementally: adding p_new adds HPF(p_i, p_new) to
-	// every candidate's contribution.
+	// maintained incrementally: adding p_new adds the pair score of
+	// (p_i, p_new) to every candidate's contribution.
 	contrib := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if !used[i] {
-			contrib[i] = ss.PairHPF(i, best, k, p.Lambda)
-		}
-	}
+	rule.addScores(ss, contrib, used, best, k, p.Lambda)
 	for len(r) < k {
 		// Each iteration costs O(K); polling here bounds the cancellation
 		// latency by one outer iteration.
@@ -114,27 +140,23 @@ func iaduCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 		if len(r) == k {
 			break
 		}
-		for i := 0; i < n; i++ {
-			if !used[i] {
-				contrib[i] += ss.PairHPF(i, bi, k, p.Lambda)
-			}
-		}
+		rule.addScores(ss, contrib, used, bi, k, p.Lambda)
 	}
 	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
 }
 
 // abpPair is one materialised candidate pair: endpoint indices into the
-// score set plus HPF(p_i, p_j).
+// score set plus the pair rule's score of (p_i, p_j).
 type abpPair struct {
 	i, j  int32
 	score float64
 }
 
-// abpBefore is the total order every ABP variant ranks pairs by: score
-// descending, ties broken by (i, j) ascending. A total order (rather than
-// the raw score comparison alone) makes equal-score selections identical
-// across the heap-based, sort-based and eager implementations — the
-// invariant the abp ≡ abp-rescan property tests pin down.
+// abpBefore is the total order ABP ranks pairs by: score descending, ties
+// broken by (i, j) ascending. A total order (rather than the raw score
+// comparison alone) makes equal-score selections identical across the
+// heap and the sort-based rescan oracle — the invariant the abp ≡ rescan
+// property tests pin down.
 func abpBefore(a, b abpPair) bool {
 	if a.score != b.score {
 		return a.score > b.score
@@ -145,28 +167,13 @@ func abpBefore(a, b abpPair) bool {
 	return a.j < b.j
 }
 
-// sortPairs ranks ps by abpBefore. The order is total, so the ranking —
-// and every selection scanned from it — does not depend on the order ps
-// arrives in, ties included.
-func sortPairs(ps []abpPair) {
-	slices.SortFunc(ps, func(a, b abpPair) int {
-		switch {
-		case abpBefore(a, b):
-			return -1
-		case abpBefore(b, a):
-			return 1
-		}
-		return 0
-	})
-}
-
-// abpScores scores all O(K²) pairs and returns the keep pairs that rank
-// first under abpBefore, in no particular order — or all of them, when
-// keep is 0 or over an eighth of K(K−1)/2 (selecting so long a prefix
-// costs more than it saves). Both the heap-based ABP and the sort-based
-// rescan build their ranking from this one function, so their inputs are
-// bit-identical by construction. stage labels the cancellation
-// checkpoints (polled once per row).
+// abpScores scores all O(K²) pairs under rule and returns the keep pairs
+// that rank first under abpBefore, in no particular order — or all of
+// them, when keep is 0 or over an eighth of K(K−1)/2 (selecting so long a
+// prefix costs more than it saves). Both the heap-based ABP and the
+// sort-based rescan oracle build their ranking from this one function, so
+// their inputs are bit-identical by construction. The cancellation
+// checkpoint is polled once per row.
 //
 // A bounded keep collects pairs in a buffer of 2·keep: when it fills,
 // abpSelect moves the keep best to its front, and from then on a pair is
@@ -174,22 +181,24 @@ func sortPairs(ps []abpPair) {
 // kept pairs are exactly the first keep of the whole ranking, held in
 // 2·keep·16 bytes instead of K(K−1)/2·16, at O(1) amortised per pair.
 //
-// The loop evaluates PairHPF's kernel, pairHPF, with the per-call
-// constants hoisted and the sF matrix walked row-wise, so each score is
-// bit-identical to ss.PairHPF(i, j, k, lambda) — only the per-pair struct
-// loads, matrix index arithmetic and recomputed constants are gone. This
-// matters because materialisation is the cost shared by every ABP variant:
-// it bounds the speedup the incremental heap can show over the rescan.
-// ss must hold its sF triangle (SelectCtx refills a compact set first).
-func abpScores(ctx context.Context, ss *ScoreSet, k int, lambda float64, stage string, keep int) ([]abpPair, error) {
+// Each rule has its own inner loop, which evaluates the rule's kernel —
+// pairHPF or divScore — with the per-call constants hoisted and the sF
+// matrix walked row-wise, so each score is bit-identical to PairHPF or
+// divPair: only the per-pair struct loads, matrix index arithmetic,
+// recomputed constants and the rule branch are gone. This matters
+// because materialisation is most of ABP's time. ss must hold its sF
+// triangle (SelectCtx refills a compact set first).
+func abpScores(ctx context.Context, ss *ScoreSet, rule pairRule, k int, lambda float64, keep int) ([]abpPair, error) {
 	n := ss.K()
 	size := n * (n - 1) / 2
-	bounded := keep > 0 && 8*keep <= size
-	if bounded {
+	if keep > 0 && 8*keep <= size {
 		size = 2 * keep
+	} else {
+		keep = 0
 	}
 	kf := float64(k - 1)
-	c1 := (1 - lambda) * float64(n-k) // (1−λ)(K−k), the relevance weight
+	c1 := (1 - lambda) * float64(n-k) // pairHPF's relevance weight (1−λ)(K−k)
+	d1, d2 := 1-lambda, 2*lambda/kf   // divScore's relevance and diversity weights
 	rels := make([]float64, n)
 	for i := range rels {
 		rels[i] = ss.Places[i].Rel
@@ -198,27 +207,42 @@ func abpScores(ctx context.Context, ss *ScoreSet, k int, lambda float64, stage s
 	ps := make([]abpPair, 0, size)
 	cut := abpPair{score: math.Inf(-1)} // every pair ranks before it until ps first fills
 	for i := 0; i < n; i++ {
-		if err := checkpoint(ctx, stage); err != nil {
+		if err := checkpoint(ctx, "select:abp"); err != nil {
 			return nil, err
 		}
-		ri, pi := rels[i], pfs[i]
-		for t, s := range ss.SF.Row(i) {
-			j := i + 1 + t
-			p := abpPair{int32(i), int32(j), pairHPF(c1, kf, lambda, ri, rels[j], pi, pfs[j], s)}
-			if !abpBefore(p, cut) {
-				continue
+		ri, pi, row := rels[i], pfs[i], ss.SF.Row(i)
+		if rule == ruleDiv {
+			for t, s := range row {
+				j := i + 1 + t
+				if p := (abpPair{int32(i), int32(j), divScore(d1, d2, kf, ri, rels[j], s)}); abpBefore(p, cut) {
+					ps, cut = abpKeep(ps, cut, p, keep)
+				}
 			}
-			if ps = append(ps, p); bounded && len(ps) == size {
-				abpSelect(ps, keep)
-				ps, cut = ps[:keep], ps[keep-1]
+			continue
+		}
+		for t, s := range row {
+			j := i + 1 + t
+			if p := (abpPair{int32(i), int32(j), pairHPF(c1, kf, lambda, ri, rels[j], pi, pfs[j], s)}); abpBefore(p, cut) {
+				ps, cut = abpKeep(ps, cut, p, keep)
 			}
 		}
 	}
-	if bounded && len(ps) > keep {
+	if keep > 0 && len(ps) > keep {
 		abpSelect(ps, keep)
 		ps = ps[:keep]
 	}
 	return ps, nil
+}
+
+// abpKeep collects p, which ranks before cut. A bounded buffer (keep > 0,
+// allocated with capacity 2·keep) that fills is cut back to its keep best
+// pairs, and the keep-th of them becomes the new cut.
+func abpKeep(ps []abpPair, cut, p abpPair, keep int) ([]abpPair, abpPair) {
+	if ps = append(ps, p); keep > 0 && len(ps) == cap(ps) {
+		abpSelect(ps, keep)
+		return ps[:keep], ps[keep-1]
+	}
+	return ps, cut
 }
 
 // abpSelect reorders ps so that its first m pairs are the m that rank
@@ -313,8 +337,8 @@ func abpPush(h []abpPair, p abpPair) []abpPair {
 	return h
 }
 
-// abpFirstPick handles the degenerate k=1 instance shared by the ABP
-// variants: rank by relevance alone.
+// abpFirstPick handles the degenerate k=1 instance, under either rule:
+// rank by relevance alone.
 func abpFirstPick(ec *explain.Collector, ss *ScoreSet, lambda float64) Selection {
 	best := 0
 	for i := 1; i < ss.K(); i++ {
@@ -331,31 +355,29 @@ func abpFirstPick(ec *explain.Collector, ss *ScoreSet, lambda float64) Selection
 
 // abpOddTail completes an odd-k result: the unused place contributing the
 // most to the current R, with the second-best tracked for the explain
-// trace. Shared by the heap and rescan variants so the odd-k tail
-// (including its runner-up bookkeeping) cannot drift between them.
-func abpOddTail(ec *explain.Collector, ss *ScoreSet, k int, lambda float64, round int, r []int, used []bool) []int {
-	n := ss.K()
+// trace. Shared with the rescan oracle so the odd-k tail (including its
+// runner-up bookkeeping) cannot drift between them.
+func abpOddTail(ec *explain.Collector, ss *ScoreSet, rule pairRule, k int, lambda float64, round int, r []int, used []bool) []int {
+	c := make([]float64, ss.K())
+	for _, j := range r {
+		rule.addScores(ss, c, used, j, k, lambda)
+	}
 	bi, ri := -1, -1
-	var bc, rc float64
-	for i := 0; i < n; i++ {
+	for i := range c {
 		if used[i] {
 			continue
 		}
-		var c float64
-		for _, j := range r {
-			c += ss.PairHPF(i, j, k, lambda)
-		}
-		if bi < 0 || c > bc {
-			bi, bc, ri, rc = i, c, bi, bc
-		} else if ri < 0 || c > rc {
-			ri, rc = i, c
+		if bi < 0 || c[i] > c[bi] {
+			bi, ri = i, bi
+		} else if ri < 0 || c[i] > c[ri] {
+			ri = i
 		}
 	}
 	if ec != nil {
 		if ri >= 0 {
-			explainRound(ec, ss, round+1, []int{bi}, bc, []int{ri}, rc)
+			explainRound(ec, ss, round+1, []int{bi}, c[bi], []int{ri}, c[ri])
 		} else {
-			explainRound(ec, ss, round+1, []int{bi}, bc, nil, 0)
+			explainRound(ec, ss, round+1, []int{bi}, c[bi], nil, 0)
 		}
 	}
 	return append(r, bi)
@@ -378,21 +400,22 @@ const abpPollStride = 256
 // heapified and popped only until ⌊k/2⌋ disjoint pairs emerge — a pair
 // invalidated by an earlier selection is discarded lazily when it
 // surfaces, never re-examined. This replaces the full O(K² log K²) sort
-// of the rescan baseline (kept as AlgABPRescan for the equivalence
-// property tests and the bench tier); selections, gains and explain
-// traces are identical because both variants rank by abpBefore over the
-// same abpScores materialisation.
+// of the rescan baseline (the oracle of abp_equiv_test); selections,
+// gains and explain traces are identical because both rank by abpBefore
+// over the same abpScores materialisation.
 //
 // Only the first abpPrefix(K, k) pairs of that ranking are kept: every
 // pair the loop pops — explain's runner-up peeks included — is selected
 // (at most k/2), is the last runner-up, or touches one of the ≤ k places
 // selected by the end (at most k·(K−1) pairs), so no pop reaches past
-// rank k·K + k/2.
+// rank k·K + k/2. The argument does not depend on the pair score, so
+// ABP_D (AlgABPDiv) runs on the same prefix.
 func ABP(ss *ScoreSet, p Params) (Selection, error) {
 	return Select(AlgABP, ss, p)
 }
 
-func abpCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
+// abp runs ABP with the pairs ranked by rule's pair scores.
+func (rule pairRule) abp(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 	n := ss.K()
 	if err := p.validate(n); err != nil {
 		return Selection{}, err
@@ -403,7 +426,7 @@ func abpCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 		return abpFirstPick(ec, ss, p.Lambda), nil
 	}
 
-	h, err := abpScores(ctx, ss, k, p.Lambda, "select:abp", abpPrefix(n, k))
+	h, err := abpScores(ctx, ss, rule, k, p.Lambda, abpPrefix(n, k))
 	if err != nil {
 		return Selection{}, err
 	}
@@ -456,7 +479,7 @@ func abpCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 		r = append(r, int(pr.i), int(pr.j))
 	}
 	if len(r) < k {
-		r = abpOddTail(ec, ss, k, p.Lambda, round, r, used)
+		r = abpOddTail(ec, ss, rule, k, p.Lambda, round, r, used)
 	}
 	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
 }
@@ -464,72 +487,3 @@ func abpCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 // abpPrefix is the number of top-ranked pairs ABP keeps for K places and
 // result size k (see ABP for why no pop reaches past it).
 func abpPrefix(K, k int) int { return k*K + k }
-
-// ABPRescan is the pre-incremental ABP: a full sort of the materialised
-// pairs followed by a linear scan with lazy endpoint invalidation. It is
-// kept as the reference implementation the incremental heap is proven
-// against (selections, gains and explain traces must match bit-for-bit
-// in abp_equiv_test).
-func ABPRescan(ss *ScoreSet, p Params) (Selection, error) {
-	return Select(AlgABPRescan, ss, p)
-}
-
-func abpRescanCtx(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
-	n := ss.K()
-	if err := p.validate(n); err != nil {
-		return Selection{}, err
-	}
-	k := p.K
-	ec := explain.FromContext(ctx)
-	if k == 1 {
-		return abpFirstPick(ec, ss, p.Lambda), nil
-	}
-
-	ps, err := abpScores(ctx, ss, k, p.Lambda, "select:abp-rescan", 0)
-	if err != nil {
-		return Selection{}, err
-	}
-	sortPairs(ps)
-	if err := checkpoint(ctx, "select:abp-rescan"); err != nil {
-		return Selection{}, err
-	}
-
-	r := make([]int, 0, k)
-	used := make([]bool, n)
-	round := 0
-	for pi := range ps {
-		pr := ps[pi]
-		if len(r)+2 > k {
-			break
-		}
-		// Lazy invalidation: skip pairs touching an already selected place.
-		if used[pr.i] || used[pr.j] {
-			continue
-		}
-		round++
-		if ec != nil {
-			// Runner-up: the next pair in the total order whose endpoints
-			// are both unused before this selection.
-			ru := -1
-			for t := pi + 1; t < len(ps); t++ {
-				q := ps[t]
-				if !used[q.i] && !used[q.j] {
-					ru = t
-					break
-				}
-			}
-			if ru >= 0 {
-				explainRound(ec, ss, round, []int{int(pr.i), int(pr.j)}, pr.score,
-					[]int{int(ps[ru].i), int(ps[ru].j)}, ps[ru].score)
-			} else {
-				explainRound(ec, ss, round, []int{int(pr.i), int(pr.j)}, pr.score, nil, 0)
-			}
-		}
-		used[pr.i], used[pr.j] = true, true
-		r = append(r, int(pr.i), int(pr.j))
-	}
-	if len(r) < k {
-		r = abpOddTail(ec, ss, k, p.Lambda, round, r, used)
-	}
-	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
-}

@@ -15,29 +15,24 @@ type Algorithm string
 
 // The registered selection algorithms.
 const (
-	AlgABP       Algorithm = "abp"        // proportional, best-pair greedy (recommended)
-	AlgABPRescan Algorithm = "abp-rescan" // ABP with full-sort best-pair maintenance (reference)
-	AlgIAdU      Algorithm = "iadu"       // proportional, incremental-add greedy
-	AlgIAdUHeap  Algorithm = "iadu-heap"  // IAdU with heap-based selection
-	AlgABPEager  Algorithm = "abp-eager"  // ABP with eager pair invalidation
-	AlgTopK      Algorithm = "topk"       // top-k by relevance (S_k baseline)
-	AlgABPDiv    Algorithm = "abp-div"    // diversification-only ABP (ABP_D)
-	AlgIAdUDiv   Algorithm = "iadu-div"   // diversification-only IAdU
-	AlgExact     Algorithm = "exact"      // brute force (small instances only)
+	AlgABP     Algorithm = "abp"      // proportional, best-pair greedy (recommended)
+	AlgIAdU    Algorithm = "iadu"     // proportional, incremental-add greedy
+	AlgTopK    Algorithm = "topk"     // top-k by relevance (S_k baseline)
+	AlgABPDiv  Algorithm = "abp-div"  // diversification-only ABP (ABP_D)
+	AlgIAdUDiv Algorithm = "iadu-div" // diversification-only IAdU (IAdU_D)
+	AlgExact   Algorithm = "exact"    // brute force (small instances only)
 )
 
 // Every registered implementation threads a context through its greedy
-// loops; the context-free entry points pass context.Background().
+// loops; the context-free entry points pass context.Background(). Each
+// greedy has one body, bound here to its pair rule.
 var registry = map[Algorithm]func(context.Context, *ScoreSet, Params) (Selection, error){
-	AlgABP:       abpCtx,
-	AlgABPRescan: abpRescanCtx,
-	AlgIAdU:      iaduCtx,
-	AlgIAdUHeap:  iaduHeapCtx,
-	AlgABPEager:  abpEagerCtx,
-	AlgTopK:      topKCtx,
-	AlgABPDiv:    abpDivCtx,
-	AlgIAdUDiv:   iaduDivCtx,
-	AlgExact:     exactCtx,
+	AlgABP:     ruleHPF.abp,
+	AlgIAdU:    ruleHPF.iadu,
+	AlgTopK:    topKCtx,
+	AlgABPDiv:  ruleDiv.abp,
+	AlgIAdUDiv: ruleDiv.iadu,
+	AlgExact:   exactCtx,
 }
 
 // Algorithms lists the registered algorithm names, sorted.

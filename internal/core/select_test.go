@@ -35,8 +35,8 @@ func TestSelectMatchesDirectCalls(t *testing.T) {
 
 func TestAlgorithmsSortedAndComplete(t *testing.T) {
 	algs := Algorithms()
-	if len(algs) != 9 {
-		t.Fatalf("expected 9 registered algorithms, got %d: %v", len(algs), algs)
+	if len(algs) != 6 {
+		t.Fatalf("expected 6 registered algorithms, got %d: %v", len(algs), algs)
 	}
 	for i := 1; i < len(algs); i++ {
 		if algs[i] <= algs[i-1] {

@@ -99,7 +99,7 @@ func TestSelectionTiesBreakIdenticallySerialParallel(t *testing.T) {
 	places := tiePronePlaces(90)
 	fused := mustScores(t, q, places, ScoreOptions{Gamma: 0.5})
 	matrix := mustScores(t, q, places, ScoreOptions{Gamma: 0.5, Contextual: textctx.MSJHEngine{}})
-	for _, alg := range []Algorithm{AlgABP, AlgABPRescan, AlgIAdU, AlgIAdUHeap} {
+	for _, alg := range []Algorithm{AlgABP, AlgABPDiv, AlgIAdU, AlgIAdUDiv} {
 		p := Params{K: 9, Lambda: 0.5, Gamma: 0.5}
 		a, err := Select(alg, fused, p)
 		if err != nil {

@@ -146,8 +146,8 @@ func Generate(cfg Config) (*Dataset, error) {
 	for i := 0; i < cfg.Places; i++ {
 		c := rng.Intn(cfg.Clusters)
 		loc := geo.Pt(
-			clamp(centers[c].X+rng.NormFloat64()*cfg.ClusterSigma, 0, cfg.Extent),
-			clamp(centers[c].Y+rng.NormFloat64()*cfg.ClusterSigma, 0, cfg.Extent),
+			clamp(centers[c].X+float64(rng.NormFloat64()*cfg.ClusterSigma), 0, cfg.Extent),
+			clamp(centers[c].Y+float64(rng.NormFloat64()*cfg.ClusterSigma), 0, cfg.Extent),
 		)
 		label := fmt.Sprintf("place:%d", i)
 		id, err := g.AddSpatialEntity(label, "Place", loc)
@@ -314,9 +314,16 @@ func (d *Dataset) AdjustContextSizes(places []core.Place, size int, seed int64) 
 func UniformPoints(rng *rand.Rand, q geo.Point, n int, radius float64) []geo.Point {
 	pts := make([]geo.Point, n)
 	for i := range pts {
-		pts[i] = geo.Pt(q.X+(rng.Float64()*2-1)*radius, q.Y+(rng.Float64()*2-1)*radius)
+		pts[i] = geo.Pt(q.X+float64(signedUnit(rng)*radius), q.Y+float64(signedUnit(rng)*radius))
 	}
 	return pts
+}
+
+// signedUnit maps rng's next value uniformly onto [−1, 1). The conversions
+// round each product on its own, including the one inside the inlined
+// rng.Float64, so no platform fuses them into a multiply-add.
+func signedUnit(rng *rand.Rand) float64 {
+	return float64(float64(rng.Float64())*2) - 1
 }
 
 // GaussianPoints returns n points normally distributed around q with the
@@ -325,7 +332,7 @@ func UniformPoints(rng *rand.Rand, q geo.Point, n int, radius float64) []geo.Poi
 func GaussianPoints(rng *rand.Rand, q geo.Point, n int, sigma float64) []geo.Point {
 	pts := make([]geo.Point, n)
 	for i := range pts {
-		pts[i] = geo.Pt(q.X+rng.NormFloat64()*sigma, q.Y+rng.NormFloat64()*sigma)
+		pts[i] = geo.Pt(q.X+float64(rng.NormFloat64()*sigma), q.Y+float64(rng.NormFloat64()*sigma))
 	}
 	return pts
 }

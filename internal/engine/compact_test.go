@@ -146,7 +146,7 @@ func TestCompactEntryAnswersMatchFreshEngine(t *testing.T) {
 	}
 	for _, spatial := range []string{"squared", "exact", "radial"} {
 		body(warm, spatial, "abp", 10, 0.5) // the miss that caches the compact entry
-		for _, algo := range []string{"abp", "iadu", "abp-div", "iadu-heap"} {
+		for _, algo := range []string{"abp", "iadu", "abp-div", "iadu-div"} {
 			for _, k := range []int{3, 8} {
 				for _, lambda := range []float64{0.25, 1} {
 					got, status := body(warm, spatial, algo, k, lambda)

@@ -32,7 +32,7 @@ func (p Point) Dist(o Point) float64 {
 func (p Point) SqDist(o Point) float64 {
 	dx := p.X - o.X
 	dy := p.Y - o.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // Add returns p translated by o.
@@ -146,7 +146,7 @@ func (r Rect) Perimeter() float64 {
 
 // EnlargementArea returns the increase in area needed for r to cover o.
 func (r Rect) EnlargementArea(o Rect) float64 {
-	return r.Union(o).Area() - r.Area()
+	return float64(r.Union(o).Area()) - float64(r.Area())
 }
 
 // Center returns the centroid of r.
@@ -159,14 +159,14 @@ func (r Rect) Center() Point {
 func (r Rect) MinDist(p Point) float64 {
 	dx := axisDist(p.X, r.Min.X, r.Max.X)
 	dy := axisDist(p.Y, r.Min.Y, r.Max.Y)
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 // MaxDist returns the maximum Euclidean distance from p to any point of r.
 func (r Rect) MaxDist(p Point) float64 {
 	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
 	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }
 
 func axisDist(v, lo, hi float64) float64 {

@@ -109,7 +109,7 @@ func (r *Radial) Representative(idx int) geo.Point {
 	ring, slice := idx/r.slices, idx%r.slices
 	rad := (float64(ring) + 0.5) * cz
 	ang := (float64(slice) + 0.5) * 2 * math.Pi / float64(r.slices)
-	return geo.Pt(r.center.X+rad*math.Cos(ang), r.center.Y+rad*math.Sin(ang))
+	return geo.Pt(r.center.X+float64(rad*math.Cos(ang)), r.center.Y+float64(rad*math.Sin(ang)))
 }
 
 // unitRepresentative is Representative at unit c_z with the grid centre at
@@ -137,9 +137,9 @@ func (r *Radial) PSS(tbl *RadialTable) []float64 {
 			} else {
 				s = unitRadialSS(int(ci), int(cj), r.slices)
 			}
-			cellScore[ci] += float64(r.counts[cj]) * s
+			cellScore[ci] += float64(float64(r.counts[cj]) * s)
 			if ci != cj {
-				cellScore[cj] += float64(r.counts[ci]) * s
+				cellScore[cj] += float64(float64(r.counts[ci]) * s)
 			}
 		}
 	}

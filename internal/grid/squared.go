@@ -112,7 +112,7 @@ func (g *Squared) CellOf(p geo.Point) int {
 		// above-right of the centre.
 		return (g.side/2)*g.side + g.side/2
 	}
-	half := g.size / 2
+	half := float64(g.size / 2)
 	cx := clampCell(int(math.Floor((p.X-(g.center.X-half))/g.cellsz)), g.side)
 	cy := clampCell(int(math.Floor((p.Y-(g.center.Y-half))/g.cellsz)), g.side)
 	return cy*g.side + cx
@@ -121,14 +121,14 @@ func (g *Squared) CellOf(p geo.Point) int {
 // CellCenter returns the world coordinates of the centre of cell idx.
 func (g *Squared) CellCenter(idx int) geo.Point {
 	cx, cy := idx%g.side, idx/g.side
-	half := g.size / 2
+	half := float64(g.size / 2)
 	cs := g.cellsz
 	if cs == 0 {
 		cs = 1 // degenerate grid; centres are only meaningful relatively
 	}
 	return geo.Pt(
-		g.center.X-half+(float64(cx)+0.5)*cs,
-		g.center.Y-half+(float64(cy)+0.5)*cs,
+		g.center.X-half+float64((float64(cx)+0.5)*cs),
+		g.center.Y-half+float64((float64(cy)+0.5)*cs),
 	)
 }
 
@@ -137,7 +137,9 @@ func (g *Squared) CellCenter(idx int) geo.Point {
 // Theorem 7.1 makes sS independent of the actual cell size.
 func unitCenter(idx, side int) geo.Point {
 	cx, cy := idx%side, idx/side
-	h := float64(side) / 2
+	// x/2 compiles to x·0.5; the conversion rounds it, so arm64 does not
+	// fuse it into the subtractions (see pairs.Blend).
+	h := float64(float64(side) / 2)
 	return geo.Pt(float64(cx)+0.5-h, float64(cy)+0.5-h)
 }
 
@@ -215,8 +217,8 @@ func (g *Squared) PSS(tbl *SquaredTable) []float64 {
 			trow := tbl.v[int(mrow[a])*mc : int(mrow[a])*mc+mc]
 			for b := a + 1; b < ns; b++ {
 				s := trow[mrow[b]]
-				acc[a] += float64(g.counts[g.occ[b]]) * s
-				acc[b] += ca * s
+				acc[a] += float64(float64(g.counts[g.occ[b]]) * s)
+				acc[b] += float64(ca * s)
 			}
 		}
 	} else {
@@ -226,8 +228,8 @@ func (g *Squared) PSS(tbl *SquaredTable) []float64 {
 			acc[a] += ca // s = 1 on the diagonal
 			for b := a + 1; b < ns; b++ {
 				s := cs[a*ns+b]
-				acc[a] += float64(g.counts[g.occ[b]]) * s
-				acc[b] += ca * s
+				acc[a] += float64(float64(g.counts[g.occ[b]]) * s)
+				acc[b] += float64(ca * s)
 			}
 		}
 	}

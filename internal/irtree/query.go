@@ -182,7 +182,9 @@ func (s *Searcher) combine(ts, dist float64) float64 {
 	if prox < 0 {
 		prox = 0
 	}
-	return s.beta*ts + (1-s.beta)*prox
+	// The conversions round each product on its own, so no platform
+	// fuses one into the addition (see pairs.Blend).
+	return float64(s.beta*ts) + float64((1-s.beta)*prox)
 }
 
 // nodeBound is an admissible upper bound on the score of every object
