@@ -206,24 +206,37 @@ func BenchmarkFig10PipelineIAdUBaseline(b *testing.B)  { benchPipeline(b, core.I
 func BenchmarkFig10PipelineABPOptimised(b *testing.B)  { benchPipeline(b, core.ABP, true) }
 func BenchmarkFig10PipelineABPBaseline(b *testing.B)   { benchPipeline(b, core.ABP, false) }
 
+// benchPipeline times Figure 10's stack as internal/bench's pipelineTimes
+// does: the all-pairs engine (msJh when optimised, the baseline otherwise),
+// the spatial method (the squared grid or exact pSS) and the greedy, which
+// runs on the ComputeScores set of the same spatial method.
 func benchPipeline(b *testing.B, alg func(*core.ScoreSet, core.Params) (core.Selection, error), optimised bool) {
 	f := getFixture(b)
 	places := f.topK(100)
+	sets, pts := f.sets(100), f.locs(100)
+	var engine textctx.JaccardEngine = textctx.BaselineEngine{}
 	opt := core.ScoreOptions{Gamma: 0.5}
 	if optimised {
-		opt.Contextual = textctx.MSJHEngine{}
-		opt.Spatial = core.SpatialSquaredGrid
-		opt.SquaredTable = f.sqTbl
-	} else {
-		opt.Contextual = textctx.BaselineEngine{}
-		opt.Spatial = core.SpatialExact
+		engine = textctx.MSJHEngine{}
+		opt.Spatial, opt.SquaredTable = core.SpatialSquaredGrid, f.sqTbl
+	}
+	ss, err := core.ComputeScores(f.query.Loc, places, opt)
+	if err != nil {
+		b.Fatal(err)
 	}
 	params := core.Params{K: 10, Lambda: 0.5, Gamma: 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ss, err := core.ComputeScores(f.query.Loc, places, opt)
-		if err != nil {
-			b.Fatal(err)
+		engine.AllPairs(sets)
+		if optimised {
+			g, err := grid.NewSquared(f.query.Loc, pts, len(pts))
+			if err != nil {
+				b.Fatal(err)
+			}
+			g.PSS(f.sqTbl)
+			g.ApproxAllPairs(f.sqTbl)
+		} else {
+			grid.PSSBaseline(f.query.Loc, pts)
 		}
 		if _, err := alg(ss, params); err != nil {
 			b.Fatal(err)

@@ -68,17 +68,38 @@ var update = flag.Bool("update", false, "rewrite the pinned results_csv files fr
 // results_csv/fig12a.csv. The figure is deterministic, so any change to
 // the selections of ABP, ABP_D or S_k or to the study panel shows up as a
 // diff. Run with -update to rewrite the file.
-func TestFig12aPinned(t *testing.T) {
+func TestFig12aPinned(t *testing.T) { checkPinnedFigure(t, "fig12a") }
+
+// pinnedFigures are the other figures whose every column is
+// deterministic: the grid approximation errors (fig9a–d), the HPF
+// breakdowns of the selections (fig11, which runs ComputeScores and
+// Evaluate at paper scale) and the λ/γ user-study sweep (fig12b).
+var pinnedFigures = []string{"fig9a", "fig9b", "fig9c", "fig9d", "fig11", "fig12b"}
+
+// TestFiguresPinned pins each of pinnedFigures as TestFig12aPinned pins
+// fig12a, so any change to a selection, a score or the study panel shows
+// up as a diff.
+func TestFiguresPinned(t *testing.T) {
+	for _, fig := range pinnedFigures {
+		t.Run(fig, func(t *testing.T) { checkPinnedFigure(t, fig) })
+	}
+}
+
+// checkPinnedFigure reruns fig at full scale and compares its CSV byte
+// for byte with the committed results_csv/<fig>.csv, or rewrites that
+// file under -update.
+func checkPinnedFigure(t *testing.T, fig string) {
+	t.Helper()
 	dir := t.TempDir()
 	var out bytes.Buffer
-	if err := run([]string{"-scale", "full", "-fig", "fig12a", "-csv", dir}, &out); err != nil {
+	if err := run([]string{"-scale", "full", "-fig", fig, "-csv", dir}, &out); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, "fig12a.csv"))
+	got, err := os.ReadFile(filepath.Join(dir, fig+".csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned := filepath.Join("..", "..", "results_csv", "fig12a.csv")
+	pinned := filepath.Join("..", "..", "results_csv", fig+".csv")
 	if *update {
 		if err := os.WriteFile(pinned, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -90,6 +111,6 @@ func TestFig12aPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("fig12a.csv differs from %s:\n got:\n%s\nwant:\n%s", pinned, got, want)
+		t.Errorf("%s.csv differs from %s:\n got:\n%s\nwant:\n%s", fig, pinned, got, want)
 	}
 }

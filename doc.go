@@ -10,16 +10,16 @@
 // Packages:
 //
 //	internal/geo      — planar geometry and Ptolemy's spatial diversity
-//	internal/textctx  — contextual sets; baseline / msJh / MinHash Jaccard engines
+//	internal/textctx  — contextual sets; baseline / msJh / MinHash Jaccard engines (figure harness)
 //	internal/pairs    — symmetric pairwise score cache
 //	internal/grid     — squared and radial grids with precomputed tables
-//	internal/core     — scores (Eq. 2–18), IAdU, ABP, baselines, exact solver
+//	internal/core     — Step 1 as one fused row pass (Eq. 2–18), IAdU, ABP, baselines, exact solver
 //	internal/invindex — inverted keyword index
 //	internal/irtree   — IR-tree (R-tree + per-node inverted files) retrieval
 //	internal/rdf       — RDF-style graph store and spatial object summaries
 //	internal/dataset   — synthetic DBpedia/Yago2-like corpora, workloads, CSV loader
 //	internal/metrics   — selection-quality diagnostics
 //	internal/usereval  — simulated user-study evaluator panel
-//	internal/roadnet   — road-network distance extension (future work)
+//	internal/roadnet   — road-network distance extension (future work), fed to Step 1 via core.SpatialCustom
 //	internal/bench     — experiment harness regenerating the paper's figures
 package repro

@@ -15,6 +15,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -71,8 +72,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for pred, labels := range m.attrs {
-			for _, l := range labels {
+		// Predicates in sorted order, so entity IDs (and with them the
+		// printed contexts) do not follow map iteration order.
+		preds := make([]string, 0, len(m.attrs))
+		for pred := range m.attrs {
+			preds = append(preds, pred)
+		}
+		slices.Sort(preds)
+		for _, pred := range preds {
+			for _, l := range m.attrs[pred] {
 				aid, ok := attrIDs[l]
 				if !ok {
 					aid = g.AddEntity(l, "Attribute")

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/textctx"
 )
 
 func main() {
@@ -49,13 +48,12 @@ func main() {
 	fmt.Printf("retrieved S: %d places, rF range [%.3f, %.3f]\n",
 		len(retrieved), retrieved[len(retrieved)-1].Rel, retrieved[0].Rel)
 
-	// Step 1 with the optimised engines: msJh for contexts, squared grid
-	// (|G| ≈ K, precomputed similarities) for locations.
+	// Step 1 with the optimised engines: msJh's exact Jaccard for
+	// contexts, squared grid (|G| ≈ K) for locations.
 	t0 := time.Now()
 	scores, err := core.ComputeScores(q.Loc, retrieved, core.ScoreOptions{
-		Gamma:      0.5,
-		Contextual: textctx.MSJHEngine{},
-		Spatial:    core.SpatialSquaredGrid,
+		Gamma:   0.5,
+		Spatial: core.SpatialSquaredGrid,
 	})
 	if err != nil {
 		log.Fatal(err)

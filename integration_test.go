@@ -1,6 +1,6 @@
 // End-to-end integration tests: generated corpus → IR-tree retrieval →
-// Step-1 scoring under every engine combination → Step-2 selection under
-// every algorithm, with cross-engine consistency checks.
+// Step-1 scoring under every spatial method → Step-2 selection under every
+// algorithm, with the exact all-pairs engines checked against Step 1.
 package repro_test
 
 import (
@@ -34,61 +34,50 @@ func integrationDataset(t *testing.T) (*dataset.Dataset, dataset.Query, []core.P
 	return d, qs[0], places
 }
 
-// TestPipelineEngineMatrix runs Step 1 with every contextual engine ×
-// spatial method and Step 2 with every algorithm, checking that (a) exact
-// engines agree bit-for-bit, (b) grid engines stay close, and (c) every
-// selection is feasible with positive HPF.
+// TestPipelineEngineMatrix runs Step 1 with every spatial method and
+// Step 2 with every algorithm, checking that (a) every exact all-pairs
+// engine agrees bit for bit with the sC the score set recomputes, and
+// (b) every selection is feasible with positive HPF.
 func TestPipelineEngineMatrix(t *testing.T) {
 	_, q, places := integrationDataset(t)
 
-	ctxEngines := []textctx.JaccardEngine{
-		nil, // default (msJh)
-		textctx.BaselineEngine{},
-		textctx.MSJHEngine{},
-		textctx.NaiveInvertedEngine{},
-	}
 	spatials := []core.SpatialMethod{core.SpatialExact, core.SpatialSquaredGrid, core.SpatialRadialGrid}
-
-	var exactRef *core.ScoreSet
-	for _, eng := range ctxEngines {
-		for _, sm := range spatials {
-			ss, err := core.ComputeScores(q.Loc, places, core.ScoreOptions{
-				Gamma:      0.5,
-				Contextual: eng,
-				Spatial:    sm,
-			})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", eng, sm, err)
+	for _, sm := range spatials {
+		ss, err := core.ComputeScores(q.Loc, places, core.ScoreOptions{Gamma: 0.5, Spatial: sm})
+		if err != nil {
+			t.Fatalf("%v: %v", sm, err)
+		}
+		if sm == core.SpatialExact {
+			sets := make([]textctx.Set, len(places))
+			for i := range places {
+				sets[i] = places[i].Context
 			}
-			if sm == core.SpatialExact {
-				if exactRef == nil {
-					exactRef = ss
-				} else {
-					// All exact contextual engines must agree exactly.
-					for i := 0; i < 5; i++ {
-						for j := i + 1; j < 5; j++ {
-							sc, _, _ := ss.Pair(i, j)
-							if ref, _, _ := exactRef.Pair(i, j); sc != ref {
-								t.Fatalf("contextual engines disagree at (%d,%d)", i, j)
-							}
+			for _, eng := range []textctx.JaccardEngine{
+				textctx.BaselineEngine{}, textctx.MSJHEngine{}, textctx.NaiveInvertedEngine{},
+			} {
+				m := eng.AllPairs(sets)
+				for i := range places {
+					for j := i + 1; j < len(places); j++ {
+						if sc, _, _ := ss.Pair(i, j); math.Float64bits(sc) != math.Float64bits(m.At(i, j)) {
+							t.Fatalf("%s disagrees with Step 1 at (%d,%d): %v vs %v", eng.Name(), i, j, m.At(i, j), sc)
 						}
 					}
 				}
 			}
-			for name, alg := range map[string]func(*core.ScoreSet, core.Params) (core.Selection, error){
-				"IAdU": core.IAdU, "ABP": core.ABP,
-				"TopK": core.TopK, "IAdUDiv": core.IAdUDiv, "ABPDiv": core.ABPDiv,
-			} {
-				sel, err := alg(ss, core.Params{K: 10, Lambda: 0.5, Gamma: 0.5})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if len(sel.Indices) != 10 {
-					t.Fatalf("%s: |R| = %d", name, len(sel.Indices))
-				}
-				if sel.HPF <= 0 {
-					t.Fatalf("%s under %v: HPF = %g", name, sm, sel.HPF)
-				}
+		}
+		for name, alg := range map[string]func(*core.ScoreSet, core.Params) (core.Selection, error){
+			"IAdU": core.IAdU, "ABP": core.ABP,
+			"TopK": core.TopK, "IAdUDiv": core.IAdUDiv, "ABPDiv": core.ABPDiv,
+		} {
+			sel, err := alg(ss, core.Params{K: 10, Lambda: 0.5, Gamma: 0.5})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(sel.Indices) != 10 {
+				t.Fatalf("%s: |R| = %d", name, len(sel.Indices))
+			}
+			if sel.HPF <= 0 {
+				t.Fatalf("%s under %v: HPF = %g", name, sm, sel.HPF)
 			}
 		}
 	}
@@ -188,30 +177,5 @@ func TestStudySetPipeline(t *testing.T) {
 				t.Fatalf("%s/%v: score %g", name, c, s)
 			}
 		}
-	}
-}
-
-// TestWeightedContextualPluggable: the weighted-Jaccard engine (the
-// future-work contextual scoring alternative) drops into Step 1 like any
-// other engine and shifts selections towards rare-attribute diversity.
-func TestWeightedContextualPluggable(t *testing.T) {
-	_, q, places := integrationDataset(t)
-	sets := make([]textctx.Set, len(places))
-	for i := range places {
-		sets[i] = places[i].Context
-	}
-	ss, err := core.ComputeScores(q.Loc, places, core.ScoreOptions{
-		Gamma:      0.5,
-		Contextual: textctx.WeightedJaccardEngine{Weight: textctx.IDFWeight(sets)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := core.ABP(ss, core.Params{K: 10, Lambda: 0.5, Gamma: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Indices) != 10 || sel.HPF <= 0 {
-		t.Fatalf("weighted-contextual selection broken: %+v", sel)
 	}
 }

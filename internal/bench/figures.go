@@ -320,24 +320,23 @@ func (e *Env) Fig9d() *Table {
 
 // pipelineTimes measures the three stacked components of Figure 10 for
 // one (K, k) setting: contextual scores, spatial scores, greedy selection.
+// Step 1's two halves are timed apart, each as its all-pairs engine and
+// spatial method computes it (msJh and the squared grid when optimised,
+// the paper's baselines otherwise); the greedy runs on the ComputeScores
+// set of the same spatial method.
 func (e *Env) pipelineTimes(K, k int, optimised bool, greedy func(*core.ScoreSet, core.Params) (core.Selection, error)) (ctxMs, spaMs, greedyMs float64) {
 	params := core.Params{K: k, Lambda: 0.5, Gamma: 0.5}
 	for i := range e.dbQueries {
 		qd := &e.dbQueries[i]
 		places := qd.topK(K)
+		var engine textctx.JaccardEngine = textctx.BaselineEngine{}
 		opt := core.ScoreOptions{Gamma: 0.5}
 		if optimised {
-			opt.Contextual = textctx.MSJHEngine{}
-			opt.Spatial = core.SpatialSquaredGrid
-			opt.SquaredTable = e.SqTbl
-		} else {
-			opt.Contextual = textctx.BaselineEngine{}
-			opt.Spatial = core.SpatialExact
+			engine = textctx.MSJHEngine{}
+			opt.Spatial, opt.SquaredTable = core.SpatialSquaredGrid, e.SqTbl
 		}
-		// Time Step 1's two halves separately by running its components
-		// the way ComputeScores does.
 		start := time.Now()
-		opt.Contextual.AllPairs(sets(places))
+		engine.AllPairs(sets(places))
 		ctxMs += float64(time.Since(start).Microseconds())
 
 		start = time.Now()

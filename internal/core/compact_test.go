@@ -54,7 +54,9 @@ func compactInstance(rng *rand.Rand, q geo.Point, n int, ties bool) []core.Place
 // compactMethods are the Step-1 configurations a compact set must
 // reproduce: the exact path, the squared grid gathering from a covering
 // table and computing cell-centre scores itself (the grid is wider than
-// the table), and the radial grid with and without its table.
+// the table), the radial grid with and without its table, and a custom
+// hook that returns the Ptolemy matrix with respect to the origin rather
+// than q (so the exact method's recompute would differ from it).
 var compactMethods = []struct {
 	name string
 	opt  core.ScoreOptions
@@ -64,6 +66,13 @@ var compactMethods = []struct {
 	{"squared-wider", core.ScoreOptions{Spatial: core.SpatialSquaredGrid, SquaredTable: grid.NewSquaredTable(2)}},
 	{"radial-table", core.ScoreOptions{Spatial: core.SpatialRadialGrid, RadialTable: grid.NewRadialTable()}},
 	{"radial", core.ScoreOptions{Spatial: core.SpatialRadialGrid}},
+	{"custom", core.ScoreOptions{Spatial: core.SpatialCustom, CustomSpatial: func(_ geo.Point, ps []core.Place) (*pairs.Matrix, error) {
+		pts := make([]geo.Point, len(ps))
+		for i := range ps {
+			pts[i] = ps[i].Loc
+		}
+		return grid.AllPairsSpatial(geo.Pt(0, 0), pts), nil
+	}}},
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -73,9 +82,9 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // its full set exactly — every pair's sC, sS and sF, Evaluate, PlaceHPF,
 // PairHPF and metrics.Evaluate — and every registered algorithm selects
 // the same indices with the same HPF bits on both, odd k and λ = 1
-// included. A full set of the default engine holds only the sF triangle,
-// so the pairs are checked against the triangles the matrix engines fill
-// (msJh and the spatial fill).
+// included. A full set holds only the sF triangle, so the pairs are
+// checked against the triangles of the matrix oracle (msJh and the
+// spatial fill, core.MatrixStep1).
 func TestCompactScoreSetBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	q := geo.Pt(50, 50)
@@ -90,8 +99,7 @@ func TestCompactScoreSetBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opt.Contextual = textctx.MSJHEngine{}
-					oracle, err := core.ComputeScores(q, places, opt)
+					oracle, err := core.MatrixStep1(q, places, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -106,11 +114,11 @@ func TestCompactScoreSetBitIdentical(t *testing.T) {
 	}
 }
 
-func checkCompactPairs(t *testing.T, label string, full, oracle *core.ScoreSet, rng *rand.Rand) {
+func checkCompactPairs(t *testing.T, label string, full *core.ScoreSet, oracle *core.MatrixScores, rng *rand.Rand) {
 	t.Helper()
 	c := full.Compact()
-	if c.SC != nil || c.SS != nil || c.SF != nil {
-		t.Fatalf("%s: Compact kept the triangles", label)
+	if c.SF != nil {
+		t.Fatalf("%s: Compact kept the sF triangle", label)
 	}
 	if c.Bytes() >= full.Bytes() {
 		t.Fatalf("%s: compact set holds %d bytes, full set %d", label, c.Bytes(), full.Bytes())
@@ -125,18 +133,18 @@ func checkCompactPairs(t *testing.T, label string, full, oracle *core.ScoreSet, 
 			for _, ss := range []*core.ScoreSet{c, full} {
 				sc, sp, sf := ss.Pair(i, j)
 				if !sameBits(sc, wsc) || !sameBits(sp, wsp) || !sameBits(sf, wsf) {
-					t.Fatalf("%s: pair (%d, %d) reads (%v, %v, %v), matrix engines (%v, %v, %v)", label, i, j,
+					t.Fatalf("%s: pair (%d, %d) reads (%v, %v, %v), oracle (%v, %v, %v)", label, i, j,
 						sc, sp, sf, wsc, wsp, wsf)
 				}
 			}
 			if !sameBits(full.SF.At(i, j), wsf) {
-				t.Fatalf("%s: sF(%d, %d) = %v, matrix engines %v", label, i, j, full.SF.At(i, j), wsf)
+				t.Fatalf("%s: sF(%d, %d) = %v, oracle %v", label, i, j, full.SF.At(i, j), wsf)
 			}
 		}
 	}
 	for i := 0; i < n; i++ {
 		if !sameBits(full.PCS[i], oracle.PCS[i]) || !sameBits(full.PSS[i], oracle.PSS[i]) || !sameBits(full.PFS[i], oracle.PFS[i]) {
-			t.Fatalf("%s: place %d vectors (%v, %v, %v), matrix engines (%v, %v, %v)", label, i,
+			t.Fatalf("%s: place %d vectors (%v, %v, %v), oracle (%v, %v, %v)", label, i,
 				full.PCS[i], full.PSS[i], full.PFS[i], oracle.PCS[i], oracle.PSS[i], oracle.PFS[i])
 		}
 	}
@@ -185,31 +193,6 @@ func checkCompactSelections(t *testing.T, label string, full *core.ScoreSet) {
 						label, alg, k, lambda, want.Indices, want.HPF, got.Indices, got.HPF)
 				}
 			}
-		}
-	}
-}
-
-// TestCompactKeepsUnrecomputableSets: a set whose pairs cannot be
-// recomputed exactly stays whole — a custom spatial scorer or an
-// approximate contextual engine.
-func TestCompactKeepsUnrecomputableSets(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	q := geo.Pt(0, 0)
-	places := compactInstance(rng, q, 12, false)
-	custom := core.ScoreOptions{Spatial: core.SpatialCustom, CustomSpatial: func(q geo.Point, ps []core.Place) (*pairs.Matrix, error) {
-		pts := make([]geo.Point, len(ps))
-		for i := range ps {
-			pts[i] = ps[i].Loc
-		}
-		return grid.AllPairsSpatial(q, pts), nil
-	}}
-	for _, opt := range []core.ScoreOptions{custom, {Contextual: textctx.MinHashEngine{T: 16}}} {
-		ss, err := core.ComputeScores(q, places, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c := ss.Compact(); c != ss {
-			t.Errorf("Compact dropped the triangles of a set it cannot recompute (%+v)", opt)
 		}
 	}
 }

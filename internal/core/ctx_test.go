@@ -183,20 +183,14 @@ func TestCtxErrNilAndLive(t *testing.T) {
 	}
 }
 
-// TestContextEngineCancellation pins that the default contextual engine
-// supports in-loop cancellation (the quadratic Step-1 loop the tentpole
-// targets).
+// TestContextEngineCancellation pins that msJh, the engine the fused
+// pass is checked against, supports in-loop cancellation.
 func TestContextEngineCancellation(t *testing.T) {
-	var engine textctx.JaccardEngine = textctx.MSJHEngine{}
-	ce, ok := engine.(textctx.ContextEngine)
-	if !ok {
-		t.Fatal("MSJHEngine does not implement ContextEngine")
-	}
 	sets := make([]textctx.Set, 100)
 	for i := range sets {
 		sets[i] = textctx.NewSet(textctx.ItemID(i % 7))
 	}
-	if _, err := ce.AllPairsCtx(cancelledCtx(), sets); !errors.Is(err, context.Canceled) {
+	if _, err := (textctx.MSJHEngine{}).AllPairsCtx(cancelledCtx(), sets); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // identityPath lists the functions whose arithmetic must round exactly as
-// written on every platform: the pair fills and their combination, the
-// fused pass, the per-pair recompute of a compact set and the two pair
-// scores with ABP's materialisation of them. A compact set recomputes a
+// written on every platform: the pair combination, the fused pass, the
+// per-pair recompute of a compact set and the two pair scores with ABP's
+// materialisation of them. A compact set recomputes a
 // pair with the function the fill stored it with; that gives the same
 // bits only while the compiler fuses a multiply and an add in neither, so
 // none may compile to a fused multiply-add. The evaluation functions, the
@@ -22,14 +22,12 @@ import (
 // the ones arm64 computes.
 var identityPath = []string{
 	"repro/internal/pairs.Blend",
-	"repro/internal/pairs.Combine",
 	"repro/internal/core.pairHPF",
 	"repro/internal/core.(*ScoreSet).PairHPF",
 	"repro/internal/core.abpScores",
-	"repro/internal/core.(*ScoreSet).recompute",
+	"repro/internal/core.(*ScoreSet).Pair",
 	"repro/internal/core.(*contextIndex).pass",
 	"repro/internal/core.(*ScoreSet).fusedStep1",
-	"repro/internal/core.(*ScoreSet).matrixStep1",
 	"repro/internal/core.ComputeScoresCtx",
 	"repro/internal/core.(*ScoreSet).Evaluate",
 	"repro/internal/core.(*ScoreSet).PlaceHPF",

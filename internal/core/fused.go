@@ -132,16 +132,16 @@ func newContextIndex(places []Place) *contextIndex {
 	return x
 }
 
-// fusedStep1 is Step 1 for the default contextual engine: one sequential
-// pass over the rows of the pair triangle yields pCS, the exact method's
-// pSS and the sF triangle, with no sC or sS triangle. Row i counts its
+// fusedStep1 is Step 1: one sequential pass over the rows of the pair
+// triangle yields pCS, the exact and custom methods' pSS and the sF
+// triangle, with no sC or sS triangle. Row i counts its
 // tail intersections with msJh's reverse scan of each tail item's
 // postings (stopping at the first place ≤ i), gathers sS into the sF row,
 // and then per j > i, in ascending order, derives sC with jaccard's
 // expression (+0 for disjoint sets), adds it to pCS(p_i) and pCS(p_j) —
 // the order Matrix.RowSums adds in, so the sums keep their bits — and
 // overwrites the row entry with pairs.Blend(1−γ, sC, γ, sS). The grids'
-// pSS comes from their cells, as in matrixStep1.
+// pSS comes from their cells.
 //
 // The stage spans stay: StagePSS covers the spatial setup and the cell
 // pSS, StagePCS the pass.

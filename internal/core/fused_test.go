@@ -12,6 +12,7 @@ import (
 	"repro/internal/explain"
 	"repro/internal/geo"
 	"repro/internal/grid"
+	"repro/internal/pairs"
 	"repro/internal/textctx"
 )
 
@@ -22,9 +23,20 @@ var (
 	fuzzTablesOnce         sync.Once
 	fuzzSmallSq, fuzzBigSq *grid.SquaredTable
 	fuzzRadialTbl          *grid.RadialTable
-	fuzzSpatials           = [...]SpatialMethod{SpatialExact, SpatialSquaredGrid, SpatialRadialGrid}
+	fuzzSpatials           = [...]SpatialMethod{SpatialExact, SpatialSquaredGrid, SpatialRadialGrid, SpatialCustom}
 	fuzzGammas             = [...]float64{0, 0.5, 1, 0.3}
 )
+
+// originHook is a SpatialCustom hook that returns the exact Ptolemy
+// matrix with respect to the origin rather than q, so that a pair the
+// exact method recomputes instead of reading it from the matrix differs.
+func originHook(_ geo.Point, places []Place) (*pairs.Matrix, error) {
+	pts := make([]geo.Point, len(places))
+	for i := range places {
+		pts[i] = places[i].Loc
+	}
+	return grid.AllPairsSpatial(geo.Pt(0, 0), pts), nil
+}
 
 // fuzzInstance draws n places around q = (50, 50) from seed. Context sets
 // have 0–11 items from a skewed distribution over vocab items, so the
@@ -61,10 +73,12 @@ func fuzzInstance(seed int64, n, vocab int, flags uint8) (geo.Point, []Place) {
 	return q, places
 }
 
-// FuzzFusedStep1 checks the fused Step-1 pass against the matrix engines
-// (msJh, the spatial fill, Matrix.RowSums and pairs.Combine) bit for bit:
-// pCS, pSS, pFS, every sF entry, every pair's sC and sS as Pair
-// recomputes them, and the explain pruning and grid statistics.
+// FuzzFusedStep1 checks the fused Step-1 pass against the matrix oracle
+// (msJh, the spatial fill or the custom hook's matrix, Matrix.RowSums and
+// pairs.Blend; see matrixStep1) bit for bit, for every spatial method:
+// pCS, pSS, pFS, every sF entry, every pair's sC, sS and sF as Pair
+// recomputes them on the set and on its Compact form, and the explain
+// pruning and grid statistics.
 func FuzzFusedStep1(f *testing.F) {
 	// seed, n, vocab, spatial, table, γ, flags
 	f.Add(int64(1), uint16(2), uint16(3), uint8(0), uint8(0), uint8(1), uint8(0))
@@ -76,14 +90,18 @@ func FuzzFusedStep1(f *testing.F) {
 	f.Add(int64(7), uint16(90), uint16(100), uint8(2), uint8(0), uint8(1), uint8(1))
 	f.Add(int64(8), uint16(64), uint16(64), uint8(1), uint8(0), uint8(1), uint8(2))
 	f.Add(int64(9), uint16(3), uint16(1), uint8(0), uint8(0), uint8(2), uint8(7))
+	f.Add(int64(10), uint16(80), uint16(200), uint8(3), uint8(0), uint8(3), uint8(7))
+	f.Add(int64(11), uint16(2), uint16(2), uint8(3), uint8(0), uint8(0), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, n16, vocab16 uint16, spatial, table, gammaSel, flags uint8) {
 		fuzzTablesOnce.Do(func() {
 			fuzzSmallSq, fuzzBigSq, fuzzRadialTbl = grid.NewSquaredTable(2), grid.NewSquaredTable(20), grid.NewRadialTable()
 		})
 		n, vocab := 2+int(n16)%299, 1+int(vocab16)%3000
 		q, places := fuzzInstance(seed, n, vocab, flags)
-		opt := ScoreOptions{Spatial: fuzzSpatials[int(spatial)%3], Gamma: fuzzGammas[int(gammaSel)%4]}
+		opt := ScoreOptions{Spatial: fuzzSpatials[int(spatial)%4], Gamma: fuzzGammas[int(gammaSel)%4]}
 		switch {
+		case opt.Spatial == SpatialCustom:
+			opt.CustomSpatial = originHook
 		case opt.Spatial == SpatialSquaredGrid && table%3 == 1:
 			opt.SquaredTable = fuzzSmallSq
 		case opt.Spatial == SpatialSquaredGrid && table%3 == 2:
@@ -91,20 +109,20 @@ func FuzzFusedStep1(f *testing.F) {
 		case opt.Spatial == SpatialRadialGrid && table%2 == 1:
 			opt.RadialTable = fuzzRadialTbl
 		}
-		run := func(opt ScoreOptions) (*ScoreSet, *explain.Report) {
-			col := explain.New()
-			ss, err := ComputeScoresCtx(explain.WithCollector(context.Background(), col), q, places, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ss, col.Report()
+		fcol, wcol := explain.New(), explain.New()
+		fused, err := ComputeScoresCtx(explain.WithCollector(context.Background(), fcol), q, places, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fused, frep := run(opt)
-		opt.Contextual = textctx.MSJHEngine{}
-		want, wrep := run(opt)
-		if fused.SC != nil || fused.SS != nil {
-			t.Fatal("the fused pass kept an sC or sS triangle")
+		want, err := matrixStep1(explain.WithCollector(context.Background(), wcol), q, places, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		frep, wrep := fcol.Report(), wcol.Report()
+		forms := [...]struct {
+			name string
+			ss   *ScoreSet
+		}{{"full", fused}, {"compact", fused.Compact()}}
 		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 		for i := 0; i < n; i++ {
 			if !same(fused.PCS[i], want.PCS[i]) || !same(fused.PSS[i], want.PSS[i]) || !same(fused.PFS[i], want.PFS[i]) {
@@ -112,10 +130,15 @@ func FuzzFusedStep1(f *testing.F) {
 					fused.PCS[i], fused.PSS[i], fused.PFS[i], want.PCS[i], want.PSS[i], want.PFS[i])
 			}
 			for j := i + 1; j < n; j++ {
-				sc, sp, _ := fused.Pair(i, j)
-				if !same(fused.SF.At(i, j), want.SF.At(i, j)) || !same(sc, want.SC.At(i, j)) || !same(sp, want.SS.At(i, j)) {
-					t.Fatalf("pair (%d, %d): fused sF %v sC %v sS %v, matrix %v %v %v", i, j,
-						fused.SF.At(i, j), sc, sp, want.SF.At(i, j), want.SC.At(i, j), want.SS.At(i, j))
+				wsc, wsp, wsf := want.SC.At(i, j), want.SS.At(i, j), want.SF.At(i, j)
+				if !same(fused.SF.At(i, j), wsf) {
+					t.Fatalf("pair (%d, %d): fused sF %v, matrix %v", i, j, fused.SF.At(i, j), wsf)
+				}
+				for _, form := range forms {
+					if sc, sp, sf := form.ss.Pair(i, j); !same(sc, wsc) || !same(sp, wsp) || !same(sf, wsf) {
+						t.Fatalf("pair (%d, %d) of the %s set: sC %v sS %v sF %v, matrix %v %v %v", i, j,
+							form.name, sc, sp, sf, wsc, wsp, wsf)
+					}
 				}
 			}
 		}

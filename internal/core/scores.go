@@ -9,8 +9,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/grid"
 	"repro/internal/pairs"
-	"repro/internal/telemetry"
-	"repro/internal/textctx"
 )
 
 // explainErrSamples is the number of random place pairs on which the grid
@@ -31,7 +29,7 @@ const (
 	// SpatialRadialGrid approximates points by radial-grid sector
 	// representatives (Section 7.1.2).
 	SpatialRadialGrid
-	// SpatialCustom delegates to ScoreOptions.CustomSpatial — e.g. a
+	// SpatialCustom takes sS from ScoreOptions.CustomSpatial — e.g. a
 	// road-network scorer (the paper's future-work extension).
 	SpatialCustom
 )
@@ -54,9 +52,6 @@ func (m SpatialMethod) String() string {
 
 // ScoreOptions configures Step 1 of the framework.
 type ScoreOptions struct {
-	// Contextual is the all-pairs Jaccard engine; nil means msJh, the
-	// paper's recommended choice.
-	Contextual textctx.JaccardEngine
 	// Spatial selects exact or grid-based spatial similarity.
 	Spatial SpatialMethod
 	// GridCells is |G| (or |R| for the radial grid); 0 means ≈ K, the
@@ -71,21 +66,22 @@ type ScoreOptions struct {
 	Gamma float64
 	// CustomSpatial supplies the pairwise spatial similarity matrix when
 	// Spatial is SpatialCustom. It must return an n×n matrix with values
-	// in [0, 1]; pSS is derived from its row sums. Used to swap Euclidean
-	// Ptolemy similarity for alternatives such as road-network distance.
+	// in [0, 1]; Step 1 reads sS from it row by row and sums pSS from its
+	// entries, and the score set keeps it to recompute pairs from. Used to
+	// swap Euclidean Ptolemy similarity for alternatives such as
+	// road-network distance.
 	CustomSpatial func(q geo.Point, places []Place) (*pairs.Matrix, error)
 }
 
 // ScoreSet is the Step-1 output: every per-place and pairwise score the
 // greedy algorithms need, computed once and reused (Section 5).
 //
-// A set from ComputeScores holds the sF triangle Step 2 reads, and, when
-// explicitly configured matrix engines computed it, the sC and sS
-// triangles too. Its Compact form drops them and keeps O(K) state instead
-// — the Step-1 options and, for the grids, one cell or sector index per
-// place — from which Pair recomputes any single pair, and SelectCtx
-// refills sF, with the functions the fills store them with: the same bits
-// either way.
+// A set from ComputeScores holds the sF triangle Step 2 reads. Its Compact
+// form drops it and keeps O(K) state instead — the Step-1 options and, for
+// the grids, one cell or sector index per place — from which Pair
+// recomputes any single pair, and SelectCtx refills sF, with the functions
+// the fused pass stores them with: the same bits either way. A set of the
+// custom spatial method keeps the hook's matrix in both forms.
 type ScoreSet struct {
 	// Places is the retrieved set S in scoring order.
 	Places []Place
@@ -97,48 +93,39 @@ type ScoreSet struct {
 	PCS, PSS []float64
 	// PFS[i] is pFS(p_i) = (1−γ)·pCS + γ·pSS (Eq. 11).
 	PFS []float64
-	// SC and SS are the pairwise contextual and spatial similarity
-	// caches; SF is the γ-weighted combination (Eq. 13). The fused pass
-	// of the default engine fills SF only; all three are nil on a compact
-	// set. Pair reads a pair from any kind.
-	SC, SS, SF *pairs.Matrix
+	// SF is the triangle of the γ-weighted pair similarity sF (Eq. 13);
+	// nil on a compact set.
+	SF *pairs.Matrix
 
-	// opt are the Step-1 options the set was computed with, and sq/rad
-	// the per-place grid indices of the squared or radial method: what a
-	// compact set recomputes its pairs from. recomputable is false when
-	// the pairs cannot be recomputed exactly (SpatialCustom, an
-	// approximate contextual engine) or the set was assembled by hand.
-	opt          ScoreOptions
-	sq           grid.SquaredPairs
-	rad          grid.RadialPairs
-	recomputable bool
+	// opt are the Step-1 options the set was computed with, sq/rad the
+	// per-place grid indices of the squared or radial method, and custom
+	// the matrix of the custom method: what Pair recomputes a pair from.
+	opt    ScoreOptions
+	sq     grid.SquaredPairs
+	rad    grid.RadialPairs
+	custom *pairs.Matrix
 }
 
 // K returns |S|, the number of scored places.
 func (ss *ScoreSet) K() int { return len(ss.Places) }
 
 // ComputeScores runs Step 1 of the framework: it computes the pairwise
-// contextual and spatial similarities of all places with the configured
-// engines, caches them, and derives the pCS, pSS and pFS vectors.
+// contextual (msJh's exact Jaccard) and spatial (the configured method)
+// similarities of all places, caches their combination sF, and derives the
+// pCS, pSS and pFS vectors.
 func ComputeScores(q geo.Point, places []Place, opt ScoreOptions) (*ScoreSet, error) {
 	return ComputeScoresCtx(context.Background(), q, places, opt)
 }
 
 // ComputeScoresCtx is ComputeScores with cooperative cancellation: the
-// quadratic all-pairs phases poll ctx (directly when the configured
-// engines support it, at stage boundaries otherwise) and abandon the
-// computation as soon as ctx terminates, returning an error matching
-// ErrCancelled or ErrDeadline.
+// quadratic row pass polls ctx and abandons the computation as soon as ctx
+// terminates, returning an error matching ErrCancelled or ErrDeadline.
 //
-// With the default contextual engine (Contextual nil) and the exact or a
-// grid spatial method, Step 1 is one sequential row pass (fusedStep1)
-// that fills only the sF triangle; Pair recomputes sC and sS on demand.
-// Any other configuration fills the sC and sS triangles with the
-// configured engines and combines them (matrixStep1). Both yield the same
-// bits for every vector and every pair. Each Step-1 stage is spanned in
-// those two, at its boundary, and nowhere below: the engines and grid
-// fills record no spans of their own, so every stage is counted exactly
-// once whatever engine or spatial method runs it.
+// Step 1 is one sequential row pass (fusedStep1) that fills only the sF
+// triangle, whatever the spatial method; Pair recomputes sC and sS on
+// demand. Each Step-1 stage is spanned in fusedStep1, at its boundary, and
+// nowhere below: the grid fills record no spans of their own, so every
+// stage is counted exactly once whatever spatial method runs it.
 func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt ScoreOptions) (*ScoreSet, error) {
 	if err := checkpoint(ctx, "scores:start"); err != nil {
 		return nil, err
@@ -159,137 +146,53 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 		pts[i] = places[i].Loc
 	}
 	ss := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma, opt: opt}
-	step1 := ss.matrixStep1
-	if opt.Contextual == nil && opt.Spatial != SpatialCustom {
-		step1 = ss.fusedStep1
-	}
-	if err := step1(ctx, pts); err != nil {
+	if err := ss.fusedStep1(ctx, pts); err != nil {
 		return nil, stageErr(ctx, err)
 	}
 	ss.PFS = make([]float64, len(places))
 	for i := range ss.PFS {
 		ss.PFS[i] = pairs.Blend(1-opt.Gamma, ss.PCS[i], opt.Gamma, ss.PSS[i])
 	}
-	switch opt.Contextual.(type) {
-	case nil, textctx.MSJHEngine, textctx.BaselineEngine:
-		ss.recomputable = opt.Spatial != SpatialCustom
-	}
 	return ss, nil
 }
 
-// matrixStep1 is Step 1 over explicitly configured engines: the
-// contextual engine (msJh when none is set, as for SpatialCustom) fills
-// the sC triangle, the spatial method the sS triangle, and sF is their
-// combination.
-func (ss *ScoreSet) matrixStep1(ctx context.Context, pts []geo.Point) error {
-	opt := ss.opt
-	engine := opt.Contextual
-	if engine == nil {
-		engine = textctx.MSJHEngine{}
-	}
-	sets := make([]textctx.Set, len(ss.Places))
-	for i := range ss.Places {
-		sets[i] = ss.Places[i].Context
-	}
-	var sc *textctx.PairScores
-	var err error
-	endPCS := telemetry.StartSpan(ctx, telemetry.StagePCS)
-	if ce, ok := engine.(textctx.ContextEngine); ok {
-		sc, err = ce.AllPairsCtx(ctx, sets)
-	} else {
-		sc = engine.AllPairs(sets)
-	}
-	endPCS()
-	if err != nil {
-		return err
-	}
-	if err := checkpoint(ctx, "scores:contextual"); err != nil {
-		return err
-	}
-
-	endPSS := telemetry.StartSpan(ctx, telemetry.StagePSS)
-	sp, pss, err := ss.spatialMatrix(ctx, pts)
-	endPSS()
-	if err != nil {
-		return err
-	}
-	if err := checkpoint(ctx, "scores:spatial"); err != nil {
-		return err
-	}
-	ss.PCS, ss.PSS = sc.RowSums(), pss
-	ss.SC, ss.SS, ss.SF = sc, sp, pairs.Combine(sc, sp, 1-opt.Gamma, opt.Gamma)
-	return nil
-}
-
-// spatialMatrix fills the pairwise spatial similarity matrix of ss's
-// places (at pts) with the configured method and returns it with the pSS
-// vector.
-func (ss *ScoreSet) spatialMatrix(ctx context.Context, pts []geo.Point) (*pairs.Matrix, []float64, error) {
-	if ss.opt.Spatial == SpatialCustom {
-		if ss.opt.CustomSpatial == nil {
-			return nil, nil, fmt.Errorf("core: SpatialCustom requires CustomSpatial")
-		}
-		sp, err := ss.opt.CustomSpatial(ss.Q, ss.Places)
-		if err != nil {
-			return nil, nil, err
-		}
-		if sp == nil || sp.N() != len(pts) {
-			return nil, nil, fmt.Errorf("core: CustomSpatial returned a matrix of wrong size")
-		}
-		if ec := explain.FromContext(ctx); ec != nil {
-			ec.SetGrid(explain.GridStats{Kind: "custom", Places: len(pts)})
-		}
-		return sp, sp.RowSums(), nil
-	}
-	rows, pss, err := ss.spatialSetup(ctx, pts)
-	if err != nil {
-		return nil, nil, err
-	}
-	sp, err := pairs.FillRows(ctx, len(pts), rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pss == nil {
-		pss = sp.RowSums()
-	}
-	return sp, pss, nil
-}
-
-// Compact returns ss without its pair triangles: a copy that shares
-// everything else and retains O(K) memory instead of one to three
-// K(K−1)/2 float64 triangles. It returns ss itself when ss is compact
-// already or its pairs cannot be recomputed exactly (SpatialCustom, a
-// contextual engine other than msJh or the baseline, a set assembled by
-// hand).
+// Compact returns ss without its sF triangle: a copy that shares
+// everything else and retains O(K) memory instead of a K(K−1)/2 float64
+// triangle (a custom method's matrix stays, as Pair reads sS from it). It
+// returns ss itself when ss is compact already.
 func (ss *ScoreSet) Compact() *ScoreSet {
-	if ss.SF == nil || !ss.recomputable {
+	if ss.SF == nil {
 		return ss
 	}
 	c := *ss
-	c.SC, c.SS, c.SF = nil, nil, nil
+	c.SF = nil
 	return &c
 }
 
 // full returns ss with its sF triangle: ss itself when it holds it, and
 // otherwise a fresh Step 1 over the same places with the recorded
-// options — for the default engine the fused pass, which fills sF only.
-// Every fill is deterministic, so the refilled set equals the one ss was
-// compacted from, bit for bit.
+// options. A custom method's refill reads the kept matrix instead of
+// calling the hook again. Every fill is deterministic, so the refilled set
+// equals the one ss was compacted from, bit for bit.
 func (ss *ScoreSet) full(ctx context.Context) (*ScoreSet, error) {
 	if ss.SF != nil {
 		return ss, nil
 	}
-	return ComputeScoresCtx(ctx, ss.Q, ss.Places, ss.opt)
+	opt := ss.opt
+	if m := ss.custom; m != nil {
+		opt.CustomSpatial = func(geo.Point, []Place) (*pairs.Matrix, error) { return m, nil }
+	}
+	return ComputeScoresCtx(ctx, ss.Q, ss.Places, opt)
 }
 
 // Bytes returns the memory ss holds of its own: the Places slice (the
 // places' IDs and context sets belong to the corpus and are not counted),
-// the per-place vectors and grid indices, and the pair triangles when it
-// has them.
+// the per-place vectors and grid indices, the sF triangle when it has it
+// and a custom method's matrix.
 func (ss *ScoreSet) Bytes() int {
 	n := len(ss.Places)*int(unsafe.Sizeof(Place{})) +
 		8*(len(ss.PCS)+len(ss.PSS)+len(ss.PFS)) + ss.sq.Bytes() + ss.rad.Bytes()
-	for _, m := range [...]*pairs.Matrix{ss.SC, ss.SS, ss.SF} {
+	for _, m := range [...]*pairs.Matrix{ss.SF, ss.custom} {
 		if m != nil {
 			n += m.Bytes()
 		}
@@ -297,33 +200,13 @@ func (ss *ScoreSet) Bytes() int {
 	return n
 }
 
-// Pair returns sC, sS and sF of the places i ≠ j. It reads the triangles
-// when ss holds all three. Any other set recomputes the pair with the
-// functions the fills store it with — Jaccard (msJh's, the baseline's and
-// the fused pass's expression, +0 for disjoint sets), the exact Ptolemy
-// expression, the grid's table element or unitSS call, and pairs.Blend
-// for sF — so every kind returns the same bits.
+// Pair returns sC, sS and sF of the places i ≠ j, recomputed with the
+// functions the fused pass stores them with — Jaccard (msJh's, the
+// baseline's and the fused pass's expression, +0 for disjoint sets), the
+// exact Ptolemy expression, the grid's table element or unitSS call, the
+// custom matrix's entry, and pairs.Blend for sF — so a full and a compact
+// set return the same bits, and sF equals the triangle's entry.
 func (ss *ScoreSet) Pair(i, j int) (sc, sp, sf float64) {
-	if ss.SC != nil {
-		k := ss.SF.Index(i, j) // the three triangles share one layout
-		return ss.SC.AtIndex(k), ss.SS.AtIndex(k), ss.SF.AtIndex(k)
-	}
-	return ss.recompute(i, j)
-}
-
-// sf returns sF(p_i, p_j) (Eq. 13) as Pair does, reading only the sF
-// triangle of a full set: the greedy loops need nothing else, and reading
-// all three triangles would cost them two more cache misses per pair.
-func (ss *ScoreSet) sf(i, j int) float64 {
-	if ss.SF != nil {
-		return ss.SF.At(i, j)
-	}
-	_, _, sf := ss.recompute(i, j)
-	return sf
-}
-
-// recompute evaluates one pair of a compact set (see Pair).
-func (ss *ScoreSet) recompute(i, j int) (sc, sp, sf float64) {
 	if i > j {
 		i, j = j, i // every fill computes a pair once, as (i, j) with i < j
 	}
@@ -334,10 +217,22 @@ func (ss *ScoreSet) recompute(i, j int) (sc, sp, sf float64) {
 		sp = ss.sq.At(i, j)
 	case SpatialRadialGrid:
 		sp = ss.rad.At(i, j)
+	case SpatialCustom:
+		sp = ss.custom.At(i, j)
 	default:
 		sp = grid.ExactPairSS(ss.Q, pi.Loc, pj.Loc)
 	}
 	return sc, sp, pairs.Blend(1-ss.Gamma, sc, ss.Gamma, sp)
+}
+
+// sf returns sF(p_i, p_j) (Eq. 13) as Pair does, reading the sF triangle
+// of a full set: the greedy loops need nothing else.
+func (ss *ScoreSet) sf(i, j int) float64 {
+	if ss.SF != nil {
+		return ss.SF.At(i, j)
+	}
+	_, _, sf := ss.Pair(i, j)
+	return sf
 }
 
 // stageErr maps a Step-1 stage failure onto the package's typed
@@ -350,13 +245,14 @@ func stageErr(ctx context.Context, err error) error {
 	return err
 }
 
-// spatialSetup prepares the exact or grid spatial method over ss's places
-// (at pts): it returns the row function that writes sS of the pairs
-// (i, j > i) of row i, and for the grids their pSS vector (nil for the
-// exact method, whose pSS the caller sums from the pairs). For the grids
-// it records in ss the per-place indices Pair recomputes a pair from.
-// Under an explain collector it records the grid statistics, with the
-// approximation error sampled through Pair's recompute.
+// spatialSetup prepares the spatial method over ss's places (at pts): it
+// returns the row function that writes sS of the pairs (i, j > i) of row
+// i, and for the grids their pSS vector (nil for the exact and custom
+// methods, whose pSS the caller sums from the pairs). It records in ss
+// what Pair recomputes a pair from: the grids' per-place indices or the
+// custom hook's matrix. Under an explain collector it records the method's
+// statistics, for a grid with the approximation error sampled through
+// Pair.
 func (ss *ScoreSet) spatialSetup(ctx context.Context, pts []geo.Point) (rows func(i int, row []float64), pss []float64, err error) {
 	q, opt := ss.Q, ss.opt
 	gs := explain.GridStats{Places: len(pts)}
@@ -384,11 +280,24 @@ func (ss *ScoreSet) spatialSetup(ctx context.Context, pts []geo.Point) (rows fun
 		}
 		gs.Kind, gs.Cells, gs.OccupiedCells = "radial", g.Sectors(), g.OccupiedSectors()
 		pss, ss.rad, rows = g.PSS(opt.RadialTable), g.Pairs(opt.RadialTable), g.Rows(opt.RadialTable)
+	case SpatialCustom:
+		if opt.CustomSpatial == nil {
+			return nil, nil, fmt.Errorf("core: SpatialCustom requires CustomSpatial")
+		}
+		m, err := opt.CustomSpatial(q, ss.Places)
+		if err != nil {
+			return nil, nil, err
+		}
+		if m == nil || m.N() != len(pts) {
+			return nil, nil, fmt.Errorf("core: CustomSpatial returned a matrix of wrong size")
+		}
+		gs.Kind, ss.custom = "custom", m
+		rows = func(i int, row []float64) { copy(row, m.Row(i)) }
 	default:
 		return nil, nil, fmt.Errorf("core: unknown spatial method %v", opt.Spatial)
 	}
 	if ec := explain.FromContext(ctx); ec != nil {
-		if gs.Kind != "exact" {
+		if gs.Kind == "squared" || gs.Kind == "radial" {
 			ss.sampleGridError(&gs, pts)
 		}
 		ec.SetGrid(gs)
@@ -406,7 +315,7 @@ func (ss *ScoreSet) sampleGridError(gs *explain.GridStats, pts []geo.Point) {
 		gs.PlacesPerCell = float64(len(pts)) / float64(gs.OccupiedCells)
 	}
 	approx := func(i, j int) float64 {
-		_, sp, _ := ss.recompute(i, j)
+		_, sp, _ := ss.Pair(i, j)
 		return sp
 	}
 	es := grid.SampleApproxError(ss.Q, pts, approx, explainErrSamples)
@@ -423,7 +332,7 @@ func (ss *ScoreSet) PairHPF(i, j, k int, lambda float64) float64 {
 	if ss.SF != nil {
 		sf = ss.SF.At(i, j)
 	} else {
-		_, _, sf = ss.recompute(i, j)
+		_, _, sf = ss.Pair(i, j)
 	}
 	return pairHPF((1-lambda)*float64(len(ss.Places)-k), float64(k-1), lambda,
 		ss.Places[i].Rel, ss.Places[j].Rel, ss.PFS[i], ss.PFS[j], sf)

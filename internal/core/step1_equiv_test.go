@@ -34,14 +34,14 @@ func tiePronePlaces(n int) []Place {
 	return places
 }
 
-// requireSameScoreSet asserts two score sets are bit-identical: every
-// vector entry, every pair's sC and sS as Pair returns them, and every
-// entry of the sF triangle must share float bits.
-func requireSameScoreSet(t *testing.T, label string, a, b *ScoreSet) {
+// requireMatchesOracle asserts a score set is bit-identical to the
+// matrix oracle's: every vector entry, every pair's sC and sS as Pair
+// returns them, and every entry of the sF triangle must share float bits.
+func requireMatchesOracle(t *testing.T, label string, a *ScoreSet, b *matrixScores) {
 	t.Helper()
 	n := a.K()
-	if b.K() != n {
-		t.Fatalf("%s: sizes differ: %d vs %d", label, n, b.K())
+	if len(b.PCS) != n {
+		t.Fatalf("%s: sizes differ: %d vs %d", label, n, len(b.PCS))
 	}
 	vecs := [][2][]float64{{a.PCS, b.PCS}, {a.PSS, b.PSS}, {a.PFS, b.PFS}}
 	names := []string{"PCS", "PSS", "PFS"}
@@ -55,11 +55,10 @@ func requireSameScoreSet(t *testing.T, label string, a, b *ScoreSet) {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			asc, asp, _ := a.Pair(i, j)
-			bsc, bsp, _ := b.Pair(i, j)
-			if math.Float64bits(asc) != math.Float64bits(bsc) {
+			if math.Float64bits(asc) != math.Float64bits(b.SC.At(i, j)) {
 				t.Fatalf("%s: sC(%d,%d) bits differ", label, i, j)
 			}
-			if math.Float64bits(asp) != math.Float64bits(bsp) {
+			if math.Float64bits(asp) != math.Float64bits(b.SS.At(i, j)) {
 				t.Fatalf("%s: sS(%d,%d) bits differ", label, i, j)
 			}
 			if math.Float64bits(a.SF.At(i, j)) != math.Float64bits(b.SF.At(i, j)) {
@@ -69,10 +68,20 @@ func requireSameScoreSet(t *testing.T, label string, a, b *ScoreSet) {
 	}
 }
 
-// TestComputeScoresWorkersBitIdentical: the matrix engines (msJh and the
-// spatial fill, combined) must produce the same score set, bit for bit,
-// as the fused pass of the default engine. Covers random instances and
-// the tie-prone instance, both for the exact and the squared method.
+// mustOracle runs the matrix oracle.
+func mustOracle(t *testing.T, q geo.Point, places []Place, opt ScoreOptions) *matrixScores {
+	t.Helper()
+	m, err := matrixStep1(context.Background(), q, places, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestComputeScoresWorkersBitIdentical: the matrix oracle (msJh and the
+// spatial fill, combined) must produce the same scores, bit for bit, as
+// the fused pass. Covers random instances and the tie-prone instance,
+// both for the exact and the squared method.
 func TestComputeScoresWorkersBitIdentical(t *testing.T) {
 	q := geo.Pt(0, 0)
 	rng := rand.New(rand.NewSource(9))
@@ -83,22 +92,23 @@ func TestComputeScoresWorkersBitIdentical(t *testing.T) {
 	}
 	for name, places := range instances {
 		for _, spatial := range []SpatialMethod{SpatialExact, SpatialSquaredGrid} {
-			fused := mustScores(t, q, places, ScoreOptions{Gamma: 0.5, Spatial: spatial})
-			matrix := mustScores(t, q, places, ScoreOptions{Gamma: 0.5, Spatial: spatial,
-				Contextual: textctx.MSJHEngine{}})
-			requireSameScoreSet(t, name+"/"+spatial.String(), fused, matrix)
+			opt := ScoreOptions{Gamma: 0.5, Spatial: spatial}
+			requireMatchesOracle(t, name+"/"+spatial.String(), mustScores(t, q, places, opt), mustOracle(t, q, places, opt))
 		}
 	}
 }
 
 // TestSelectionTiesBreakIdenticallySerialParallel: on a tie-heavy
-// instance, Step 2 over a score set the matrix engines filled must select
-// exactly what it selects over the fused pass's.
+// instance, Step 2 over a score set assembled from the matrix oracle's
+// vectors and sF triangle must select exactly what it selects over the
+// fused pass's.
 func TestSelectionTiesBreakIdenticallySerialParallel(t *testing.T) {
 	q := geo.Pt(0, 0)
 	places := tiePronePlaces(90)
-	fused := mustScores(t, q, places, ScoreOptions{Gamma: 0.5})
-	matrix := mustScores(t, q, places, ScoreOptions{Gamma: 0.5, Contextual: textctx.MSJHEngine{}})
+	opt := ScoreOptions{Gamma: 0.5}
+	fused := mustScores(t, q, places, opt)
+	m := mustOracle(t, q, places, opt)
+	matrix := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma, PCS: m.PCS, PSS: m.PSS, PFS: m.PFS, SF: m.SF, opt: opt}
 	for _, alg := range []Algorithm{AlgABP, AlgABPDiv, AlgIAdU, AlgIAdUDiv} {
 		p := Params{K: 9, Lambda: 0.5, Gamma: 0.5}
 		a, err := Select(alg, fused, p)
@@ -119,26 +129,25 @@ func TestSelectionTiesBreakIdenticallySerialParallel(t *testing.T) {
 }
 
 // TestStep1SpanDedupeUnderParallelFallback: each Step-1 stage must be
-// recorded exactly once per query, by the fused pass and by the matrix
-// engines alike. A double span would double the stage's latency
-// attribution in traces and the /metrics stage histograms.
+// recorded exactly once per query, whatever the spatial method. A double
+// span would double the stage's latency attribution in traces and the
+// /metrics stage histograms.
 func TestStep1SpanDedupeUnderParallelFallback(t *testing.T) {
 	q := geo.Pt(0, 0)
 	rng := rand.New(rand.NewSource(3))
 	for _, tc := range []struct {
-		name       string
-		contextual textctx.JaccardEngine
-		spatial    SpatialMethod
+		name string
+		opt  ScoreOptions
 	}{
-		{"exact/fused", nil, SpatialExact},
-		{"exact/matrix", textctx.MSJHEngine{}, SpatialExact},
-		{"squared/fused", nil, SpatialSquaredGrid},
-		{"squared/matrix", textctx.MSJHEngine{}, SpatialSquaredGrid},
+		{"exact/fused", ScoreOptions{Spatial: SpatialExact}},
+		{"squared/fused", ScoreOptions{Spatial: SpatialSquaredGrid}},
+		{"custom/fused", ScoreOptions{Spatial: SpatialCustom, CustomSpatial: originHook}},
 	} {
 		places := makePlaces(rng, q, 100, 12, 40, 0.2)
 		tr := telemetry.NewTrace()
 		ctx := telemetry.WithTrace(context.Background(), tr)
-		opt := ScoreOptions{Gamma: 0.5, Spatial: tc.spatial, Contextual: tc.contextual}
+		opt := tc.opt
+		opt.Gamma = 0.5
 		if _, err := ComputeScoresCtx(ctx, q, places, opt); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

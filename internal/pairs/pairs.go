@@ -1,8 +1,9 @@
 // Package pairs provides a compact symmetric pairwise-score matrix used as
-// the Step-1 cache of the proportionality framework: contextual (sC) and
-// spatial (sS) similarities are computed once for all pairs of retrieved
-// places and then reused as many times as necessary by the greedy selection
-// algorithms of Step 2.
+// the Step-1 cache of the proportionality framework: the combined
+// similarity sF of all pairs of retrieved places is computed once and then
+// reused as many times as necessary by the greedy selection algorithms of
+// Step 2. The all-pairs engines of the figure harness fill sC and sS
+// matrices of the same form.
 package pairs
 
 import "fmt"
@@ -38,14 +39,6 @@ func (m *Matrix) idx(i, j int) int {
 
 // At returns the score of the pair (i, j), i ≠ j.
 func (m *Matrix) At(i, j int) float64 { return m.val[m.idx(i, j)] }
-
-// Index returns the position of the pair (i, j), i ≠ j, in the packed
-// triangle. Matrices over the same n objects store a pair at the same
-// position, so one Index serves a read of each of them through AtIndex.
-func (m *Matrix) Index(i, j int) int { return m.idx(i, j) }
-
-// AtIndex returns the score stored at position k (see Index).
-func (m *Matrix) AtIndex(k int) float64 { return m.val[k] }
 
 // Row returns the mutable slice of scores of the pairs (i, i+1) … (i, n−1):
 // entry t of the returned slice is the score of (i, i+1+t). Bulk fills use
@@ -112,23 +105,11 @@ func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
 // Bytes returns the memory footprint of the packed triangle.
 func (m *Matrix) Bytes() int { return len(m.val) * 8 }
 
-// Combine returns a new matrix whose entries are Blend(wa, a, wb, b), the
-// weighted similarity sF of Eq. 13 when a holds sC and b holds sS.
-func Combine(a, b *Matrix, wa, wb float64) *Matrix {
-	if a.n != b.n {
-		panic("pairs: Matrix size mismatch")
-	}
-	out := New(a.n)
-	for k := range out.val {
-		out.val[k] = Blend(wa, a.val[k], wb, b.val[k])
-	}
-	return out
-}
-
-// Blend is one entry of Combine: wa·a + wb·b. Code that recomputes a
-// single sF entry calls it too, so the entry it gets has Combine's bits.
-// The explicit conversions round each product before the sum: without
-// them the compiler may fuse a product and the sum into one multiply-add
-// (it does on arm64), and a fused and an unfused call site of Blend would
-// disagree in the last bit.
+// Blend returns wa·a + wb·b: sF of Eq. 13 from sC and sS, and pFS of
+// Eq. 11 from pCS and pSS. The fused Step-1 pass stores every sF entry
+// with it and code that recomputes a single entry calls it too, so the
+// entry it gets has the stored bits. The explicit conversions round each
+// product before the sum: without them the compiler may fuse a product
+// and the sum into one multiply-add (it does on arm64), and a fused and an
+// unfused call site of Blend would disagree in the last bit.
 func Blend(wa, a, wb, b float64) float64 { return float64(wa*a) + float64(wb*b) }

@@ -56,33 +56,6 @@ func TestSumAndRowSums(t *testing.T) {
 	}
 }
 
-func TestCombine(t *testing.T) {
-	a, b := New(3), New(3)
-	a.Set(0, 1, 1)
-	a.Set(1, 2, 2)
-	b.Set(0, 1, 10)
-	b.Set(0, 2, 20)
-	c := Combine(a, b, 0.5, 0.25)
-	if got := c.At(0, 1); got != 0.5*1+0.25*10 {
-		t.Errorf("Combine[0,1] = %g", got)
-	}
-	if got := c.At(0, 2); got != 5 {
-		t.Errorf("Combine[0,2] = %g", got)
-	}
-	if got := c.At(1, 2); got != 1 {
-		t.Errorf("Combine[1,2] = %g", got)
-	}
-}
-
-func TestCombineSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Combine with mismatched sizes did not panic")
-		}
-	}()
-	Combine(New(2), New(3), 1, 1)
-}
-
 func TestNewNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

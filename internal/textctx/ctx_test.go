@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// ctxEngines are the engines with a cancellable AllPairsCtx.
+var ctxEngines = []interface {
+	JaccardEngine
+	AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error)
+}{MSJHEngine{}, BaselineEngine{}}
+
 func ctxTestSets(n, vocab int, seed int64) []Set {
 	rng := rand.New(rand.NewSource(seed))
 	sets := make([]Set, n)
@@ -20,13 +26,13 @@ func ctxTestSets(n, vocab int, seed int64) []Set {
 	return sets
 }
 
-// TestContextEnginesCancelled verifies every ContextEngine rejects a dead
+// TestContextEnginesCancelled verifies every ctxEngines entry rejects a dead
 // context instead of completing the quadratic comparison work.
 func TestContextEnginesCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sets := ctxTestSets(200, 40, 1)
-	for _, e := range []ContextEngine{MSJHEngine{}, BaselineEngine{}} {
+	for _, e := range ctxEngines {
 		if _, err := e.AllPairsCtx(ctx, sets); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", e.Name(), err)
 		}
@@ -38,7 +44,7 @@ func TestContextEnginesCancelled(t *testing.T) {
 func TestContextEnginesLiveMatchAllPairs(t *testing.T) {
 	sets := ctxTestSets(120, 30, 2)
 	want := MSJHEngine{}.AllPairs(sets)
-	for _, e := range []ContextEngine{MSJHEngine{}, BaselineEngine{}} {
+	for _, e := range ctxEngines {
 		got, err := e.AllPairsCtx(context.Background(), sets)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)

@@ -18,18 +18,6 @@ type JaccardEngine interface {
 	Name() string
 }
 
-// A ContextEngine is a JaccardEngine that supports cooperative
-// cancellation: AllPairsCtx fills the matrix through pairs.Fill, which polls
-// ctx every few dozen rows (a few thousand pair comparisons at most pass
-// between polls), and returns ctx.Err() instead of completing the quadratic
-// work. Callers on a serving path should prefer it.
-type ContextEngine interface {
-	JaccardEngine
-	// AllPairsCtx is AllPairs with cancellation checkpoints; on
-	// cancellation the partial matrix is discarded and ctx.Err() returned.
-	AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error)
-}
-
 // BaselineEngine is the paper's baseline: every one of the O(K²) pairs is
 // compared by probing a per-set hash table with the elements of the other
 // set. The hash tables for all K sets are built once (the "hashing phase"),
@@ -45,7 +33,9 @@ func (e BaselineEngine) AllPairs(sets []Set) *PairScores {
 	return ps
 }
 
-// AllPairsCtx implements ContextEngine.
+// AllPairsCtx is AllPairs with cooperative cancellation: it fills the
+// matrix through pairs.Fill, which polls ctx every few dozen rows, and on
+// cancellation discards the partial matrix and returns ctx.Err().
 func (BaselineEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error) {
 	n := len(sets)
 	if ec := explain.FromContext(ctx); ec != nil {
@@ -102,7 +92,8 @@ func (e MSJHEngine) AllPairs(sets []Set) *PairScores {
 	return ps
 }
 
-// AllPairsCtx implements ContextEngine.
+// AllPairsCtx is AllPairs with cooperative cancellation, as for
+// BaselineEngine.
 func (MSJHEngine) AllPairsCtx(ctx context.Context, sets []Set) (*PairScores, error) {
 	n := len(sets)
 

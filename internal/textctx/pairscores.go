@@ -4,7 +4,7 @@ import "repro/internal/pairs"
 
 // PairScores is the all-pairs contextual similarity cache. It is an alias
 // of pairs.Matrix so that contextual (sC) and spatial (sS) caches share one
-// representation and can be combined into the weighted sF of Eq. 13.
+// representation.
 type PairScores = pairs.Matrix
 
 // NewPairScores returns an all-zero n×n symmetric score cache.

@@ -36,7 +36,7 @@ var servingPackages = []string{
 // binary and the figure harness, each with the reason it is kept.
 var unimported = map[string]string{
 	"repro/internal/invindex": "kept until the sharded-retrieval work adopts or deletes it (ROADMAP item 2)",
-	"repro/internal/roadnet":  "paper's future-work network Ptolemy, run by examples/roadnet; moves with item 10's adapter",
+	"repro/internal/roadnet":  "paper's future-work network Ptolemy, run by examples/roadnet through core's SpatialCustom hook",
 }
 
 // goBin returns the go tool's path. It fails rather than skips when go
