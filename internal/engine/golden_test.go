@@ -16,7 +16,7 @@ import (
 	"repro/internal/dataset"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/answers.golden from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
 
 // goldenPath holds one line per answer case. It is generated once and
 // then only compared against: any change to a selection, its HPF bits,
@@ -32,12 +32,7 @@ const goldenPath = "testdata/answers.golden"
 // core.SelectCtx, must yield the same line. Run with -update to rewrite
 // the file.
 func TestAnswerGoldens(t *testing.T) {
-	cfg := dataset.DBpediaLike(20211104)
-	cfg.Places = 1500
-	d, err := dataset.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := goldenCorpus(t)
 	e := New(d, Options{})
 	kw := d.Places[0].Context.Words(d.Dict)
 	kw = kw[:min(2, len(kw))]
@@ -79,22 +74,42 @@ func TestAnswerGoldens(t *testing.T) {
 			}
 		}
 	}
+	compareGolden(t, goldenPath, out.Bytes())
+}
+
+// goldenCorpus is the seeded 1 500-place corpus the goldens are computed
+// over.
+func goldenCorpus(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	cfg := dataset.DBpediaLike(20211104)
+	cfg.Places = 1500
+	d, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// compareGolden compares got line for line with the golden file at path,
+// or rewrites the file under -update.
+func compareGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	gotLines, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d answer lines, golden has %d", len(gotLines), len(wantLines))
+		t.Fatalf("%d lines, %s has %d", len(gotLines), path, len(wantLines))
 	}
 	bad := 0
 	for i := range gotLines {
@@ -105,6 +120,58 @@ func TestAnswerGoldens(t *testing.T) {
 			}
 		}
 	}
+}
+
+// roundsGoldenPath holds one line per greedy round of the explain
+// cases, generated once like goldenPath.
+const roundsGoldenPath = "testdata/explain_rounds.golden"
+
+// TestExplainRoundsGolden runs ABP and ABP_D through Engine.Explain over
+// the answer goldens' corpus, K ∈ {20, 200, 1000}, λ ∈ {0, 0.5, 1} and
+// odd and even k, and compares every greedy round the report records —
+// the chosen places, the runner-up and both gains as float bits — line
+// for line with roundsGoldenPath. Run with -update to rewrite the file.
+func TestExplainRoundsGolden(t *testing.T) {
+	e := New(goldenCorpus(t), Options{})
+	cases := []struct {
+		spatial string
+		K, k    int
+		algo    string
+		lambda  float64
+	}{
+		{"exact", 20, 5, "abp", 0},
+		{"exact", 20, 8, "abp", 1},
+		{"exact", 20, 7, "abp-div", 0.5},
+		{"exact", 20, 6, "abp-div", 1},
+		{"radial", 200, 9, "abp", 0.5},
+		{"radial", 200, 10, "abp", 1},
+		{"radial", 200, 8, "abp-div", 0},
+		{"radial", 200, 11, "abp-div", 0.5},
+		{"squared", 1000, 20, "abp", 0.5},
+		{"squared", 1000, 21, "abp", 1},
+		{"squared", 1000, 9, "abp", 0},
+		{"squared", 1000, 20, "abp-div", 0.5},
+		{"squared", 1000, 9, "abp-div", 1},
+	}
+	var out bytes.Buffer
+	for ci, c := range cases {
+		req := e.NewRequest()
+		req.X, req.Y = 25+float64(13*ci), 70-float64(7*ci)
+		req.K, req.SmallK, req.Algo, req.Lambda, req.Gamma, req.Spatial = c.K, c.k, c.algo, c.lambda, 0.5, c.spatial
+		_, rep, err := e.Explain(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (c.k + 1) / 2; len(rep.Rounds) != want {
+			t.Fatalf("%+v: %d rounds, want %d", c, len(rep.Rounds), want)
+		}
+		for _, r := range rep.Rounds {
+			fmt.Fprintf(&out, "%s K=%d k=%d %s l=%v round=%d chosen=%s gain=%016x runner=%s rgain=%016x\n",
+				c.spatial, c.K, c.k, c.algo, c.lambda, r.Round, strings.Join(r.ChosenIDs, ","),
+				math.Float64bits(r.Gain), strings.Join(r.RunnerUpIDs, ","), math.Float64bits(r.RunnerUpGain))
+		}
+	}
+	compareGolden(t, roundsGoldenPath, out.Bytes())
 }
 
 // goldenLine selects alg at λ on ss and renders the case: the selected
