@@ -12,8 +12,8 @@ import (
 	"repro/internal/textctx"
 )
 
-// abpRescan is the pre-incremental ABP under rule, kept as the oracle the
-// heap is proven against: a full sort of the materialised pairs followed
+// abpRescan is the materialising ABP under rule, kept as the oracle the
+// rank join is proven against: a full sort of the materialised pairs followed
 // by a linear scan with lazy endpoint invalidation. Selections, gains and
 // explain traces must match ABP's bit for bit. ss must be a full set.
 func (rule pairRule) abpRescan(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
@@ -27,7 +27,7 @@ func (rule pairRule) abpRescan(ctx context.Context, ss *ScoreSet, p Params) (Sel
 		return abpFirstPick(ec, ss, p.Lambda), nil
 	}
 
-	ps, err := abpScores(ctx, ss, rule, k, p.Lambda, 0)
+	ps, err := abpScores(ctx, ss, rule, k, p.Lambda)
 	if err != nil {
 		return Selection{}, err
 	}
@@ -71,6 +71,37 @@ func (rule pairRule) abpRescan(ctx context.Context, ss *ScoreSet, p Params) (Sel
 		r = abpOddTail(ec, ss, rule, k, p.Lambda, round, r, used)
 	}
 	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
+}
+
+// abpScores scores all K(K−1)/2 pairs of ss under rule for result size k
+// and weight λ: the rescan oracle's materialisation. It evaluates the
+// rule's kernel — pairHPF or divScore — with the per-call constants
+// hoisted and the sF triangle walked row-wise, so each score is
+// bit-identical to PairHPF or divPair. ss must hold its sF triangle. The
+// cancellation checkpoint is polled once per row.
+func abpScores(ctx context.Context, ss *ScoreSet, rule pairRule, k int, lambda float64) ([]abpPair, error) {
+	n := ss.K()
+	kf := float64(k - 1)
+	c1 := (1 - lambda) * float64(n-k) // pairHPF's relevance weight (1−λ)(K−k)
+	d1, d2 := 1-lambda, 2*lambda/kf   // divScore's relevance and diversity weights
+	ps := make([]abpPair, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		if err := checkpoint(ctx, "select:abp"); err != nil {
+			return nil, err
+		}
+		ri, pi, row := ss.Places[i].Rel, ss.PFS[i], ss.SF.Row(i)
+		for t, s := range row {
+			j := i + 1 + t
+			var score float64
+			if rule == ruleDiv {
+				score = divScore(d1, d2, kf, ri, ss.Places[j].Rel, s)
+			} else {
+				score = pairHPF(c1, kf, lambda, ri, ss.Places[j].Rel, pi, ss.PFS[j], s)
+			}
+			ps = append(ps, abpPair{int32(i), int32(j), score})
+		}
+	}
+	return ps, nil
 }
 
 // sortPairs ranks ps by abpBefore. The order is total, so the ranking —
@@ -139,13 +170,12 @@ func requireIdenticalRuns(t *testing.T, label string,
 	}
 }
 
-// TestABPIncrementalEquivRescan is the property behind the heap rewrite:
-// the incremental lazy-deletion heap must reproduce the sort-based rescan
-// exactly — selections, gains and explain traces — under both pair rules,
-// across instance sizes, result-size parities and the λ/γ weight grid.
-// Both rank by the shared abpBefore total order over the shared abpScores
-// materialisation, so any divergence is a heap or prefix bug, not a float
-// artefact.
+// TestABPIncrementalEquivRescan is the property behind the rank join:
+// the join must reproduce the sort-based rescan exactly — selections,
+// gains and explain traces — under both pair rules, across instance
+// sizes, result-size parities and the λ/γ weight grid. Both rank by the
+// shared abpBefore total order and score with the same kernels, so any
+// divergence is a join bug, not a float artefact.
 func TestABPIncrementalEquivRescan(t *testing.T) {
 	type cfg struct {
 		n     int
@@ -247,8 +277,8 @@ func TestABPVariantsAgreeOnTies(t *testing.T) {
 	}
 }
 
-// TestABPScoresMatchPairHPF pins the hoisted-constant materialiser loops
-// to their definitions: every materialised pair score must carry exactly
+// TestABPScoresMatchPairHPF pins the oracle's hoisted-constant loop to
+// the pair scores' definitions: every materialised pair score must carry exactly
 // the bits of ss.PairHPF(i, j, k, λ) under the HPF rule and of
 // ss.divPair(i, j, k, λ) under the diversification rule. Any
 // reassociation slipped into the inlined arithmetic shows up here before
@@ -262,7 +292,7 @@ func TestABPScoresMatchPairHPF(t *testing.T) {
 	for name, rule := range greedyRules {
 		for _, k := range []int{2, 7, 10} {
 			for _, lambda := range []float64{0, 0.3, 1} {
-				ps, err := abpScores(context.Background(), ss, rule, k, lambda, 0)
+				ps, err := abpScores(context.Background(), ss, rule, k, lambda)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -374,46 +404,6 @@ func TestABPDivTieOrder(t *testing.T) {
 		}
 		if !equalInts(got.Indices[:len(want)], want) {
 			t.Errorf("k=%d: ABP_D selected %v, the total order selects %v first", k, got.Indices, want)
-		}
-	}
-}
-
-// TestABPScoresPrefix: a bounded abpScores keeps exactly the pairs that
-// rank first among all of them (or all pairs, for a large keep),
-// including on hub instances where one place's pairs fill the top of the
-// ranking, so ABP's pops run deep into dead pairs.
-func TestABPScoresPrefix(t *testing.T) {
-	q := geo.Pt(0, 0)
-	rng := rand.New(rand.NewSource(29))
-	for trial, n := range []int{12, 60, 150, 400} {
-		places := makePlaces(rng, q, n, 8, 30, 0.1)
-		if trial > 0 {
-			places[0].Rel, places[1].Rel = 1, 1 // hubs
-		}
-		ss := mustScores(t, q, places, ScoreOptions{Gamma: 0.5})
-		for kr, k := range []int{2, 5, 10} {
-			rule := pairRule(kr % 2) // both rules share the bounded prefix
-			all, err := abpScores(context.Background(), ss, rule, k, 0.5, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sortPairs(all)
-			for _, keep := range []int{1, 7, abpPrefix(n, k), len(all) - 1, len(all), len(all) + 5} {
-				got, err := abpScores(context.Background(), ss, rule, k, 0.5, keep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sortPairs(got)
-				want := all[:min(keep, len(all))]
-				if len(got) != len(want) && len(got) != len(all) {
-					t.Fatalf("n=%d k=%d keep=%d: %d pairs kept, want %d or all %d", n, k, keep, len(got), len(want), len(all))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d k=%d keep=%d: rank %d is %+v, want %+v", n, k, keep, i, got[i], want[i])
-					}
-				}
-			}
 		}
 	}
 }

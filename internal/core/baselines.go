@@ -91,8 +91,8 @@ func IAdUDiv(ss *ScoreSet, p Params) (Selection, error) {
 
 // ABPDiv is the diversification-only variant of ABP: ABP's body with
 // divPair as the pair score, so the best unused pair by the
-// diversification objective is taken from the same bounded prefix and
-// heap, and equal-score pairs select by the same total order.
+// diversification objective comes from the same rank join, under the
+// bound of divPair, and equal-score pairs select by the same total order.
 func ABPDiv(ss *ScoreSet, p Params) (Selection, error) {
 	return Select(AlgABPDiv, ss, p)
 }

@@ -534,6 +534,7 @@ func BenchmarkIAdUK100(b *testing.B) { benchGreedy(b, IAdU, 100, 10) }
 func BenchmarkABPK100(b *testing.B)  { benchGreedy(b, ABP, 100, 10) }
 func BenchmarkIAdUK400(b *testing.B) { benchGreedy(b, IAdU, 400, 10) }
 func BenchmarkABPK400(b *testing.B)  { benchGreedy(b, ABP, 400, 10) }
+func BenchmarkABPK1000(b *testing.B) { benchGreedy(b, ABP, 1000, 20) }
 
 func benchGreedy(b *testing.B, alg func(*ScoreSet, Params) (Selection, error), k, rk int) {
 	ss := defaultScoreSet(b, k, 1)

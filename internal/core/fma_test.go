@@ -11,8 +11,10 @@ import (
 
 // identityPath lists the functions whose arithmetic must round exactly as
 // written on every platform: the pair combination, the fused pass, the
-// per-pair recompute of a compact set and the two pair scores with ABP's
-// materialisation of them. A compact set recomputes a
+// per-pair recompute of a compact set, the two pair scores, and ABP's rank
+// join, which scores pairs with them and bounds them by its keys (the
+// bound's slack assumes separately rounded products). A compact set
+// recomputes a
 // pair with the function the fill stored it with; that gives the same
 // bits only while the compiler fuses a multiply and an add in neither, so
 // none may compile to a fused multiply-add. The evaluation functions, the
@@ -24,7 +26,9 @@ var identityPath = []string{
 	"repro/internal/pairs.Blend",
 	"repro/internal/core.pairHPF",
 	"repro/internal/core.(*ScoreSet).PairHPF",
-	"repro/internal/core.abpScores",
+	"repro/internal/core.newABPJoin",
+	"repro/internal/core.abpBound",
+	"repro/internal/core.(*abpJoin).band",
 	"repro/internal/core.(*ScoreSet).Pair",
 	"repro/internal/core.(*contextIndex).pass",
 	"repro/internal/core.(*ScoreSet).fusedStep1",

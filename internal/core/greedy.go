@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/explain"
+	"repro/internal/pairs"
 )
 
 // explainRound records one greedy round on the context-carried collector,
@@ -145,8 +149,8 @@ func (rule pairRule) iadu(ctx context.Context, ss *ScoreSet, p Params) (Selectio
 	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
 }
 
-// abpPair is one materialised candidate pair: endpoint indices into the
-// score set plus the pair rule's score of (p_i, p_j).
+// abpPair is one scored candidate pair: endpoint indices into the score
+// set plus the pair rule's score of (p_i, p_j).
 type abpPair struct {
 	i, j  int32
 	score float64
@@ -155,8 +159,8 @@ type abpPair struct {
 // abpBefore is the total order ABP ranks pairs by: score descending, ties
 // broken by (i, j) ascending. A total order (rather than the raw score
 // comparison alone) makes equal-score selections identical across the
-// heap and the sort-based rescan oracle — the invariant the abp ≡ rescan
-// property tests pin down.
+// rank join and the sort-based rescan oracle — the invariant the
+// abp ≡ rescan property tests pin down.
 func abpBefore(a, b abpPair) bool {
 	if a.score != b.score {
 		return a.score > b.score
@@ -167,124 +171,9 @@ func abpBefore(a, b abpPair) bool {
 	return a.j < b.j
 }
 
-// abpScores scores all O(K²) pairs under rule and returns the keep pairs
-// that rank first under abpBefore, in no particular order — or all of
-// them, when keep is 0 or over an eighth of K(K−1)/2 (selecting so long a
-// prefix costs more than it saves). Both the heap-based ABP and the
-// sort-based rescan oracle build their ranking from this one function, so
-// their inputs are bit-identical by construction. The cancellation
-// checkpoint is polled once per row.
-//
-// A bounded keep collects pairs in a buffer of 2·keep: when it fills,
-// abpSelect moves the keep best to its front, and from then on a pair is
-// collected only if it ranks before the keep-th best so far (cut). The
-// kept pairs are exactly the first keep of the whole ranking, held in
-// 2·keep·16 bytes instead of K(K−1)/2·16, at O(1) amortised per pair.
-//
-// Each rule has its own inner loop, which evaluates the rule's kernel —
-// pairHPF or divScore — with the per-call constants hoisted and the sF
-// matrix walked row-wise, so each score is bit-identical to PairHPF or
-// divPair: only the per-pair struct loads, matrix index arithmetic,
-// recomputed constants and the rule branch are gone. This matters
-// because materialisation is most of ABP's time. ss must hold its sF
-// triangle (SelectCtx refills a compact set first).
-func abpScores(ctx context.Context, ss *ScoreSet, rule pairRule, k int, lambda float64, keep int) ([]abpPair, error) {
-	n := ss.K()
-	size := n * (n - 1) / 2
-	if keep > 0 && 8*keep <= size {
-		size = 2 * keep
-	} else {
-		keep = 0
-	}
-	kf := float64(k - 1)
-	c1 := (1 - lambda) * float64(n-k) // pairHPF's relevance weight (1−λ)(K−k)
-	d1, d2 := 1-lambda, 2*lambda/kf   // divScore's relevance and diversity weights
-	rels := make([]float64, n)
-	for i := range rels {
-		rels[i] = ss.Places[i].Rel
-	}
-	pfs := ss.PFS
-	ps := make([]abpPair, 0, size)
-	cut := abpPair{score: math.Inf(-1)} // every pair ranks before it until ps first fills
-	for i := 0; i < n; i++ {
-		if err := checkpoint(ctx, "select:abp"); err != nil {
-			return nil, err
-		}
-		ri, pi, row := rels[i], pfs[i], ss.SF.Row(i)
-		if rule == ruleDiv {
-			for t, s := range row {
-				j := i + 1 + t
-				if p := (abpPair{int32(i), int32(j), divScore(d1, d2, kf, ri, rels[j], s)}); abpBefore(p, cut) {
-					ps, cut = abpKeep(ps, cut, p, keep)
-				}
-			}
-			continue
-		}
-		for t, s := range row {
-			j := i + 1 + t
-			if p := (abpPair{int32(i), int32(j), pairHPF(c1, kf, lambda, ri, rels[j], pi, pfs[j], s)}); abpBefore(p, cut) {
-				ps, cut = abpKeep(ps, cut, p, keep)
-			}
-		}
-	}
-	if keep > 0 && len(ps) > keep {
-		abpSelect(ps, keep)
-		ps = ps[:keep]
-	}
-	return ps, nil
-}
-
-// abpKeep collects p, which ranks before cut. A bounded buffer (keep > 0,
-// allocated with capacity 2·keep) that fills is cut back to its keep best
-// pairs, and the keep-th of them becomes the new cut.
-func abpKeep(ps []abpPair, cut, p abpPair, keep int) ([]abpPair, abpPair) {
-	if ps = append(ps, p); keep > 0 && len(ps) == cap(ps) {
-		abpSelect(ps, keep)
-		return ps[:keep], ps[keep-1]
-	}
-	return ps, cut
-}
-
-// abpSelect reorders ps so that its first m pairs are the m that rank
-// first under abpBefore, with the m-th of them at ps[m−1] (quickselect
-// with a median-of-three pivot; 1 ≤ m ≤ len(ps)).
-func abpSelect(ps []abpPair, m int) {
-	lo, hi := 0, len(ps)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		// Median of three to ps[hi], the pivot.
-		if abpBefore(ps[mid], ps[lo]) {
-			ps[mid], ps[lo] = ps[lo], ps[mid]
-		}
-		if abpBefore(ps[hi], ps[lo]) {
-			ps[hi], ps[lo] = ps[lo], ps[hi]
-		}
-		if abpBefore(ps[mid], ps[hi]) {
-			ps[mid], ps[hi] = ps[hi], ps[mid]
-		}
-		pivot, store := ps[hi], lo
-		for i := lo; i < hi; i++ {
-			if abpBefore(ps[i], pivot) {
-				ps[i], ps[store] = ps[store], ps[i]
-				store++
-			}
-		}
-		ps[store], ps[hi] = ps[hi], ps[store]
-		switch {
-		case store == m-1:
-			return
-		case store < m-1:
-			lo = store + 1
-		default:
-			hi = store - 1
-		}
-	}
-}
-
 // abpSiftDown restores the max-heap property (w.r.t. abpBefore) below
 // position i. Hand-rolled rather than container/heap: the interface-free
-// inner loop is what makes heap maintenance cheaper than sorting the
-// whole pair list.
+// inner loop is what keeps heap maintenance cheap.
 func abpSiftDown(h []abpPair, i int) {
 	for {
 		l := 2*i + 1
@@ -383,38 +272,27 @@ func abpOddTail(ec *explain.Collector, ss *ScoreSet, rule pairRule, k int, lambd
 	return append(r, bi)
 }
 
-// abpPollStride is the number of heap pops between cancellation polls in
-// the ABP selection loop: each pop is O(log K²), so cancellation latency
-// stays far below one materialisation row while the poll cost vanishes.
-const abpPollStride = 256
-
 // ABP implements the Any-Best-Pair greedy algorithm (Section 5, adapted
-// from Cai et al.): all O(K²) pairs are ranked by HPF(p_i, p_j) (Eq. 15)
-// and the best pair whose endpoints are both unused is repeatedly added,
+// from Cai et al.): pairs are ranked by HPF(p_i, p_j) (Eq. 15) and the
+// best pair whose endpoints are both unused is repeatedly added,
 // invalidating used endpoints lazily. ⌊k/2⌋ pairs are selected; for odd k
 // the last place is the unused one with the largest contribution to the
 // current R (the paper allows an arbitrary choice here). A
 // 2-approximation under the Theorem 8.2 condition.
 //
-// Best-pair maintenance is incremental: the materialised pairs are
-// heapified and popped only until ⌊k/2⌋ disjoint pairs emerge — a pair
-// invalidated by an earlier selection is discarded lazily when it
-// surfaces, never re-examined. This replaces the full O(K² log K²) sort
-// of the rescan baseline (the oracle of abp_equiv_test); selections,
-// gains and explain traces are identical because both rank by abpBefore
-// over the same abpScores materialisation.
-//
-// Only the first abpPrefix(K, k) pairs of that ranking are kept: every
-// pair the loop pops — explain's runner-up peeks included — is selected
-// (at most k/2), is the last runner-up, or touches one of the ≤ k places
-// selected by the end (at most k·(K−1) pairs), so no pop reaches past
-// rank k·K + k/2. The argument does not depend on the pair score, so
-// ABP_D (AlgABPDiv) runs on the same prefix.
+// The ranking is never materialised: abpJoin produces it lazily, in the
+// total order abpBefore, scoring only the pairs whose upper bound
+// reaches the score of a pair the loop takes. A pair invalidated by an
+// earlier selection is dropped when it surfaces, never re-examined.
+// Selections, gains and explain traces are those of sorting all O(K²)
+// pairs and scanning them (the rescan oracle of abp_equiv_test), bit for
+// bit. ABP_D (AlgABPDiv) runs on the same body under its own bound.
 func ABP(ss *ScoreSet, p Params) (Selection, error) {
 	return Select(AlgABP, ss, p)
 }
 
-// abp runs ABP with the pairs ranked by rule's pair scores.
+// abp runs ABP with the pairs ranked by rule's pair scores. ss must hold
+// its sF triangle (SelectCtx refills a compact set first).
 func (rule pairRule) abp(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 	n := ss.K()
 	if err := p.validate(n); err != nil {
@@ -426,49 +304,32 @@ func (rule pairRule) abp(ctx context.Context, ss *ScoreSet, p Params) (Selection
 		return abpFirstPick(ec, ss, p.Lambda), nil
 	}
 
-	h, err := abpScores(ctx, ss, rule, k, p.Lambda, abpPrefix(n, k))
-	if err != nil {
-		return Selection{}, err
-	}
-	abpHeapify(h)
+	used := make([]bool, n)
+	jn := newABPJoin(ctx, ss, rule, k, p.Lambda, used)
 	if err := checkpoint(ctx, "select:abp"); err != nil {
 		return Selection{}, err
 	}
-
 	r := make([]int, 0, k)
-	used := make([]bool, n)
 	round := 0
-	for pops := 0; len(r)+2 <= k && len(h) > 0; {
-		if pops++; pops%abpPollStride == 0 {
-			if err := checkpoint(ctx, "select:abp"); err != nil {
-				return Selection{}, err
-			}
+	for len(r)+2 <= k {
+		pr, ok, err := jn.next()
+		if err != nil {
+			return Selection{}, err
 		}
-		var pr abpPair
-		h, pr = abpPop(h)
-		// Lazy deletion: a pair touching an already selected place is
-		// invalid forever (used only grows), so it is dropped the moment
-		// it surfaces instead of being hunted down at selection time.
-		if used[pr.i] || used[pr.j] {
-			continue
+		if !ok {
+			break
 		}
 		round++
 		if ec != nil {
 			// Runner-up: the next pair in the total order whose endpoints
-			// are both unused before this selection. Invalid pairs popped
-			// on the way are permanently dead and stay discarded; the
-			// runner-up itself may be selected later, so it is pushed back.
-			found := false
-			var ru abpPair
-			for len(h) > 0 {
-				h, ru = abpPop(h)
-				if !used[ru.i] && !used[ru.j] {
-					found = true
-					h = abpPush(h, ru)
-					break
-				}
+			// are both unused before this selection. It may be selected
+			// later, so it goes back to the join.
+			ru, found, err := jn.next()
+			if err != nil {
+				return Selection{}, err
 			}
 			if found {
+				jn.unread(ru)
 				explainRound(ec, ss, round, []int{int(pr.i), int(pr.j)}, pr.score,
 					[]int{int(ru.i), int(ru.j)}, ru.score)
 			} else {
@@ -484,6 +345,237 @@ func (rule pairRule) abp(ctx context.Context, ss *ScoreSet, p Params) (Selection
 	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
 }
 
-// abpPrefix is the number of top-ranked pairs ABP keeps for K places and
-// result size k (see ABP for why no pop reaches past it).
-func abpPrefix(K, k int) int { return k*K + k }
+// abpJoin yields the pairs of a score set whose endpoints are both
+// unused, in abpBefore order, scoring only the pairs that order has to
+// look at. It is a rank join (Ilyas et al., VLDB 2003; Fagin's threshold
+// algorithm) over a separable upper bound of the pair score: sF ≥ 0, so
+// rule's score of (p_i, p_j) is at most its key a_i + a_j, with
+//
+//	HPF: a_i = (c1·r_i + λ·pFS_i)/kf    c1 = (1−λ)(K−k), kf = k−1
+//	div: a_i = d1·r_i/kf + d2/2         d1 = 1−λ, d2 = 2λ/kf
+//
+// up to rounding, which abpBound covers. The places are sorted by
+// descending a into rows, and the frontier is one cursor per row r: the
+// pairs (r, t) of row positions with r < t < cur[r] are enumerated, and
+// the keys a_r + a_t fall as t grows, and from row to row. The join
+// enumerates in bands: each moves every cursor past the keys that reach
+// a threshold, and rest becomes the largest key not yet enumerated. An
+// enumerated pair whose endpoints are both unused is scored exactly,
+// with pairHPF or divScore on the sF triangle; a used place's row is
+// dropped. Each band's pairs form one heap ordered by abpBefore, so
+// storing them copies nothing. The best scored pair is yielded once its
+// score is above abpBound(rest): no unscored pair can then beat it or
+// tie it, so the (score desc, (i, j) asc) order holds exactly, ties
+// included.
+//
+// A band reaches w below rest, but not below the best score so far: w
+// starts at 2⁻¹⁰ of rest and doubles until a pair is yielded, so a band
+// scores about as deep as the next yield needs.
+type abpJoin struct {
+	ctx                    context.Context
+	ss                     *ScoreSet
+	rule                   pairRule
+	c1, kf, lambda, d1, d2 float64
+	rest                   float64 // the largest key of a pair not yet enumerated; −Inf when none is left
+	w                      float64 // the depth of the next band below rest
+	rows                   []abpRow
+	cur, end               []int32     // per row: the next column to enumerate, and a band's end
+	heaps                  [][]abpPair // the scored pairs: one heap per band
+	used                   []bool      // shared with the caller, which marks selections
+	// exhaustive scores every pair in one band: a custom spatial method's
+	// sF may leave [0, 1], and with it the sF ≥ 0 the bound rests on.
+	exhaustive bool
+}
+
+// abpRow is one place in the join's order: its share a of the bound and
+// its index in the score set.
+type abpRow struct {
+	a float64
+	i int32
+}
+
+// newABPJoin prepares the rank join of ss's pairs under rule for result
+// size k ≥ 2 and weight λ. used is read at every step: the caller marks
+// the endpoints of each pair it takes.
+func newABPJoin(ctx context.Context, ss *ScoreSet, rule pairRule, k int, lambda float64, used []bool) *abpJoin {
+	n := ss.K()
+	jn := &abpJoin{ctx: ctx, ss: ss, rule: rule, kf: float64(k - 1), lambda: lambda, used: used}
+	jn.c1 = (1 - lambda) * float64(n-k)     // pairHPF's relevance weight (1−λ)(K−k)
+	jn.d1, jn.d2 = 1-lambda, 2*lambda/jn.kf // divScore's relevance and diversity weights
+	jn.exhaustive = ss.opt.Spatial == SpatialCustom && !unitInterval(ss.SF)
+	jn.rows = make([]abpRow, n)
+	for i := range jn.rows {
+		ri, a := ss.Places[i].Rel, 0.0
+		if rule == ruleDiv {
+			a = float64(jn.d1*ri)/jn.kf + float64(jn.d2/2)
+		} else {
+			a = (float64(jn.c1*ri) + float64(lambda*ss.PFS[i])) / jn.kf
+		}
+		jn.rows[i] = abpRow{a, int32(i)}
+	}
+	slices.SortFunc(jn.rows, func(x, y abpRow) int {
+		if x.a != y.a {
+			if x.a > y.a {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(x.i, y.i)
+	})
+	jn.cur, jn.end = make([]int32, n), make([]int32, n)
+	for r := range jn.cur {
+		jn.cur[r] = int32(r + 1)
+	}
+	jn.rest = jn.rows[0].a + jn.rows[1].a
+	jn.w = math.Abs(jn.rest) * 0x1p-10
+	return jn
+}
+
+// unitInterval reports whether every entry of m is in [0, 1].
+func unitInterval(m *pairs.Matrix) bool {
+	for i := 0; i < m.N(); i++ {
+		for _, v := range m.Row(i) {
+			if !(v >= 0 && v <= 1) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// abpBound is the largest score a pair whose key is at most key can have.
+// Every rounding step is monotone, and sF enters both pair scores with a
+// negative sign, so a pair's computed score is at most its computed
+// score at sF = 0: the sum of two non-negative terms of three roundings
+// each, within a factor (1+u)⁴ of its exact value U (u = 2⁻⁵³). The key
+// is within (1−u)⁴ of U, its a_i being non-negative sums of rounded
+// products. So the score is at most key·(1+9u): the factor 1 + 2⁻⁴⁸ =
+// 1 + 32u covers it with the rounding of the bound itself. Below the
+// normal range each of the few operations loses at most 2⁻¹⁰⁷⁵
+// absolutely, which the added 2⁻¹⁰⁶⁰ covers.
+func abpBound(key float64) float64 {
+	return float64(key*(1+0x1p-48)) + 0x1p-1060
+}
+
+// next returns the next pair in abpBefore order whose endpoints are both
+// unused, or false when none is left. It fails only on cancellation.
+func (jn *abpJoin) next() (abpPair, bool, error) {
+	for {
+		b := jn.best()
+		done := math.IsInf(jn.rest, -1)
+		if b >= 0 && (done || jn.heaps[b][0].score > abpBound(jn.rest)) {
+			var p abpPair
+			jn.heaps[b], p = abpPop(jn.heaps[b])
+			jn.w = math.Abs(jn.rest) * 0x1p-10
+			return p, true, nil
+		}
+		if done {
+			return abpPair{}, false, nil
+		}
+		tau := jn.rest - jn.w
+		if jn.exhaustive {
+			tau = math.Inf(-1)
+		} else if b >= 0 {
+			tau = max(tau, min(jn.heaps[b][0].score, jn.rest))
+		}
+		if err := jn.band(tau); err != nil {
+			return abpPair{}, false, err
+		}
+		jn.w *= 2
+	}
+}
+
+// best drops the pairs that touch a used place from the top of every
+// heap, and the heaps left empty, and returns the heap whose top pair
+// comes first, or −1 when no pair is left.
+func (jn *abpJoin) best() int {
+	b := -1
+	for h := 0; h < len(jn.heaps); {
+		ps := jn.heaps[h]
+		for len(ps) > 0 && (jn.used[ps[0].i] || jn.used[ps[0].j]) {
+			ps, _ = abpPop(ps)
+		}
+		if len(ps) == 0 {
+			last := len(jn.heaps) - 1
+			jn.heaps[h], jn.heaps = jn.heaps[last], jn.heaps[:last]
+			continue
+		}
+		if jn.heaps[h] = ps; b < 0 || abpBefore(ps[0], jn.heaps[b][0]) {
+			b = h
+		}
+		h++
+	}
+	return b
+}
+
+// unread returns p, taken by next, to the join.
+func (jn *abpJoin) unread(p abpPair) {
+	if len(jn.heaps) == 0 {
+		jn.heaps = append(jn.heaps, nil)
+	}
+	jn.heaps[0] = abpPush(jn.heaps[0], p)
+}
+
+// band enumerates every pair of a live row whose key reaches tau and
+// lowers rest to the largest key left, which is below tau. Rows are
+// visited in order until one's first key falls short of tau: the rows
+// after it start lower still and have not started. Each row's end is
+// found by binary search first, so the band's heap is allocated once.
+func (jn *abpJoin) band(tau float64) error {
+	rows, n := jn.rows, int32(len(jn.rows))
+	key := func(r, t int32) float64 { return rows[r].a + rows[t].a }
+	var last, total int32 // rows [0, last) are visited
+	for ; last < n-1; last++ {
+		r := last
+		if jn.cur[r] < n && jn.used[rows[r].i] {
+			jn.cur[r] = n // a used place's row is dead
+		}
+		if jn.cur[r] == r+1 && key(r, r+1) < tau {
+			break
+		}
+		c := jn.cur[r]
+		jn.end[r] = c + int32(sort.Search(int(n-c), func(d int) bool { return key(r, c+int32(d)) < tau }))
+		total += jn.end[r] - c
+	}
+	jn.rest = math.Inf(-1)
+	if last < n-1 {
+		jn.rest = key(last, last+1)
+	}
+	ss := jn.ss
+	ps := make([]abpPair, 0, total)
+	for r := int32(0); r < last; r++ {
+		if r%32 == 0 {
+			if err := checkpoint(jn.ctx, "select:abp"); err != nil {
+				return err
+			}
+		}
+		c, e := jn.cur[r], jn.end[r]
+		if c >= n {
+			continue
+		}
+		if jn.cur[r] = e; e < n {
+			jn.rest = max(jn.rest, key(r, e))
+		}
+		pi := rows[r].i
+		for t := c; t < e; t++ {
+			pj := rows[t].i
+			if jn.used[pj] {
+				continue
+			}
+			i, j := min(pi, pj), max(pi, pj)
+			ri, rj, sf := ss.Places[i].Rel, ss.Places[j].Rel, ss.SF.At(int(i), int(j))
+			var score float64
+			if jn.rule == ruleDiv {
+				score = divScore(jn.d1, jn.d2, jn.kf, ri, rj, sf)
+			} else {
+				score = pairHPF(jn.c1, jn.kf, jn.lambda, ri, rj, ss.PFS[i], ss.PFS[j], sf)
+			}
+			ps = append(ps, abpPair{i, j, score})
+		}
+	}
+	if len(ps) > 0 {
+		abpHeapify(ps)
+		jn.heaps = append(jn.heaps, ps)
+	}
+	return nil
+}

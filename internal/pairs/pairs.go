@@ -55,9 +55,6 @@ func (m *Matrix) Row(i int) []float64 {
 // Set stores the score of the pair (i, j), i ≠ j.
 func (m *Matrix) Set(i, j int, v float64) { m.val[m.idx(i, j)] = v }
 
-// Add accumulates v into the score of the pair (i, j).
-func (m *Matrix) Add(i, j int, v float64) { m.val[m.idx(i, j)] += v }
-
 // RowSums returns, for every object i, the sum of its scores against all
 // other objects — the pCS(p_i) / pSS(p_i) vectors of Eq. 3 and Eq. 6.
 func (m *Matrix) RowSums() []float64 {
@@ -72,15 +69,6 @@ func (m *Matrix) RowSums() []float64 {
 		}
 	}
 	return sums
-}
-
-// Sum returns the sum of all pairwise scores (each unordered pair once).
-func (m *Matrix) Sum() float64 {
-	var s float64
-	for _, v := range m.val {
-		s += v
-	}
-	return s
 }
 
 // MaxAbsDiff returns the largest absolute difference between corresponding
