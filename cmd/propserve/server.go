@@ -52,7 +52,7 @@ type Config struct {
 	// the clamp reported in diagnostics. Default 2000.
 	MaxK int
 	// CacheEntries bounds the engine's score-set LRU (a cached score set
-	// is compact, ~92·K bytes, plus its answer memo). Default 128.
+	// holds ~92·K bytes, plus its answer memo). Default 128.
 	CacheEntries int
 	// MaxBatch caps the number of queries in one POST /v1/batch request.
 	// Default 256.

@@ -15,7 +15,7 @@ import (
 // abpRescan is the materialising ABP under rule, kept as the oracle the
 // rank join is proven against: a full sort of the materialised pairs followed
 // by a linear scan with lazy endpoint invalidation. Selections, gains and
-// explain traces must match ABP's bit for bit. ss must be a full set.
+// explain traces must match ABP's bit for bit.
 func (rule pairRule) abpRescan(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 	n := ss.K()
 	if err := p.validate(n); err != nil {
@@ -68,7 +68,7 @@ func (rule pairRule) abpRescan(ctx context.Context, ss *ScoreSet, p Params) (Sel
 		r = append(r, int(pr.i), int(pr.j))
 	}
 	if len(r) < k {
-		r = abpOddTail(ec, ss, rule, k, p.Lambda, round, r, used)
+		r = abpOddTail(ec, newInstance(ss), rule, k, p.Lambda, round, r, used)
 	}
 	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
 }
@@ -76,22 +76,24 @@ func (rule pairRule) abpRescan(ctx context.Context, ss *ScoreSet, p Params) (Sel
 // abpScores scores all K(K−1)/2 pairs of ss under rule for result size k
 // and weight λ: the rescan oracle's materialisation. It evaluates the
 // rule's kernel — pairHPF or divScore — with the per-call constants
-// hoisted and the sF triangle walked row-wise, so each score is
-// bit-identical to PairHPF or divPair. ss must hold its sF triangle. The
-// cancellation checkpoint is polled once per row.
+// hoisted on sF read row by row from an instance's kernel, so each score
+// is bit-identical to PairHPF or divPair. The cancellation checkpoint is
+// polled once per row.
 func abpScores(ctx context.Context, ss *ScoreSet, rule pairRule, k int, lambda float64) ([]abpPair, error) {
 	n := ss.K()
 	kf := float64(k - 1)
 	c1 := (1 - lambda) * float64(n-k) // pairHPF's relevance weight (1−λ)(K−k)
 	d1, d2 := 1-lambda, 2*lambda/kf   // divScore's relevance and diversity weights
 	ps := make([]abpPair, 0, n*(n-1)/2)
+	in, sf := newInstance(ss), make([]float64, n)
 	for i := 0; i < n; i++ {
 		if err := checkpoint(ctx, "select:abp"); err != nil {
 			return nil, err
 		}
-		ri, pi, row := ss.Places[i].Rel, ss.PFS[i], ss.SF.Row(i)
-		for t, s := range row {
-			j := i + 1 + t
+		in.Row(i, sf)
+		ri, pi := ss.Places[i].Rel, ss.PFS[i]
+		for j := i + 1; j < n; j++ {
+			s := sf[j]
 			var score float64
 			if rule == ruleDiv {
 				score = divScore(d1, d2, kf, ri, ss.Places[j].Rel, s)
@@ -188,6 +190,9 @@ func TestABPIncrementalEquivRescan(t *testing.T) {
 		{n: 50, seeds: []int64{1, 2}, ks: []int{2, 5, 10, 11}, ws: []float64{0, 0.5, 1}},
 		{n: 200, seeds: []int64{1}, ks: []int{10, 11}, ws: []float64{0.5}},
 		{n: 999, seeds: []int64{1}, ks: []int{10, 11}, ws: []float64{0.5}},
+		// λ = 1 makes ABP_D's bound flat: one band holds every pair, and
+		// keeps only its first k·K + k (abpKeep).
+		{n: 300, seeds: []int64{4}, ks: []int{2, 3, 8}, ws: []float64{1}},
 	}
 	for _, c := range cfgs {
 		for _, seed := range c.seeds {

@@ -15,9 +15,10 @@ import (
 // rank join meets values Step 1 rarely produces. levels > 0 quantises all
 // three to that many steps, so whole blocks of keys, bounds and scores
 // tie exactly. tiny scales them into the subnormal range. outside puts a
-// quarter of the sF entries outside [0, 1] (negative or above 1) and
-// marks the set as of the custom spatial method, the one method whose
-// sF may leave it.
+// quarter of the sF entries outside [0, 1] (negative or above 1), which
+// only the custom spatial method allows. The set is of the custom method
+// with γ = 1 and empty contexts, so that sF = pairs.Blend(0, 0, 1, sS) is
+// the drawn sS matrix entry, bit for bit.
 func joinInstance(rng *rand.Rand, n, levels int, tiny, outside bool) *ScoreSet {
 	draw := func() float64 {
 		x := rng.Float64()
@@ -29,7 +30,8 @@ func joinInstance(rng *rand.Rand, n, levels int, tiny, outside bool) *ScoreSet {
 		}
 		return x
 	}
-	ss := &ScoreSet{Q: geo.Pt(0, 0), Gamma: 0.5, SF: pairs.New(n)}
+	m := pairs.New(n)
+	ss := &ScoreSet{Q: geo.Pt(0, 0), Gamma: 1, opt: ScoreOptions{Spatial: SpatialCustom, Gamma: 1}, custom: m}
 	ss.Places = make([]Place, n)
 	ss.PCS, ss.PSS, ss.PFS = make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range ss.Places {
@@ -38,7 +40,7 @@ func joinInstance(rng *rand.Rand, n, levels int, tiny, outside bool) *ScoreSet {
 		ss.PFS[i] = draw() * float64(n-1)
 	}
 	for i := 0; i < n; i++ {
-		row := ss.SF.Row(i)
+		row := m.Row(i)
 		for t := range row {
 			row[t] = draw()
 			if outside && rng.Intn(4) == 0 {
@@ -46,9 +48,7 @@ func joinInstance(rng *rand.Rand, n, levels int, tiny, outside bool) *ScoreSet {
 			}
 		}
 	}
-	if outside {
-		ss.opt.Spatial, ss.custom = SpatialCustom, ss.SF
-	}
+	ss.customLoose = !unitInterval(m)
 	return ss
 }
 
@@ -65,6 +65,9 @@ func FuzzABPRankJoin(f *testing.F) {
 	f.Add(int64(5), uint8(20), uint8(0), uint8(5), uint8(3), uint8(1))
 	f.Add(int64(6), uint8(33), uint8(2), uint8(9), uint8(2), uint8(2))
 	f.Add(int64(7), uint8(12), uint8(4), uint8(3), uint8(4), uint8(3))
+	// λ = 1 on 62 places with k = 3: ABP_D's flat bound puts all 1 891
+	// pairs in one band, which keeps 189 (abpKeep).
+	f.Add(int64(8), uint8(59), uint8(0), uint8(63), uint8(4), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, nb, levels, kb, lb, flags uint8) {
 		n := 3 + int(nb)%60
 		k := 1 + int(kb)%(n-1)
@@ -98,7 +101,7 @@ func TestABPJoinBound(t *testing.T) {
 			pair := map[pairRule]func(i, j, k int, lambda float64) float64{ruleHPF: ss.PairHPF, ruleDiv: ss.divPair}[rule]
 			for _, lambda := range []float64{0, 0.3, 0.5, 1} {
 				k := 2 + rng.Intn(n-2)
-				jn := newABPJoin(context.Background(), ss, rule, k, lambda, make([]bool, n))
+				jn := newABPJoin(context.Background(), newInstance(ss), rule, k, lambda, make([]bool, n))
 				for r := 0; r < n; r++ {
 					for c := r + 1; c < n; c++ {
 						key := jn.rows[r].a + jn.rows[c].a
@@ -123,13 +126,16 @@ func TestABPJoinBound(t *testing.T) {
 // checks the frontier invariant the yield test rests on: every pair is
 // enumerated exactly once, in the first band whose threshold its key
 // reaches, and after each band rest is the largest key of the pairs left.
+// The join keeps every pair it enumerates here: which pairs a band keeps
+// is TestABPJoinBandKeep's.
 func TestABPJoinBands(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + rng.Intn(50)
 		ss := joinInstance(rng, n, trial%4, false, false)
 		rule := pairRule(trial % 2)
-		jn := newABPJoin(context.Background(), ss, rule, 2+rng.Intn(n-2), 0.5, make([]bool, n))
+		jn := newABPJoin(context.Background(), newInstance(ss), rule, 2+rng.Intn(n-2), 0.5, make([]bool, n))
+		jn.keep = n * n
 		share := make([]float64, n) // a by place index
 		for _, row := range jn.rows {
 			share[row.i] = row.a
@@ -177,6 +183,60 @@ func TestABPJoinBands(t *testing.T) {
 		}
 		if len(seen) != n*(n-1)/2 {
 			t.Fatalf("trial %d: %d pairs enumerated, want %d", trial, len(seen), n*(n-1)/2)
+		}
+	}
+}
+
+// TestABPJoinBandKeep: a band that enumerates more than jn.keep pairs
+// keeps exactly the first jn.keep of them in abpBefore order, the pairs
+// touching a used place left out, whether its pairs are scored one at a
+// time or from whole kernel rows.
+func TestABPJoinBandKeep(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		n := 4 + rng.Intn(60)
+		ss := joinInstance(rng, n, trial%4, false, false)
+		if trial%3 == 2 {
+			ss = defaultScoreSet(t, n, int64(trial))
+		}
+		rule := pairRule(trial % 2)
+		k := 2 + rng.Intn(min(n-2, 4))
+		lambda := float64(rng.Intn(5)) / 4
+		used := make([]bool, n)
+		for i := range used {
+			used[i] = rng.Intn(8) == 0
+		}
+		jn := newABPJoin(context.Background(), newInstance(ss), rule, k, lambda, used)
+		jn.keep = 1 + rng.Intn(n*(n-1)/4)
+		pair := map[pairRule]func(i, j, k int, lambda float64) float64{ruleHPF: ss.PairHPF, ruleDiv: ss.divPair}[rule]
+		var want []abpPair
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if !used[i] && !used[j] {
+					want = append(want, abpPair{int32(i), int32(j), pair(i, j, k, lambda)})
+				}
+			}
+		}
+		sortPairs(want)
+		want = want[:min(len(want), jn.keep)]
+		if err := jn.band(math.Inf(-1)); err != nil {
+			t.Fatal(err)
+		}
+		var got []abpPair
+		if len(jn.heaps) == 1 {
+			for h := jn.heaps[0]; len(h) > 0; {
+				var p abpPair
+				h, p = abpPop(h)
+				got = append(got, p)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: the band kept %d pairs, want %d (keep %d)", trial, len(got), len(want), jn.keep)
+		}
+		for r := range want {
+			if got[r] != want[r] || math.Float64bits(got[r].score) != math.Float64bits(want[r].score) {
+				t.Fatalf("trial %d: kept pair %d is %+v, want %+v", trial, r, got[r], want[r])
+			}
 		}
 	}
 }

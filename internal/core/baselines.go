@@ -56,12 +56,13 @@ func RandomSelect(ss *ScoreSet, p Params, seed int64) (Selection, error) {
 // them off.
 func (ss *ScoreSet) divPair(i, j, k int, lambda float64) float64 {
 	kf := float64(k - 1)
-	return divScore(1-lambda, 2*lambda/kf, kf, ss.Places[i].Rel, ss.Places[j].Rel, ss.sf(i, j))
+	_, _, sf := ss.Pair(i, j)
+	return divScore(1-lambda, 2*lambda/kf, kf, ss.Places[i].Rel, ss.Places[j].Rel, sf)
 }
 
 // divScore is divPair from its parts: d1 = 1−λ, d2 = 2λ/(k−1), kf = k−1,
-// the two relevances and sF of the pair. divPair and ABP_D's pair
-// materialisation both evaluate it, so their scores agree bit for bit.
+// the two relevances and sF of the pair. divPair and the greedy loops
+// both evaluate it, so their scores agree bit for bit.
 func divScore(d1, d2, kf, ri, rj, sf float64) float64 {
 	// The conversion rounds the product on its own, so no platform fuses
 	// it into a multiply-add (see pairs.Blend).

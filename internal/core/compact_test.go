@@ -51,7 +51,7 @@ func compactInstance(rng *rand.Rand, q geo.Point, n int, ties bool) []core.Place
 	return places
 }
 
-// compactMethods are the Step-1 configurations a compact set must
+// compactMethods are the Step-1 configurations a reused set must
 // reproduce: the exact path, the squared grid gathering from a covering
 // table and computing cell-centre scores itself (the grid is wider than
 // the table), the radial grid with and without its table, and a custom
@@ -78,13 +78,14 @@ var compactMethods = []struct {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestCompactScoreSetBitIdentical: over random and tie-heavy instances ×
-// every spatial method × γ ∈ {0, 0.5, 1}, a compact score set reproduces
-// its full set exactly — every pair's sC, sS and sF, Evaluate, PlaceHPF,
-// PairHPF and metrics.Evaluate — and every registered algorithm selects
-// the same indices with the same HPF bits on both, odd k and λ = 1
-// included. A full set holds only the sF triangle, so the pairs are
-// checked against the triangles of the matrix oracle (msJh and the
-// spatial fill, core.MatrixStep1).
+// every spatial method × γ ∈ {0, 0.5, 1}, a score set holds O(K) bytes,
+// every pair it recomputes equals the triangles of the matrix oracle
+// (msJh and the spatial fill, core.MatrixStep1), and a set that has
+// already served reads and selections — as a resident cache entry has —
+// answers exactly as a fresh Step 1 over the same places: Evaluate,
+// PlaceHPF, PairHPF and metrics.Evaluate, and every registered algorithm
+// selects the same indices with the same HPF bits, odd k and λ = 1
+// included.
 func TestCompactScoreSetBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	q := geo.Pt(50, 50)
@@ -95,18 +96,25 @@ func TestCompactScoreSetBitIdentical(t *testing.T) {
 				for _, gamma := range []float64{0, 0.5, 1} {
 					opt := m.opt
 					opt.Gamma = gamma
-					full, err := core.ComputeScores(q, places, opt)
+					reused, err := core.ComputeScores(q, places, opt)
 					if err != nil {
 						t.Fatal(err)
+					}
+					fresh := func() *core.ScoreSet {
+						ss, err := core.ComputeScores(q, places, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return ss
 					}
 					oracle, err := core.MatrixStep1(q, places, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					label := fmt.Sprintf("n=%d ties=%v %s γ=%v", n, ties, m.name, gamma)
-					checkCompactPairs(t, label, full, oracle, rng)
+					checkCompactPairs(t, label, opt.Spatial == core.SpatialCustom, reused, fresh(), oracle, rng)
 					if n <= 40 && gamma == 0.5 || n == 3 {
-						checkCompactSelections(t, label, full)
+						checkCompactSelections(t, label, reused, fresh())
 					}
 				}
 			}
@@ -114,16 +122,21 @@ func TestCompactScoreSetBitIdentical(t *testing.T) {
 	}
 }
 
-func checkCompactPairs(t *testing.T, label string, full *core.ScoreSet, oracle *core.MatrixScores, rng *rand.Rand) {
+// setBytesPerPlace bounds what a score set holds per place: the Place
+// (64 bytes), three float64 vectors and a grid index.
+const setBytesPerPlace = 92
+
+func checkCompactPairs(t *testing.T, label string, custom bool, reused, fresh *core.ScoreSet, oracle *core.MatrixScores, rng *rand.Rand) {
 	t.Helper()
-	c := full.Compact()
-	if c.SF != nil {
-		t.Fatalf("%s: Compact kept the sF triangle", label)
+	n := reused.K()
+	budget := setBytesPerPlace * n
+	if custom {
+		budget += 8 * n * (n - 1) / 2 // the hook's matrix, which the set keeps
 	}
-	if c.Bytes() >= full.Bytes() {
-		t.Fatalf("%s: compact set holds %d bytes, full set %d", label, c.Bytes(), full.Bytes())
+	if b := reused.Bytes(); b > budget {
+		t.Fatalf("%s: the set holds %d bytes, budget %d", label, b, budget)
 	}
-	n := full.K()
+	full, c := fresh, reused
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
@@ -136,9 +149,6 @@ func checkCompactPairs(t *testing.T, label string, full *core.ScoreSet, oracle *
 					t.Fatalf("%s: pair (%d, %d) reads (%v, %v, %v), oracle (%v, %v, %v)", label, i, j,
 						sc, sp, sf, wsc, wsp, wsf)
 				}
-			}
-			if !sameBits(full.SF.At(i, j), wsf) {
-				t.Fatalf("%s: sF(%d, %d) = %v, oracle %v", label, i, j, full.SF.At(i, j), wsf)
 			}
 		}
 	}
@@ -153,29 +163,38 @@ func checkCompactPairs(t *testing.T, label string, full *core.ScoreSet, oracle *
 		for _, lambda := range []float64{0, 0.5, 1} {
 			if a, b := full.Evaluate(r, lambda), c.Evaluate(r, lambda); !sameBits(a.Total, b.Total) ||
 				!sameBits(a.PC, b.PC) || !sameBits(a.PS, b.PS) || !sameBits(a.Rel, b.Rel) {
-				t.Fatalf("%s: Evaluate(%v, λ=%v) full %+v, compact %+v", label, r, lambda, a, b)
+				t.Fatalf("%s: Evaluate(%v, λ=%v) fresh %+v, reused %+v", label, r, lambda, a, b)
 			}
 			for i := 0; i < n; i++ {
 				if a, b := full.PlaceHPF(i, r, k, lambda), c.PlaceHPF(i, r, k, lambda); !sameBits(a, b) {
-					t.Fatalf("%s: PlaceHPF(%d, %v) full %v, compact %v", label, i, r, a, b)
+					t.Fatalf("%s: PlaceHPF(%d, %v) fresh %v, reused %v", label, i, r, a, b)
 				}
 			}
 			if k >= 2 {
 				if a, b := full.PairHPF(r[0], r[1], k, lambda), c.PairHPF(r[0], r[1], k, lambda); !sameBits(a, b) {
-					t.Fatalf("%s: PairHPF(%d, %d) full %v, compact %v", label, r[0], r[1], a, b)
+					t.Fatalf("%s: PairHPF(%d, %d) fresh %v, reused %v", label, r[0], r[1], a, b)
 				}
 			}
 		}
 		if a, b := metrics.Evaluate(full, r), metrics.Evaluate(c, r); a != b {
-			t.Fatalf("%s: metrics.Evaluate(%v) full %+v, compact %+v", label, r, a, b)
+			t.Fatalf("%s: metrics.Evaluate(%v) fresh %+v, reused %+v", label, r, a, b)
 		}
 	}
 }
 
-func checkCompactSelections(t *testing.T, label string, full *core.ScoreSet) {
+// checkCompactSelections runs every selection on the reused set twice —
+// the second time after all the others — and compares both with the
+// selection on a fresh set.
+func checkCompactSelections(t *testing.T, label string, reused, fresh *core.ScoreSet) {
 	t.Helper()
-	c := full.Compact()
 	ctx := context.Background()
+	for _, pass := range []string{"first", "again"} {
+		checkSelections(t, label+" "+pass, ctx, fresh, reused)
+	}
+}
+
+func checkSelections(t *testing.T, label string, ctx context.Context, full, c *core.ScoreSet) {
+	t.Helper()
 	for _, alg := range core.Algorithms() {
 		for _, k := range []int{1, 2, 3, 5} {
 			if k >= full.K() || alg == core.AlgExact && full.K() > 9 {
@@ -186,10 +205,10 @@ func checkCompactSelections(t *testing.T, label string, full *core.ScoreSet) {
 				want, werr := core.SelectCtx(ctx, alg, full, p)
 				got, gerr := core.SelectCtx(ctx, alg, c, p)
 				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("%s %s k=%d λ=%v: full err %v, compact err %v", label, alg, k, lambda, werr, gerr)
+					t.Fatalf("%s %s k=%d λ=%v: fresh err %v, reused err %v", label, alg, k, lambda, werr, gerr)
 				}
 				if fmt.Sprint(want.Indices) != fmt.Sprint(got.Indices) || !sameBits(want.HPF, got.HPF) {
-					t.Fatalf("%s %s k=%d λ=%v: full %v (HPF %v), compact %v (HPF %v)",
+					t.Fatalf("%s %s k=%d λ=%v: fresh %v (HPF %v), reused %v (HPF %v)",
 						label, alg, k, lambda, want.Indices, want.HPF, got.Indices, got.HPF)
 				}
 			}

@@ -521,7 +521,8 @@ func TestEvaluateDivConsistent(t *testing.T) {
 	}
 	for a := 0; a < len(r); a++ {
 		for b := a + 1; b < len(r); b++ {
-			div += 1 - ss.SF.At(r[a], r[b])
+			_, _, sf := ss.Pair(r[a], r[b])
+			div += 1 - sf
 		}
 	}
 	want := (1-lambda)*rel + 2*lambda*div/float64(len(r)-1)
@@ -530,15 +531,25 @@ func TestEvaluateDivConsistent(t *testing.T) {
 	}
 }
 
-func BenchmarkIAdUK100(b *testing.B) { benchGreedy(b, IAdU, 100, 10) }
-func BenchmarkABPK100(b *testing.B)  { benchGreedy(b, ABP, 100, 10) }
-func BenchmarkIAdUK400(b *testing.B) { benchGreedy(b, IAdU, 400, 10) }
-func BenchmarkABPK400(b *testing.B)  { benchGreedy(b, ABP, 400, 10) }
-func BenchmarkABPK1000(b *testing.B) { benchGreedy(b, ABP, 1000, 20) }
+func BenchmarkIAdUK100(b *testing.B)  { benchGreedy(b, IAdU, 100, 10) }
+func BenchmarkABPK100(b *testing.B)   { benchGreedy(b, ABP, 100, 10) }
+func BenchmarkIAdUK400(b *testing.B)  { benchGreedy(b, IAdU, 400, 10) }
+func BenchmarkABPK400(b *testing.B)   { benchGreedy(b, ABP, 400, 10) }
+func BenchmarkABPK1000(b *testing.B)  { benchGreedy(b, ABP, 1000, 20) }
+func BenchmarkIAdUK1000(b *testing.B) { benchGreedy(b, IAdU, 1000, 20) }
+
+// BenchmarkABPDivK1000Lambda1 is the rank join's loose case: at λ = 1
+// every ABP_D key is 2λ/(k−1)/2, so one band holds all K(K−1)/2 pairs.
+func BenchmarkABPDivK1000Lambda1(b *testing.B) { benchGreedyAt(b, ABPDiv, 1000, 20, 1) }
 
 func benchGreedy(b *testing.B, alg func(*ScoreSet, Params) (Selection, error), k, rk int) {
+	benchGreedyAt(b, alg, k, rk, 0.5)
+}
+
+func benchGreedyAt(b *testing.B, alg func(*ScoreSet, Params) (Selection, error), k, rk int, lambda float64) {
 	ss := defaultScoreSet(b, k, 1)
-	p := Params{K: rk, Lambda: 0.5, Gamma: 0.5}
+	p := Params{K: rk, Lambda: lambda, Gamma: 0.5}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := alg(ss, p); err != nil {

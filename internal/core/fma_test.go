@@ -11,13 +11,14 @@ import (
 
 // identityPath lists the functions whose arithmetic must round exactly as
 // written on every platform: the pair combination, the fused pass, the
-// per-pair recompute of a compact set, the two pair scores, and ABP's rank
-// join, which scores pairs with them and bounds them by its keys (the
-// bound's slack assumes separately rounded products). A compact set
-// recomputes a
-// pair with the function the fill stored it with; that gives the same
-// bits only while the compiler fuses a multiply and an add in neither, so
-// none may compile to a fused multiply-add. The evaluation functions, the
+// per-pair recompute and the instance's row kernel (with the spatial row
+// sources it gathers from), the two pair scores, IAdU's row update, and
+// ABP's rank join, which scores pairs with them and bounds them by its
+// keys (the bound's slack assumes separately rounded products). Step 2
+// recomputes each pair with the functions Step 1 sums it with; that gives
+// the bits the matrix oracle stores only while the compiler fuses a
+// multiply and an add in none of them, so none may compile to a fused
+// multiply-add. The evaluation functions, the
 // distances, the squared and radial grids, the IR-tree's retrieval score
 // and the generators of the golden corpus join them, so that the corpus,
 // retrieval, breakdowns and scores the answer goldens record on amd64 are
@@ -30,6 +31,8 @@ var identityPath = []string{
 	"repro/internal/core.abpBound",
 	"repro/internal/core.(*abpJoin).band",
 	"repro/internal/core.(*ScoreSet).Pair",
+	"repro/internal/core.(*instance).Row",
+	"repro/internal/core.pairRule.addScores",
 	"repro/internal/core.(*contextIndex).pass",
 	"repro/internal/core.(*ScoreSet).fusedStep1",
 	"repro/internal/core.ComputeScoresCtx",
@@ -44,6 +47,10 @@ var identityPath = []string{
 	"repro/internal/geo.Rect.MaxDist",
 	"repro/internal/geo.Rect.EnlargementArea",
 	"repro/internal/grid.unitSS",
+	"repro/internal/grid.ExactPairs.At",
+	"repro/internal/grid.ExactPairs.Row",
+	"repro/internal/grid.SquaredPairs.Row",
+	"repro/internal/grid.RadialPairs.Row",
 	"repro/internal/grid.unitCenter",
 	"repro/internal/grid.(*Squared).CellOf",
 	"repro/internal/grid.(*Squared).CellCenter",

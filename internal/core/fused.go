@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/explain"
 	"repro/internal/geo"
-	"repro/internal/pairs"
 	"repro/internal/telemetry"
 	"repro/internal/textctx"
 )
@@ -39,28 +38,119 @@ type contextIndex struct {
 	// an item's L postings scans the L−1−r after it and cuts the r+1 up to
 	// itself.
 	scanned, cut int64
+	// jac[inter·jw + union] is jaccard's expression inter/union for every
+	// intersection and union two of the sets can have, and +0 for inter
+	// = 0, when that table has at most jacTableMax entries; nil otherwise.
+	jac []float64
+	jw  int32
+}
+
+// jacTableMax bounds the Jaccard table of a contextIndex: 4 096 entries
+// (32 KB) cover sets of up to 44 items.
+const jacTableMax = 4096
+
+// jaccard returns sC of two sets of sizes li and lj that share inter
+// items: jaccard's expression, +0 for disjoint sets. The table holds the
+// quotients of the same operands, so both paths give the same bits.
+func (x *contextIndex) jaccard(inter, li, lj int32) float64 {
+	if x.jac != nil {
+		return x.jac[inter*x.jw+li+lj-inter]
+	}
+	if inter == 0 {
+		return 0
+	}
+	return float64(inter) / float64(li+lj-inter)
+}
+
+// localIDs numbers the distinct items of an instance 0, 1, … in order of
+// first occurrence. It is an open-addressing hash table with linear
+// probing: the index build looks up every (place, item) occurrence, and
+// an instance has far fewer distinct items than occurrences, so a small
+// flat table beats a map there.
+type localIDs struct {
+	keys  []textctx.ItemID
+	ids   []int32 // −1 marks an empty slot
+	shift uint8   // 32 − log2(len(keys))
+	n     int32
+}
+
+func newLocalIDs() *localIDs {
+	t := &localIDs{}
+	t.resize(64)
+	return t
+}
+
+func (t *localIDs) resize(size int) {
+	keys, ids := t.keys, t.ids
+	t.keys, t.ids = make([]textctx.ItemID, size), make([]int32, size)
+	for s := range t.ids {
+		t.ids[s] = -1
+	}
+	t.shift = uint8(32 - bits.Len(uint(size-1)))
+	for s, id := range ids {
+		if id >= 0 {
+			t.put(keys[s], id)
+		}
+	}
+}
+
+// put stores v with a new id in the first free slot of its probe.
+func (t *localIDs) put(v textctx.ItemID, id int32) {
+	mask := uint32(len(t.keys) - 1)
+	for s := uint32(v) * 0x9E3779B1 >> t.shift; ; s = (s + 1) & mask {
+		if t.ids[s] < 0 {
+			t.keys[s], t.ids[s] = v, id
+			return
+		}
+	}
+}
+
+// id returns v's number, numbering it next when it is new.
+func (t *localIDs) id(v textctx.ItemID) int32 {
+	mask := uint32(len(t.keys) - 1)
+	for s := uint32(v) * 0x9E3779B1 >> t.shift; ; s = (s + 1) & mask {
+		switch id := t.ids[s]; {
+		case id < 0:
+			id = t.n
+			t.n++
+			t.keys[s], t.ids[s] = v, id
+			if 2*int(t.n) > len(t.keys) {
+				t.resize(2 * len(t.keys))
+			}
+			return id
+		case t.keys[s] == v:
+			return id
+		}
+	}
 }
 
 // newContextIndex builds the instance over the places' context sets.
 func newContextIndex(places []Place) *contextIndex {
 	n := len(places)
 	x := &contextIndex{lens: make([]int32, n), head: make([]uint64, n), tailOff: make([]int32, n+1)}
-	total := 0
+	total, longest := 0, int32(0)
 	for i := range places {
 		x.lens[i] = int32(places[i].Context.Len())
 		total += int(x.lens[i])
+		longest = max(longest, x.lens[i])
+	}
+	if w := 2*longest + 1; int(longest+1)*int(w) <= jacTableMax {
+		x.jac, x.jw = make([]float64, (longest+1)*w), w
+		for inter := int32(1); inter <= longest; inter++ {
+			for union := inter; union < w; union++ {
+				x.jac[inter*w+union] = float64(inter) / float64(union)
+			}
+		}
 	}
 	// Local IDs in order of first occurrence; occ holds the local ID of
 	// every (place, item) occurrence, place by place.
-	local := make(map[textctx.ItemID]int32, total)
+	local := newLocalIDs()
 	occ := make([]int32, 0, total)
 	var freq []int32
 	for i := range places {
 		for _, v := range places[i].Context.Items() {
-			id, ok := local[v]
-			if !ok {
-				id = int32(len(freq))
-				local[v] = id
+			id := local.id(v)
+			if int(id) == len(freq) {
 				freq = append(freq, 0)
 			}
 			freq[id]++
@@ -133,15 +223,16 @@ func newContextIndex(places []Place) *contextIndex {
 }
 
 // fusedStep1 is Step 1: one sequential pass over the rows of the pair
-// triangle yields pCS, the exact and custom methods' pSS and the sF
-// triangle, with no sC or sS triangle. Row i counts its
-// tail intersections with msJh's reverse scan of each tail item's
-// postings (stopping at the first place ≤ i), gathers sS into the sF row,
-// and then per j > i, in ascending order, derives sC with jaccard's
-// expression (+0 for disjoint sets), adds it to pCS(p_i) and pCS(p_j) —
-// the order Matrix.RowSums adds in, so the sums keep their bits — and
-// overwrites the row entry with pairs.Blend(1−γ, sC, γ, sS). The grids'
-// pSS comes from their cells.
+// triangle yields pCS and the exact and custom methods' pSS, and stores no
+// pair score. Row i counts its tail intersections with msJh's reverse scan
+// of each tail item's postings (stopping at the first place ≤ i), and then
+// per j > i, in ascending order, derives sC with jaccard's expression (+0
+// for disjoint sets) and adds it to pCS(p_i) and pCS(p_j) — the order
+// Matrix.RowSums adds in, so the sums keep their bits. The exact and
+// custom methods write sS of the row into one reused buffer and sum it
+// into pSS in the same order; the grids' pSS comes from their cells, so
+// they fill no sS row at all. Step 2 recomputes the pairs it reads (see
+// instance).
 //
 // The stage spans stay: StagePSS covers the spatial setup and the cell
 // pSS, StagePCS the pass.
@@ -158,11 +249,10 @@ func (ss *ScoreSet) fusedStep1(ctx context.Context, pts []geo.Point) error {
 
 	endPCS := telemetry.StartSpan(ctx, telemetry.StagePCS)
 	x := newContextIndex(ss.Places)
-	exactPSS := pss == nil
-	if exactPSS {
+	if rows != nil {
 		pss = make([]float64, len(pts))
 	}
-	sf, pcs, compared, err := x.pass(ctx, rows, 1-ss.Gamma, ss.Gamma, exactPSS, pss)
+	pcs, compared, err := x.pass(ctx, rows, pss)
 	endPCS()
 	if err != nil {
 		return err
@@ -180,24 +270,27 @@ func (ss *ScoreSet) fusedStep1(ctx context.Context, pts []geo.Point) error {
 	if err := checkpoint(ctx, "scores:contextual"); err != nil {
 		return err
 	}
-	ss.PCS, ss.PSS, ss.SF = pcs, pss, sf
+	ss.PCS, ss.PSS = pcs, pss
 	return nil
 }
 
-// pass runs the fused row pass (see fusedStep1): rows writes sS of row i,
-// wc and ws are 1−γ and γ, and with sumSS the sS of every pair is summed
-// into pss in Matrix.RowSums' order. It returns the sF triangle, pCS and
-// the number of pairs that share an item.
-func (x *contextIndex) pass(ctx context.Context, rows func(i int, row []float64), wc, ws float64, sumSS bool, pss []float64) (*pairs.Matrix, []float64, int64, error) {
+// pass runs the fused row pass (see fusedStep1). A non-nil rows writes sS
+// of the pairs (i, j > i) of row i, which the pass sums into pss in
+// Matrix.RowSums' order. It returns pCS and the number of pairs that share
+// an item.
+func (x *contextIndex) pass(ctx context.Context, rows func(i int, row []float64), pss []float64) ([]float64, int64, error) {
 	n := len(x.lens)
-	sf := pairs.New(n)
 	pcs := make([]float64, n)
 	counts := make([]int32, n)
+	var buf []float64
+	if rows != nil {
+		buf = make([]float64, n)
+	}
 	var compared int64
 	for i := 0; i < n; i++ {
 		if i%fusedCtxStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, 0, err
+				return nil, 0, err
 			}
 		}
 		for _, v := range x.tail[x.tailOff[i]:x.tailOff[i+1]] {
@@ -206,34 +299,34 @@ func (x *contextIndex) pass(ctx context.Context, rows func(i int, row []float64)
 				counts[list[t]]++
 			}
 		}
-		row := sf.Row(i)
-		rows(i, row)
 		hi, li := x.head[i], x.lens[i]
 		heads, lens, cnt := x.head[i+1:], x.lens[i+1:], counts[i+1:]
-		pcsJ, pssJ := pcs[i+1:], pss[i+1:]
-		accC, accS := pcs[i], pss[i]
-		for t, sp := range row {
-			inter := int32(bits.OnesCount64(hi&heads[t])) + cnt[t]
-			cnt[t] = 0
-			var sc float64
+		pcsJ := pcs[i+1:]
+		acc := pcs[i]
+		for t, h := range heads {
+			inter := int32(bits.OnesCount64(hi&h)) + cnt[t]
 			if inter != 0 {
-				// jaccard's expression; a disjoint pair adds nothing, which
-				// is exact because no sum ever holds −0.
-				sc = float64(inter) / float64(li+lens[t]-inter)
-				accC += sc
+				// A disjoint pair adds nothing, which is exact because no
+				// sum ever holds −0.
+				cnt[t] = 0
+				sc := x.jaccard(inter, li, lens[t])
+				acc += sc
 				pcsJ[t] += sc
 				compared++
 			}
-			if sumSS {
-				accS += sp
+		}
+		pcs[i] = acc
+		if rows != nil {
+			row := buf[:n-i-1]
+			rows(i, row)
+			pssJ := pss[i+1:]
+			acc = pss[i]
+			for t, sp := range row {
+				acc += sp
 				pssJ[t] += sp
 			}
-			row[t] = pairs.Blend(wc, sc, ws, sp)
-		}
-		pcs[i] = accC
-		if sumSS {
-			pss[i] = accS
+			pss[i] = acc
 		}
 	}
-	return sf, pcs, compared, nil
+	return pcs, compared, nil
 }

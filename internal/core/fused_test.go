@@ -76,8 +76,8 @@ func fuzzInstance(seed int64, n, vocab int, flags uint8) (geo.Point, []Place) {
 // FuzzFusedStep1 checks the fused Step-1 pass against the matrix oracle
 // (msJh, the spatial fill or the custom hook's matrix, Matrix.RowSums and
 // pairs.Blend; see matrixStep1) bit for bit, for every spatial method:
-// pCS, pSS, pFS, every sF entry, every pair's sC, sS and sF as Pair
-// recomputes them on the set and on its Compact form, and the explain
+// pCS, pSS, pFS, every sF entry as the instance's kernel rows give it,
+// every pair's sC, sS and sF as Pair recomputes them, and the explain
 // pruning and grid statistics.
 func FuzzFusedStep1(f *testing.F) {
 	// seed, n, vocab, spatial, table, γ, flags
@@ -119,26 +119,25 @@ func FuzzFusedStep1(f *testing.F) {
 			t.Fatal(err)
 		}
 		frep, wrep := fcol.Report(), wcol.Report()
-		forms := [...]struct {
-			name string
-			ss   *ScoreSet
-		}{{"full", fused}, {"compact", fused.Compact()}}
 		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		in, row := newInstance(fused), make([]float64, n)
 		for i := 0; i < n; i++ {
 			if !same(fused.PCS[i], want.PCS[i]) || !same(fused.PSS[i], want.PSS[i]) || !same(fused.PFS[i], want.PFS[i]) {
 				t.Fatalf("place %d: fused (%v, %v, %v), matrix (%v, %v, %v)", i,
 					fused.PCS[i], fused.PSS[i], fused.PFS[i], want.PCS[i], want.PSS[i], want.PFS[i])
 			}
-			for j := i + 1; j < n; j++ {
-				wsc, wsp, wsf := want.SC.At(i, j), want.SS.At(i, j), want.SF.At(i, j)
-				if !same(fused.SF.At(i, j), wsf) {
-					t.Fatalf("pair (%d, %d): fused sF %v, matrix %v", i, j, fused.SF.At(i, j), wsf)
+			in.Row(i, row)
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
 				}
-				for _, form := range forms {
-					if sc, sp, sf := form.ss.Pair(i, j); !same(sc, wsc) || !same(sp, wsp) || !same(sf, wsf) {
-						t.Fatalf("pair (%d, %d) of the %s set: sC %v sS %v sF %v, matrix %v %v %v", i, j,
-							form.name, sc, sp, sf, wsc, wsp, wsf)
-					}
+				wsc, wsp, wsf := want.SC.At(i, j), want.SS.At(i, j), want.SF.At(i, j)
+				if !same(row[j], wsf) {
+					t.Fatalf("pair (%d, %d): kernel row sF %v, matrix %v", i, j, row[j], wsf)
+				}
+				if sc, sp, sf := fused.Pair(i, j); !same(sc, wsc) || !same(sp, wsp) || !same(sf, wsf) {
+					t.Fatalf("pair (%d, %d): sC %v sS %v sF %v, matrix %v %v %v", i, j,
+						sc, sp, sf, wsc, wsp, wsf)
 				}
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/explain"
-	"repro/internal/pairs"
 )
 
 // explainRound records one greedy round on the context-carried collector,
@@ -41,20 +40,28 @@ const (
 )
 
 // addScores adds rule's score of the pair (p_i, p_j), for result size
-// k ≥ 2 and weight λ, to contrib[i] for every unused place i. Each rule
-// has its own loop, so the per-pair call stays direct.
-func (rule pairRule) addScores(ss *ScoreSet, contrib []float64, used []bool, j, k int, lambda float64) {
+// k ≥ 2 and weight λ, to contrib[i] for every unused place i. It reads sF
+// from one kernel row of the instance, written into row (length K), and
+// evaluates PairHPF's or divPair's kernel on it with their constants, so
+// every score has their bits. Each rule has its own loop, so the
+// per-pair call stays direct.
+func (rule pairRule) addScores(in *instance, row, contrib []float64, used []bool, j, k int, lambda float64) {
+	ss := in.ss
+	in.Row(j, row)
+	kf, rj := float64(k-1), ss.Places[j].Rel
 	if rule == ruleDiv {
+		d1, d2 := 1-lambda, 2*lambda/kf
 		for i := range contrib {
 			if !used[i] {
-				contrib[i] += ss.divPair(i, j, k, lambda)
+				contrib[i] += divScore(d1, d2, kf, ss.Places[i].Rel, rj, row[i])
 			}
 		}
 		return
 	}
+	c1, fj := (1-lambda)*float64(len(ss.Places)-k), ss.PFS[j]
 	for i := range contrib {
 		if !used[i] {
-			contrib[i] += ss.PairHPF(i, j, k, lambda)
+			contrib[i] += pairHPF(c1, kf, lambda, ss.Places[i].Rel, rj, ss.PFS[i], fj, row[i])
 		}
 	}
 }
@@ -110,9 +117,11 @@ func (rule pairRule) iadu(ctx context.Context, ss *ScoreSet, p Params) (Selectio
 
 	// Contributions of all remaining places against the current R,
 	// maintained incrementally: adding p_new adds the pair score of
-	// (p_i, p_new) to every candidate's contribution.
+	// (p_i, p_new) to every candidate's contribution, one kernel row of
+	// the instance per pick.
+	in, row := newInstance(ss), make([]float64, n)
 	contrib := make([]float64, n)
-	rule.addScores(ss, contrib, used, best, k, p.Lambda)
+	rule.addScores(in, row, contrib, used, best, k, p.Lambda)
 	for len(r) < k {
 		// Each iteration costs O(K); polling here bounds the cancellation
 		// latency by one outer iteration.
@@ -144,7 +153,7 @@ func (rule pairRule) iadu(ctx context.Context, ss *ScoreSet, p Params) (Selectio
 		if len(r) == k {
 			break
 		}
-		rule.addScores(ss, contrib, used, bi, k, p.Lambda)
+		rule.addScores(in, row, contrib, used, bi, k, p.Lambda)
 	}
 	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
 }
@@ -199,6 +208,43 @@ func abpHeapify(h []abpPair) {
 	}
 }
 
+// abpSelect reorders ps so that ps[m−1] is its m-th pair in abpBefore
+// order, the pairs before it precede it and the pairs after it follow it
+// (quickselect, median-of-three pivots), for 1 ≤ m ≤ len(ps). The pairs
+// of ps must be distinct.
+func abpSelect(ps []abpPair, m int) {
+	lo, hi := 0, len(ps) // the m-th pair is in ps[lo:hi]
+	for hi-lo > 1 {
+		a, b, c := lo, lo+(hi-lo)/2, hi-1
+		if abpBefore(ps[b], ps[a]) {
+			a, b = b, a
+		}
+		if abpBefore(ps[c], ps[b]) {
+			b = c
+			if abpBefore(ps[b], ps[a]) {
+				b = a
+			}
+		}
+		ps[b], ps[hi-1] = ps[hi-1], ps[b]
+		pivot, at := ps[hi-1], lo
+		for t := lo; t < hi-1; t++ {
+			if abpBefore(ps[t], pivot) {
+				ps[at], ps[t] = ps[t], ps[at]
+				at++
+			}
+		}
+		ps[at], ps[hi-1] = ps[hi-1], ps[at] // ps[lo:at] precede the pivot, now at at
+		switch {
+		case m-1 < at:
+			hi = at
+		case m-1 > at:
+			lo = at + 1
+		default:
+			return
+		}
+	}
+}
+
 // abpPop removes and returns the best pair; the returned slice aliases
 // the input with the last slot freed.
 func abpPop(h []abpPair) ([]abpPair, abpPair) {
@@ -246,10 +292,11 @@ func abpFirstPick(ec *explain.Collector, ss *ScoreSet, lambda float64) Selection
 // most to the current R, with the second-best tracked for the explain
 // trace. Shared with the rescan oracle so the odd-k tail (including its
 // runner-up bookkeeping) cannot drift between them.
-func abpOddTail(ec *explain.Collector, ss *ScoreSet, rule pairRule, k int, lambda float64, round int, r []int, used []bool) []int {
-	c := make([]float64, ss.K())
+func abpOddTail(ec *explain.Collector, in *instance, rule pairRule, k int, lambda float64, round int, r []int, used []bool) []int {
+	ss := in.ss
+	c, row := make([]float64, ss.K()), make([]float64, ss.K())
 	for _, j := range r {
-		rule.addScores(ss, c, used, j, k, lambda)
+		rule.addScores(in, row, c, used, j, k, lambda)
 	}
 	bi, ri := -1, -1
 	for i := range c {
@@ -291,8 +338,7 @@ func ABP(ss *ScoreSet, p Params) (Selection, error) {
 	return Select(AlgABP, ss, p)
 }
 
-// abp runs ABP with the pairs ranked by rule's pair scores. ss must hold
-// its sF triangle (SelectCtx refills a compact set first).
+// abp runs ABP with the pairs ranked by rule's pair scores.
 func (rule pairRule) abp(ctx context.Context, ss *ScoreSet, p Params) (Selection, error) {
 	n := ss.K()
 	if err := p.validate(n); err != nil {
@@ -305,7 +351,8 @@ func (rule pairRule) abp(ctx context.Context, ss *ScoreSet, p Params) (Selection
 	}
 
 	used := make([]bool, n)
-	jn := newABPJoin(ctx, ss, rule, k, p.Lambda, used)
+	in := newInstance(ss)
+	jn := newABPJoin(ctx, in, rule, k, p.Lambda, used)
 	if err := checkpoint(ctx, "select:abp"); err != nil {
 		return Selection{}, err
 	}
@@ -340,7 +387,7 @@ func (rule pairRule) abp(ctx context.Context, ss *ScoreSet, p Params) (Selection
 		r = append(r, int(pr.i), int(pr.j))
 	}
 	if len(r) < k {
-		r = abpOddTail(ec, ss, rule, k, p.Lambda, round, r, used)
+		r = abpOddTail(ec, in, rule, k, p.Lambda, round, r, used)
 	}
 	return Selection{Indices: r, HPF: ss.Evaluate(r, p.Lambda).Total}, nil
 }
@@ -355,16 +402,22 @@ func (rule pairRule) abp(ctx context.Context, ss *ScoreSet, p Params) (Selection
 //	div: a_i = d1·r_i/kf + d2/2         d1 = 1−λ, d2 = 2λ/kf
 //
 // up to rounding, which abpBound covers. The places are sorted by
-// descending a into rows, and the frontier is one cursor per row r: the
-// pairs (r, t) of row positions with r < t < cur[r] are enumerated, and
-// the keys a_r + a_t fall as t grows, and from row to row. The join
-// enumerates in bands: each moves every cursor past the keys that reach
-// a threshold, and rest becomes the largest key not yet enumerated. An
-// enumerated pair whose endpoints are both unused is scored exactly,
-// with pairHPF or divScore on the sF triangle; a used place's row is
-// dropped. Each band's pairs form one heap ordered by abpBefore, so
-// storing them copies nothing. The best scored pair is yielded once its
-// score is above abpBound(rest): no unscored pair can then beat it or
+// descending a, ties by descending index, into rows, and the frontier is
+// one cursor per row r: the pairs (r, t) of row positions with
+// r < t < cur[r] are enumerated, and the keys a_r + a_t fall as t grows,
+// and from row to row. The join enumerates in bands: each moves every
+// cursor past the keys that reach a threshold, and rest becomes the
+// largest key not yet enumerated. An enumerated pair whose endpoints are
+// both unused is scored exactly, with pairHPF or divScore on sF read
+// through the instance — one Pair call at a time, or a kernel row when
+// the band covers at least a 1/abpDenseRow share of the row; a used
+// place's row is dropped. A kernel row is cut after the largest place
+// index the band needs from it: where keys tie, the row's later
+// positions hold lower indices, so on a flat bound (ABP_D at λ = 1) row r
+// needs only the places below its own. Each band's pairs form one heap
+// ordered by abpBefore, so storing them copies nothing; a band keeps at
+// most abpKeep of them (see there). The best scored pair is yielded once
+// its score is above abpBound(rest): no unscored pair can then beat it or
 // tie it, so the (score desc, (i, j) asc) order holds exactly, ties
 // included.
 //
@@ -373,19 +426,44 @@ func (rule pairRule) abp(ctx context.Context, ss *ScoreSet, p Params) (Selection
 // scores about as deep as the next yield needs.
 type abpJoin struct {
 	ctx                    context.Context
-	ss                     *ScoreSet
+	in                     *instance
 	rule                   pairRule
 	c1, kf, lambda, d1, d2 float64
-	rest                   float64 // the largest key of a pair not yet enumerated; −Inf when none is left
-	w                      float64 // the depth of the next band below rest
+	keep                   int       // abpKeep(k, K): the most pairs a band keeps
+	row                    []float64 // a kernel row of the instance, once a band needs one
+	rest                   float64   // the largest key of a pair not yet enumerated; −Inf when none is left
+	w                      float64   // the depth of the next band below rest
 	rows                   []abpRow
 	cur, end               []int32     // per row: the next column to enumerate, and a band's end
 	heaps                  [][]abpPair // the scored pairs: one heap per band
 	used                   []bool      // shared with the caller, which marks selections
 	// exhaustive scores every pair in one band: a custom spatial method's
-	// sF may leave [0, 1], and with it the sF ≥ 0 the bound rests on.
+	// sS, and with it sF, may leave [0, 1], and with it the sF ≥ 0 the
+	// bound rests on.
 	exhaustive bool
 }
+
+// abpDenseRow sets when a band scores a row's pairs from a kernel row of
+// the instance rather than one Pair call each: when they are at least a
+// 1/abpDenseRow share of the K places. A kernel row costs about as much
+// as K/abpDenseRow Pair calls.
+const abpDenseRow = 16
+
+// abpKeep is the most pairs one band of the join keeps for ABP with
+// result size k over K places: its first k·K + k pairs in abpBefore
+// order. The rest can never be yielded. next yields the first pair in
+// abpBefore order whose endpoints are both unused, so when it yields a
+// pair p, every pair before p either touches a used place or is the pair
+// the caller has just taken and not yet marked (the explain runner-up
+// peek, whose pair is returned with unread). The selection loop calls
+// next only while at most k − 2 places are used, and at most (k−2)(K−1)
+// pairs touch them, so fewer than (k−2)(K−1) + 2 ≤ k·K + k pairs precede
+// any pair next yields, selection and runner-up alike. A pair a band drops
+// has k·K + k pairs before it in its own band, all of them before it in
+// abpBefore order, so it is never the first unused pair: by induction
+// over the yields, the join with the cap yields what it yields without.
+// The cap holds whatever the bound, so it covers the exhaustive join too.
+func abpKeep(k, n int) int { return k*n + k }
 
 // abpRow is one place in the join's order: its share a of the bound and
 // its index in the score set.
@@ -397,12 +475,13 @@ type abpRow struct {
 // newABPJoin prepares the rank join of ss's pairs under rule for result
 // size k ≥ 2 and weight λ. used is read at every step: the caller marks
 // the endpoints of each pair it takes.
-func newABPJoin(ctx context.Context, ss *ScoreSet, rule pairRule, k int, lambda float64, used []bool) *abpJoin {
+func newABPJoin(ctx context.Context, in *instance, rule pairRule, k int, lambda float64, used []bool) *abpJoin {
+	ss := in.ss
 	n := ss.K()
-	jn := &abpJoin{ctx: ctx, ss: ss, rule: rule, kf: float64(k - 1), lambda: lambda, used: used}
+	jn := &abpJoin{ctx: ctx, in: in, rule: rule, kf: float64(k - 1), lambda: lambda, keep: abpKeep(k, n), used: used}
 	jn.c1 = (1 - lambda) * float64(n-k)     // pairHPF's relevance weight (1−λ)(K−k)
 	jn.d1, jn.d2 = 1-lambda, 2*lambda/jn.kf // divScore's relevance and diversity weights
-	jn.exhaustive = ss.opt.Spatial == SpatialCustom && !unitInterval(ss.SF)
+	jn.exhaustive = ss.customLoose
 	jn.rows = make([]abpRow, n)
 	for i := range jn.rows {
 		ri, a := ss.Places[i].Rel, 0.0
@@ -420,7 +499,7 @@ func newABPJoin(ctx context.Context, ss *ScoreSet, rule pairRule, k int, lambda 
 			}
 			return 1
 		}
-		return cmp.Compare(x.i, y.i)
+		return cmp.Compare(y.i, x.i)
 	})
 	jn.cur, jn.end = make([]int32, n), make([]int32, n)
 	for r := range jn.cur {
@@ -429,18 +508,6 @@ func newABPJoin(ctx context.Context, ss *ScoreSet, rule pairRule, k int, lambda 
 	jn.rest = jn.rows[0].a + jn.rows[1].a
 	jn.w = math.Abs(jn.rest) * 0x1p-10
 	return jn
-}
-
-// unitInterval reports whether every entry of m is in [0, 1].
-func unitInterval(m *pairs.Matrix) bool {
-	for i := 0; i < m.N(); i++ {
-		for _, v := range m.Row(i) {
-			if !(v >= 0 && v <= 1) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // abpBound is the largest score a pair whose key is at most key can have.
@@ -521,6 +588,10 @@ func (jn *abpJoin) unread(p abpPair) {
 // visited in order until one's first key falls short of tau: the rows
 // after it start lower still and have not started. Each row's end is
 // found by binary search first, so the band's heap is allocated once.
+// A band of more than jn.keep pairs gathers them into a buffer of twice
+// that: each time it fills, abpSelect keeps its first jn.keep pairs, and
+// the last of them becomes a cut that a later pair must precede to
+// enter, as jn.keep pairs already do.
 func (jn *abpJoin) band(tau float64) error {
 	rows, n := jn.rows, int32(len(jn.rows))
 	key := func(r, t int32) float64 { return rows[r].a + rows[t].a }
@@ -541,8 +612,11 @@ func (jn *abpJoin) band(tau float64) error {
 	if last < n-1 {
 		jn.rest = key(last, last+1)
 	}
-	ss := jn.ss
-	ps := make([]abpPair, 0, total)
+	in, ss := jn.in, jn.in.ss
+	keep := jn.keep
+	ps := make([]abpPair, 0, min(int(total), 2*keep))
+	var cut abpPair
+	cutting := false // set when the buffer first fills
 	for r := int32(0); r < last; r++ {
 		if r%32 == 0 {
 			if err := checkpoint(jn.ctx, "select:abp"); err != nil {
@@ -557,21 +631,49 @@ func (jn *abpJoin) band(tau float64) error {
 			jn.rest = max(jn.rest, key(r, e))
 		}
 		pi := rows[r].i
+		dense := int(e-c)*abpDenseRow >= int(n)
+		if dense {
+			if jn.row == nil {
+				jn.row = make([]float64, n)
+			}
+			hi := int32(0)
+			for t := c; t < e; t++ {
+				hi = max(hi, rows[t].i)
+			}
+			in.Row(int(pi), jn.row[:hi+1])
+		}
 		for t := c; t < e; t++ {
 			pj := rows[t].i
 			if jn.used[pj] {
 				continue
 			}
 			i, j := min(pi, pj), max(pi, pj)
-			ri, rj, sf := ss.Places[i].Rel, ss.Places[j].Rel, ss.SF.At(int(i), int(j))
+			var sf float64
+			if dense {
+				sf = jn.row[pj]
+			} else {
+				_, _, sf = ss.Pair(int(i), int(j))
+			}
+			ri, rj := ss.Places[i].Rel, ss.Places[j].Rel
 			var score float64
 			if jn.rule == ruleDiv {
 				score = divScore(jn.d1, jn.d2, jn.kf, ri, rj, sf)
 			} else {
 				score = pairHPF(jn.c1, jn.kf, jn.lambda, ri, rj, ss.PFS[i], ss.PFS[j], sf)
 			}
-			ps = append(ps, abpPair{i, j, score})
+			p := abpPair{i, j, score}
+			if cutting && !abpBefore(p, cut) {
+				continue
+			}
+			if ps = append(ps, p); len(ps) == 2*keep {
+				abpSelect(ps, keep)
+				ps, cut, cutting = ps[:keep], ps[keep-1], true
+			}
 		}
+	}
+	if len(ps) > keep {
+		abpSelect(ps, keep)
+		ps = ps[:keep]
 	}
 	if len(ps) > 0 {
 		abpHeapify(ps)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/explain"
 	"repro/internal/geo"
+	"repro/internal/grid"
 	"repro/internal/pairs"
 	"repro/internal/textctx"
 )
@@ -18,9 +19,11 @@ type matrixScores struct {
 
 // matrixStep1 is Step 1 stage by stage, the oracle the fused pass is
 // checked against: msJh fills the sC triangle, the spatial method the sS
-// triangle (the custom hook's matrix as returned, every other method
-// through its row fill), Matrix.RowSums sums pCS and the exact and custom
-// pSS, and pairs.Blend combines each pair into sF and each place into pFS.
+// triangle (the custom hook's matrix as returned, the exact method
+// through its row fill, a grid through its ApproxAllPairs fill),
+// Matrix.RowSums sums pCS and the exact and custom pSS (a grid's pSS
+// comes from its cells), and pairs.Blend combines each pair into sF and
+// each place into pFS.
 // Under an explain collector it records msJh's pruning and the
 // spatial method's statistics, which the fused pass must match.
 func matrixStep1(ctx context.Context, q geo.Point, places []Place, opt ScoreOptions) (*matrixScores, error) {
@@ -49,8 +52,30 @@ func matrixStep1(ctx context.Context, q geo.Point, places []Place, opt ScoreOpti
 		if rows, pss, err = scratch.spatialSetup(ctx, pts); err != nil {
 			return nil, err
 		}
-		if sp, err = pairs.FillRows(ctx, n, rows); err != nil {
-			return nil, err
+		cells := opt.GridCells
+		if cells <= 0 {
+			cells = n
+		}
+		switch opt.Spatial {
+		case SpatialSquaredGrid:
+			g, err := grid.NewSquared(q, pts, cells)
+			if err != nil {
+				return nil, err
+			}
+			sp, err = g.ApproxAllPairsCtx(ctx, opt.SquaredTable)
+			if err != nil {
+				return nil, err
+			}
+		case SpatialRadialGrid:
+			g, err := grid.NewRadial(q, pts, cells)
+			if err != nil {
+				return nil, err
+			}
+			sp = g.ApproxAllPairs(opt.RadialTable)
+		default:
+			if sp, err = pairs.FillRows(ctx, n, rows); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if pss == nil {

@@ -85,7 +85,7 @@ func TestScoreRanges(t *testing.T) {
 				t.Fatalf("pSS[%d] = %g outside [0, %g]", i, ss.PSS[i], kMax)
 			}
 			for j := i + 1; j < ss.K(); j++ {
-				if sf := ss.SF.At(i, j); sf < -1e-12 || sf > 1+1e-12 {
+				if _, _, sf := ss.Pair(i, j); sf < -1e-12 || sf > 1+1e-12 {
 					t.Fatalf("sF(%d,%d) = %g outside [0, 1]", i, j, sf)
 				}
 			}

@@ -73,15 +73,15 @@ type ScoreOptions struct {
 	CustomSpatial func(q geo.Point, places []Place) (*pairs.Matrix, error)
 }
 
-// ScoreSet is the Step-1 output: every per-place and pairwise score the
-// greedy algorithms need, computed once and reused (Section 5).
+// ScoreSet is the Step-1 output (Section 5): the per-place scores pCS,
+// pSS and pFS, computed once and reused by every selection on the set.
 //
-// A set from ComputeScores holds the sF triangle Step 2 reads. Its Compact
-// form drops it and keeps O(K) state instead — the Step-1 options and, for
-// the grids, one cell or sector index per place — from which Pair
-// recomputes any single pair, and SelectCtx refills sF, with the functions
-// the fused pass stores them with: the same bits either way. A set of the
-// custom spatial method keeps the hook's matrix in both forms.
+// A set holds no pair score. It keeps O(K) state instead — the Step-1
+// options and, for the grids, one cell or sector index per place — from
+// which Pair recomputes any single pair with the functions Step 1 sums
+// them with: the same bits every time. A set of the custom spatial method
+// keeps the hook's matrix. Step 2 reads pairs through a per-selection
+// instance (see instance), so one set serves concurrent selections.
 type ScoreSet struct {
 	// Places is the retrieved set S in scoring order.
 	Places []Place
@@ -93,9 +93,6 @@ type ScoreSet struct {
 	PCS, PSS []float64
 	// PFS[i] is pFS(p_i) = (1−γ)·pCS + γ·pSS (Eq. 11).
 	PFS []float64
-	// SF is the triangle of the γ-weighted pair similarity sF (Eq. 13);
-	// nil on a compact set.
-	SF *pairs.Matrix
 
 	// opt are the Step-1 options the set was computed with, sq/rad the
 	// per-place grid indices of the squared or radial method, and custom
@@ -104,15 +101,17 @@ type ScoreSet struct {
 	sq     grid.SquaredPairs
 	rad    grid.RadialPairs
 	custom *pairs.Matrix
+	// customLoose records that custom has an entry outside [0, 1], so that
+	// sF may leave it too (ABP's rank join then scores every pair).
+	customLoose bool
 }
 
 // K returns |S|, the number of scored places.
 func (ss *ScoreSet) K() int { return len(ss.Places) }
 
-// ComputeScores runs Step 1 of the framework: it computes the pairwise
+// ComputeScores runs Step 1 of the framework: it sums the pairwise
 // contextual (msJh's exact Jaccard) and spatial (the configured method)
-// similarities of all places, caches their combination sF, and derives the
-// pCS, pSS and pFS vectors.
+// similarities of all places into the pCS, pSS and pFS vectors.
 func ComputeScores(q geo.Point, places []Place, opt ScoreOptions) (*ScoreSet, error) {
 	return ComputeScoresCtx(context.Background(), q, places, opt)
 }
@@ -121,8 +120,8 @@ func ComputeScores(q geo.Point, places []Place, opt ScoreOptions) (*ScoreSet, er
 // quadratic row pass polls ctx and abandons the computation as soon as ctx
 // terminates, returning an error matching ErrCancelled or ErrDeadline.
 //
-// Step 1 is one sequential row pass (fusedStep1) that fills only the sF
-// triangle, whatever the spatial method; Pair recomputes sC and sS on
+// Step 1 is one sequential row pass (fusedStep1), whatever the spatial
+// method, that stores no pair score; Pair recomputes sC, sS and sF on
 // demand. Each Step-1 stage is spanned in fusedStep1, at its boundary, and
 // nowhere below: the grid fills record no spans of their own, so every
 // stage is counted exactly once whatever spatial method runs it.
@@ -156,56 +155,24 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 	return ss, nil
 }
 
-// Compact returns ss without its sF triangle: a copy that shares
-// everything else and retains O(K) memory instead of a K(K−1)/2 float64
-// triangle (a custom method's matrix stays, as Pair reads sS from it). It
-// returns ss itself when ss is compact already.
-func (ss *ScoreSet) Compact() *ScoreSet {
-	if ss.SF == nil {
-		return ss
-	}
-	c := *ss
-	c.SF = nil
-	return &c
-}
-
-// full returns ss with its sF triangle: ss itself when it holds it, and
-// otherwise a fresh Step 1 over the same places with the recorded
-// options. A custom method's refill reads the kept matrix instead of
-// calling the hook again. Every fill is deterministic, so the refilled set
-// equals the one ss was compacted from, bit for bit.
-func (ss *ScoreSet) full(ctx context.Context) (*ScoreSet, error) {
-	if ss.SF != nil {
-		return ss, nil
-	}
-	opt := ss.opt
-	if m := ss.custom; m != nil {
-		opt.CustomSpatial = func(geo.Point, []Place) (*pairs.Matrix, error) { return m, nil }
-	}
-	return ComputeScoresCtx(ctx, ss.Q, ss.Places, opt)
-}
-
 // Bytes returns the memory ss holds of its own: the Places slice (the
 // places' IDs and context sets belong to the corpus and are not counted),
-// the per-place vectors and grid indices, the sF triangle when it has it
-// and a custom method's matrix.
+// the per-place vectors and grid indices, and a custom method's matrix.
 func (ss *ScoreSet) Bytes() int {
 	n := len(ss.Places)*int(unsafe.Sizeof(Place{})) +
 		8*(len(ss.PCS)+len(ss.PSS)+len(ss.PFS)) + ss.sq.Bytes() + ss.rad.Bytes()
-	for _, m := range [...]*pairs.Matrix{ss.SF, ss.custom} {
-		if m != nil {
-			n += m.Bytes()
-		}
+	if ss.custom != nil {
+		n += ss.custom.Bytes()
 	}
 	return n
 }
 
 // Pair returns sC, sS and sF of the places i ≠ j, recomputed with the
-// functions the fused pass stores them with — Jaccard (msJh's, the
-// baseline's and the fused pass's expression, +0 for disjoint sets), the
-// exact Ptolemy expression, the grid's table element or unitSS call, the
-// custom matrix's entry, and pairs.Blend for sF — so a full and a compact
-// set return the same bits, and sF equals the triangle's entry.
+// functions Step 1 sums them with — Jaccard (msJh's, the baseline's and
+// the fused pass's expression, +0 for disjoint sets), the exact Ptolemy
+// expression, the grid's table element or unitSS call, the custom
+// matrix's entry — and pairs.Blend for sF, the bits the matrix oracle
+// stores in its sF triangle.
 func (ss *ScoreSet) Pair(i, j int) (sc, sp, sf float64) {
 	if i > j {
 		i, j = j, i // every fill computes a pair once, as (i, j) with i < j
@@ -225,16 +192,6 @@ func (ss *ScoreSet) Pair(i, j int) (sc, sp, sf float64) {
 	return sc, sp, pairs.Blend(1-ss.Gamma, sc, ss.Gamma, sp)
 }
 
-// sf returns sF(p_i, p_j) (Eq. 13) as Pair does, reading the sF triangle
-// of a full set: the greedy loops need nothing else.
-func (ss *ScoreSet) sf(i, j int) float64 {
-	if ss.SF != nil {
-		return ss.SF.At(i, j)
-	}
-	_, _, sf := ss.Pair(i, j)
-	return sf
-}
-
 // stageErr maps a Step-1 stage failure onto the package's typed
 // cancellation errors when ctx has terminated, and passes it through
 // otherwise.
@@ -245,12 +202,12 @@ func stageErr(ctx context.Context, err error) error {
 	return err
 }
 
-// spatialSetup prepares the spatial method over ss's places (at pts): it
-// returns the row function that writes sS of the pairs (i, j > i) of row
-// i, and for the grids their pSS vector (nil for the exact and custom
-// methods, whose pSS the caller sums from the pairs). It records in ss
-// what Pair recomputes a pair from: the grids' per-place indices or the
-// custom hook's matrix. Under an explain collector it records the method's
+// spatialSetup prepares the spatial method over ss's places (at pts): for
+// the exact and custom methods it returns the row function that writes sS
+// of the pairs (i, j > i) of row i, whose sums are their pSS, and for the
+// grids their pSS vector, from the cells, and no row function. It records
+// in ss what Pair recomputes a pair from: the grids' per-place indices or
+// the custom hook's matrix. Under an explain collector it records the method's
 // statistics, for a grid with the approximation error sampled through
 // Pair.
 func (ss *ScoreSet) spatialSetup(ctx context.Context, pts []geo.Point) (rows func(i int, row []float64), pss []float64, err error) {
@@ -272,14 +229,14 @@ func (ss *ScoreSet) spatialSetup(ctx context.Context, pts []geo.Point) (rows fun
 			return nil, nil, err
 		}
 		gs.Kind, gs.Cells, gs.OccupiedCells = "squared", g.Cells(), g.OccupiedCells()
-		pss, ss.sq, rows = g.PSS(opt.SquaredTable), g.Pairs(opt.SquaredTable), g.Rows(opt.SquaredTable)
+		pss, ss.sq = g.PSS(opt.SquaredTable), g.Pairs(opt.SquaredTable)
 	case SpatialRadialGrid:
 		g, err := grid.NewRadial(q, pts, cells)
 		if err != nil {
 			return nil, nil, err
 		}
 		gs.Kind, gs.Cells, gs.OccupiedCells = "radial", g.Sectors(), g.OccupiedSectors()
-		pss, ss.rad, rows = g.PSS(opt.RadialTable), g.Pairs(opt.RadialTable), g.Rows(opt.RadialTable)
+		pss, ss.rad = g.PSS(opt.RadialTable), g.Pairs(opt.RadialTable)
 	case SpatialCustom:
 		if opt.CustomSpatial == nil {
 			return nil, nil, fmt.Errorf("core: SpatialCustom requires CustomSpatial")
@@ -291,7 +248,7 @@ func (ss *ScoreSet) spatialSetup(ctx context.Context, pts []geo.Point) (rows fun
 		if m == nil || m.N() != len(pts) {
 			return nil, nil, fmt.Errorf("core: CustomSpatial returned a matrix of wrong size")
 		}
-		gs.Kind, ss.custom = "custom", m
+		gs.Kind, ss.custom, ss.customLoose = "custom", m, !unitInterval(m)
 		rows = func(i int, row []float64) { copy(row, m.Row(i)) }
 	default:
 		return nil, nil, fmt.Errorf("core: unknown spatial method %v", opt.Spatial)
@@ -322,26 +279,31 @@ func (ss *ScoreSet) sampleGridError(gs *explain.GridStats, pts []geo.Point) {
 	gs.SampledPairs, gs.MeanAbsError, gs.MaxAbsError = es.Pairs, es.MeanAbs, es.MaxAbs
 }
 
+// unitInterval reports whether every entry of m is in [0, 1].
+func unitInterval(m *pairs.Matrix) bool {
+	for i := 0; i < m.N(); i++ {
+		for _, v := range m.Row(i) {
+			if !(v >= 0 && v <= 1) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // PairHPF returns the pairwise holistic score HPF(p_i, p_j) of Eq. 15 for
 // result size k and weight λ. It requires k ≥ 2 (the formula divides by
 // k−1); selection of a single place degenerates to ranking by rF.
 func (ss *ScoreSet) PairHPF(i, j, k int, lambda float64) float64 {
-	// ss.sf open-coded: PairHPF is the greedy loops' per-pair call, and
-	// sf does not inline, which costs IAdU a fifth of its time.
-	var sf float64
-	if ss.SF != nil {
-		sf = ss.SF.At(i, j)
-	} else {
-		_, _, sf = ss.Pair(i, j)
-	}
+	_, _, sf := ss.Pair(i, j)
 	return pairHPF((1-lambda)*float64(len(ss.Places)-k), float64(k-1), lambda,
 		ss.Places[i].Rel, ss.Places[j].Rel, ss.PFS[i], ss.PFS[j], sf)
 }
 
 // pairHPF is Eq. 15 from its parts: c1 = (1−λ)(K−k), kf = k−1, the two
-// relevances, the two pFS scores and sF of the pair. PairHPF and ABP's
-// pair materialisation both evaluate it, so their scores agree bit for
-// bit; it is small enough to inline into the materialisation loop.
+// relevances, the two pFS scores and sF of the pair. PairHPF and the
+// greedy loops all evaluate it, so their scores agree bit for bit; it is
+// small enough to inline into the loops.
 func pairHPF(c1, kf, lambda, ri, rj, fi, fj, sf float64) float64 {
 	// The conversions round each product on its own, so no platform fuses
 	// it into a multiply-add (see pairs.Blend).
@@ -356,7 +318,8 @@ func (ss *ScoreSet) PlaceHPF(i int, r []int, k int, lambda float64) float64 {
 	var pfr float64
 	for _, j := range r {
 		if j != i {
-			pfr += ss.sf(i, j)
+			_, _, sf := ss.Pair(i, j)
+			pfr += sf
 		}
 	}
 	return float64((1-lambda)*float64(K-k)*ss.Places[i].Rel) + float64(lambda*(ss.PFS[i]-pfr))

@@ -59,18 +59,13 @@ func Select(alg Algorithm, ss *ScoreSet, p Params) (Selection, error) {
 
 // SelectCtx runs the named algorithm with cooperative cancellation: the
 // greedy loops poll ctx once per outer iteration and return an error
-// matching ErrCancelled or ErrDeadline as soon as ctx terminates. On a
-// compact score set it first refills the sF triangle from the places
-// with the recorded Step-1 options (a Step 1 without the retrieval), so
-// the algorithm runs on exactly the pairs the set was compacted from.
+// matching ErrCancelled or ErrDeadline as soon as ctx terminates. The
+// greedies read pairs through an instance of their own (see instance),
+// so ss is only read and may serve concurrent selections.
 func SelectCtx(ctx context.Context, alg Algorithm, ss *ScoreSet, p Params) (Selection, error) {
 	f, ok := registry[alg]
 	if !ok {
 		return Selection{}, fmt.Errorf("core: unknown algorithm %q (have %v)", alg, Algorithms())
-	}
-	ss, err := ss.full(ctx)
-	if err != nil {
-		return Selection{}, err
 	}
 	explain.FromContext(ctx).SetAlgorithm(string(alg))
 	defer telemetry.StartSpan(ctx, telemetry.StageSelect)()

@@ -36,7 +36,8 @@ func tiePronePlaces(n int) []Place {
 
 // requireMatchesOracle asserts a score set is bit-identical to the
 // matrix oracle's: every vector entry, every pair's sC and sS as Pair
-// returns them, and every entry of the sF triangle must share float bits.
+// returns them, and every sF entry of the instance's kernel rows must
+// share float bits with the oracle's sF triangle.
 func requireMatchesOracle(t *testing.T, label string, a *ScoreSet, b *matrixScores) {
 	t.Helper()
 	n := a.K()
@@ -52,7 +53,9 @@ func requireMatchesOracle(t *testing.T, label string, a *ScoreSet, b *matrixScor
 			}
 		}
 	}
+	in, row := newInstance(a), make([]float64, n)
 	for i := 0; i < n; i++ {
+		in.Row(i, row)
 		for j := i + 1; j < n; j++ {
 			asc, asp, _ := a.Pair(i, j)
 			if math.Float64bits(asc) != math.Float64bits(b.SC.At(i, j)) {
@@ -61,7 +64,7 @@ func requireMatchesOracle(t *testing.T, label string, a *ScoreSet, b *matrixScor
 			if math.Float64bits(asp) != math.Float64bits(b.SS.At(i, j)) {
 				t.Fatalf("%s: sS(%d,%d) bits differ", label, i, j)
 			}
-			if math.Float64bits(a.SF.At(i, j)) != math.Float64bits(b.SF.At(i, j)) {
+			if math.Float64bits(row[j]) != math.Float64bits(b.SF.At(i, j)) {
 				t.Fatalf("%s: SF(%d,%d) bits differ", label, i, j)
 			}
 		}
@@ -80,14 +83,16 @@ func mustOracle(t *testing.T, q geo.Point, places []Place, opt ScoreOptions) *ma
 
 // TestComputeScoresWorkersBitIdentical: the matrix oracle (msJh and the
 // spatial fill, combined) must produce the same scores, bit for bit, as
-// the fused pass. Covers random instances and the tie-prone instance,
-// both for the exact and the squared method.
+// the fused pass. Covers random instances, one whose sets are too long
+// for the Jaccard table, and the tie-prone instance, both for the exact
+// and the squared method.
 func TestComputeScoresWorkersBitIdentical(t *testing.T) {
 	q := geo.Pt(0, 0)
 	rng := rand.New(rand.NewSource(9))
 	instances := map[string][]Place{
 		"random40":   makePlaces(rng, q, 40, 12, 40, 0.2),
 		"random200":  makePlaces(rng, q, 200, 12, 40, 0.2),
+		"long60":     makePlaces(rng, q, 60, 90, 200, 0.2),
 		"tieprone90": tiePronePlaces(90),
 	}
 	for name, places := range instances {
@@ -100,15 +105,18 @@ func TestComputeScoresWorkersBitIdentical(t *testing.T) {
 
 // TestSelectionTiesBreakIdenticallySerialParallel: on a tie-heavy
 // instance, Step 2 over a score set assembled from the matrix oracle's
-// vectors and sF triangle must select exactly what it selects over the
-// fused pass's.
+// vectors must select exactly what it selects over the fused pass's. A
+// set holds no pair scores, so the assembled set reads its pairs as every
+// set does; that they equal the oracle's sF triangle, bit for bit, is
+// requireMatchesOracle's check, run here first.
 func TestSelectionTiesBreakIdenticallySerialParallel(t *testing.T) {
 	q := geo.Pt(0, 0)
 	places := tiePronePlaces(90)
 	opt := ScoreOptions{Gamma: 0.5}
 	fused := mustScores(t, q, places, opt)
 	m := mustOracle(t, q, places, opt)
-	matrix := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma, PCS: m.PCS, PSS: m.PSS, PFS: m.PFS, SF: m.SF, opt: opt}
+	requireMatchesOracle(t, "tieprone90", fused, m)
+	matrix := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma, PCS: m.PCS, PSS: m.PSS, PFS: m.PFS, opt: opt}
 	for _, alg := range []Algorithm{AlgABP, AlgABPDiv, AlgIAdU, AlgIAdUDiv} {
 		p := Params{K: 9, Lambda: 0.5, Gamma: 0.5}
 		a, err := Select(alg, fused, p)

@@ -54,13 +54,12 @@ type selKey struct {
 }
 
 // answer returns the memoised answer for (alg, p), computing the selection
-// and its HPF breakdown on ss outside the entry lock so distinct parameter
-// sets never serialise. ss is the entry's own score set, or the full set
-// it was compacted from when the leader of a miss selects before caching
-// it; the two give the same bits. Selection is deterministic given a
-// score set, so a duplicated computation under contention is wasted work,
-// never a wrong answer.
-func (en *entry) answer(ctx context.Context, ss *core.ScoreSet, alg core.Algorithm, p core.Params, memoCap int) (*answer, error) {
+// and its HPF breakdown on the entry's score set outside the entry lock so
+// distinct parameter sets never serialise. Selection is deterministic
+// given a score set, so a duplicated computation under contention is
+// wasted work, never a wrong answer.
+func (en *entry) answer(ctx context.Context, alg core.Algorithm, p core.Params, memoCap int) (*answer, error) {
+	ss := en.ss
 	k := selKey{algo: alg, k: p.K, lambda: math.Float64bits(p.Lambda)}
 	en.mu.Lock()
 	a, ok := en.sels[k]

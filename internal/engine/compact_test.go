@@ -51,9 +51,8 @@ func missQuery(t testing.TB, e *Engine, i, K, k int, algo, spatial string) *Resu
 	return res
 }
 
-// entryBudget is the most a resident K=1000 entry may retain: its compact
-// score set (~92 KB) plus the answer memo. A full set adds its 4 MB sF
-// triangle.
+// entryBudget is the most a resident K=1000 entry may retain: its score
+// set (~92 KB, no pair scores) plus the answer memo.
 const entryBudget = 256 << 10
 
 // TestCompactEntryFootprint: the heap grows by at most entryBudget per
@@ -121,10 +120,11 @@ func TestCacheBytes(t *testing.T) {
 	}
 }
 
-// TestCompactEntryAnswersMatchFreshEngine: an answer for a new (algo, k,
-// λ) served from a resident compact entry — the triangles refilled from
-// its places — is byte-equal to the answer a fresh engine computes on a
-// miss, for every spatial method.
+// TestCompactEntryAnswersMatchFreshEngine: a resident entry answers as a
+// fresh one. An answer for a new (algo, k, λ) served from a resident
+// entry — its pairs read through an instance rebuilt from its places — is
+// byte-equal to the answer a fresh engine computes on a miss, for every
+// spatial method.
 func TestCompactEntryAnswersMatchFreshEngine(t *testing.T) {
 	d := testData(t)
 	warm := New(d, Options{})
@@ -145,7 +145,7 @@ func TestCompactEntryAnswersMatchFreshEngine(t *testing.T) {
 		return b, status
 	}
 	for _, spatial := range []string{"squared", "exact", "radial"} {
-		body(warm, spatial, "abp", 10, 0.5) // the miss that caches the compact entry
+		body(warm, spatial, "abp", 10, 0.5) // the miss that caches the entry
 		for _, algo := range []string{"abp", "iadu", "abp-div", "iadu-div"} {
 			for _, k := range []int{3, 8} {
 				for _, lambda := range []float64{0.25, 1} {
@@ -155,20 +155,21 @@ func TestCompactEntryAnswersMatchFreshEngine(t *testing.T) {
 					}
 					want, _ := body(New(d, Options{}), spatial, algo, k, lambda)
 					if !bytes.Equal(got, want) {
-						t.Fatalf("%s %s k=%d λ=%v:\ncompact entry %s\nfresh engine  %s", spatial, algo, k, lambda, got, want)
+						t.Fatalf("%s %s k=%d λ=%v:\nresident entry %s\nfresh engine   %s", spatial, algo, k, lambda, got, want)
 					}
 				}
 			}
 		}
 	}
 	if st := warm.Stats(); st.Builds != 3 {
-		t.Errorf("%d score-set builds, want 3: a memo miss must refill, not rebuild", st.Builds)
+		t.Errorf("%d score-set builds, want 3: a memo miss must select on the resident set, not rebuild it", st.Builds)
 	}
 }
 
 // TestCompactEntryConcurrentSelKeys: 8 goroutines ask one resident entry
-// for distinct (algo, k, λ) at once — 8 concurrent refills of one compact
-// set — and each gets the answer a sequential engine gives.
+// for distinct (algo, k, λ) at once — 8 concurrent selections on one
+// shared set, each through its own instance — and each gets the answer a
+// sequential engine gives.
 func TestCompactEntryConcurrentSelKeys(t *testing.T) {
 	d := testData(t)
 	e := New(d, Options{})
@@ -215,30 +216,30 @@ func TestCompactEntryConcurrentSelKeys(t *testing.T) {
 // per fresh-key miss (retrieval, Step 1, Step 2, rendering) on the
 // benchmark's 20k corpus with its server settings (2 shards, 2 Step-1
 // workers), k=20, λ=γ=0.5. The last row is a memo miss on a resident
-// K=1000 entry: the sF triangle refilled from its places, then Step 2.
-// Measured 2026-10-19 with Step 1 as the fused pass, which fills one
-// K(K−1)/2 triangle where the matrix engines filled three (the K=1000
-// rows were 12.5–13.5 MB before it, and 20.8 MB for ABP before compact
-// entries). The abp rows were measured again with ABP as a rank join,
-// which keeps only the pairs it scores, one allocation per band, in
-// place of a 2·(k·K + k) pair buffer (they were 705 068, 707 872, 5 393 460 and 5 433 720). Every
-// row's budget is its measurement + 10 %. Lower a row when a change
-// shrinks it.
+// K=1000 entry: Step 2 on the cached set, reading its pairs through an
+// instance rebuilt from its places. Measured 2026-10-20 with score sets
+// that hold no pair scores: Step 1 stores no sF triangle and Step 2
+// recomputes the pairs it reads. Before, the rows were 372 684, 376 734,
+// 610 504, 633 640, 4 744 876, 4 761 208, 4 841 448, 4 892 736 and
+// 4 520 052 (Step 1 filling one K(K−1)/2 sF triangle, and a memo miss
+// rerunning Step 1 to refill it); 12.5–13.5 MB at K=1000 when the matrix
+// engines filled three triangles. Every row's budget is its measurement
+// + 10 %. Lower a row when a change shrinks it.
 var missBytes = []struct {
 	K             int
 	algo, spatial string
 	memo          bool
 	measured      uint64
 }{
-	{200, "iadu", "exact", false, 372_684},
-	{200, "iadu", "squared", false, 376_734},
-	{200, "abp", "exact", false, 610_504},
-	{200, "abp", "squared", false, 633_640},
-	{1000, "iadu", "exact", false, 4_744_876},
-	{1000, "iadu", "squared", false, 4_761_208},
-	{1000, "abp", "exact", false, 4_841_448},
-	{1000, "abp", "squared", false, 4_892_736},
-	{1000, "iadu", "squared", true, 4_520_052},
+	{200, "iadu", "exact", false, 238_652},
+	{200, "iadu", "squared", false, 233_662},
+	{200, "abp", "exact", false, 465_188},
+	{200, "abp", "squared", false, 481_384},
+	{1000, "iadu", "exact", false, 826_844},
+	{1000, "iadu", "squared", false, 810_104},
+	{1000, "abp", "exact", false, 782_184},
+	{1000, "abp", "squared", false, 777_368},
+	{1000, "iadu", "squared", true, 347_132},
 }
 
 // TestMissBytesBudget holds every missBytes row to its budget, averaged

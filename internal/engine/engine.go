@@ -12,22 +12,19 @@
 //     exactly once per (grid kind, resolution), and shares it across every
 //     query forever.
 //  2. Score sets. The Step-1 output (*core.ScoreSet: retrieved set S plus
-//     the all-pairs contextual/spatial similarities) is valid only for the
-//     full Step-1 parameter key — location, interned keyword set,
-//     retrieval size K, γ, and spatial method. Score sets are cached in a
-//     size-bounded LRU keyed by that canonicalised key, in their compact
-//     form (core.ScoreSet.Compact): the places, the pCS/pSS/pFS vectors
-//     and what recomputes any pair bit for bit — O(K) bytes, not the
-//     K(K−1)/2 float64 sF triangle, which lives only while a request
-//     selects on it.
+//     its pCS/pSS/pFS vectors and what recomputes any pair bit for bit,
+//     O(K) bytes) is valid only for the full Step-1 parameter key —
+//     location, interned keyword set, retrieval size K, γ, and spatial
+//     method. Score sets are cached, as Step 1 built them, in a
+//     size-bounded LRU keyed by that canonicalised key.
 //  3. Answers. Step 2 is deterministic given a score set, so each cache
 //     entry memoises, per (algorithm, k, λ), the selection together with
 //     everything rendered from it: HPF breakdown, diagnostics, places and
 //     their encoded JSON (see answer). The request that computes a score
-//     set selects its own answer on the full set before caching the
-//     compact one; a later new (algorithm, k, λ) refills the triangle
-//     from the cached places (core.SelectCtx) — Step 1 without the
-//     retrieval, not counted as a build.
+//     set selects its own answer on it as it caches it; a later new
+//     (algorithm, k, λ) selects on the cached set (core.SelectCtx), which
+//     reads the pairs it needs through a per-selection instance built
+//     from the places in O(Σ|C|) — neither a Step 1 nor a build.
 //
 // Concurrent identical requests are deduplicated with a singleflight
 // group: one caller (the leader) computes Step 1 in its own goroutine —
@@ -90,8 +87,8 @@ type Options struct {
 	// QueryRequest.ClampedFrom). 0 disables clamping.
 	MaxK int
 	// CacheEntries bounds the score-set LRU. A cached score set is
-	// compact: ~92·K bytes (the places plus the per-place vectors and grid
-	// indices; Stats.CacheBytes sums them) next to its answer memo. 0
+	// ~92·K bytes (the places plus the per-place vectors and grid indices;
+	// Stats.CacheBytes sums them) next to its answer memo. 0
 	// means 128.
 	CacheEntries int
 	// SelectionMemo bounds the per-entry (algorithm, k, λ) memo of
@@ -252,9 +249,8 @@ func (e *Engine) RadialTable() *grid.RadialTable {
 // Result is the evaluated output of one query.
 type Result struct {
 	// SS is the (possibly shared) score set. Callers must treat it as
-	// read-only: it may be serving other requests concurrently. It may be
-	// compact (no pair triangles, see core.ScoreSet.Compact); read pairs
-	// through SS.Pair.
+	// read-only: it may be serving other requests concurrently. It holds
+	// no pair scores; read pairs through SS.Pair.
 	SS *core.ScoreSet
 	// Sel is the Step-2 selection; its Indices slice may be shared with
 	// other requests and must not be mutated.
@@ -293,7 +289,7 @@ func (e *Engine) Query(ctx context.Context, req *QueryRequest) (*Result, error) 
 			ErrBadRequest, ent.ss.K(), req.SmallK)
 	}
 	if ans == nil {
-		if ans, err = ent.answer(ctx, ent.ss, alg, p, e.opt.SelectionMemo); err != nil {
+		if ans, err = ent.answer(ctx, alg, p, e.opt.SelectionMemo); err != nil {
 			return nil, fmt.Errorf("select: %w", err)
 		}
 	}
@@ -302,9 +298,8 @@ func (e *Engine) Query(ctx context.Context, req *QueryRequest) (*Result, error) 
 
 // scoreSet returns the cached score-set entry for key, computing it at
 // most once per key across concurrent callers. The caller that computes
-// it (the leader) also selects its own answer for (alg, p) on the full
-// set and memoises it before the compact form is cached, so a miss runs
-// Step 1 once. The third result is that answer (nil for every other
+// it (the leader) also selects its own answer for (alg, p) and memoises it
+// before the entry is cached. The third result is that answer (nil for every other
 // caller); the leader's selection failure is returned as the error.
 func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string, alg core.Algorithm, p core.Params) (*entry, string, *answer, error) {
 	for {
@@ -321,13 +316,13 @@ func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string, al
 			if ent, ok := e.cache.get(key); ok {
 				return ent, nil
 			}
-			full, err := e.build(ctx, req)
+			ss, err := e.build(ctx, req)
 			if err != nil {
 				return nil, err
 			}
-			ent := newEntry(full.Compact())
-			if full.K() > p.K {
-				leaderAns, selErr = ent.answer(ctx, full, alg, p, e.opt.SelectionMemo)
+			ent := newEntry(ss)
+			if ss.K() > p.K {
+				leaderAns, selErr = ent.answer(ctx, alg, p, e.opt.SelectionMemo)
 			}
 			e.cache.add(key, ent)
 			return ent, nil
@@ -359,7 +354,7 @@ func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string, al
 
 // build runs retrieval plus Step 1 for req on the caller's context,
 // against the corpus epoch the request pinned when it was created, and
-// returns the full score set. The per-stage spans land on the caller's
+// returns the score set. The per-stage spans land on the caller's
 // trace, and the caller's deadline and cancellation govern the
 // computation through the core checkpoints.
 func (e *Engine) build(ctx context.Context, req *QueryRequest) (*core.ScoreSet, error) {

@@ -18,10 +18,9 @@ const CacheBypass = "bypass"
 // alongside the result. The LRU and singleflight layers are deliberately
 // bypassed: a cached score set carries no pruning counters and a memoised
 // selection carries no greedy trace, so serving either would return an
-// empty report. The recomputed score set still warms the cache, in its
-// compact form, when the key was not already resident (the work is done,
-// so keep it), but never displaces a resident entry's memoised
-// selections; the response is selected and rendered on the full set.
+// empty report. The recomputed score set still warms the cache when the
+// key was not already resident (the work is done, so keep it), but never
+// displaces a resident entry's memoised selections.
 //
 // The report's second return is self-contained (deep-copied by
 // Collector.Report), safe to retain and serialise after the call.
@@ -42,7 +41,7 @@ func (e *Engine) Explain(ctx context.Context, req *QueryRequest) (*Result, *expl
 		return nil, nil, err
 	}
 	if !cached {
-		e.cache.add(key.String(), newEntry(ss.Compact()))
+		e.cache.add(key.String(), newEntry(ss))
 	}
 
 	if ss.K() <= req.SmallK {

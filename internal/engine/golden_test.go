@@ -28,9 +28,8 @@ const goldenPath = "testdata/answers.golden"
 // spatial method × λ × γ × K, with and without keywords — over a seeded
 // 1 500-place corpus and compares it line for line with goldenPath. Each
 // case is retrieved and scored the way a cache miss is (Engine.build) and
-// selected on that full set; for K ≤ 200 the compact form, refilled by
-// core.SelectCtx, must yield the same line. Run with -update to rewrite
-// the file.
+// selected on that set, which then serves every algorithm and λ as a
+// resident entry serves them. Run with -update to rewrite the file.
 func TestAnswerGoldens(t *testing.T) {
 	d := goldenCorpus(t)
 	e := New(d, Options{})
@@ -57,17 +56,10 @@ func TestAnswerGoldens(t *testing.T) {
 						t.Fatal(err)
 					}
 					step1 := step1Hash(full)
-					compact := full.Compact()
 					for _, alg := range algos {
 						for _, lambda := range []float64{0, 0.5, 1} {
 							label := fmt.Sprintf("%s K=%d g=%v kw=%v %s l=%v", spatial, K, gamma, withKw, alg, lambda)
-							line := goldenLine(t, label, full, alg, lambda, step1)
-							if K <= 200 {
-								if got := goldenLine(t, label, compact, alg, lambda, step1); got != line {
-									t.Fatalf("compact set answers\n%s\nfull set answers\n%s", got, line)
-								}
-							}
-							out.WriteString(line)
+							out.WriteString(goldenLine(t, label, full, alg, lambda, step1))
 						}
 					}
 				}

@@ -7,8 +7,8 @@ import (
 )
 
 // lruCache is a size-bounded, mutex-guarded LRU over score-set entries.
-// Capacity is counted in entries, not bytes: a cached score set is
-// compact, ~92·K bytes (see Options.CacheEntries). The resident entries'
+// Capacity is counted in entries, not bytes: a cached score set holds
+// ~92·K bytes (see Options.CacheEntries). The resident entries'
 // score-set bytes are summed as they come and go.
 type lruCache struct {
 	mu        sync.Mutex

@@ -31,18 +31,46 @@ func AllPairsSpatialCtx(ctx context.Context, q geo.Point, pts []geo.Point) (*pai
 // row) writes sS(p_i, p_j) for j = i+1 … n−1 into row[j−i−1]. It keeps no
 // state beyond the per-point distances to q.
 func ExactRows(q geo.Point, pts []geo.Point) func(i int, row []float64) {
-	// Hoist the per-point distances to q: the baseline recomputes them per
-	// pair, but sharing them is the natural implementation in Go and only
-	// strengthens the baseline we compare the grids against.
+	p := NewExactPairs(q, pts)
+	return func(i int, row []float64) {
+		for t := range row {
+			row[t] = p.At(i, i+1+t)
+		}
+	}
+}
+
+// ExactPairs is the O(K) state from which any entry of
+// AllPairsSpatial(q, pts) is recomputed bit for bit: the points and their
+// distances to q. Hoisting the distances is the natural implementation in
+// Go and only strengthens the baseline the grids are compared against.
+type ExactPairs struct {
+	pts []geo.Point
+	dq  []float64
+}
+
+// NewExactPairs returns the pair state of AllPairsSpatial(q, pts).
+func NewExactPairs(q geo.Point, pts []geo.Point) ExactPairs {
 	dq := make([]float64, len(pts))
 	for i, p := range pts {
 		dq[i] = p.Dist(q)
 	}
-	return func(i int, row []float64) {
-		for t := range row {
-			j := i + 1 + t
-			row[t] = exactSS(dq[i], dq[j], pts[i], pts[j])
-		}
+	return ExactPairs{pts: pts, dq: dq}
+}
+
+// At returns the entry (i, j), i < j, of AllPairsSpatial(q, pts).
+func (p ExactPairs) At(i, j int) float64 {
+	return exactSS(p.dq[i], p.dq[j], p.pts[i], p.pts[j])
+}
+
+// Row writes At(min(i, j), max(i, j)) into dst[j] for every j ≠ i below
+// len(dst), which is at most the number of points; dst[i] is left
+// unspecified.
+func (p ExactPairs) Row(i int, dst []float64) {
+	for j := range dst[:min(i, len(dst))] {
+		dst[j] = exactSS(p.dq[j], p.dq[i], p.pts[j], p.pts[i])
+	}
+	for j := i + 1; j < len(dst); j++ {
+		dst[j] = exactSS(p.dq[i], p.dq[j], p.pts[i], p.pts[j])
 	}
 }
 

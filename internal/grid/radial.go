@@ -209,6 +209,29 @@ func (p RadialPairs) At(i, j int) float64 {
 	}
 }
 
+// Row writes At(min(i, j), max(i, j)) into dst[j] for every j ≠ i below
+// len(dst), which is at most the number of points; dst[i] is left
+// unspecified.
+// With a table, the row is gathered from the row of i's sector in the
+// table's matrix, which stores each sector pair's score at both (a, b)
+// and (b, a) and 1 on its diagonal, as At returns for one sector.
+func (p RadialPairs) Row(i int, dst []float64) {
+	if p.tbl != nil {
+		m, sectors := p.tbl.matrix(p.rings), p.rings*p.slices
+		crow := m[int(p.cell[i])*sectors : int(p.cell[i])*sectors+sectors]
+		for j, c := range p.cell[:len(dst)] {
+			dst[j] = crow[c]
+		}
+		return
+	}
+	for j := range dst[:min(i, len(dst))] {
+		dst[j] = p.At(j, i)
+	}
+	for j := i + 1; j < len(dst); j++ {
+		dst[j] = p.At(i, j)
+	}
+}
+
 // Bytes returns the memory footprint of the per-point sector indices.
 func (p RadialPairs) Bytes() int { return len(p.cell) * 4 }
 

@@ -319,6 +319,28 @@ func (p SquaredPairs) At(i, j int) float64 {
 	return unitSS(a, b, p.side)
 }
 
+// Row writes At(i, j) into dst[j] for every j ≠ i below len(dst), which
+// is at most the number of points; dst[i] is left unspecified. At is
+// symmetric, as
+// the table stores each cell pair's score at both (a, b) and (b, a) and
+// the direct path orders the cells first, so the row gathers from the row
+// of i's cell alone.
+func (p SquaredPairs) Row(i int, dst []float64) {
+	if p.tbl != nil {
+		cells := p.tbl.Cells()
+		crow := p.tbl.v[int(p.idx[i])*cells : int(p.idx[i])*cells+cells]
+		for j, b := range p.idx[:len(dst)] {
+			dst[j] = crow[b]
+		}
+		return
+	}
+	for j := range dst {
+		if j != i {
+			dst[j] = p.At(i, j)
+		}
+	}
+}
+
 // Bytes returns the memory footprint of the per-point indices.
 func (p SquaredPairs) Bytes() int { return len(p.idx) * 4 }
 
