@@ -23,14 +23,19 @@ test:
 
 # benchmarks/ is a module of its own, so ./... neither builds nor vets it:
 # an internal/ API change could break harness/replay.go or gate.go unseen.
+# The first step fails when gofmt would reformat any tracked .go file,
+# benchmarks/ included.
 vet:
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go') </dev/null)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	cd benchmarks && $(GO) vet ./...
 
 # Type-check and vet the whole module for arm64, where the compiler fuses
-# multiply-adds. A compact score set recomputes a pair with the very
-# function the Step-1 fill stored it with, so the two agree bit for bit
-# there too; this leg keeps that code building off amd64.
+# multiply-adds. Step 2 recomputes every pair it reads with the very
+# function Step 1 sums it with, so the two agree bit for bit there too
+# (TestNoFusedMultiplyAddOnArm64); this leg keeps that code building off
+# amd64.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
 

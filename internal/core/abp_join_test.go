@@ -31,7 +31,7 @@ func joinInstance(rng *rand.Rand, n, levels int, tiny, outside bool) *ScoreSet {
 		return x
 	}
 	m := pairs.New(n)
-	ss := &ScoreSet{Q: geo.Pt(0, 0), Gamma: 1, opt: ScoreOptions{Spatial: SpatialCustom, Gamma: 1}, custom: m}
+	ss := &ScoreSet{Q: geo.Pt(0, 0), Gamma: 1, sp: customPairs{m}}
 	ss.Places = make([]Place, n)
 	ss.PCS, ss.PSS, ss.PFS = make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range ss.Places {

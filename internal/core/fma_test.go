@@ -11,8 +11,8 @@ import (
 
 // identityPath lists the functions whose arithmetic must round exactly as
 // written on every platform: the pair combination, the fused pass, the
-// per-pair recompute and the instance's row kernel (with the spatial row
-// sources it gathers from), the two pair scores, IAdU's row update, and
+// per-pair recompute and the instance's row kernel (with every spatial
+// pair type's At and Row), the two pair scores, IAdU's row update, and
 // ABP's rank join, which scores pairs with them and bounds them by its
 // keys (the bound's slack assumes separately rounded products). Step 2
 // recomputes each pair with the functions Step 1 sums it with; that gives
@@ -45,11 +45,15 @@ var identityPath = []string{
 	"repro/internal/geo.FarthestDist",
 	"repro/internal/geo.Rect.MinDist",
 	"repro/internal/geo.Rect.MaxDist",
-	"repro/internal/geo.Rect.EnlargementArea",
 	"repro/internal/grid.unitSS",
+	"repro/internal/core.exactPairs.At",
+	"repro/internal/core.customPairs.At",
+	"repro/internal/core.customPairs.Row",
 	"repro/internal/grid.ExactPairs.At",
 	"repro/internal/grid.ExactPairs.Row",
+	"repro/internal/grid.SquaredPairs.At",
 	"repro/internal/grid.SquaredPairs.Row",
+	"repro/internal/grid.RadialPairs.At",
 	"repro/internal/grid.RadialPairs.Row",
 	"repro/internal/grid.unitCenter",
 	"repro/internal/grid.(*Squared).CellOf",

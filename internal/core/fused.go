@@ -5,7 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/explain"
-	"repro/internal/geo"
+	"repro/internal/pairs"
 	"repro/internal/telemetry"
 	"repro/internal/textctx"
 )
@@ -222,23 +222,23 @@ func newContextIndex(places []Place) *contextIndex {
 	return x
 }
 
-// fusedStep1 is Step 1: one sequential pass over the rows of the pair
-// triangle yields pCS and the exact and custom methods' pSS, and stores no
-// pair score. Row i counts its tail intersections with msJh's reverse scan
-// of each tail item's postings (stopping at the first place ≤ i), and then
-// per j > i, in ascending order, derives sC with jaccard's expression (+0
-// for disjoint sets) and adds it to pCS(p_i) and pCS(p_j) — the order
-// Matrix.RowSums adds in, so the sums keep their bits. The exact and
-// custom methods write sS of the row into one reused buffer and sum it
-// into pSS in the same order; the grids' pSS comes from their cells, so
-// they fill no sS row at all. Step 2 recomputes the pairs it reads (see
-// instance).
+// fusedStep1 is Step 1 under opt: one sequential pass over the rows of
+// the pair triangle yields pCS and the exact and custom methods' pSS, and
+// stores no pair score. Row i counts its tail intersections with msJh's
+// reverse scan of each tail item's postings (stopping at the first place
+// ≤ i), and then per j > i, in ascending order, derives sC with jaccard's
+// expression (+0 for disjoint sets) and adds it to pCS(p_i) and pCS(p_j) —
+// the order Matrix.RowSums adds in, so the sums keep their bits. The
+// exact and custom methods write sS of the row into one reused buffer,
+// from their pair source's rows, and sum it into pSS in the same order;
+// the grids' pSS comes from their cells, so they fill no sS row at all.
+// Step 2 recomputes the pairs it reads (see instance).
 //
 // The stage spans stay: StagePSS covers the spatial setup and the cell
 // pSS, StagePCS the pass.
-func (ss *ScoreSet) fusedStep1(ctx context.Context, pts []geo.Point) error {
+func (ss *ScoreSet) fusedStep1(ctx context.Context, opt ScoreOptions) error {
 	endPSS := telemetry.StartSpan(ctx, telemetry.StagePSS)
-	rows, pss, err := ss.spatialSetup(ctx, pts)
+	pss, err := ss.spatialSetup(ctx, opt)
 	endPSS()
 	if err != nil {
 		return err
@@ -248,9 +248,11 @@ func (ss *ScoreSet) fusedStep1(ctx context.Context, pts []geo.Point) error {
 	}
 
 	endPCS := telemetry.StartSpan(ctx, telemetry.StagePCS)
+	n := len(ss.Places)
 	x := newContextIndex(ss.Places)
-	if rows != nil {
-		pss = make([]float64, len(pts))
+	var rows pairs.Rows
+	if pss == nil {
+		rows, pss = ss.sp.rows(), make([]float64, n)
 	}
 	pcs, compared, err := x.pass(ctx, rows, pss)
 	endPCS()
@@ -258,10 +260,9 @@ func (ss *ScoreSet) fusedStep1(ctx context.Context, pts []geo.Point) error {
 		return err
 	}
 	if ec := explain.FromContext(ctx); ec != nil {
-		n := int64(len(pts))
-		cand := n * (n - 1) / 2
+		cand := int64(n) * int64(n-1) / 2
 		ec.SetPruning(explain.Pruning{
-			Engine: "msJh", Sets: len(pts),
+			Engine: "msJh", Sets: n,
 			CandidatePairs: cand, ComparedPairs: compared,
 			PrunedPairs:     cand - compared,
 			PostingsScanned: x.scanned, PostingsCut: x.cut,
@@ -274,11 +275,11 @@ func (ss *ScoreSet) fusedStep1(ctx context.Context, pts []geo.Point) error {
 	return nil
 }
 
-// pass runs the fused row pass (see fusedStep1). A non-nil rows writes sS
+// pass runs the fused row pass (see fusedStep1). A non-nil rows gives sS
 // of the pairs (i, j > i) of row i, which the pass sums into pss in
 // Matrix.RowSums' order. It returns pCS and the number of pairs that share
 // an item.
-func (x *contextIndex) pass(ctx context.Context, rows func(i int, row []float64), pss []float64) ([]float64, int64, error) {
+func (x *contextIndex) pass(ctx context.Context, rows pairs.Rows, pss []float64) ([]float64, int64, error) {
 	n := len(x.lens)
 	pcs := make([]float64, n)
 	counts := make([]int32, n)
@@ -318,7 +319,7 @@ func (x *contextIndex) pass(ctx context.Context, rows func(i int, row []float64)
 		pcs[i] = acc
 		if rows != nil {
 			row := buf[:n-i-1]
-			rows(i, row)
+			rows.Row(i, i+1, row)
 			pssJ := pss[i+1:]
 			acc = pss[i]
 			for t, sp := range row {

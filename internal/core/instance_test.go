@@ -92,3 +92,43 @@ func TestInstanceRowMatchesPair(t *testing.T) {
 		}
 	}
 }
+
+// TestSpatialRowsMatchAt pins every spatial method's row source to its
+// At: rows().Row(i, lo, dst)[t] carries the bits of At(min(i, j),
+// max(i, j)) for j = lo+t, on windows that start after i, contain i, end
+// before i, or are empty — the windows Step 1 (lo = i+1) and the instance
+// (lo = 0) read, and the ones between.
+func TestSpatialRowsMatchAt(t *testing.T) {
+	q, places := fuzzInstance(9, 40, 30, 7)
+	n := len(places)
+	for _, opt := range []ScoreOptions{
+		{Spatial: SpatialExact},
+		{Spatial: SpatialSquaredGrid, SquaredTable: grid.NewSquaredTable(20)},
+		{Spatial: SpatialRadialGrid},
+		{Spatial: SpatialCustom, CustomSpatial: originHook},
+	} {
+		ss, err := ComputeScores(q, places, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, dst := ss.sp.rows(), make([]float64, n)
+		for i := 0; i < n; i++ {
+			for _, w := range [][2]int{{i + 1, n}, {i + 2, i + 5}, {0, n}, {i - 2, i + 3}, {0, i}, {i - 3, i - 1}, {i, i}} {
+				lo, hi := max(w[0], 0), min(w[1], n)
+				if lo > hi {
+					continue
+				}
+				rows.Row(i, lo, dst[:hi-lo])
+				for j := lo; j < hi; j++ {
+					if j == i {
+						continue
+					}
+					want := ss.sp.At(min(i, j), max(i, j))
+					if got := dst[j-lo]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%v: Row(%d, %d)[%d] = %v, At = %v", opt.Spatial, i, lo, j-lo, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -20,7 +20,7 @@ type matrixScores struct {
 // matrixStep1 is Step 1 stage by stage, the oracle the fused pass is
 // checked against: msJh fills the sC triangle, the spatial method the sS
 // triangle (the custom hook's matrix as returned, the exact method
-// through its row fill, a grid through its ApproxAllPairs fill),
+// through AllPairsSpatialCtx, a grid through its ApproxAllPairs fill),
 // Matrix.RowSums sums pCS and the exact and custom pSS (a grid's pSS
 // comes from its cells), and pairs.Blend combines each pair into sF and
 // each place into pFS.
@@ -47,9 +47,8 @@ func matrixStep1(ctx context.Context, q geo.Point, places []Place, opt ScoreOpti
 			ec.SetGrid(explain.GridStats{Kind: "custom", Places: n})
 		}
 	} else {
-		scratch := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma, opt: opt}
-		var rows func(i int, row []float64)
-		if rows, pss, err = scratch.spatialSetup(ctx, pts); err != nil {
+		scratch := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma}
+		if pss, err = scratch.spatialSetup(ctx, opt); err != nil {
 			return nil, err
 		}
 		cells := opt.GridCells
@@ -73,7 +72,7 @@ func matrixStep1(ctx context.Context, q geo.Point, places []Place, opt ScoreOpti
 			}
 			sp = g.ApproxAllPairs(opt.RadialTable)
 		default:
-			if sp, err = pairs.FillRows(ctx, n, rows); err != nil {
+			if sp, err = grid.AllPairsSpatialCtx(ctx, q, pts); err != nil {
 				return nil, err
 			}
 		}

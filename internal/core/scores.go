@@ -76,12 +76,13 @@ type ScoreOptions struct {
 // ScoreSet is the Step-1 output (Section 5): the per-place scores pCS,
 // pSS and pFS, computed once and reused by every selection on the set.
 //
-// A set holds no pair score. It keeps O(K) state instead — the Step-1
-// options and, for the grids, one cell or sector index per place — from
-// which Pair recomputes any single pair with the functions Step 1 sums
-// them with: the same bits every time. A set of the custom spatial method
-// keeps the hook's matrix. Step 2 reads pairs through a per-selection
-// instance (see instance), so one set serves concurrent selections.
+// A set holds no pair score. It keeps O(K) state instead — its spatial
+// method's pair source, which for the grids holds one cell or sector
+// index per place — from which Pair recomputes any single pair with the
+// functions Step 1 sums them with: the same bits every time. A set of the
+// custom spatial method keeps the hook's matrix. Step 2 reads pairs
+// through a per-selection instance (see instance), so one set serves
+// concurrent selections.
 type ScoreSet struct {
 	// Places is the retrieved set S in scoring order.
 	Places []Place
@@ -94,15 +95,12 @@ type ScoreSet struct {
 	// PFS[i] is pFS(p_i) = (1−γ)·pCS + γ·pSS (Eq. 11).
 	PFS []float64
 
-	// opt are the Step-1 options the set was computed with, sq/rad the
-	// per-place grid indices of the squared or radial method, and custom
-	// the matrix of the custom method: what Pair recomputes a pair from.
-	opt    ScoreOptions
-	sq     grid.SquaredPairs
-	rad    grid.RadialPairs
-	custom *pairs.Matrix
-	// customLoose records that custom has an entry outside [0, 1], so that
-	// sF may leave it too (ABP's rank join then scores every pair).
+	// sp is the spatial method's pair source: what Pair and the instance
+	// read sS from.
+	sp spatialPairs
+	// customLoose records that the custom method's matrix has an entry
+	// outside [0, 1], so that sF may leave it too (ABP's rank join then
+	// scores every pair).
 	customLoose bool
 }
 
@@ -140,12 +138,8 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 	if opt.Gamma < 0 || opt.Gamma > 1 || opt.Gamma != opt.Gamma {
 		return nil, fmt.Errorf("core: γ = %v outside [0, 1]", opt.Gamma)
 	}
-	pts := make([]geo.Point, len(places))
-	for i := range places {
-		pts[i] = places[i].Loc
-	}
-	ss := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma, opt: opt}
-	if err := ss.fusedStep1(ctx, pts); err != nil {
+	ss := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma}
+	if err := ss.fusedStep1(ctx, opt); err != nil {
 		return nil, stageErr(ctx, err)
 	}
 	ss.PFS = make([]float64, len(places))
@@ -157,14 +151,11 @@ func ComputeScoresCtx(ctx context.Context, q geo.Point, places []Place, opt Scor
 
 // Bytes returns the memory ss holds of its own: the Places slice (the
 // places' IDs and context sets belong to the corpus and are not counted),
-// the per-place vectors and grid indices, and a custom method's matrix.
+// the per-place vectors and the spatial pair source (grid indices, or a
+// custom method's matrix).
 func (ss *ScoreSet) Bytes() int {
-	n := len(ss.Places)*int(unsafe.Sizeof(Place{})) +
-		8*(len(ss.PCS)+len(ss.PSS)+len(ss.PFS)) + ss.sq.Bytes() + ss.rad.Bytes()
-	if ss.custom != nil {
-		n += ss.custom.Bytes()
-	}
-	return n
+	return len(ss.Places)*int(unsafe.Sizeof(Place{})) +
+		8*(len(ss.PCS)+len(ss.PSS)+len(ss.PFS)) + ss.sp.Bytes()
 }
 
 // Pair returns sC, sS and sF of the places i ≠ j, recomputed with the
@@ -177,18 +168,8 @@ func (ss *ScoreSet) Pair(i, j int) (sc, sp, sf float64) {
 	if i > j {
 		i, j = j, i // every fill computes a pair once, as (i, j) with i < j
 	}
-	pi, pj := &ss.Places[i], &ss.Places[j]
-	sc = pi.Context.Jaccard(pj.Context)
-	switch ss.opt.Spatial {
-	case SpatialSquaredGrid:
-		sp = ss.sq.At(i, j)
-	case SpatialRadialGrid:
-		sp = ss.rad.At(i, j)
-	case SpatialCustom:
-		sp = ss.custom.At(i, j)
-	default:
-		sp = grid.ExactPairSS(ss.Q, pi.Loc, pj.Loc)
-	}
+	sc = ss.Places[i].Context.Jaccard(ss.Places[j].Context)
+	sp = ss.sp.At(i, j)
 	return sc, sp, pairs.Blend(1-ss.Gamma, sc, ss.Gamma, sp)
 }
 
@@ -202,56 +183,55 @@ func stageErr(ctx context.Context, err error) error {
 	return err
 }
 
-// spatialSetup prepares the spatial method over ss's places (at pts): for
-// the exact and custom methods it returns the row function that writes sS
-// of the pairs (i, j > i) of row i, whose sums are their pSS, and for the
-// grids their pSS vector, from the cells, and no row function. It records
-// in ss what Pair recomputes a pair from: the grids' per-place indices or
-// the custom hook's matrix. Under an explain collector it records the method's
-// statistics, for a grid with the approximation error sampled through
-// Pair.
-func (ss *ScoreSet) spatialSetup(ctx context.Context, pts []geo.Point) (rows func(i int, row []float64), pss []float64, err error) {
-	q, opt := ss.Q, ss.opt
-	gs := explain.GridStats{Places: len(pts)}
+// spatialSetup prepares ss's spatial method under opt: it records in
+// ss.sp the pair source Pair and the instance read sS from, and returns
+// the grids' pSS vector, from their cells. The exact and custom methods
+// return none: Step 1 sums their pSS from the source's rows. Under an
+// explain collector it records the method's statistics, for a grid with
+// the approximation error sampled through Pair.
+func (ss *ScoreSet) spatialSetup(ctx context.Context, opt ScoreOptions) (pss []float64, err error) {
+	q, n := ss.Q, len(ss.Places)
+	gs := explain.GridStats{Places: n}
 	cells := opt.GridCells
 	if cells <= 0 {
-		cells = len(pts) // the paper's |G| ≈ K rule
+		cells = n // the paper's |G| ≈ K rule
 	}
+	var pts []geo.Point
 	switch opt.Spatial {
 	case SpatialExact:
 		// Nothing is approximated; the method is still recorded so explain
 		// output names the spatial path taken.
-		gs.Kind = "exact"
-		rows = grid.ExactRows(q, pts)
+		gs.Kind, ss.sp = "exact", exactPairs{q: q, places: ss.Places}
 	case SpatialSquaredGrid:
+		pts = locations(ss.Places)
 		g, err := grid.NewSquared(q, pts, cells)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		gs.Kind, gs.Cells, gs.OccupiedCells = "squared", g.Cells(), g.OccupiedCells()
-		pss, ss.sq = g.PSS(opt.SquaredTable), g.Pairs(opt.SquaredTable)
+		pss, ss.sp = g.PSS(opt.SquaredTable), squaredPairs{g.Pairs(opt.SquaredTable)}
 	case SpatialRadialGrid:
+		pts = locations(ss.Places)
 		g, err := grid.NewRadial(q, pts, cells)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		gs.Kind, gs.Cells, gs.OccupiedCells = "radial", g.Sectors(), g.OccupiedSectors()
-		pss, ss.rad = g.PSS(opt.RadialTable), g.Pairs(opt.RadialTable)
+		pss, ss.sp = g.PSS(opt.RadialTable), radialPairs{g.Pairs(opt.RadialTable)}
 	case SpatialCustom:
 		if opt.CustomSpatial == nil {
-			return nil, nil, fmt.Errorf("core: SpatialCustom requires CustomSpatial")
+			return nil, fmt.Errorf("core: SpatialCustom requires CustomSpatial")
 		}
 		m, err := opt.CustomSpatial(q, ss.Places)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if m == nil || m.N() != len(pts) {
-			return nil, nil, fmt.Errorf("core: CustomSpatial returned a matrix of wrong size")
+		if m == nil || m.N() != n {
+			return nil, fmt.Errorf("core: CustomSpatial returned a matrix of wrong size")
 		}
-		gs.Kind, ss.custom, ss.customLoose = "custom", m, !unitInterval(m)
-		rows = func(i int, row []float64) { copy(row, m.Row(i)) }
+		gs.Kind, ss.sp, ss.customLoose = "custom", customPairs{m}, !unitInterval(m)
 	default:
-		return nil, nil, fmt.Errorf("core: unknown spatial method %v", opt.Spatial)
+		return nil, fmt.Errorf("core: unknown spatial method %v", opt.Spatial)
 	}
 	if ec := explain.FromContext(ctx); ec != nil {
 		if gs.Kind == "squared" || gs.Kind == "radial" {
@@ -259,7 +239,7 @@ func (ss *ScoreSet) spatialSetup(ctx context.Context, pts []geo.Point) (rows fun
 		}
 		ec.SetGrid(gs)
 	}
-	return rows, pss, nil
+	return pss, nil
 }
 
 // sampleGridError completes the explain statistics of an approximating

@@ -116,7 +116,7 @@ func TestSelectionTiesBreakIdenticallySerialParallel(t *testing.T) {
 	fused := mustScores(t, q, places, opt)
 	m := mustOracle(t, q, places, opt)
 	requireMatchesOracle(t, "tieprone90", fused, m)
-	matrix := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma, PCS: m.PCS, PSS: m.PSS, PFS: m.PFS, opt: opt}
+	matrix := &ScoreSet{Places: places, Q: q, Gamma: opt.Gamma, PCS: m.PCS, PSS: m.PSS, PFS: m.PFS, sp: exactPairs{q: q, places: places}}
 	for _, alg := range []Algorithm{AlgABP, AlgABPDiv, AlgIAdU, AlgIAdUDiv} {
 		p := Params{K: 9, Lambda: 0.5, Gamma: 0.5}
 		a, err := Select(alg, fused, p)

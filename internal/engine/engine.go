@@ -8,8 +8,9 @@
 //     the squared grid (and the sector-representative similarities of the
 //     radial grid) depend only on cell positions relative to the grid
 //     centre measured in whole cells — never on the query location or the
-//     grid's physical size. The Engine therefore builds each table lazily,
-//     exactly once per (grid kind, resolution), and shares it across every
+//     grid's physical size. internal/grid therefore builds each table
+//     lazily, once per process (grid.SharedSquaredTable,
+//     grid.SharedRadialTable), and every Engine shares it across every
 //     query forever.
 //  2. Score sets. The Step-1 output (*core.ScoreSet: retrieved set S plus
 //     its pCS/pSS/pFS vectors and what recomputes any pair bit for bit,
@@ -148,10 +149,6 @@ type Engine struct {
 	mutMu sync.Mutex
 	wal   MutationLog
 
-	tblMu   sync.Mutex
-	squared *grid.SquaredTable // built on first use
-	radial  *grid.RadialTable
-
 	hits        atomic.Uint64
 	misses      atomic.Uint64
 	coalesced   atomic.Uint64
@@ -215,36 +212,13 @@ func (e *Engine) Epoch() uint64 { return e.snap.Load().epoch }
 // and last-rebuild epoch), one per shard.
 func (e *Engine) ShardInfo() []dataset.ShardInfo { return e.snap.Load().view.Info() }
 
-// squaredTableCells is |G_MAX| for the shared maximal squared-grid table,
-// covering the paper's |G| ≈ K rule up to K = 1024 in an 8 MB table;
-// queries whose per-query grid exceeds it fall back to direct cell-centre
-// computation (grid.SquaredTable.At). The table grows with the fourth
-// power of its side, so it is deliberately not sized from MaxK.
-const squaredTableCells = 1024
+// SquaredTable returns the process's shared squared-grid table (see
+// grid.SharedSquaredTable).
+func (e *Engine) SquaredTable() *grid.SquaredTable { return grid.SharedSquaredTable() }
 
-// SquaredTable returns the shared maximal squared-grid table, building it
-// on first use (see Theorem 7.1 for why one table serves every query
-// location and grid size).
-func (e *Engine) SquaredTable() *grid.SquaredTable {
-	e.tblMu.Lock()
-	defer e.tblMu.Unlock()
-	if e.squared == nil {
-		e.squared = grid.NewSquaredTable(grid.SideForCells(squaredTableCells))
-	}
-	return e.squared
-}
-
-// RadialTable returns the shared radial-grid table. The table itself
-// memoises one matrix per ring count on first use, so it covers every
-// radial resolution queries select.
-func (e *Engine) RadialTable() *grid.RadialTable {
-	e.tblMu.Lock()
-	defer e.tblMu.Unlock()
-	if e.radial == nil {
-		e.radial = grid.NewRadialTable()
-	}
-	return e.radial
-}
+// RadialTable returns the process's shared radial-grid table (see
+// grid.SharedRadialTable).
+func (e *Engine) RadialTable() *grid.RadialTable { return grid.SharedRadialTable() }
 
 // Result is the evaluated output of one query.
 type Result struct {
@@ -421,8 +395,10 @@ type Stats struct {
 	// (core.ScoreSet.Bytes, counted once at insert). Their answer memos
 	// are not included.
 	CacheBytes int
-	// SquaredTables and RadialResolutions count the memoised maximal
-	// grid tables per kind; TableBytes is their combined footprint.
+	// SquaredTables and RadialResolutions count the process's shared grid
+	// tables built so far, per kind (grid.SharedTableStats); TableBytes is
+	// their combined footprint. Every engine of the process reports the
+	// same tables.
 	SquaredTables, RadialResolutions int
 	TableBytes                       int
 	// Shards is the spatial shard count (1 unless Options.Shards asked
@@ -462,16 +438,11 @@ func (e *Engine) Stats() Stats {
 		CacheBytes:     e.cache.bytes(),
 		Shards:         snap.view.NumShards(),
 	}
-	e.tblMu.Lock()
-	if e.squared != nil {
+	var squared bool
+	squared, s.RadialResolutions, s.TableBytes = grid.SharedTableStats()
+	if squared {
 		s.SquaredTables = 1
-		s.TableBytes += e.squared.Bytes()
 	}
-	if e.radial != nil {
-		s.RadialResolutions = e.radial.Resolutions()
-		s.TableBytes += e.radial.Bytes()
-	}
-	e.tblMu.Unlock()
 	return s
 }
 

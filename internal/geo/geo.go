@@ -134,26 +134,6 @@ func (r Rect) Extend(p Point) Rect {
 	return r.Union(RectOf(p))
 }
 
-// Area returns the area of r.
-func (r Rect) Area() float64 {
-	return (r.Max.X - r.Min.X) * (r.Max.Y - r.Min.Y)
-}
-
-// Perimeter returns half the perimeter (the R*-tree "margin" measure).
-func (r Rect) Perimeter() float64 {
-	return (r.Max.X - r.Min.X) + (r.Max.Y - r.Min.Y)
-}
-
-// EnlargementArea returns the increase in area needed for r to cover o.
-func (r Rect) EnlargementArea(o Rect) float64 {
-	return float64(r.Union(o).Area()) - float64(r.Area())
-}
-
-// Center returns the centroid of r.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // MinDist returns the minimum Euclidean distance from p to any point of r
 // (zero if p is inside r). This is the classic R-tree MINDIST bound.
 func (r Rect) MinDist(p Point) float64 {
@@ -178,19 +158,6 @@ func axisDist(v, lo, hi float64) float64 {
 	default:
 		return 0
 	}
-}
-
-// BoundingRect returns the smallest rectangle covering all pts.
-// It panics if pts is empty.
-func BoundingRect(pts []Point) Rect {
-	if len(pts) == 0 {
-		panic("geo: BoundingRect of empty point set")
-	}
-	r := RectOf(pts[0])
-	for _, p := range pts[1:] {
-		r = r.Extend(p)
-	}
-	return r
 }
 
 // FarthestDist returns the largest distance from q to any point in pts

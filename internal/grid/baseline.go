@@ -2,7 +2,17 @@
 // Section 7 of the paper: the exact (baseline) all-pairs Ptolemy similarity,
 // and the squared- and radial-grid approximations of Algorithm 2 with their
 // precomputed similarity tables (valid for every query location and grid
-// size by the scale-free property of Theorem 7.1).
+// size by the scale-free property of Theorem 7.1, so one table of each
+// kind serves the whole process: SharedSquaredTable, SharedRadialTable).
+//
+// Each spatial method has exactly one pair type — ExactPairs,
+// SquaredPairs and RadialPairs — that writes sS: At(i, j) for one pair and
+// Row(i, lo, dst) for the pairs (i, lo+t), each in (min, max)
+// orientation. The all-pairs fills (AllPairsSpatialCtx,
+// Squared.ApproxAllPairsCtx, Radial.ApproxAllPairs) write row i of their
+// triangle with Row(i, i+1, ·) through pairs.FillRows, and Step 1 and
+// Step 2 of internal/core read the same two methods, so every path
+// computes a pair with the same expression on the same operands.
 package grid
 
 import (
@@ -20,29 +30,18 @@ func AllPairsSpatial(q geo.Point, pts []geo.Point) *pairs.Matrix {
 	return m
 }
 
-// AllPairsSpatialCtx is AllPairsSpatial filled through pairs.FillRows,
-// with its cancellation checkpoints. On cancellation the partial matrix is
-// discarded and ctx.Err() returned.
+// AllPairsSpatialCtx is AllPairsSpatial filled through pairs.FillRows
+// from NewExactPairs(q, pts), with its cancellation checkpoints. On
+// cancellation the partial matrix is discarded and ctx.Err() returned.
 func AllPairsSpatialCtx(ctx context.Context, q geo.Point, pts []geo.Point) (*pairs.Matrix, error) {
-	return pairs.FillRows(ctx, len(pts), ExactRows(q, pts))
+	return pairs.FillRows(ctx, len(pts), NewExactPairs(q, pts))
 }
 
-// ExactRows returns the row function of AllPairsSpatial(q, pts): rows(i,
-// row) writes sS(p_i, p_j) for j = i+1 … n−1 into row[j−i−1]. It keeps no
-// state beyond the per-point distances to q.
-func ExactRows(q geo.Point, pts []geo.Point) func(i int, row []float64) {
-	p := NewExactPairs(q, pts)
-	return func(i int, row []float64) {
-		for t := range row {
-			row[t] = p.At(i, i+1+t)
-		}
-	}
-}
-
-// ExactPairs is the O(K) state from which any entry of
-// AllPairsSpatial(q, pts) is recomputed bit for bit: the points and their
-// distances to q. Hoisting the distances is the natural implementation in
-// Go and only strengthens the baseline the grids are compared against.
+// ExactPairs is the exact method's pair type: the points and their
+// distances to q, from which any entry of AllPairsSpatial(q, pts) is
+// recomputed bit for bit. Hoisting the distances is the natural
+// implementation in Go and only strengthens the baseline the grids are
+// compared against.
 type ExactPairs struct {
 	pts []geo.Point
 	dq  []float64
@@ -62,15 +61,17 @@ func (p ExactPairs) At(i, j int) float64 {
 	return exactSS(p.dq[i], p.dq[j], p.pts[i], p.pts[j])
 }
 
-// Row writes At(min(i, j), max(i, j)) into dst[j] for every j ≠ i below
-// len(dst), which is at most the number of points; dst[i] is left
-// unspecified.
-func (p ExactPairs) Row(i int, dst []float64) {
-	for j := range dst[:min(i, len(dst))] {
-		dst[j] = exactSS(p.dq[j], p.dq[i], p.pts[j], p.pts[i])
+// Row writes At(min(i, j), max(i, j)) for j = lo+t into dst[t], for every
+// t below len(dst); the entry for j = i is left unspecified.
+func (p ExactPairs) Row(i, lo int, dst []float64) {
+	pi, di := p.pts[i], p.dq[i]
+	pts, dq := p.pts[lo:lo+len(dst)], p.dq[lo:lo+len(dst)]
+	below := min(max(i-lo, 0), len(dst)) // the window's j < i
+	for t := range below {
+		dst[t] = exactSS(dq[t], di, pts[t], pi)
 	}
-	for j := i + 1; j < len(dst); j++ {
-		dst[j] = exactSS(p.dq[i], p.dq[j], p.pts[i], p.pts[j])
+	for t := below; t < len(dst); t++ {
+		dst[t] = exactSS(di, dq[t], pi, pts[t])
 	}
 }
 

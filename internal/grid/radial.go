@@ -125,6 +125,7 @@ func unitRepresentative(idx, slices int) geo.Point {
 // sector representatives (Algorithm 2 on the radial grid); a nil tbl
 // computes representative similarities on the fly.
 func (r *Radial) PSS(tbl *RadialTable) []float64 {
+	p := r.Pairs(tbl) // p.m is tbl's matrix for this ring count, nil without tbl
 	cellScore := make(map[int32]float64, len(r.occ))
 	for a, ci := range r.occ {
 		for b := a; b < len(r.occ); b++ {
@@ -132,8 +133,8 @@ func (r *Radial) PSS(tbl *RadialTable) []float64 {
 			var s float64
 			if ci == cj {
 				s = 1
-			} else if tbl != nil {
-				s = tbl.At(r.rings, int(ci), int(cj))
+			} else if p.m != nil {
+				s = p.m[int(ci)*p.sectors+int(cj)]
 			} else {
 				s = unitRadialSS(int(ci), int(cj), r.slices)
 			}
@@ -151,84 +152,68 @@ func (r *Radial) PSS(tbl *RadialTable) []float64 {
 }
 
 // ApproxAllPairs returns the approximate pairwise sS matrix in which each
-// point is replaced by its sector representative.
+// point is replaced by its sector representative, filled through
+// pairs.FillRows from r.Pairs(tbl).
 func (r *Radial) ApproxAllPairs(tbl *RadialTable) *pairs.Matrix {
-	m, _ := pairs.FillRows(context.Background(), len(r.cellOf), r.Rows(tbl))
+	m, _ := pairs.FillRows(context.Background(), len(r.cellOf), r.Pairs(tbl))
 	return m
 }
 
-// Rows returns the row function of ApproxAllPairs(tbl): rows(i, row)
-// writes sS of the points i, j for j = i+1 … n−1 into row[j−i−1], the
-// value RadialPairs.At returns for the pair. With a table, row i is
-// gathered from the row of i's sector in the table's matrix for this ring
-// count, fetched once here (its diagonal holds RadialPairs.At's 1 for two
-// points in one sector).
-func (r *Radial) Rows(tbl *RadialTable) func(i int, row []float64) {
-	cell := r.cellOf
-	if tbl == nil {
-		p := r.Pairs(nil)
-		return func(i int, row []float64) {
-			for t := range row {
-				row[t] = p.At(i, i+1+t)
-			}
-		}
-	}
-	m, sectors := tbl.matrix(r.rings), r.Sectors()
-	return func(i int, row []float64) {
-		crow := m[int(cell[i])*sectors : int(cell[i])*sectors+sectors]
-		for t, cj := range cell[i+1:] {
-			row[t] = crow[cj]
-		}
-	}
-}
-
-// RadialPairs is the O(K) state from which any single entry of the matrix
-// ApproxAllPairs fills can be reproduced: ApproxAllPairs fills every entry
-// through RadialPairs.At. The zero value is unused.
+// RadialPairs is the radial method's pair type: the O(K) per-point
+// sector indices from which any pair's sS is reproduced, and the table's
+// matrix for the grid's ring count when there is a table. The zero value
+// is unused.
 type RadialPairs struct {
-	tbl           *RadialTable
-	rings, slices int
-	cell          []int32 // sector index of every point
+	m       []float64 // sectors×sectors, 1 on the diagonal; nil without a table
+	sectors int
+	slices  int
+	cell    []int32 // sector index of every point
 }
 
-// Pairs returns the pair state for the matrix ApproxAllPairs(tbl) fills.
+// Pairs returns the pair type of the grid's points, reading tbl's matrix
+// for the grid's ring count (built on first use) when tbl is set.
 func (r *Radial) Pairs(tbl *RadialTable) RadialPairs {
-	return RadialPairs{tbl: tbl, rings: r.rings, slices: r.slices, cell: r.cellOf}
+	p := RadialPairs{sectors: r.Sectors(), slices: r.slices, cell: r.cellOf}
+	if tbl != nil {
+		p.m = tbl.matrix(r.rings)
+	}
+	return p
 }
 
-// At returns sS between points i < j, as ApproxAllPairs stores it.
+// At returns sS between points i < j: 1 for two points of one sector,
+// the table's entry or unitRadialSS for the two sectors otherwise.
 func (p RadialPairs) At(i, j int) float64 {
 	ci, cj := int(p.cell[i]), int(p.cell[j])
 	switch {
 	case ci == cj:
 		return 1
-	case p.tbl != nil:
-		return p.tbl.At(p.rings, ci, cj)
+	case p.m != nil:
+		return p.m[ci*p.sectors+cj]
 	default:
 		return unitRadialSS(ci, cj, p.slices)
 	}
 }
 
-// Row writes At(min(i, j), max(i, j)) into dst[j] for every j ≠ i below
-// len(dst), which is at most the number of points; dst[i] is left
-// unspecified.
-// With a table, the row is gathered from the row of i's sector in the
-// table's matrix, which stores each sector pair's score at both (a, b)
-// and (b, a) and 1 on its diagonal, as At returns for one sector.
-func (p RadialPairs) Row(i int, dst []float64) {
-	if p.tbl != nil {
-		m, sectors := p.tbl.matrix(p.rings), p.rings*p.slices
-		crow := m[int(p.cell[i])*sectors : int(p.cell[i])*sectors+sectors]
-		for j, c := range p.cell[:len(dst)] {
-			dst[j] = crow[c]
+// Row writes At(min(i, j), max(i, j)) for j = lo+t into dst[t], for every
+// t below len(dst); the entry for j = i is left unspecified. With a
+// table, the row is gathered from the row of i's sector in the matrix,
+// which stores each sector pair's score at both (a, b) and (b, a) and 1
+// on its diagonal, as At returns for one sector.
+func (p RadialPairs) Row(i, lo int, dst []float64) {
+	if p.m != nil {
+		ci := int(p.cell[i])
+		crow := p.m[ci*p.sectors : ci*p.sectors+p.sectors]
+		for t, c := range p.cell[lo : lo+len(dst)] {
+			dst[t] = crow[c]
 		}
 		return
 	}
-	for j := range dst[:min(i, len(dst))] {
-		dst[j] = p.At(j, i)
+	below := min(max(i-lo, 0), len(dst)) // the window's j < i
+	for t := range below {
+		dst[t] = p.At(lo+t, i)
 	}
-	for j := i + 1; j < len(dst); j++ {
-		dst[j] = p.At(i, j)
+	for t := below; t < len(dst); t++ {
+		dst[t] = p.At(i, lo+t)
 	}
 }
 
@@ -271,13 +256,6 @@ func (t *RadialTable) Bytes() int {
 		n += len(m) * 8
 	}
 	return n
-}
-
-// At returns the precomputed sS between the representatives of sectors ci
-// and cj of a radial grid with the given ring count, computing and caching
-// the matrix for that ring count on first use.
-func (t *RadialTable) At(rings, ci, cj int) float64 {
-	return t.matrix(rings)[ci*rings*4*rings+cj]
 }
 
 // matrix returns the sectors×sectors similarity matrix for the ring

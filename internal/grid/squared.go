@@ -25,10 +25,9 @@ type Squared struct {
 
 	// cs caches the dense occupied-cell similarity table (cs[a*len(occ)+b]
 	// = sS between the centres of occ[a] and occ[b], diagonal 1) built by
-	// cellScores for the fallback paths that compute similarities on the
-	// fly. mrow/pmi cache the maximal-grid index translation for the
-	// table-driven paths (keyed by mtbl). PSS and ApproxAllPairsCtx share
-	// the builds; not safe for concurrent first use.
+	// cellScores for PSS without a covering table. mrow/pmi cache the
+	// maximal-grid index translation for the table-driven paths (keyed by
+	// mtbl): PSS reads mrow, Pairs pmi. Not safe for concurrent first use.
 	cs   []float64
 	mrow []int32 // per occupied cell: flat index of its centre in the maximal grid
 	pmi  []int32 // per point: mrow of its cell
@@ -175,13 +174,13 @@ func (g *Squared) maximalIdx(tbl *SquaredTable) (mrow, pmi []int32) {
 	return mrow, pmi
 }
 
-// cellScores returns the dense occupied-cell similarity table for the
-// fallback paths — no precomputed table, or a grid wider than the table
-// covers: entry a*len(occ)+b is sS between the centres of occ[a] and
-// occ[b] (diagonal 1), computed by Ptolemy on unit-scale centres. Built
-// once per grid and cached so PSS and the fills share one build. The
-// table-driven paths never call this: they gather from tbl.v through
-// maximalIdx instead of densifying a copy.
+// cellScores returns the dense occupied-cell similarity table for PSS
+// without a covering table (none, or a grid wider than the table covers):
+// entry a*len(occ)+b is sS between the centres of occ[a] and occ[b]
+// (diagonal 1), computed by Ptolemy on unit-scale centres, each cell
+// pair in ascending order as SquaredPairs.At computes it. Built once per
+// grid and cached. The table-driven paths never call this: they gather
+// from tbl.v through maximalIdx instead of densifying a copy.
 func (g *Squared) cellScores() []float64 {
 	if g.cs != nil {
 		return g.cs
@@ -241,61 +240,34 @@ func (g *Squared) PSS(tbl *SquaredTable) []float64 {
 }
 
 // ApproxAllPairs returns the approximate pairwise sS matrix in which each
-// point is replaced by its cell centre. This is what the optimised greedy
-// pipeline uses for the pairwise sF scores: with a similarity table in
-// hand the n²/2 fill is one table load and one store per pair.
+// point is replaced by its cell centre: with a covering table, the n²/2
+// fill is one table load and one store per pair.
 func (g *Squared) ApproxAllPairs(tbl *SquaredTable) *pairs.Matrix {
 	m, _ := g.ApproxAllPairsCtx(context.Background(), tbl)
 	return m
 }
 
-// ApproxAllPairsCtx is ApproxAllPairs filled through pairs.FillRows, with
-// its cancellation checkpoints. On cancellation the partial matrix is
-// discarded and ctx.Err() returned.
+// ApproxAllPairsCtx is ApproxAllPairs filled through pairs.FillRows from
+// g.Pairs(tbl), with its cancellation checkpoints. On cancellation the
+// partial matrix is discarded and ctx.Err() returned.
 func (g *Squared) ApproxAllPairsCtx(ctx context.Context, tbl *SquaredTable) (*pairs.Matrix, error) {
-	return pairs.FillRows(ctx, len(g.cellOf), g.Rows(tbl))
+	return pairs.FillRows(ctx, len(g.cellOf), g.Pairs(tbl))
 }
 
-// Rows returns the row function of ApproxAllPairsCtx(…, tbl): rows(i,
-// row) writes sS of the points i, j for j = i+1 … n−1 into row[j−i−1].
-// Row i is gathered out of row idx[i] of a flat similarity table src (rows
-// of length stride, indexed by idx again): the maximal table translated
-// through maximalIdx when tbl covers the grid — no O(occupied²) densified
-// copy to build first — and the occupied-cell table otherwise, built here.
-func (g *Squared) Rows(tbl *SquaredTable) func(i int, row []float64) {
-	var (
-		src    []float64
-		stride int
-		idx    []int32
-	)
-	if g.tableDriven(tbl) {
-		_, idx = g.maximalIdx(tbl)
-		src, stride = tbl.v, tbl.maxSide*tbl.maxSide
-	} else {
-		src, stride, idx = g.cellScores(), len(g.occ), g.occIdx
-	}
-	return func(i int, row []float64) {
-		crow := src[int(idx[i])*stride : int(idx[i])*stride+stride]
-		for t, oj := range idx[i+1:] {
-			row[t] = crow[oj]
-		}
-	}
-}
-
-// SquaredPairs is the O(K) state from which any single entry of the
-// matrix ApproxAllPairsCtx fills can be reproduced bit for bit: the same
-// table element the fill gathers, or the same unitSS call that built the
-// occupied-cell table it gathers from otherwise. The zero value is unused.
+// SquaredPairs is the squared method's pair type: the O(K) per-point cell
+// indices from which any pair's sS is reproduced bit for bit — the
+// table element when a table covers the grid, the unitSS call on the two
+// cells in ascending order otherwise. The zero value is unused.
 type SquaredPairs struct {
-	tbl  *SquaredTable // nil when the fill did not gather from a table
+	tbl  *SquaredTable // nil when no table covers the grid
 	side int
 	// idx holds, per point, the flat G_MAX index of its cell when tbl is
 	// set and the cell index in this grid otherwise.
 	idx []int32
 }
 
-// Pairs returns the pair state for the matrix ApproxAllPairsCtx(ctx, tbl)
-// fills.
+// Pairs returns the pair type of the grid's points, gathering from tbl
+// when it covers the grid.
 func (g *Squared) Pairs(tbl *SquaredTable) SquaredPairs {
 	if g.tableDriven(tbl) {
 		_, pmi := g.maximalIdx(tbl)
@@ -304,7 +276,9 @@ func (g *Squared) Pairs(tbl *SquaredTable) SquaredPairs {
 	return SquaredPairs{side: g.side, idx: g.cellOf}
 }
 
-// At returns sS between points i and j (i ≠ j).
+// At returns sS between points i and j (i ≠ j). It is symmetric: the
+// table stores each cell pair's score at both (a, b) and (b, a), and the
+// direct path orders the cells first.
 func (p SquaredPairs) At(i, j int) float64 {
 	a, b := int(p.idx[i]), int(p.idx[j])
 	if p.tbl != nil {
@@ -314,29 +288,26 @@ func (p SquaredPairs) At(i, j int) float64 {
 		return 1
 	}
 	if a > b {
-		a, b = b, a // cellScores computes each cell pair in ascending order
+		a, b = b, a
 	}
 	return unitSS(a, b, p.side)
 }
 
-// Row writes At(i, j) into dst[j] for every j ≠ i below len(dst), which
-// is at most the number of points; dst[i] is left unspecified. At is
-// symmetric, as
-// the table stores each cell pair's score at both (a, b) and (b, a) and
-// the direct path orders the cells first, so the row gathers from the row
-// of i's cell alone.
-func (p SquaredPairs) Row(i int, dst []float64) {
+// Row writes At(i, j) for j = lo+t into dst[t], for every t below
+// len(dst); the entry for j = i is left unspecified. As At is symmetric,
+// a table-driven row gathers from the table row of i's cell alone.
+func (p SquaredPairs) Row(i, lo int, dst []float64) {
 	if p.tbl != nil {
 		cells := p.tbl.Cells()
 		crow := p.tbl.v[int(p.idx[i])*cells : int(p.idx[i])*cells+cells]
-		for j, b := range p.idx[:len(dst)] {
-			dst[j] = crow[b]
+		for t, b := range p.idx[lo : lo+len(dst)] {
+			dst[t] = crow[b]
 		}
 		return
 	}
-	for j := range dst {
-		if j != i {
-			dst[j] = p.At(i, j)
+	for t := range dst {
+		if j := lo + t; j != i {
+			dst[t] = p.At(i, j)
 		}
 	}
 }

@@ -26,8 +26,15 @@ func Fill(ctx context.Context, n int, row func(m *Matrix, i int)) (*Matrix, erro
 	return m, nil
 }
 
-// FillRows is Fill for a row function that writes through the row slice:
-// rows(i, m.Row(i)) writes the pairs (i, j > i) of row i.
-func FillRows(ctx context.Context, n int, rows func(i int, row []float64)) (*Matrix, error) {
-	return Fill(ctx, n, func(m *Matrix, i int) { rows(i, m.Row(i)) })
+// Rows is a source of pair-score rows: Row(i, lo, dst) writes the score
+// of the pair (i, lo+t) into dst[t] for every t below len(dst). The entry
+// for the pair (i, i), if the window holds it, is left unspecified.
+type Rows interface {
+	Row(i, lo int, dst []float64)
+}
+
+// FillRows is Fill for a row source: row i of the matrix is
+// src.Row(i, i+1, m.Row(i)).
+func FillRows(ctx context.Context, n int, src Rows) (*Matrix, error) {
+	return Fill(ctx, n, func(m *Matrix, i int) { src.Row(i, i+1, m.Row(i)) })
 }
