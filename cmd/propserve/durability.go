@@ -116,7 +116,7 @@ func replayWAL(ctx context.Context, eng *engine.Engine, records []wal.Record, ob
 func (s *Server) recoverTenant(ctx context.Context, tn *registry.Tenant, wlog *wal.Log, records []wal.Record) error {
 	start := time.Now()
 	n, err := replayWAL(ctx, tn.Eng, records, func(d time.Duration) {
-		s.tel.stageSeconds.With(telemetry.StageReplay).Observe(d.Seconds())
+		s.tel.stageSeconds.With(telemetry.StageReplay).Observe(d)
 	})
 	if err != nil {
 		return err
@@ -161,6 +161,19 @@ func (s *Server) compactTenantWAL(tn *registry.Tenant) {
 	wal.RemoveSnapshotsBefore(l.Dir(), epoch, s.cfg.Logf)
 	s.cfg.Logf("propserve: corpus %q: wal compacted through epoch %d (%d records remain)",
 		tn.Name, epoch, l.Records())
+}
+
+// closeWALs closes every tenant's log at shutdown. Appends fsync per
+// the sync policy; Close fsyncs once more, so an interval or never log
+// loses nothing on a clean shutdown.
+func (s *Server) closeWALs() {
+	for _, tn := range s.reg.All() {
+		if l := tn.WAL(); l != nil {
+			if err := l.Close(); err != nil {
+				s.cfg.Logf("propserve: corpus %q: closing wal: %v", tn.Name, err)
+			}
+		}
+	}
 }
 
 // compactWAL compacts the default corpus's log (test hook).
@@ -216,7 +229,7 @@ func (s *Server) bootCorpus(ctx context.Context, name, dir string,
 		return nil, err
 	}
 	if dir != "" {
-		wlog, records, err := wal.Open(dir, wal.Options{Logf: s.cfg.Logf})
+		wlog, records, err := wal.Open(dir, s.cfg.WAL)
 		if err != nil {
 			s.reg.Remove(name)
 			return nil, err

@@ -59,7 +59,7 @@ func durableServer(t *testing.T, walDir string, cfg Config) (*Server, *wal.Log) 
 	if !ok {
 		d, epoch = durTestData(t, 9, 300), 0
 	}
-	wlog, records, err := wal.Open(walDir, wal.Options{Logf: cfg.Logf})
+	wlog, records, err := wal.Open(walDir, cfg.WAL)
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
 	}

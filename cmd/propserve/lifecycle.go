@@ -174,7 +174,7 @@ func (rq *request) admit() bool {
 	endWait := rq.tr.StartSpan(telemetry.StageAdmission)
 	release, err := rq.tn.Gate.Acquire(rq.ctx)
 	endWait()
-	s.tel.queueWait.Observe(time.Since(waitStart).Seconds())
+	s.tel.queueWait.Observe(time.Since(waitStart))
 	if err != nil {
 		status := statusFor(err)
 		if status == http.StatusServiceUnavailable {

@@ -159,6 +159,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "propserve: -shards:", err)
 		os.Exit(2)
 	}
+	syncPolicy, err := wal.ParseSyncPolicy(*walSync)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "propserve: -wal-sync:", err)
+		os.Exit(2)
+	}
 
 	cfg := Config{
 		QueryTimeout:  *queryTimeout,
@@ -184,6 +189,7 @@ func main() {
 		MaxMutationBatch: *maxMutationBatch,
 
 		WALCompactRecords: *walCompactRecords,
+		WAL:               wal.Options{Sync: syncPolicy, SyncInterval: *walSyncInterval},
 
 		Shards:     *shards,
 		CorporaDir: *corporaDir,
@@ -225,10 +231,6 @@ func main() {
 		os.Exit(1)
 	}
 	if *walDir != "" {
-		syncPolicy, err := wal.ParseSyncPolicy(*walSync)
-		if err != nil {
-			fatal(err)
-		}
 		if snap, epoch, ok := loadNewestSnapshot(*walDir, cfg.Logf); ok {
 			d, bootEpoch = snap, epoch
 			fmt.Printf("propserve: recovered snapshot at epoch %d (%d places)\n", epoch, len(d.Places))
@@ -237,11 +239,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		wlog, walRecords, walErr = wal.Open(*walDir, wal.Options{
-			Sync:         syncPolicy,
-			SyncInterval: *walSyncInterval,
-			Logf:         cfg.Logf,
-		})
+		wlog, walRecords, walErr = wal.Open(*walDir, cfg.WAL)
 		if walErr != nil {
 			if *walRequired {
 				fatal(fmt.Errorf("opening wal in %s: %w (start with -wal-required=false to serve reads anyway)", *walDir, walErr))
@@ -249,7 +247,6 @@ func main() {
 			walErr = fmt.Errorf("opening wal in %s: %w", *walDir, walErr)
 		}
 	} else {
-		var err error
 		if d, err = loadOrGenerate(*data); err != nil {
 			fatal(err)
 		}
@@ -352,14 +349,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "propserve: shutdown:", err)
 			os.Exit(1)
 		}
-		if wlog != nil {
-			// The log is fsynced per policy on every append; Close fsyncs
-			// once more so an interval/never log loses nothing on a clean
-			// shutdown.
-			if err := wlog.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "propserve: closing wal:", err)
-			}
-		}
+		h.closeWALs()
 	}
 }
 

@@ -7,13 +7,18 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/registry"
+	"repro/internal/wal"
 )
 
 // corporaList fetches GET /v1/corpora and decodes it.
@@ -348,5 +353,36 @@ func TestBootCorpusScan(t *testing.T) {
 	}
 	if got := tn.Eng.Stats().Places; got != 151 {
 		t.Errorf("scanned places = %d, want 151", got)
+	}
+}
+
+// TestDurableCorporaUseServerWALOptions: corpora created through POST
+// /v1/corpora and re-registered by the boot scan open their logs with
+// the server's -wal-sync policy, and closeWALs closes every tenant's log.
+func TestDurableCorporaUseServerWALOptions(t *testing.T) {
+	dir := t.TempDir()
+	s := testServerCfg(t, Config{EnableMutation: true, CorporaDir: dir, WAL: wal.Options{Sync: wal.SyncNever}})
+	if rec := postJSON(t, s, "/v1/corpora", map[string]any{"name": "lazy", "places": 100, "seed": 1}); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rec.Code, rec.Body.String())
+	}
+	created, ok := s.reg.Get("lazy")
+	if !ok {
+		t.Fatal("lazy not registered")
+	}
+	scanned, err := s.bootCorpus(context.Background(), "scanned", filepath.Join(dir, "scanned"),
+		func() (*dataset.Dataset, error) { return durTestData(t, 2, 100), nil }, engineOptions(s.cfg))
+	if err != nil {
+		t.Fatalf("bootCorpus: %v", err)
+	}
+	for _, tn := range []*registry.Tenant{created, scanned} {
+		if got := tn.WAL().SyncPolicy(); got != wal.SyncNever {
+			t.Errorf("corpus %q: wal sync policy %v, want never", tn.Name, got)
+		}
+	}
+	s.closeWALs()
+	for _, tn := range []*registry.Tenant{created, scanned} {
+		if err := tn.WAL().Close(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("corpus %q: second Close = %v, want os.ErrClosed (closeWALs left it open)", tn.Name, err)
+		}
 	}
 }

@@ -99,6 +99,10 @@ type Config struct {
 	// mutation triggers background snapshot compaction. Only meaningful
 	// with a WAL attached. Default 1024.
 	WALCompactRecords int
+	// WAL is the log configuration of every durable corpus, the default
+	// one and those under CorporaDir alike (-wal-sync,
+	// -wal-sync-interval). An unset Logf is Config.Logf.
+	WAL wal.Options
 	// DisableSLO turns off the per-class SLO tracker: GET /v1/slo answers
 	// 403 and the propserve_slo_* metrics vanish. The tracker costs a few
 	// atomic operations per request, so it is on by default.
@@ -207,6 +211,9 @@ func (c Config) withDefaults() Config {
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
+	if c.WAL.Logf == nil {
+		c.WAL.Logf = c.Logf
+	}
 	return c
 }
 
@@ -217,19 +224,19 @@ func (c Config) withDefaults() Config {
 // there is no double bookkeeping.
 type serverMetrics struct {
 	reg            *telemetry.Registry
-	requests       *telemetry.CounterVec   // propserve_requests_total{code}
-	requestSeconds *telemetry.Histogram    // propserve_request_seconds
-	stageSeconds   *telemetry.HistogramVec // propserve_stage_seconds{stage}
-	queueWait      *telemetry.Histogram    // propserve_gate_queue_wait_seconds
-	degraded       *telemetry.CounterVec   // propserve_degraded_total{reason}
-	batches        *telemetry.Counter      // propserve_batch_requests_total
-	batchQueries   *telemetry.Counter      // propserve_batch_queries_total
-	deprecated     *telemetry.CounterVec   // propserve_deprecated_requests_total{path}
-	slowQueries    *telemetry.Counter      // propserve_slow_queries_total
-	mutations      *telemetry.Counter      // propserve_corpus_mutation_requests_total
-	tracesSampled  *telemetry.Counter      // propserve_traces_sampled_total
-	msjhPruned     *telemetry.Gauge        // propserve_msjh_pruned_ratio
-	gridErr        *telemetry.Gauge        // propserve_grid_err_sampled
+	requests       *telemetry.CounterVec // propserve_requests_total{code}
+	requestSeconds *slo.Sketch           // propserve_request_seconds
+	stageSeconds   *telemetry.SketchVec  // propserve_stage_seconds{stage}
+	queueWait      *slo.Sketch           // propserve_gate_queue_wait_seconds
+	degraded       *telemetry.CounterVec // propserve_degraded_total{reason}
+	batches        *telemetry.Counter    // propserve_batch_requests_total
+	batchQueries   *telemetry.Counter    // propserve_batch_queries_total
+	deprecated     *telemetry.CounterVec // propserve_deprecated_requests_total{path}
+	slowQueries    *telemetry.Counter    // propserve_slow_queries_total
+	mutations      *telemetry.Counter    // propserve_corpus_mutation_requests_total
+	tracesSampled  *telemetry.Counter    // propserve_traces_sampled_total
+	msjhPruned     *telemetry.Gauge      // propserve_msjh_pruned_ratio
+	gridErr        *telemetry.Gauge      // propserve_grid_err_sampled
 }
 
 func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *engine.Engine) *serverMetrics {
@@ -238,18 +245,16 @@ func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *eng
 		reg: reg,
 		requests: reg.CounterVec("propserve_requests_total",
 			"HTTP requests served, by status code.", "code"),
-		// The serving distribution is bimodal — cache hits answer in
-		// microseconds, computed misses in milliseconds — so the request,
-		// stage and queue-wait histograms use the microsecond-floor layout;
-		// DefBuckets would collapse the whole hit mode into its first
-		// bucket.
-		requestSeconds: reg.Histogram("propserve_request_seconds",
-			"End-to-end request latency in seconds.", telemetry.LatencyBuckets),
-		stageSeconds: reg.HistogramVec("propserve_stage_seconds",
-			"Per-stage pipeline latency in seconds (parse, admission_wait, retrieve, step1_pcs, step1_pss, step2_select, encode).",
-			"stage", telemetry.LatencyBuckets),
-		queueWait: reg.Histogram("propserve_gate_queue_wait_seconds",
-			"Time spent waiting for admission at the gate, in seconds.", telemetry.LatencyBuckets),
+		// The latency histograms are slo sketches: 1µs to ≈ 69 s, so the
+		// microsecond hit mode and the millisecond miss mode each get
+		// their own buckets.
+		requestSeconds: reg.Sketch("propserve_request_seconds",
+			"End-to-end request latency in seconds."),
+		stageSeconds: reg.SketchVec("propserve_stage_seconds",
+			"Per-stage latency in seconds (parse, admission_wait, retrieve, shard_retrieve, merge, step1_pcs, step1_pss, step2_select, build_response, encode, wal_replay).",
+			"stage"),
+		queueWait: reg.Sketch("propserve_gate_queue_wait_seconds",
+			"Time spent waiting for admission at the gate, in seconds."),
 		degraded: reg.CounterVec("propserve_degraded_total",
 			"Graceful-degradation decisions applied, by reason.", "reason"),
 		batches: reg.Counter("propserve_batch_requests_total",
@@ -482,7 +487,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK // the route wrote nothing: net/http sends 200
 	}
 	s.tel.requests.With(strconv.Itoa(status)).Inc()
-	s.tel.requestSeconds.Observe(d.Seconds())
+	s.tel.requestSeconds.Observe(d)
 	if s.cfg.AccessLog != nil {
 		s.logAccess(x, r, d)
 	}
@@ -1079,7 +1084,7 @@ func (s *Server) serverSection() map[string]interface{} {
 // flushSpans records a request trace's spans on the per-stage histogram.
 func (s *Server) flushSpans(tr *telemetry.Trace) {
 	for _, sp := range tr.Spans() {
-		s.tel.stageSeconds.With(sp.Stage).Observe(sp.Dur.Seconds())
+		s.tel.stageSeconds.With(sp.Stage).Observe(sp.Dur)
 	}
 }
 

@@ -6,9 +6,12 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -265,6 +268,103 @@ func TestGateCountersUnderShedLoad(t *testing.T) {
 	}
 	if series["propserve_gate_queue_wait_seconds_count"] != "4" {
 		t.Errorf("queue_wait count = %q, want 4", series["propserve_gate_queue_wait_seconds_count"])
+	}
+}
+
+// TestLatencyHistogramsAfterMixedTraffic drives hits, misses and shed
+// requests, then checks every series of the three latency histogram
+// families on /metrics: 34 finite buckets whose cumulative counts never
+// decrease, and a +Inf bucket equal to _count.
+func TestLatencyHistogramsAfterMixedTraffic(t *testing.T) {
+	s := testServerCfg(t, Config{MaxInFlight: 1, MaxQueue: 1, QueueWait: 5 * time.Second})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	restore := core.SetCheckpointHook(func(string) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	held := make(chan *httptest.ResponseRecorder, 1)
+	go func() { held <- get(t, s, "/v1/search?K=60&k=5") }()
+	<-entered
+	queued := make(chan *httptest.ResponseRecorder, 1)
+	go func() { queued <- get(t, s, "/v1/search?K=60&k=5") }()
+	for deadline := time.Now().Add(5 * time.Second); s.gate.Queued() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never queued")
+		}
+	}
+	if rec := get(t, s, "/v1/search?K=60&k=5"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("saturated status = %d, want 503", rec.Code)
+	}
+	close(release)
+	<-held
+	<-queued
+	restore()
+	for i := 0; i < 6; i++ {
+		get(t, s, "/v1/search?K=60&k=5")                                  // hit
+		get(t, s, fmt.Sprintf("/v1/search?K=60&k=5&x=%d&y=%d", 10+i, 20)) // miss
+	}
+
+	series := metricsSeries(t, s)
+	families := map[string]bool{}
+	for key := range series {
+		base, labels := key, ""
+		if i := strings.IndexByte(key, '{'); i >= 0 {
+			base, labels = key[:i], key[i+1:len(key)-1]+","
+		}
+		if name, ok := strings.CutSuffix(base, "_seconds_count"); ok {
+			families[name+"_seconds|"+labels] = true
+		}
+	}
+	for _, want := range []string{"propserve_request_seconds|", "propserve_gate_queue_wait_seconds|", `propserve_stage_seconds|stage="retrieve",`} {
+		if !families[want] {
+			t.Errorf("no histogram series %q on /metrics", want)
+		}
+	}
+	for fam := range families {
+		name, labels, _ := strings.Cut(fam, "|")
+		prefix := name + "_bucket{" + labels + "le="
+		type bucket struct {
+			le  float64
+			cum uint64
+		}
+		var buckets []bucket
+		for key, v := range series {
+			le, ok := strings.CutPrefix(key, prefix)
+			if !ok || le == `"+Inf"}` {
+				continue
+			}
+			f, err := strconv.ParseFloat(strings.Trim(le, `"}`), 64)
+			n, err2 := strconv.ParseUint(v, 10, 64)
+			if err != nil || err2 != nil {
+				t.Fatalf("%s: bad bucket line %s %s", fam, key, v)
+			}
+			buckets = append(buckets, bucket{f, n})
+		}
+		sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
+		if len(buckets) != 34 || buckets[0].le != 1e-6 {
+			t.Errorf("%s: %d finite buckets from %v, want 34 from 1e-06", fam, len(buckets), buckets)
+			continue
+		}
+		for i := 1; i < len(buckets); i++ {
+			if buckets[i].cum < buckets[i-1].cum {
+				t.Errorf("%s: bucket le=%g holds %d < %d below it", fam, buckets[i].le, buckets[i].cum, buckets[i-1].cum)
+			}
+		}
+		countKey := name + "_count"
+		if labels != "" {
+			countKey += "{" + strings.TrimSuffix(labels, ",") + "}"
+		}
+		inf := series[prefix+`"+Inf"}`]
+		if inf == "" || inf != series[countKey] {
+			t.Errorf("%s: +Inf %q != _count %q", fam, inf, series[countKey])
+		}
+		if last, _ := strconv.ParseUint(inf, 10, 64); last < buckets[len(buckets)-1].cum {
+			t.Errorf("%s: +Inf %s below the last finite bucket %d", fam, inf, buckets[len(buckets)-1].cum)
+		}
 	}
 }
 

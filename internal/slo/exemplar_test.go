@@ -70,3 +70,22 @@ func TestQuantileBucketMatchesQuantile(t *testing.T) {
 		}
 	}
 }
+
+// A bucket's upper boundary lands in that same bucket (buckets are
+// closed above), so the neighbour fallback is exercised with a note one
+// nanosecond past it, the first duration of the next bucket.
+func TestExemplarNextBucketFallback(t *testing.T) {
+	tr := NewTracker(map[string]Objective{ClassSearchMiss: {Threshold: time.Second}}, Options{})
+	d := 10 * time.Millisecond
+	tr.Record(ClassSearchMiss, d, OutcomeOK)
+	next := BucketUpper(BucketIndex(d)) + time.Nanosecond
+	if got, want := BucketIndex(next), BucketIndex(d)+1; got != want {
+		t.Fatalf("note lands in bucket %d, want %d", got, want)
+	}
+	tr.NoteExemplar(ClassSearchMiss, next, "trace-next")
+
+	cs, _ := tr.Snapshot().Class(ClassSearchMiss)
+	if got := cs.Total.Exemplars["p99"]; got != "trace-next" {
+		t.Fatalf("neighbour exemplar not found: %v", cs.Total.Exemplars)
+	}
+}

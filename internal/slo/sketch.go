@@ -24,9 +24,10 @@ import (
 	"time"
 )
 
-// Bucket geometry: numBounds boundaries b[i] = 1µs · growth^i. Bucket 0
-// holds sub-µs observations, bucket i (1 ≤ i ≤ numBounds-1) the range
-// [b[i-1], b[i]), and the last bucket everything ≥ b[numBounds-1] ≈ 69s.
+// Bucket geometry: numBounds boundaries b[i] = 1µs · growth^i. Buckets
+// are closed on the upper side, as Prometheus's `le` buckets are: bucket
+// 0 holds observations ≤ 1µs, bucket i (1 ≤ i ≤ numBounds-1) the range
+// (b[i-1], b[i]], and the last bucket everything > b[numBounds-1] ≈ 69s.
 const (
 	growth          = 1.2
 	minTrackSeconds = 1e-6 // 1µs
@@ -53,11 +54,17 @@ func init() {
 }
 
 // bucketOf maps a latency in seconds onto its bucket index: the smallest
-// i whose boundary exceeds v, found by binary search (no float log, so
+// i whose boundary is ≥ v, found by binary search (no float log, so
 // boundary values bucket deterministically).
 func bucketOf(v float64) int {
-	return sort.Search(numBounds, func(j int) bool { return bounds[j] > v })
+	return sort.Search(numBounds, func(j int) bool { return bounds[j] >= v })
 }
+
+// BucketBound returns boundary i (0 ≤ i < NumBuckets-1) in seconds: the
+// inclusive upper end of bucket i, the exact value bucketOf compares
+// against. Cumulative counts over buckets 0..i count the observations
+// ≤ BucketBound(i), which is what a Prometheus `le` bucket holds.
+func BucketBound(i int) float64 { return bounds[i] }
 
 // BucketIndex returns the sketch bucket the duration falls into. Two
 // estimates whose indices differ by at most one are "within one sketch
@@ -162,7 +169,7 @@ type Counts struct {
 // latencies: the upper boundary of the bucket holding the ⌈p·n⌉-th
 // smallest observation. Because the true order statistic lies inside
 // that bucket, the estimate exceeds it by at most one bucket width (a
-// factor of growth = 1.2); sub-µs observations report 1µs, and the
+// factor of growth = 1.2); observations ≤ 1µs report 1µs, and the
 // overflow bucket reports the observed maximum. Zero observations
 // estimate zero.
 func (c *Counts) Quantile(p float64) time.Duration {
@@ -179,8 +186,7 @@ func (c *Counts) Quantile(p float64) time.Duration {
 // QuantileBucket returns the index of the bucket holding the ⌈p·n⌉-th
 // smallest observation, or -1 with no observations. It is the join key
 // for exemplars: a trace noted at BucketIndex(d) of an observation lands
-// in exactly this index, whereas re-bucketing the Quantile estimate
-// (the bucket's upper boundary) would land one bucket up.
+// in exactly this index.
 func (c *Counts) QuantileBucket(p float64) int {
 	if c.Total == 0 {
 		return -1

@@ -11,27 +11,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/slo"
 )
-
-// DefBuckets is the default latency bucket layout (seconds). It spans
-// 0.5ms–10s, bracketing everything from a grid-approximated Step 1 on a
-// small K to a quadratic exact run at the -max-K ceiling.
-var DefBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// LatencyBuckets is the serving-path latency layout (seconds). The
-// served distribution is bimodal — cache hits return in single-digit
-// microseconds, misses in milliseconds, three orders of magnitude apart —
-// so the layout extends DefBuckets down through the microsecond range.
-// With the old 0.5ms floor every hit collapsed into one bucket and the
-// hit-path p99 was unrecoverable from /metrics.
-var LatencyBuckets = []float64{
-	1e-6, 2e-6, 4e-6, 8e-6, 1.5e-5, 3e-5, 6e-5, 1.25e-4, 2.5e-4,
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
 
 var (
 	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -94,10 +76,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 
 // CounterVec registers a counter family keyed by one label.
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	if !labelNameRE.MatchString(label) {
-		panic(fmt.Sprintf("telemetry: invalid label name %q", label))
-	}
-	v := &CounterVec{label: label, series: make(map[string]*Counter)}
+	v := &CounterVec{vec[Counter]{label: checkLabel(label)}}
 	r.register(name, help, "counter", v)
 	return v
 }
@@ -171,24 +150,29 @@ func seriesCollector(fn func() []Series) collector {
 	})
 }
 
-// Histogram registers and returns a histogram with the given bucket
-// upper bounds (seconds for latency histograms); a +Inf bucket is
-// implicit. Buckets must be non-empty; they are copied and sorted.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	h := newHistogram(buckets)
-	r.register(name, help, "histogram", h)
-	return h
+// Sketch registers a latency histogram backed by an slo.Sketch, the
+// same log-bucketed sketch the SLO tracker keeps, and returns it for
+// Observe. It is exposed as a Prometheus histogram (see writeSketch).
+func (r *Registry) Sketch(name, help string) *slo.Sketch {
+	s := new(slo.Sketch)
+	r.register(name, help, "histogram", funcCollector(func(w io.Writer, n string) {
+		writeSketch(w, n, "", s)
+	}))
+	return s
 }
 
-// HistogramVec registers a histogram family keyed by one label, each
-// series sharing the same bucket layout.
-func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
+// SketchVec registers a sketch histogram family keyed by one label.
+func (r *Registry) SketchVec(name, help, label string) *SketchVec {
+	v := &SketchVec{vec[slo.Sketch]{label: checkLabel(label)}}
+	r.register(name, help, "histogram", v)
+	return v
+}
+
+func checkLabel(label string) string {
 	if !labelNameRE.MatchString(label) {
 		panic(fmt.Sprintf("telemetry: invalid label name %q", label))
 	}
-	v := &HistogramVec{label: label, buckets: normalizeBuckets(buckets), series: make(map[string]*Histogram)}
-	r.register(name, help, "histogram", v)
-	return v
+	return label
 }
 
 // WritePrometheus renders every registered family in Prometheus text
@@ -240,34 +224,39 @@ func (c *Counter) collect(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s %d\n", name, c.Value())
 }
 
-// CounterVec is a family of counters distinguished by one label value.
-type CounterVec struct {
+// vec is a family of metrics of one kind distinguished by one label
+// value, each series created on first use.
+type vec[M any] struct {
 	mu     sync.RWMutex
 	label  string
-	series map[string]*Counter
+	series map[string]*M
 }
 
-// With returns the counter for the given label value, creating it on
+// With returns the series for the given label value, creating it on
 // first use. Label values should come from a bounded set (status codes,
 // stage names) to keep series cardinality finite.
-func (v *CounterVec) With(value string) *Counter {
+func (v *vec[M]) With(value string) *M {
 	v.mu.RLock()
-	c, ok := v.series[value]
+	m, ok := v.series[value]
 	v.mu.RUnlock()
 	if ok {
-		return c
+		return m
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c, ok = v.series[value]; ok {
-		return c
+	if m, ok = v.series[value]; ok {
+		return m
 	}
-	c = &Counter{}
-	v.series[value] = c
-	return c
+	if v.series == nil {
+		v.series = make(map[string]*M)
+	}
+	m = new(M)
+	v.series[value] = m
+	return m
 }
 
-func (v *CounterVec) collect(w io.Writer, name string) {
+// each calls fn on every series in label-value order.
+func (v *vec[M]) each(fn func(value string, m *M)) {
 	v.mu.RLock()
 	keys := make([]string, 0, len(v.series))
 	for k := range v.series {
@@ -276,8 +265,27 @@ func (v *CounterVec) collect(w io.Writer, name string) {
 	v.mu.RUnlock()
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, v.label, k, v.With(k).Value())
+		fn(k, v.With(k))
 	}
+}
+
+// CounterVec is a family of counters distinguished by one label value.
+type CounterVec struct{ vec[Counter] }
+
+func (v *CounterVec) collect(w io.Writer, name string) {
+	v.each(func(k string, c *Counter) {
+		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, v.label, k, c.Value())
+	})
+}
+
+// SketchVec is a family of sketch histograms distinguished by one label
+// value.
+type SketchVec struct{ vec[slo.Sketch] }
+
+func (v *SketchVec) collect(w io.Writer, name string) {
+	v.each(func(k string, s *slo.Sketch) {
+		writeSketch(w, name, fmt.Sprintf("%s=%q,", v.label, k), s)
+	})
 }
 
 // Gauge is a value that can go up and down; safe for concurrent use.
@@ -312,143 +320,36 @@ func (g *Gauge) collect(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s %s\n", name, formatFloat(g.Value()))
 }
 
-// Histogram counts observations into fixed buckets; safe for concurrent
-// use. Exposed as cumulative le-labelled buckets plus _sum and _count,
-// per the Prometheus histogram convention.
-type Histogram struct {
-	upper  []float64 // sorted upper bounds; +Inf implicit
-	counts []atomic.Uint64
-	total  atomic.Uint64
-	sum    atomicFloat
-}
+// sketchStride is the step between exposed sketch boundaries: every
+// third boundary, so `le` runs 1e-06, then ×1.2³ = ×1.728 per bucket up
+// to ≈ 69 s — 34 finite buckets. The ratio is below 2, so any doubling
+// of a latency crosses an exposed boundary.
+const sketchStride = 3
 
-func normalizeBuckets(buckets []float64) []float64 {
-	if len(buckets) == 0 {
-		panic("telemetry: histogram needs at least one bucket")
-	}
-	up := make([]float64, 0, len(buckets))
-	for _, b := range buckets {
-		if math.IsNaN(b) {
-			panic("telemetry: NaN histogram bucket")
-		}
-		if math.IsInf(b, +1) {
-			continue // +Inf is implicit
-		}
-		up = append(up, b)
-	}
-	sort.Float64s(up)
-	// Drop duplicates: a repeated le value would emit a duplicate series.
-	out := up[:0]
-	for i, b := range up {
-		if i == 0 || b != out[len(out)-1] {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-func newHistogram(buckets []float64) *Histogram {
-	up := normalizeBuckets(buckets)
-	return &Histogram{upper: up, counts: make([]atomic.Uint64, len(up)+1)}
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	// First bucket whose upper bound is ≥ v; beyond the last bound the
-	// observation lands in the implicit +Inf bucket.
-	idx := sort.SearchFloat64s(h.upper, v)
-	h.counts[idx].Add(1)
-	h.total.Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
-
-func (h *Histogram) collect(w io.Writer, name string) {
-	h.collectLabelled(w, name, "")
-}
-
-// collectLabelled writes the bucket/sum/count lines; extra is either ""
-// or a pre-rendered `label="value",` prefix for vec series.
-func (h *Histogram) collectLabelled(w io.Writer, name, extra string) {
+// writeSketch renders one sketch as a Prometheus histogram: cumulative
+// `le` buckets at every sketchStride-th sketch boundary, +Inf, _sum (the
+// sketch's exact nanosecond sum, in seconds) and _count. The sketch's
+// buckets are closed on the upper side, so the cumulative count at a
+// boundary is exactly the number of observations ≤ it. +Inf and _count
+// are both the sum of the buckets read, so one scrape never shows them
+// apart even while Observe races it. labels is "" or a rendered
+// `label="value",` prefix.
+func writeSketch(w io.Writer, name, labels string, s *slo.Sketch) {
+	c := s.Counts()
 	var cum uint64
-	for i, ub := range h.upper {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, extra, formatFloat(ub), cum)
-	}
-	cum += h.counts[len(h.upper)].Load()
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, extra, cum)
-	// _sum/_count carry the vec label (if any) but no le label.
-	suffix := ""
-	if extra != "" {
-		suffix = "{" + strings.TrimSuffix(extra, ",") + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, h.Count())
-}
-
-// HistogramVec is a family of histograms distinguished by one label
-// value, all sharing the same bucket layout.
-type HistogramVec struct {
-	mu      sync.RWMutex
-	label   string
-	buckets []float64
-	series  map[string]*Histogram
-}
-
-// With returns the histogram for the given label value, creating it on
-// first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	v.mu.RLock()
-	h, ok := v.series[value]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.series[value]; ok {
-		return h
-	}
-	h = &Histogram{upper: v.buckets, counts: make([]atomic.Uint64, len(v.buckets)+1)}
-	v.series[value] = h
-	return h
-}
-
-func (v *HistogramVec) collect(w io.Writer, name string) {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.series))
-	for k := range v.series {
-		keys = append(keys, k)
-	}
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		extra := fmt.Sprintf("%s=%q,", v.label, k)
-		v.With(k).collectLabelled(w, name, extra)
-	}
-}
-
-// atomicFloat is a float64 mutated with CAS on its bit pattern.
-type atomicFloat struct {
-	bits atomic.Uint64
-}
-
-func (f *atomicFloat) Add(v float64) {
-	for {
-		old := f.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, next) {
-			return
+	for i, n := range c.Buckets {
+		cum += n
+		if i < slo.NumBuckets-1 && i%sketchStride == 0 {
+			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, labels, formatFloat(slo.BucketBound(i)), cum)
 		}
 	}
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
+	if labels != "" {
+		labels = "{" + strings.TrimSuffix(labels, ",") + "}"
+	}
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(float64(c.SumNs)/1e9))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, cum)
 }
-
-func (f *atomicFloat) Value() float64 { return math.Float64frombits(f.bits.Load()) }
 
 func formatFloat(v float64) string {
 	if math.IsInf(v, +1) {

@@ -1,13 +1,12 @@
-// Package telemetry is the zero-dependency observability substrate of
-// the serving path: atomic counters, gauges and fixed-bucket histograms
-// with Prometheus text-format exposition (metrics.go), a per-request
-// stage Trace threaded through context (trace.go), and the request-ID
-// rules and structured JSON access-log entry the server writes
-// (httplog.go).
+// Package telemetry is the observability substrate of the serving path:
+// atomic counters, gauges and latency histograms (slo sketches) with
+// Prometheus text-format exposition (metrics.go), a per-request stage
+// Trace threaded through context (trace.go), and the request-ID rules
+// and structured JSON access-log entry the server writes (httplog.go).
 //
 // The package sits below every other package of the repository — it
-// imports only the standard library — so the pipeline stages
-// (internal/core, internal/textctx, internal/grid) can record span
+// imports only the standard library and internal/slo, which imports no
+// repository package — so the pipeline (internal/core) can record span
 // boundaries without import cycles. The paper's whole point is that
 // Step 1 (all-pairs pCS via msJh, pSS via the grids) is made cheap
 // relative to Step 2 (greedy selection); the stage spans recorded here

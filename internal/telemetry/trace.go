@@ -14,9 +14,9 @@ import (
 // Step 1 / Step 2 decomposition of DESIGN.md: request parsing, admission
 // wait at the resilience gate, top-K retrieval, the all-pairs contextual
 // (pCS) and spatial (pSS) phases of Step 1, greedy selection (Step 2),
-// and response encoding. The pCS/pSS/select spans are recorded by
-// internal/textctx, internal/grid and internal/core themselves, at the
-// same boundaries as the PR 1 cancellation checkpoints.
+// and response encoding. The pCS and pSS spans are recorded by
+// internal/core's fused Step 1 pass (fusedStep1), the select span by
+// core.SelectCtx.
 const (
 	StageParse     = "parse"
 	StageAdmission = "admission_wait"
