@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet cross race race-all cover bench bench-e2e bench-miss crash-test check profile report report-small examples clean
+.PHONY: all build test vet cross race race-all cover fuzz bench bench-e2e bench-miss crash-test check profile report report-small examples clean
 
 all: check
 
@@ -61,6 +61,17 @@ race-all:
 
 cover:
 	$(GO) test -cover ./...
+
+# Every fuzz target of the module for FUZZTIME each, one after another;
+# not part of check. `go test -list` names the targets, so a new Fuzz*
+# function joins without an edit here.
+FUZZTIME ?= 10s
+fuzz:
+	@$(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "--- $$target ($$pkg)"; \
+		$(GO) test "$$pkg" -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) -parallel 2 || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

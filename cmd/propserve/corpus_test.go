@@ -122,7 +122,8 @@ func TestCorpusMutationRoundTrip(t *testing.T) {
 		t.Errorf("/v1/stats corpus_epoch = %v", stats["corpus_epoch"])
 	}
 	corpus, _ := stats["corpus"].(map[string]any)
-	if corpus == nil || corpus["mutations"] != float64(1) || corpus["mutation_api"] != true {
+	if corpus == nil || corpus["mutations"] != float64(1) || corpus["mutation_api"] != true ||
+		corpus["kept_entries"] != float64(0) || corpus["swept_entries"] != float64(1) {
 		t.Errorf("/v1/stats corpus section = %v", stats["corpus"])
 	}
 

@@ -378,7 +378,7 @@ func TestSearchHitHandlerAllocs(t *testing.T) {
 			t.Fatalf("status %d", rec.Code)
 		}
 	})
-	budget := 57.0
+	budget := 55.0
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, kv := range bi.Settings {
 			if kv.Key == "-race" && kv.Value == "true" {

@@ -40,7 +40,7 @@ type request struct {
 	w        http.ResponseWriter // nil for a batch element: its response is the batch's
 	ctx      context.Context     // carries tr; after admit, the deadline budget too
 	cancel   context.CancelFunc  // releases the deadline budget (set by admit)
-	release  func()              // releases the admission slot (set by admit)
+	admitted bool                // holds an admission slot until exit (set by admit)
 	start    time.Time           // ServeHTTP's instant; a batch element's own
 	endpoint string
 	id       string // X-Request-ID; a batch element carries its batch's
@@ -147,8 +147,9 @@ func (rq *request) retryLater() {
 // decision and writes the slow-query line from it, and flushes the
 // spans into propserve_stage_seconds.
 func (rq *request) exit() {
-	if rq.release != nil {
-		rq.release()
+	if rq.admitted {
+		rq.admitted = false
+		rq.tn.Gate.Release()
 	}
 	if rq.cancel != nil {
 		rq.cancel()
@@ -172,7 +173,7 @@ func (rq *request) admit() bool {
 	rq.ctx, rq.cancel = context.WithTimeout(rq.ctx, s.cfg.QueryTimeout)
 	waitStart := time.Now()
 	endWait := rq.tr.StartSpan(telemetry.StageAdmission)
-	release, err := rq.tn.Gate.Acquire(rq.ctx)
+	err := rq.tn.Gate.Admit(rq.ctx)
 	endWait()
 	s.tel.queueWait.Observe(time.Since(waitStart))
 	if err != nil {
@@ -183,7 +184,7 @@ func (rq *request) admit() bool {
 		rq.fail(status, "admission: %v", err)
 		return false
 	}
-	rq.release = release
+	rq.admitted = true
 	return true
 }
 

@@ -80,9 +80,9 @@
 // cached in an LRU (-cache-entries), and concurrent identical queries
 // are computed once and shared. The corpus lives behind epoch-versioned
 // snapshots: every query reads the epoch published when it arrived, a
-// mutation batch swaps in the next epoch atomically and sweeps
-// stale-epoch cache entries, and responses report their epoch in
-// diagnostics.corpus_epoch.
+// mutation batch swaps in the next epoch atomically, carries over the
+// cache entries it cannot change and sweeps the rest, and responses
+// report their epoch in diagnostics.corpus_epoch.
 //
 // The serving path is guarded by per-request deadline budgets
 // (-query-timeout), bounded-concurrency admission control (-max-inflight,

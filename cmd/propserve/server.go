@@ -341,7 +341,7 @@ func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *eng
 		"Mutation batches applied and published as new corpus epochs.",
 		func() uint64 { return eng.Stats().Mutations })
 	reg.CounterFunc("propserve_corpus_swept_entries_total",
-		"Stale-epoch score sets proactively swept from the engine LRU after mutations.",
+		"Score sets swept from the engine LRU by mutations that could change them (the rest are carried into the new epoch).",
 		func() uint64 { return eng.Stats().SweptEntries })
 	return m
 }
@@ -1020,6 +1020,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"mutations":       es.Mutations,
 			"places_upserted": es.PlacesUpserted,
 			"places_deleted":  es.PlacesDeleted,
+			"kept_entries":    es.KeptEntries,
 			"swept_entries":   es.SweptEntries,
 			"mutation_api":    s.cfg.EnableMutation,
 		},

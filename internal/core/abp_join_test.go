@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -239,4 +240,55 @@ func TestABPJoinBandKeep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestABPSelect: abpSelect leaves the m-th pair in abpBefore order at
+// ps[m−1], every pair before it preceding it and every pair after it
+// following it, on buffers small enough for median-of-three cuts and
+// large enough for sampled ones, with tie-heavy scores, near-sorted and
+// reversed orders, and m at the ends and in the middle.
+func TestABPSelect(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%2 == 1 {
+			n = abpSampleMin + rng.Intn(6*abpSampleMin)
+		}
+		levels := []int{0, 1, 3, 50}[trial%4]
+		ps := make([]abpPair, n)
+		for x := range ps {
+			sc := rng.Float64()
+			if levels > 0 {
+				sc = float64(rng.Intn(levels+1)) / float64(levels)
+			}
+			ps[x] = abpPair{i: int32(x / 64), j: int32(x%64 + 64), score: sc}
+		}
+		switch trial % 3 {
+		case 1:
+			slices.SortFunc(ps, func(a, b abpPair) int { return cmpBefore(a, b) })
+		case 2:
+			slices.SortFunc(ps, func(a, b abpPair) int { return -cmpBefore(a, b) })
+		}
+		for _, m := range []int{1, n, (n + 1) / 2, 1 + rng.Intn(n), max(1, n-rng.Intn(8))} {
+			abpSelect(ps, m)
+			at := ps[m-1]
+			for x, p := range ps {
+				if x < m-1 && !abpBefore(p, at) || x > m-1 && !abpBefore(at, p) {
+					t.Fatalf("trial %d (n %d, levels %d), m %d: ps[%d] = %v is on the wrong side of ps[m−1] = %v",
+						trial, n, levels, m, x, p, at)
+				}
+			}
+		}
+	}
+}
+
+// cmpBefore orders a and b as abpBefore does.
+func cmpBefore(a, b abpPair) int {
+	switch {
+	case abpBefore(a, b):
+		return -1
+	case abpBefore(b, a):
+		return 1
+	}
+	return 0
 }

@@ -20,9 +20,10 @@ import (
 // multiply and an add in none of them, so none may compile to a fused
 // multiply-add. The evaluation functions, the
 // distances, the squared and radial grids, the IR-tree's retrieval score
-// and the generators of the golden corpus join them, so that the corpus,
-// retrieval, breakdowns and scores the answer goldens record on amd64 are
-// the ones arm64 computes.
+// (and the corpus's rescoring of a mutated place, which must match it
+// bit for bit) and the generators of the golden corpus join them, so
+// that the corpus, retrieval, breakdowns and scores the answer goldens
+// record on amd64 are the ones arm64 computes.
 var identityPath = []string{
 	"repro/internal/pairs.Blend",
 	"repro/internal/core.pairHPF",
@@ -64,12 +65,13 @@ var identityPath = []string{
 	"repro/internal/grid.NewRadial",
 	"repro/internal/grid.(*Radial).Representative",
 	"repro/internal/grid.(*Radial).PSS",
-	"repro/internal/irtree.(*Searcher).combine",
+	"repro/internal/irtree.Combine",
 	"repro/internal/irtree.(*Searcher).nodeBound",
 	"repro/internal/irtree.(*Searcher).Next",
 	"repro/internal/dataset.UniformPoints",
 	"repro/internal/dataset.GaussianPoints",
 	"repro/internal/dataset.Generate",
+	"repro/internal/dataset.(*Dataset).Relevance",
 }
 
 // asmPackages are the packages identityPath draws from.

@@ -210,19 +210,28 @@ func abpHeapify(h []abpPair) {
 
 // abpSelect reorders ps so that ps[m−1] is its m-th pair in abpBefore
 // order, the pairs before it precede it and the pairs after it follow it
-// (quickselect, median-of-three pivots), for 1 ≤ m ≤ len(ps). The pairs
-// of ps must be distinct.
+// (quickselect), for 1 ≤ m ≤ len(ps). The pairs of ps must be distinct.
+// A range of at least abpSampleMin pairs cuts at a sampled pivot
+// (abpSamplePivot), so a cut of the band's buffer, twice the m it keeps,
+// costs about one pass over it and a pass over the half it keeps; a
+// smaller one cuts at a median of three.
 func abpSelect(ps []abpPair, m int) {
 	lo, hi := 0, len(ps) // the m-th pair is in ps[lo:hi]
 	for hi-lo > 1 {
-		a, b, c := lo, lo+(hi-lo)/2, hi-1
-		if abpBefore(ps[b], ps[a]) {
-			a, b = b, a
-		}
-		if abpBefore(ps[c], ps[b]) {
-			b = c
+		var b int
+		if hi-lo >= abpSampleMin {
+			b = lo + abpSamplePivot(ps[lo:hi], m-1-lo)
+		} else {
+			a, c := lo, hi-1
+			b = lo + (hi-lo)/2
 			if abpBefore(ps[b], ps[a]) {
-				b = a
+				a, b = b, a
+			}
+			if abpBefore(ps[c], ps[b]) {
+				b = c
+				if abpBefore(ps[b], ps[a]) {
+					b = a
+				}
 			}
 		}
 		ps[b], ps[hi-1] = ps[hi-1], ps[b]
@@ -243,6 +252,34 @@ func abpSelect(ps []abpPair, m int) {
 			return
 		}
 	}
+}
+
+// abpSampleMin is the smallest range abpSelect cuts at a sampled pivot.
+const abpSampleMin = 1024
+
+// abpSamplePivot returns the index in ps of a pivot for finding the pair
+// of rank t (from 0). It gathers s ≈ n^⅔ pairs spread over ps at its
+// front and selects among them the pair whose rank in the sample
+// estimates t, moved by √s sample ranks (about two standard errors)
+// towards the middle of ps. The cut then most likely leaves rank t on
+// the side of the nearer end, whose size is t or n − t plus n/√s: when
+// rank t is near an end, as in the second cut of a band's buffer, that
+// side is small.
+func abpSamplePivot(ps []abpPair, t int) int {
+	n := len(ps)
+	s := int(math.Cbrt(float64(n) * float64(n)))
+	step := n / s
+	for i := 1; i < s; i++ {
+		ps[i], ps[i*step] = ps[i*step], ps[i]
+	}
+	r, g := t*s/n, int(math.Sqrt(float64(s)))
+	if 2*t < n {
+		r = min(r+g, s-1)
+	} else {
+		r = max(r-g, 0)
+	}
+	abpSelect(ps[:s], r+1)
+	return r
 }
 
 // abpPop removes and returns the best pair; the returned slice aliases

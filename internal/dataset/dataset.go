@@ -246,8 +246,7 @@ func (d *Dataset) Retrieve(q Query, K int) ([]core.Place, error) {
 	if K <= 0 {
 		return nil, fmt.Errorf("dataset: K = %d must be positive", K)
 	}
-	maxDist := d.Config.Extent * 1.4142135623730951
-	res := d.Index.TopK(q.Loc, q.Keywords, irtree.QueryOptions{K: K, Beta: 0.5, MaxDist: maxDist})
+	res := d.Index.TopK(q.Loc, q.Keywords, d.retrieval(K))
 	out := make([]core.Place, len(res))
 	for i, r := range res {
 		rec := d.Places[r.Obj.ID]
@@ -259,6 +258,22 @@ func (d *Dataset) Retrieve(q Query, K int) ([]core.Place, error) {
 		}
 	}
 	return out, nil
+}
+
+// retrieval is the scoring every retrieval of d ranks its K results by:
+// rF with β = ½ and distances normalised by the extent diagonal.
+func (d *Dataset) retrieval(K int) irtree.QueryOptions {
+	return irtree.QueryOptions{K: K, Beta: 0.5, MaxDist: d.Config.Extent * 1.4142135623730951}
+}
+
+// Relevance returns rec's retrieval score rF against q, by the function
+// the IR-trees rank with (irtree.Combine) and from the same inputs: the
+// very bits Retrieve and ShardView.Retrieve report as Rel when they
+// retrieve rec. It needs a positive Config.Extent; without one a tree
+// normalises by its own diagonal, which no rescoring can know.
+func (d *Dataset) Relevance(q Query, rec PlaceRecord) float64 {
+	opt := d.retrieval(0)
+	return irtree.Combine(opt.Beta, opt.MaxDist, q.Keywords.Jaccard(rec.Context), rec.Loc.Dist(q.Loc))
 }
 
 // AdjustContextSizes returns a copy of places whose contextual sets are

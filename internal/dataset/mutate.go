@@ -39,6 +39,11 @@ type ApplyStats struct {
 	Missing []string
 	// NewWords counts dictionary entries the batch introduced.
 	NewWords int
+	// Removed and Added are the batch's delta: the old corpus's records
+	// the batch took out (deleted places, and the old version of every
+	// replaced one) and the records its upserts wrote, in batch order. A
+	// record may repeat, and an ID upserted twice adds both versions.
+	Removed, Added []PlaceRecord
 }
 
 // Apply returns a new Dataset with b applied, leaving d untouched: the
@@ -66,24 +71,16 @@ func (d *Dataset) Apply(b Batch) (*Dataset, ApplyStats, error) {
 // core.ErrDeadline (wrapping the context error), mirroring the scoring
 // and selection loops.
 func (d *Dataset) ApplyCtx(ctx context.Context, b Batch) (*Dataset, ApplyStats, error) {
-	next, st, _, err := d.apply(ctx, b)
-	return next, st, err
-}
-
-// apply is ApplyCtx that also returns the indices in d.Places of the
-// places the batch deleted or replaced, which is how ShardView.Apply
-// finds the shards a batch touches without a label map of its own.
-func (d *Dataset) apply(ctx context.Context, b Batch) (*Dataset, ApplyStats, []int, error) {
 	var st ApplyStats
 	if b.Size() == 0 {
-		return nil, st, nil, fmt.Errorf("dataset: empty mutation batch")
+		return nil, st, fmt.Errorf("dataset: empty mutation batch")
 	}
 	for _, u := range b.Upserts {
 		if u.ID == "" {
-			return nil, st, nil, fmt.Errorf("dataset: upsert with empty id")
+			return nil, st, fmt.Errorf("dataset: upsert with empty id")
 		}
 		if !geo.Pt(u.X, u.Y).Valid() {
-			return nil, st, nil, fmt.Errorf("dataset: upsert %q at non-finite location (%v, %v)", u.ID, u.X, u.Y)
+			return nil, st, fmt.Errorf("dataset: upsert %q at non-finite location (%v, %v)", u.ID, u.X, u.Y)
 		}
 	}
 
@@ -111,7 +108,7 @@ scan:
 	// wants.
 	const checkpointStride = 4096
 	if err := core.CtxErr(ctx); err != nil {
-		return nil, st, nil, err
+		return nil, st, err
 	}
 
 	oldID := make(map[string]int, len(d.Places))
@@ -119,12 +116,11 @@ scan:
 		oldID[p.Label] = i
 	}
 
-	var touched []int
 	drop := make(map[int]bool, len(b.Deletes))
 	for _, id := range b.Deletes {
 		if i, ok := oldID[id]; ok && !drop[i] {
 			drop[i] = true
-			touched = append(touched, i)
+			st.Removed = append(st.Removed, d.Places[i])
 			st.Deleted++
 		} else {
 			st.Missing = append(st.Missing, id)
@@ -135,7 +131,7 @@ scan:
 	for i, p := range d.Places {
 		if i%checkpointStride == 0 && i > 0 {
 			if err := core.CtxErr(ctx); err != nil {
-				return nil, st, nil, err
+				return nil, st, err
 			}
 		}
 		if !drop[i] {
@@ -150,7 +146,7 @@ scan:
 
 	for _, u := range b.Upserts {
 		if i, ok := oldID[u.ID]; ok {
-			touched = append(touched, i)
+			st.Removed = append(st.Removed, d.Places[i])
 		}
 		before := dict.Len()
 		rec := PlaceRecord{
@@ -159,6 +155,7 @@ scan:
 			Context: textctx.NewSetFromStrings(dict, u.Context),
 		}
 		st.NewWords += dict.Len() - before
+		st.Added = append(st.Added, rec)
 		if i, ok := byID[u.ID]; ok {
 			places[i] = rec
 		} else {
@@ -169,13 +166,13 @@ scan:
 	}
 
 	if len(places) < 2 {
-		return nil, ApplyStats{}, nil, fmt.Errorf("dataset: mutation would leave %d places; need at least 2", len(places))
+		return nil, ApplyStats{}, fmt.Errorf("dataset: mutation would leave %d places; need at least 2", len(places))
 	}
 
 	// Last exit before the index rebuild, the other O(n log n) chunk of
 	// the batch cost.
 	if err := core.CtxErr(ctx); err != nil {
-		return nil, st, nil, err
+		return nil, st, err
 	}
 
 	objs := make([]irtree.Object, len(places))
@@ -184,7 +181,7 @@ scan:
 	}
 	idx, err := irtree.BulkLoad(objs)
 	if err != nil {
-		return nil, ApplyStats{}, nil, fmt.Errorf("dataset: rebuild index: %w", err)
+		return nil, ApplyStats{}, fmt.Errorf("dataset: rebuild index: %w", err)
 	}
-	return &Dataset{Config: d.Config, Dict: dict, Places: places, Index: idx}, st, touched, nil
+	return &Dataset{Config: d.Config, Dict: dict, Places: places, Index: idx}, st, nil
 }

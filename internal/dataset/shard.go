@@ -261,8 +261,7 @@ func (sv *ShardView) Retrieve(ctx context.Context, q Query, K int) ([]core.Place
 	if K <= 0 {
 		return nil, fmt.Errorf("dataset: K = %d must be positive", K)
 	}
-	maxDist := sv.base.Config.Extent * 1.4142135623730951
-	opt := irtree.QueryOptions{K: K, Beta: 0.5, MaxDist: maxDist}
+	opt := sv.base.retrieval(K)
 
 	var curs []*shardCursor
 	for sid, sh := range sv.Shards {
@@ -355,29 +354,27 @@ func roundMS(d time.Duration) float64 {
 
 // Apply runs the batch through the base dataset's copy-on-write
 // ApplyCtx and derives the successor view, rebuilding only the shards
-// the batch touches: the shard of every deleted place's old location,
-// and for upserts both the new location's shard and (for replacements)
-// the old one. Untouched shards keep their tree and epoch — a mutation
+// the batch's delta (ApplyStats.Removed and Added) touches: the shard of
+// every removed record's old location and of every added record's new
+// one. Untouched shards keep their tree and epoch — a mutation
 // batch leaves them byte-identical — and only have their Global lists
 // renumbered, since deletes shift later global indices. Rebuilt shards
 // take nextEpoch, which is how per-shard epochs compose into the corpus
 // epoch. A one-shard view always takes the tree ApplyCtx built.
 func (sv *ShardView) Apply(ctx context.Context, b Batch, nextEpoch uint64) (*Dataset, *ShardView, ApplyStats, error) {
-	next, st, touched, err := sv.base.apply(ctx, b)
+	next, st, err := sv.base.ApplyCtx(ctx, b)
 	if err != nil {
 		return nil, nil, st, err
 	}
 
-	// Affected shards, computed against the OLD corpus (apply already
-	// validated every upsert's coordinates). A one-shard view's shard is
-	// always rebuilt: it must serve next's tree, not the old one.
+	// Affected shards. A one-shard view's shard is always rebuilt: it
+	// must serve next's tree, not the old one.
 	affected := make([]bool, sv.n)
 	affected[0] = sv.n == 1
-	for _, i := range touched {
-		affected[sv.shardOf(sv.base.Places[i].Loc)] = true
-	}
-	for _, u := range b.Upserts {
-		affected[sv.shardOf(geo.Pt(u.X, u.Y))] = true
+	for _, recs := range [...][]PlaceRecord{st.Removed, st.Added} {
+		for _, r := range recs {
+			affected[sv.shardOf(r.Loc)] = true
+		}
 	}
 
 	nv := &ShardView{base: next, n: sv.n, g: sv.g, cellW: sv.cellW, cellH: sv.cellH}

@@ -21,15 +21,17 @@ import (
 // the selection so a repeated (cache key, algorithm, k, λ) costs a lookup
 // and a copy.
 //
-// Why it is pure: the entry's key fixes the corpus epoch (hence the places,
-// the dictionary and corpus_epoch), the location, K after clamping, γ, the
-// spatial method and the resolved keyword set; the selKey fixes algorithm,
-// k and λ. The selection, HPF breakdown, diagnostics report, rendered
-// places and the echo of those very parameters follow from them alone.
-// What does not — and so is never stored here — is the request ID, the
-// keywords as the client spelled them (several spellings resolve to one
-// keyword set), the words that were dropped, the cache verdict, the
-// degradation report and the timings.
+// Why it is pure: the entry's score set fixes the places (their contexts
+// render through the dictionary, which a later epoch only appends to),
+// and its key the location, K after clamping, γ, the spatial method and
+// the resolved keyword set; the selKey fixes algorithm, k and λ. The
+// selection, HPF breakdown, diagnostics report, rendered places and the
+// echo of those very parameters follow from them alone. What does not —
+// and so is never stored here — is the request ID, the keywords as the
+// client spelled them (several spellings resolve to one keyword set),
+// the words that were dropped, the cache verdict, the corpus epoch (an
+// entry a write cannot change is carried into the next epoch, answer and
+// all; see Engine.Mutate), the degradation report and the timings.
 type answer struct {
 	sel       core.Selection
 	breakdown core.Breakdown
@@ -39,9 +41,9 @@ type answer struct {
 	once   sync.Once
 	report metrics.Report
 	places []PlaceResult
-	// frag is the encoded body cut at the seven points where a per-request
-	// field may be spliced in (see AppendResponse for the layout).
-	frag [7][]byte
+	// frag is the encoded body cut at the points where per-request fields
+	// are spliced in (see AppendResponse for the layout).
+	frag [6][]byte
 	err  error
 }
 
@@ -147,25 +149,21 @@ func (a *answer) build(req *QueryRequest, ss *core.ScoreSet, dict *textctx.Dict)
 	num(`,"pS":`, a.breakdown.PS)
 	num(`,"rel":`, a.breakdown.Rel)
 	str(`},"diagnostics":{`)
-	cut[1] = len(b) // cache
-	str(`"corpus_epoch":`)
-	b = strconv.AppendUint(b, req.Epoch(), 10)
-	str(`,`)
-	cut[2] = len(b) // degraded
+	cut[1] = len(b) // cache, corpus_epoch, degraded
 	num(`"directional_coverage":`, a.report.DirectionalCoverage)
 	num(`,"diversity":`, a.report.Diversity)
 	num(`,"dominance":`, a.report.Dominance)
 	str(`,`)
-	cut[3] = len(b) // elapsed_ms
+	cut[2] = len(b) // elapsed_ms
 	num(`"inference_match":`, a.report.InferenceMatch)
 	str(`,`)
-	cut[4] = len(b) // keywords_dropped
+	cut[3] = len(b) // keywords_dropped
 	num(`"mean_relevance":`, a.report.MeanRelevance)
 	num(`,"rare_share":`, a.report.RareShare)
 	str(`,"spatial_method":`)
 	b = jsonx.AppendString(b, req.spatial.String())
 	str(`,`)
-	cut[5] = len(b) // stage_ms
+	cut[4] = len(b) // stage_ms
 	num(`"type_coverage":`, a.report.TypeCoverage)
 	str(`},"results":`)
 	if a.places == nil {
@@ -193,7 +191,7 @@ func (a *answer) build(req *QueryRequest, ss *core.ScoreSet, dict *textctx.Dict)
 		str(`]`)
 	}
 	str(`}`)
-	cut[6] = len(b)
+	cut[5] = len(b)
 
 	from := 0
 	for i, to := range cut {
@@ -255,8 +253,8 @@ func (e *Engine) BuildResponse(req *QueryRequest, res *Result, tr *telemetry.Tra
 // value degraded encodes. It splices the per-request fields between the
 // answer's pre-encoded fragments, so a memoised answer costs a copy:
 //
-//	{ [request_id] frag0 [keywords] frag1 cache frag2 [degraded] frag3
-//	  [elapsed_ms] frag4 [keywords_dropped] frag5 [stage_ms] frag6
+//	{ [request_id] frag0 [keywords] frag1 cache corpus_epoch [degraded]
+//	  frag2 [elapsed_ms] frag3 [keywords_dropped] frag4 [stage_ms] frag5
 //
 // (diagnostics keys are emitted in sorted order, as encoding/json emits a
 // map, which is what interleaves the two kinds). The splice is recorded on
@@ -288,26 +286,27 @@ func (e *Engine) AppendResponse(dst []byte, req *QueryRequest, res *Result, tr *
 	dst = append(dst, a.frag[1]...)
 	dst = append(dst, `"cache":`...)
 	dst = jsonx.AppendString(dst, res.Cache)
+	dst = append(dst, `,"corpus_epoch":`...)
+	dst = strconv.AppendUint(dst, req.Epoch(), 10)
 	dst = append(dst, ',')
-	dst = append(dst, a.frag[2]...)
 	if degraded != nil {
 		dst = append(dst, `"degraded":`...)
 		dst = append(dst, degraded...)
 		dst = append(dst, ',')
 	}
-	dst = append(dst, a.frag[3]...)
+	dst = append(dst, a.frag[2]...)
 	if tr != nil {
 		dst = append(dst, `"elapsed_ms":`...)
 		dst = jsonx.AppendFloat(dst, durationMS(elapsed))
 		dst = append(dst, ',')
 	}
-	dst = append(dst, a.frag[4]...)
+	dst = append(dst, a.frag[3]...)
 	if len(req.droppedKw) > 0 {
 		dst = append(dst, `"keywords_dropped":`...)
 		dst = jsonx.AppendStrings(dst, req.droppedKw)
 		dst = append(dst, ',')
 	}
-	dst = append(dst, a.frag[5]...)
+	dst = append(dst, a.frag[4]...)
 	if tr != nil {
 		dst = append(dst, `"stage_ms":{`...)
 		for i, s := range stages {
@@ -320,7 +319,7 @@ func (e *Engine) AppendResponse(dst []byte, req *QueryRequest, res *Result, tr *
 		}
 		dst = append(dst, `},`...)
 	}
-	return append(dst, a.frag[6]...), nil
+	return append(dst, a.frag[5]...), nil
 }
 
 // durationMS is d in milliseconds, rounded to the microsecond.

@@ -112,7 +112,25 @@ func TestCacheBytes(t *testing.T) {
 	if got, want := e.Stats().CacheBytes, resident(); got != want {
 		t.Errorf("after evictions CacheBytes = %d, resident score sets hold %d", got, want)
 	}
-	if _, err := e.Mutate(context.Background(), Mutation{Deletes: []string{e.Corpus().Places[0].Label}}); err != nil {
+	// A place between the two groups of queries keeps some entries and
+	// sweeps others; the bytes follow both.
+	if _, err := e.Mutate(context.Background(), Mutation{Upserts: []dataset.Upsert{{ID: "bytes:mid", X: 27, Y: 12}}}); err != nil {
+		t.Fatal(err)
+	}
+	st = e.Stats()
+	if got, want := st.CacheBytes, resident(); got != want || st.Entries != int(st.KeptEntries) {
+		t.Errorf("after a scoped sweep CacheBytes = %d, resident score sets hold %d; %d entries, %d kept",
+			got, want, st.Entries, st.KeptEntries)
+	}
+	if st.KeptEntries == 0 || st.SweptEntries == 0 {
+		t.Errorf("the scoped sweep kept %d and swept %d entries; want some of each", st.KeptEntries, st.SweptEntries)
+	}
+	// A place at every query point sweeps them all.
+	var near []dataset.Upsert
+	for i := 4; i < 12; i++ {
+		near = append(near, dataset.Upsert{ID: fmt.Sprintf("bytes:%d", i), X: 20 + float64(i), Y: 20})
+	}
+	if _, err := e.Mutate(context.Background(), Mutation{Upserts: near}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Entries != 0 || st.CacheBytes != 0 {

@@ -39,9 +39,10 @@
 // immutable epoch copy-on-write (dataset.ShardView.Apply) and publishes
 // it with one pointer swap, while every request pins the snapshot current
 // when it was created and reads it for its whole lifetime — a query never
-// observes a half-applied batch. Score-set cache keys carry the epoch
-// (stale-epoch entries are proactively swept after each mutation),
-// whereas the maximal grid tables are deliberately epoch-free: by
+// observes a half-applied batch. Score-set cache keys carry the epoch;
+// after each mutation an entry the batch provably cannot change is
+// re-keyed into the new epoch and every other one is swept (see
+// Mutate). The maximal grid tables are deliberately epoch-free: by
 // Theorem 7.1 they depend only on cell geometry, never on corpus
 // content, and so are shared across every epoch forever.
 package engine
@@ -158,6 +159,7 @@ type Engine struct {
 	mutations   atomic.Uint64
 	upserted    atomic.Uint64
 	deleted     atomic.Uint64
+	kept        atomic.Uint64
 	swept       atomic.Uint64
 }
 
@@ -294,7 +296,7 @@ func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string, al
 			if err != nil {
 				return nil, err
 			}
-			ent := newEntry(ss)
+			ent := newEntry(req, ss)
 			if ss.K() > p.K {
 				leaderAns, selErr = ent.answer(ctx, alg, p, e.opt.SelectionMemo)
 			}
@@ -384,9 +386,10 @@ type Stats struct {
 	// PlacesUpserted and PlacesDeleted count individual mutation
 	// operations that took effect across all batches.
 	PlacesUpserted, PlacesDeleted uint64
-	// SweptEntries counts stale-epoch score sets proactively removed from
-	// the LRU after mutations (distinct from capacity Evictions).
-	SweptEntries uint64
+	// KeptEntries counts resident score sets that a mutation could not
+	// change and so carried into its epoch; SweptEntries counts the ones
+	// it removed instead (distinct from capacity Evictions). See Mutate.
+	KeptEntries, SweptEntries uint64
 	// Places is the current corpus size.
 	Places int
 	// Entries and Capacity describe the LRU occupancy.
@@ -431,6 +434,7 @@ func (e *Engine) Stats() Stats {
 		Mutations:      e.mutations.Load(),
 		PlacesUpserted: e.upserted.Load(),
 		PlacesDeleted:  e.deleted.Load(),
+		KeptEntries:    e.kept.Load(),
 		SweptEntries:   e.swept.Load(),
 		Places:         len(snap.view.Base().Places),
 		Entries:        e.cache.len(),
@@ -450,12 +454,49 @@ func (e *Engine) Stats() Stats {
 // answer memo — the selection and everything rendered from it.
 type entry struct {
 	ss *core.ScoreSet
+	// q and k are what ss was retrieved for: the resolved keyword set and
+	// location, and K after clamping. Mutate scores a batch against them
+	// to decide whether the entry outlives it (see survives).
+	q dataset.Query
+	k int
 	// size is ss.Bytes(), fixed when the entry is made; the LRU sums it.
 	size int
 	mu   sync.Mutex
 	sels map[selKey]*answer
 }
 
-func newEntry(ss *core.ScoreSet) *entry {
-	return &entry{ss: ss, size: ss.Bytes(), sels: make(map[selKey]*answer)}
+func newEntry(req *QueryRequest, ss *core.ScoreSet) *entry {
+	return &entry{
+		ss:   ss,
+		q:    dataset.Query{Loc: geo.Pt(req.X, req.Y), Keywords: req.kwSet},
+		k:    req.K,
+		size: ss.Bytes(),
+		sels: make(map[selKey]*answer),
+	}
+}
+
+// survives reports whether d, the corpus after a batch whose delta is st,
+// retrieves exactly en's S for en's query, so that the score set and
+// every answer memoised on it stay bit for bit what a fresh build on d
+// would give. It holds when S has all K places and every record the
+// batch removed or added scores strictly below S's K-th retrieval score:
+// a removed record below it was no member, an added one ranks below
+// every member, and ApplyCtx keeps the survivors' relative slot order,
+// so the (score desc, slot asc) order of S is unchanged too. A tie at
+// the K-th score counts as not below, so the rule only ever drops an
+// entry it cannot prove unchanged.
+func (en *entry) survives(d *dataset.Dataset, st dataset.ApplyStats) bool {
+	places := en.ss.Places
+	if len(places) != en.k || d.Config.Extent <= 0 {
+		return false
+	}
+	kth := places[len(places)-1].Rel // retrieval emits S best first
+	for _, recs := range [...][]dataset.PlaceRecord{st.Removed, st.Added} {
+		for _, r := range recs {
+			if !(d.Relevance(en.q, r) < kth) {
+				return false
+			}
+		}
+	}
+	return true
 }

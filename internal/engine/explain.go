@@ -41,7 +41,7 @@ func (e *Engine) Explain(ctx context.Context, req *QueryRequest) (*Result, *expl
 		return nil, nil, err
 	}
 	if !cached {
-		e.cache.add(key.String(), newEntry(ss))
+		e.cache.add(key.String(), newEntry(req, ss))
 	}
 
 	if ss.K() <= req.SmallK {

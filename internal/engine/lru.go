@@ -2,6 +2,8 @@ package engine
 
 import (
 	"container/list"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -62,33 +64,51 @@ func (c *lruCache) add(key string, v *entry) {
 	}
 	c.items[key] = c.ll.PushFront(&lruItem{key: key, val: v})
 	if c.ll.Len() > c.capacity {
-		oldest := c.ll.Remove(c.ll.Back()).(*lruItem)
-		delete(c.items, oldest.key)
-		c.size -= oldest.val.size
+		c.remove(c.ll.Back())
 		c.evictions.Add(1)
 	}
 }
 
-// sweep removes every resident entry whose key stale reports true and
-// returns how many were removed. Swept entries are not counted as
-// evictions: eviction is capacity pressure, sweeping is invalidation
-// (stale corpus epochs after a mutation).
-func (c *lruCache) sweep(stale func(key string) bool) int {
+// restamp carries the cache into the epoch after from, under one hold
+// of the lock. A key already of the next epoch stays. A key of epoch
+// from ("e=<from>;…") whose entry survive accepts is re-keyed to the
+// same key under the next epoch, in place, unless that key is already
+// resident: then the resident entry stays and this one goes. Every other
+// entry is removed (swept); removals are not counted as evictions, which
+// are capacity pressure, not invalidation.
+func (c *lruCache) restamp(from uint64, survive func(*entry) bool) (kept, swept int) {
+	oldPrefix := "e=" + strconv.FormatUint(from, 10) + ";"
+	newPrefix := "e=" + strconv.FormatUint(from+1, 10) + ";"
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
+	var next *list.Element
+	for el := c.ll.Front(); el != nil; el = next {
+		next = el.Next()
 		it := el.Value.(*lruItem)
-		if stale(it.key) {
-			c.ll.Remove(el)
-			delete(c.items, it.key)
-			c.size -= it.val.size
-			n++
+		if strings.HasPrefix(it.key, newPrefix) {
+			continue
 		}
-		el = next
+		if strings.HasPrefix(it.key, oldPrefix) && survive(it.val) {
+			key := newPrefix + it.key[len(oldPrefix):]
+			if _, resident := c.items[key]; !resident {
+				delete(c.items, it.key)
+				it.key = key
+				c.items[key] = el
+				kept++
+				continue
+			}
+		}
+		c.remove(el)
+		swept++
 	}
-	return n
+	return kept, swept
+}
+
+// remove unlinks el; the caller holds the lock.
+func (c *lruCache) remove(el *list.Element) {
+	it := c.ll.Remove(el).(*lruItem)
+	delete(c.items, it.key)
+	c.size -= it.val.size
 }
 
 // contains reports whether key is resident without promoting it — a pure

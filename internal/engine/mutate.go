@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -50,7 +49,8 @@ type MutationResult struct {
 	Upserted int      `json:"upserted"`
 	Deleted  int      `json:"deleted"`
 	Missing  []string `json:"missing,omitempty"`
-	// Swept is the number of stale-epoch score sets removed from the LRU.
+	// Swept is the number of score sets the batch removed from the LRU:
+	// those it could change, and any older epoch's (see Engine.Mutate).
 	Swept int `json:"swept_entries"`
 	// Places is the corpus size after the batch.
 	Places int `json:"places"`
@@ -60,9 +60,16 @@ type MutationResult struct {
 // epoch. The new epoch is built copy-on-write off the current one
 // (dataset.ShardView.Apply), so in-flight queries — pinned to the
 // snapshot their request was created on — keep reading their epoch
-// undisturbed and no query ever observes a half-applied batch. After the swap, every cached
-// score set of an older epoch is unreachable (cache keys carry the epoch)
-// and is proactively swept from the LRU; the singleflight key carries the
+// undisturbed and no query ever observes a half-applied batch.
+//
+// Cache keys carry the epoch, so after the swap every cached score set is
+// unreachable under its old key. A score set is a function of S and q
+// alone, and a batch whose removed and added records all score strictly
+// below an entry's K-th retrieval score leaves that entry's S as it was
+// (entry.survives): such an entry is re-keyed into the new epoch with
+// its memoised answers, which render the epoch of the request reading
+// them. Every other entry is swept. The rule costs one score per entry
+// and delta record, under the LRU lock. The singleflight key carries the
 // epoch too, so a herd racing the mutation can never be handed a
 // stale-epoch build under the new epoch's key. The shared grid tables are
 // untouched: they are corpus-independent (Theorem 7.1).
@@ -130,16 +137,16 @@ func (e *Engine) Mutate(ctx context.Context, m Mutation) (*MutationResult, error
 	ns := &corpusSnapshot{epoch: cur.epoch + 1, view: nextView}
 	e.snap.Store(ns)
 
-	// Every cache key is prefixed with its epoch; after the swap nothing
-	// can look up an older epoch's key except requests already pinned to
-	// it, so sweep the stale entries rather than waiting for capacity
-	// pressure to push them out.
-	prefix := fmt.Sprintf("e=%d;", ns.epoch)
-	swept := e.cache.sweep(func(key string) bool { return !strings.HasPrefix(key, prefix) })
+	// After the swap nothing can look up an older epoch's key except
+	// requests already pinned to it: carry the entries the batch cannot
+	// change into the new epoch and sweep the rest, rather than waiting
+	// for capacity pressure to push them out.
+	kept, swept := e.cache.restamp(cur.epoch, func(en *entry) bool { return en.survives(next, st) })
 
 	e.mutations.Add(1)
 	e.upserted.Add(uint64(st.Upserted))
 	e.deleted.Add(uint64(st.Deleted))
+	e.kept.Add(uint64(kept))
 	e.swept.Add(uint64(swept))
 	return &MutationResult{
 		Epoch:    ns.epoch,

@@ -69,10 +69,12 @@ func TestMutatePublishesNewEpoch(t *testing.T) {
 	}
 }
 
-// TestMutationSweepsStaleEntries: after a mutation, score sets of older
-// epochs are unreachable (new requests pin the new epoch, so their keys
-// differ) and are proactively removed from the LRU rather than lingering
-// until capacity pressure.
+// TestMutationSweepsStaleEntries: after a mutation, a score set the batch
+// cannot change (a far upsert) is carried into the new epoch and answers
+// as a hit that reports the new epoch, while one the batch can change (an
+// upsert at the query point) is proactively removed rather than lingering
+// until capacity pressure. A request pinned to the old epoch rebuilds on
+// its own corpus.
 func TestMutationSweepsStaleEntries(t *testing.T) {
 	e := New(mutTestData(t, 22, 300), Options{})
 	ctx := context.Background()
@@ -81,13 +83,25 @@ func TestMutationSweepsStaleEntries(t *testing.T) {
 		req.K, req.SmallK = 60, 5
 		return req
 	}
+	query := func(what, want string) *Result {
+		t.Helper()
+		req := ask()
+		res, err := e.Query(ctx, req)
+		if err != nil || res.Cache != want {
+			t.Fatalf("%s: %v / %v, want %s", what, res, err, want)
+		}
+		body, err := e.AppendResponse(nil, req, res, nil, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if epoch := fmt.Sprintf(`"corpus_epoch":%d,`, e.Epoch()); !strings.Contains(string(body), epoch) {
+			t.Fatalf("%s: response does not carry %s: %s", what, epoch, body)
+		}
+		return res
+	}
 
-	if res, err := e.Query(ctx, ask()); err != nil || res.Cache != CacheMiss {
-		t.Fatalf("first query: %v / %v", res, err)
-	}
-	if res, err := e.Query(ctx, ask()); err != nil || res.Cache != CacheHit {
-		t.Fatalf("second query: %v / %v", res, err)
-	}
+	query("first query", CacheMiss)
+	query("second query", CacheHit)
 	if st := e.Stats(); st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)
 	}
@@ -101,39 +115,51 @@ func TestMutationSweepsStaleEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.SweptEntries != 1 || st.Entries != 0 {
-		t.Errorf("after mutation: swept = %d entries = %d, want 1 and 0", st.SweptEntries, st.Entries)
+	if st.KeptEntries != 1 || st.SweptEntries != 0 || st.Entries != 1 {
+		t.Errorf("after the far upsert: kept = %d swept = %d entries = %d, want 1, 0 and 1",
+			st.KeptEntries, st.SweptEntries, st.Entries)
 	}
+	query("after the far upsert", CacheHit)
 
-	// Identical parameters on the new epoch rebuild under a new key
-	// (exactly one build per (epoch, key))...
-	if res, err := e.Query(ctx, ask()); err != nil || res.Cache != CacheMiss {
-		t.Fatalf("post-mutation query: %v / %v", res, err)
+	// A place at the query point outranks every member: the entry goes,
+	// and identical parameters rebuild under the new epoch's key (exactly
+	// one build per (epoch, key))...
+	x, y := old.X, old.Y
+	if _, err := e.Mutate(ctx, Mutation{
+		Upserts: []dataset.Upsert{{ID: "poi:near", X: x, Y: y, Context: []string{"near"}}},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if res, err := e.Query(ctx, ask()); err != nil || res.Cache != CacheHit {
-		t.Fatalf("post-mutation repeat: %v / %v", res, err)
+	st = e.Stats()
+	if st.KeptEntries != 1 || st.SweptEntries != 1 || st.Entries != 0 {
+		t.Errorf("after the near upsert: kept = %d swept = %d entries = %d, want 1, 1 and 0",
+			st.KeptEntries, st.SweptEntries, st.Entries)
 	}
+	if res := query("after the near upsert", CacheMiss); res.SS.Places[0].ID != "poi:near" {
+		t.Errorf("best place after the near upsert = %q, want poi:near", res.SS.Places[0].ID)
+	}
+	query("repeat after the near upsert", CacheHit)
 
 	// ...and the epoch-0 request still evaluates against its pinned
-	// corpus: its key was swept, so it rebuilds, on epoch-0 data.
+	// corpus: its key was carried away, so it rebuilds, on epoch-0 data.
 	resOld, err := e.Query(ctx, old)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resOld.Cache != CacheMiss {
-		t.Errorf("old-epoch query cache = %q, want miss (stale entry swept)", resOld.Cache)
+		t.Errorf("old-epoch query cache = %q, want miss (its entry left epoch 0)", resOld.Cache)
 	}
 	if old.Epoch() != 0 {
 		t.Errorf("old request epoch = %d, want 0", old.Epoch())
 	}
 	for _, p := range resOld.SS.Places {
-		if p.ID == "poi:far" {
-			t.Error("epoch-0 query observed an epoch-1 place")
+		if p.ID == "poi:far" || p.ID == "poi:near" {
+			t.Errorf("epoch-0 query observed the later place %q", p.ID)
 		}
 	}
 
 	if builds := e.Stats().Builds; builds != 3 {
-		t.Errorf("builds = %d, want 3 (one per (epoch, key) actually queried)", builds)
+		t.Errorf("builds = %d, want 3 (one per (epoch, key) whose S changed)", builds)
 	}
 }
 

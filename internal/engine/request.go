@@ -241,10 +241,11 @@ func (r *QueryRequest) Normalize() (CacheKey, error) {
 
 // cacheKey encodes the Step-1 parameters exactly (float bit patterns, so
 // no two distinct parameter sets collide). The pinned corpus epoch leads
-// the key: a score set is only valid for the corpus it was computed on,
-// and the epoch prefix is what Engine.Mutate sweeps stale entries by. The
-// singleflight group uses the same string, so a herd racing a mutation
-// can never coalesce onto another epoch's build.
+// the key: a score set is looked up only on the corpus it was computed
+// on, or on a later one Engine.Mutate proved gives the same S, when it
+// re-keys the entry by swapping this prefix. The singleflight group uses
+// the same string, so a herd racing a mutation can never coalesce onto
+// another epoch's build.
 func (r *QueryRequest) cacheKey() CacheKey {
 	b := make([]byte, 0, 128)
 	b = strconv.AppendUint(append(b, "e="...), r.Epoch(), 10)

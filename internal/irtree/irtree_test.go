@@ -390,7 +390,7 @@ func TestNodeBoundAdmissible(t *testing.T) {
 				}
 				b := s.nodeBound(n)
 				for _, o := range below {
-					if sc := s.combine(kw.Jaccard(o.Terms), o.Loc.Dist(q)); sc > b {
+					if sc := Combine(s.beta, s.maxDist, kw.Jaccard(o.Terms), o.Loc.Dist(q)); sc > b {
 						t.Fatalf("%s trial %d: object %d scores %v above its node's bound %v",
 							name, trial, o.ID, sc, b)
 					}

@@ -175,23 +175,29 @@ func (t *Tree) Search(q geo.Point, keywords textctx.Set, opt QueryOptions) *Sear
 	return s
 }
 
-// combine is the relevance score for a textual and a spatial component.
-// It is monotone in both, so bounds on the components bound the score.
-func (s *Searcher) combine(ts, dist float64) float64 {
-	prox := 1 - dist/s.maxDist
+// Combine is the relevance score rF of a textual component ts (the
+// Jaccard of the query keywords against an object's terms) and a spatial
+// one, the distance dist from the query location, under weight beta and
+// normaliser maxDist (see QueryOptions; both resolved, so positive). It
+// is the one function a Searcher ranks by, so a caller that rescores an
+// object from the same ts and dist gets the very bits the Searcher
+// emitted. It is monotone in both components, so bounds on the
+// components bound the score.
+func Combine(beta, maxDist, ts, dist float64) float64 {
+	prox := 1 - dist/maxDist
 	if prox < 0 {
 		prox = 0
 	}
 	// The conversions round each product on its own, so no platform
 	// fuses one into the addition (see pairs.Blend).
-	return float64(s.beta*ts) + float64((1-s.beta)*prox)
+	return float64(beta*ts) + float64((1-beta)*prox)
 }
 
 // nodeBound is an admissible upper bound on the score of every object
 // below n. Textually, a descendant p with |C(p)| = c ≥ minLen sharing
 // i ≤ min(inter, c) keywords has Jaccard i/(|kw| + c − i), which is at
 // most inter/(|kw| + max(0, minLen − inter)). The bound survives
-// floating point because correctly rounded division and combine are
+// floating point because correctly rounded division and Combine are
 // monotone in their arguments.
 func (s *Searcher) nodeBound(n *node) float64 {
 	var tb float64
@@ -207,7 +213,7 @@ func (s *Searcher) nodeBound(n *node) float64 {
 		}
 		tb = float64(inter) / float64(len(kw)+max(0, n.minLen-inter))
 	}
-	return s.combine(tb, n.rect.MinDist(s.q))
+	return Combine(s.beta, s.maxDist, tb, n.rect.MinDist(s.q))
 }
 
 // cutoff returns the K-th best exact score computed so far, or −∞ while
@@ -271,7 +277,7 @@ func (s *Searcher) Next() (Result, bool) {
 				o := &e.n.objects[i]
 				d := o.Loc.Dist(s.q)
 				ts := s.keywords.Jaccard(o.Terms)
-				sc := s.combine(ts, d)
+				sc := Combine(s.beta, s.maxDist, ts, d)
 				s.Scored++
 				s.admit(sc)
 				if sc >= s.cutoff() {

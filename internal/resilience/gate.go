@@ -47,18 +47,18 @@ func NewGate(maxInFlight, maxQueue int, maxWait time.Duration) *Gate {
 	}
 }
 
-// Acquire admits the request or rejects it. On success it returns a
-// release function that must be called exactly once when the request
-// finishes (calling it more than once is safe). It fails with ErrShed when
-// the queue is full or the wait exceeds the gate's maximum, and with
-// ctx.Err() when the caller's context terminates while queued — so a
-// deadline budget spent waiting in the queue is charged to the request.
-func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
+// Admit admits the request or rejects it. On success the caller holds a
+// slot and must give it back with exactly one Release when the request
+// finishes. It fails with ErrShed when the queue is full or the wait
+// exceeds the gate's maximum, and with ctx.Err() when the caller's
+// context terminates while queued — so a deadline budget spent waiting in
+// the queue is charged to the request.
+func (g *Gate) Admit(ctx context.Context) error {
 	// Fast path: a slot is free.
 	select {
 	case g.slots <- struct{}{}:
 		g.admitted.Add(1)
-		return g.releaseFunc(), nil
+		return nil
 	default:
 	}
 	// Slow path: take a queue token or shed immediately.
@@ -66,7 +66,7 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 	case g.queue <- struct{}{}:
 	default:
 		g.shed.Add(1)
-		return nil, ErrShed
+		return ErrShed
 	}
 	defer func() { <-g.queue }()
 	timer := time.NewTimer(g.maxWait)
@@ -74,14 +74,30 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case g.slots <- struct{}{}:
 		g.admitted.Add(1)
-		return g.releaseFunc(), nil
+		return nil
 	case <-timer.C:
 		g.queueTimeouts.Add(1)
-		return nil, ErrShed
+		return ErrShed
 	case <-ctx.Done():
 		g.cancelled.Add(1)
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
+}
+
+// Release gives back the slot of one successful Admit. It does not guard
+// against a second call: a caller that may reach its release twice keeps
+// its own flag (or uses Acquire).
+func (g *Gate) Release() { <-g.slots }
+
+// Acquire is Admit returning its Release as a function that is safe to
+// call more than once; only the first call frees the slot. It costs that
+// closure, so the request paths use Admit and Release.
+func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
+	if err := g.Admit(ctx); err != nil {
+		return nil, err
+	}
+	var once sync.Once
+	return func() { once.Do(g.Release) }, nil
 }
 
 // Do admits the request, runs fn while holding the admission slot, and
@@ -91,11 +107,10 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 // element of a batch is individually subject to the same load-shedding
 // policy as interactive requests.
 func (g *Gate) Do(ctx context.Context, fn func() error) error {
-	release, err := g.Acquire(ctx)
-	if err != nil {
+	if err := g.Admit(ctx); err != nil {
 		return err
 	}
-	defer release()
+	defer g.Release()
 	return fn()
 }
 
@@ -131,11 +146,6 @@ func (g *Gate) Stats() GateStats {
 		Capacity:      g.Capacity(),
 		QueueCapacity: cap(g.queue),
 	}
-}
-
-func (g *Gate) releaseFunc() func() {
-	var once sync.Once
-	return func() { once.Do(func() { <-g.slots }) }
 }
 
 // InFlight returns the number of requests currently holding a slot.

@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// ErrShed is returned by Gate.Acquire when a request is rejected by
+// ErrShed is returned by Gate.Admit when a request is rejected by
 // admission control: either the wait queue is full, or the request waited
 // longer than the gate's maximum queue time. HTTP handlers should map it
 // to 503 with a Retry-After hint.

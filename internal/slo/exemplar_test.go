@@ -26,13 +26,15 @@ func TestExemplarJoinsQuantileBucket(t *testing.T) {
 }
 
 // The sampler measures its duration slightly after the tracker does, so
-// an exemplar noted one bucket above the recorded observation must still
-// resolve (neighbour fallback).
+// its note may exceed the recorded observation. A note at the upper
+// boundary of the observation's bucket still lands in that bucket
+// (buckets are closed above) and must resolve; a note one bucket up is
+// TestExemplarNextBucketFallback's case.
 func TestExemplarNeighbourBucket(t *testing.T) {
 	tr := NewTracker(map[string]Objective{ClassSearchMiss: {Threshold: time.Second}}, Options{})
 	d := 10 * time.Millisecond
 	tr.Record(ClassSearchMiss, d, OutcomeOK)
-	tr.NoteExemplar(ClassSearchMiss, BucketUpper(BucketIndex(d)), "trace-next") // lands one bucket up
+	tr.NoteExemplar(ClassSearchMiss, BucketUpper(BucketIndex(d)), "trace-next") // d's own bucket
 
 	cs, _ := tr.Snapshot().Class(ClassSearchMiss)
 	if got := cs.Total.Exemplars["p99"]; got != "trace-next" {

@@ -18,15 +18,17 @@ func TestBucketGeometry(t *testing.T) {
 	if got := BucketIndex(10 * time.Minute); got != NumBuckets-1 {
 		t.Errorf("BucketIndex(10m) = %d, want overflow bucket %d", got, NumBuckets-1)
 	}
-	// Boundaries are strictly increasing and each boundary value lands in
-	// the bucket it opens (half-open [b[i-1], b[i]) intervals).
+	// Boundaries are strictly increasing, and each boundary value lands in
+	// the bucket it closes (buckets are closed above: bucket i-1 ends at
+	// b[i-1]) or a neighbour of it.
 	for i := 1; i < numBounds; i++ {
 		if bounds[i] <= bounds[i-1] {
 			t.Fatalf("bounds not increasing at %d: %g <= %g", i, bounds[i], bounds[i-1])
 		}
-		// The seconds→Duration→seconds round trip can perturb an exact
-		// boundary value by one ULP in either direction, so the probe may
-		// land in the bucket the boundary opens or the one just below it.
+		// The seconds→Duration conversion truncates to whole nanoseconds
+		// and the comparison back in seconds can move the probe by one ULP,
+		// so it may land in bucket i-1, which the boundary closes, or in
+		// the next; the check accepts i-1 through i+1.
 		d := time.Duration(bounds[i-1] * 1e9)
 		if got := BucketIndex(d); got < i-1 || got > i+1 {
 			t.Errorf("BucketIndex(bound %d = %v) = %d, want within one of %d", i-1, d, got, i)
