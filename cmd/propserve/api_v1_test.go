@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func postJSON(t *testing.T, s *Server, path string, body any) *httptest.ResponseRecorder {
@@ -85,7 +87,7 @@ func TestSearchCacheDiagnostics(t *testing.T) {
 
 	cacheOf := func(rec *httptest.ResponseRecorder) string {
 		t.Helper()
-		var resp searchResponse
+		var resp engine.QueryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +139,7 @@ func TestSearchCacheDiagnostics(t *testing.T) {
 
 func TestBatchMixedResults(t *testing.T) {
 	s := testServer(t)
-	word := s.eng.Corpus().Places[0].Context.Words(s.eng.Corpus().Dict)[0]
+	word := s.def.Eng.Corpus().Places[0].Context.Words(s.def.Eng.Corpus().Dict)[0]
 	body := map[string]any{
 		"queries": []map[string]any{
 			{"K": 60, "k": 5}, // defaults for the rest
@@ -188,7 +190,7 @@ func TestBatchMixedResults(t *testing.T) {
 
 	// The batch shares the engine cache with single searches: elements 0
 	// and 1 were identical, so at most one build ran for them.
-	if st := s.eng.Stats(); st.Hits+st.Coalesced == 0 {
+	if st := s.def.Eng.Stats(); st.Hits+st.Coalesced == 0 {
 		t.Errorf("identical batch elements did not share a score set: %+v", st)
 	}
 
@@ -310,7 +312,7 @@ func TestBatchConcurrentWithSearches(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := s.eng.Stats(); st.Builds != 2 {
+	if st := s.def.Eng.Stats(); st.Builds != 2 {
 		t.Errorf("builds = %d, want 2 (one per distinct key)", st.Builds)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestCorpusDisabledByDefault(t *testing.T) {
@@ -29,7 +31,7 @@ func TestCorpusMutationRoundTrip(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("pre-mutation search: %d: %s", rec.Code, rec.Body.String())
 	}
-	var pre searchResponse
+	var pre engine.QueryResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &pre); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestCorpusMutationRoundTrip(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-mutation search: %d: %s", rec.Code, rec.Body.String())
 	}
-	var post searchResponse
+	var post engine.QueryResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &post); err != nil {
 		t.Fatal(err)
 	}

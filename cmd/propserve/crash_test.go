@@ -58,20 +58,15 @@ func TestCrashHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The same durable boot the server performs.
-	d, epoch, ok := loadNewestSnapshot(dir, t.Logf)
-	if !ok {
-		d = durTestData(t, 9, 300)
-	}
-	wlog, records, err := wal.Open(dir, wal.Options{Logf: t.Logf})
+	// The server's own durable boot: open, then recover.
+	srv, oc, err := openDurable(t, dir, Config{})
 	if err != nil {
-		t.Fatalf("child wal.Open: %v", err)
+		t.Fatalf("child open: %v", err)
 	}
-	eng := engine.New(d, engine.Options{InitialEpoch: epoch})
-	if _, err := replayWAL(context.Background(), eng, records, nil); err != nil {
+	if err := srv.recoverCorpus(context.Background(), oc); err != nil {
 		t.Fatalf("child replay: %v", err)
 	}
-	eng.SetWAL(wlog)
+	eng := oc.tn.Eng
 
 	armed := false
 	restore := wal.SetFaultHook(func(got string) error {
@@ -101,13 +96,7 @@ func TestCrashHelper(t *testing.T) {
 	switch {
 	case strings.HasPrefix(op, "snapshot:") || strings.HasPrefix(op, "compact:"):
 		armed = true
-		sd, sepoch := eng.Snapshot()
-		if _, err := wal.WriteSnapshot(dir, sepoch, sd.Save); err != nil {
-			t.Fatalf("child snapshot: %v", err)
-		}
-		if err := wlog.CompactThrough(sepoch); err != nil {
-			t.Fatalf("child compact: %v", err)
-		}
+		srv.compactTenantWAL(oc.tn) // logs, not returns, a failure: then the fault never fired
 	case op == "":
 		// Kill between batches: everything written so far is acknowledged.
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
@@ -178,20 +167,15 @@ func TestCrashRecovery(t *testing.T) {
 				t.Fatalf("child acknowledged only %d batches before dying, want >= %d", acked, tc.after)
 			}
 
-			// Recover exactly like the server boot, then verify the contract.
-			d, epoch, ok := loadNewestSnapshot(dir, t.Logf)
-			if !ok {
-				d = durTestData(t, 9, 300)
-			}
-			wlog, records, err := wal.Open(dir, wal.Options{Logf: t.Logf})
+			// Recover through the server boot, then verify the contract.
+			srv, oc, err := openDurable(t, dir, Config{})
 			if err != nil {
 				t.Fatalf("recovery open after %s: %v", tc.name, err)
 			}
-			defer wlog.Close()
-			eng := engine.New(d, engine.Options{InitialEpoch: epoch})
-			if _, err := replayWAL(context.Background(), eng, records, nil); err != nil {
+			if err := srv.recoverCorpus(context.Background(), oc); err != nil {
 				t.Fatalf("recovery replay after %s: %v", tc.name, err)
 			}
+			eng := oc.tn.Eng
 			got := eng.Epoch()
 			if got < acked {
 				t.Fatalf("recovered epoch %d lost acknowledged epoch %d", got, acked)
@@ -225,8 +209,8 @@ func TestCrashRecovery(t *testing.T) {
 				}
 			}
 
-			// The recovered log keeps accepting the next epoch.
-			eng.SetWAL(wlog)
+			// The recovered log (attached by recovery) keeps accepting the
+			// next epoch.
 			res, err := eng.Mutate(context.Background(), crashBatch(int(got)+1))
 			if err != nil || res.Epoch != got+1 {
 				t.Fatalf("post-recovery mutate: %v (epoch %v, want %d)", err, res, got+1)

@@ -1,23 +1,34 @@
 package main
 
-// Startup recovery and snapshot compaction: the glue between the
-// generic internal/wal log and the engine. The durable boot sequence is
+// Corpus boot and snapshot compaction: the glue between the generic
+// internal/wal log and the engine. Every corpus boots in the same two
+// steps — the default one, those found under -corpora-dir at startup
+// and those created through POST /v1/corpora alike.
 //
-//  1. load the newest valid snapshot-<epoch>.gob (a snapshot that fails
-//     dataset.Load — e.g. its v2 payload CRC mismatches — is skipped
-//     with a warning and the next-newest tried);
-//  2. open the WAL (torn tails are truncated there; real corruption
-//     fails the open);
-//  3. build the engine at the snapshot's epoch and start serving reads,
-//     with /readyz answering 503 "recovering";
+// Open (openCorpus):
+//  1. with a log directory, load the newest valid snapshot-<epoch>.gob
+//     (a snapshot that fails dataset.Load — e.g. its v2 payload CRC
+//     mismatches — is skipped with a warning and the next-newest
+//     tried); without one, or when none loads, call the corpus's
+//     generator;
+//  2. build the engine at the snapshot's epoch and register the tenant —
+//     not ready when durable, so it serves reads at once while /readyz
+//     answers 503 "recovering" and its mutations are shed with 503;
+//  3. open the WAL (torn tails are truncated there; real corruption
+//     fails the open).
+// Recover (recoverCorpus):
 //  4. replay the log records beyond the snapshot epoch through
 //     Engine.Mutate;
 //  5. attach the WAL to the engine and flip ready — only now are
 //     mutations accepted.
 //
-// With -wal-required=true (the default) any recovery failure is fatal;
-// with -wal-required=false the server degrades instead: it serves reads
-// from the best state it reached and sheds mutations with 503, because
+// At startup main opens every corpus before it recovers any
+// (Server.boot), so /readyz stays 503 until all of them have replayed.
+// A named corpus that fails either step is unregistered: skipped at
+// boot, refused to the POST. For the default corpus any failure is
+// fatal with -wal-required=true (the default); with
+// -wal-required=false the server degrades instead: it serves reads from
+// the best state it reached and sheds mutations with 503, because
 // accepting a mutation it cannot log would silently break the
 // zero-acknowledged-loss contract.
 
@@ -96,9 +107,7 @@ func replayWAL(ctx context.Context, eng *engine.Engine, records []wal.Record, ob
 		if err != nil {
 			return replayed, fmt.Errorf("propserve: replay epoch %d: %w", rec.Epoch, err)
 		}
-		if observe != nil {
-			observe(time.Since(start))
-		}
+		observe(time.Since(start))
 		if res.Epoch != rec.Epoch {
 			return replayed, fmt.Errorf("propserve: replay published epoch %d for record %d", res.Epoch, rec.Epoch)
 		}
@@ -107,36 +116,120 @@ func replayWAL(ctx context.Context, eng *engine.Engine, records []wal.Record, ob
 	return replayed, nil
 }
 
-// recoverTenant runs steps 4–5 of the durable boot sequence against a
-// tenant already accepting read traffic: replay the log through its
-// engine, attach the WAL, flip it ready. On error the tenant is left
-// not-ready for mutations; the caller decides between fatal
-// (-wal-required), degraded serving (Tenant.Degrade) and rejecting the
-// corpus (POST /v1/corpora).
-func (s *Server) recoverTenant(ctx context.Context, tn *registry.Tenant, wlog *wal.Log, records []wal.Record) error {
-	start := time.Now()
-	n, err := replayWAL(ctx, tn.Eng, records, func(d time.Duration) {
+// openedCorpus is a registered corpus between the two boot steps: its
+// log is open and the records past its snapshot are not yet replayed.
+// log is nil for a volatile corpus, which is ready once it is open.
+type openedCorpus struct {
+	tn      *registry.Tenant
+	log     *wal.Log
+	records []wal.Record
+}
+
+// openCorpus is step one of every corpus boot (steps 1–3 above). gen
+// supplies the corpus when dir is "" or holds no snapshot that loads.
+// Opening the corpus named "default" makes it the tenant the un-scoped
+// routes address. On error nothing stays registered, except when only
+// the WAL open failed: then the opened corpus is returned with the
+// error, registered and not ready, for the caller to degrade or
+// abandon.
+func (s *Server) openCorpus(name, dir string,
+	gen func() (*dataset.Dataset, error), opts engine.Options) (*openedCorpus, error) {
+	var (
+		d  *dataset.Dataset
+		ok bool
+	)
+	if dir != "" {
+		if d, opts.InitialEpoch, ok = loadNewestSnapshot(dir, s.cfg.Logf); ok {
+			s.cfg.Logf("propserve: corpus %q: recovered snapshot at epoch %d (%d places)",
+				name, opts.InitialEpoch, len(d.Places))
+		}
+	}
+	if !ok {
+		var err error
+		if d, err = gen(); err != nil {
+			return nil, err
+		}
+	}
+	tn := s.newTenant(name, engine.New(d, opts))
+	tn.WALDir = dir
+	if dir != "" {
+		tn.BeginRecovery()
+	}
+	if err := s.reg.Add(tn); err != nil {
+		return nil, err
+	}
+	if name == registry.DefaultName {
+		s.def = tn
+	}
+	oc := &openedCorpus{tn: tn}
+	if dir == "" {
+		return oc, nil
+	}
+	var err error
+	oc.log, oc.records, err = wal.Open(dir, s.cfg.WAL)
+	return oc, err
+}
+
+// recoverCorpus is step two (steps 4–5 above), run while the tenant
+// already serves reads: replay the log through its engine, attach the
+// WAL, flip it ready. A volatile corpus has nothing to recover. On
+// error the tenant is left registered and not ready for mutations; the
+// caller degrades or abandons it.
+func (s *Server) recoverCorpus(ctx context.Context, oc *openedCorpus) error {
+	if oc.log == nil {
+		return nil
+	}
+	tn, start := oc.tn, time.Now()
+	n, err := replayWAL(ctx, tn.Eng, oc.records, func(d time.Duration) {
 		s.tel.stageSeconds.With(telemetry.StageReplay).Observe(d)
 	})
 	if err != nil {
 		return err
 	}
-	tn.Eng.SetWAL(wlog)
-	tn.AttachWAL(wlog)
-	tn.FinishRecovery(n, tn.Eng.Epoch(), time.Since(start))
+	tn.AttachWAL(oc.log)
+	dur := time.Since(start)
+	tn.FinishRecovery(n, tn.Eng.Epoch(), dur)
+	s.cfg.Logf("propserve: corpus %q: recovery complete: %d records replayed in %v, corpus at epoch %d",
+		tn.Name, n, dur.Round(time.Millisecond), tn.Eng.Epoch())
 	return nil
 }
 
-// Recover is recoverTenant over the default corpus — the single-corpus
-// boot path main and the durability tests drive.
-func (s *Server) Recover(ctx context.Context, wlog *wal.Log, records []wal.Record) error {
-	if err := s.recoverTenant(ctx, s.def, wlog, records); err != nil {
-		return err
+// generated is the generator of a named corpus: seed's DBpediaLike
+// corpus of that many places.
+func generated(seed int64, places int) func() (*dataset.Dataset, error) {
+	return func() (*dataset.Dataset, error) {
+		c := dataset.DBpediaLike(seed)
+		c.Places = places
+		return dataset.Generate(c)
 	}
-	n, epoch, dur := s.def.RecoveryStats()
-	s.cfg.Logf("propserve: recovery complete: %d records replayed in %v, corpus at epoch %d",
-		n, dur.Round(time.Millisecond), epoch)
-	return nil
+}
+
+// abandon unregisters a corpus that failed to boot and closes its log;
+// its files stay on disk for inspection.
+func (s *Server) abandon(oc *openedCorpus) {
+	if oc.log != nil {
+		oc.log.Close()
+	}
+	s.reg.Remove(oc.tn.Name)
+}
+
+// bootCorpus opens and recovers one named corpus, the path of POST
+// /v1/corpora: volatile with dir == "", durable under dir otherwise.
+// Registering reserves the name atomically; any failure unregisters it
+// again.
+func (s *Server) bootCorpus(ctx context.Context, name, dir string,
+	gen func() (*dataset.Dataset, error), opts engine.Options) (*registry.Tenant, error) {
+	oc, err := s.openCorpus(name, dir, gen, opts)
+	if err == nil {
+		err = s.recoverCorpus(ctx, oc)
+	}
+	if err != nil {
+		if oc != nil {
+			s.abandon(oc)
+		}
+		return nil, err
+	}
+	return oc.tn, nil
 }
 
 // compactTenantWAL writes a snapshot of the tenant's currently published
@@ -176,9 +269,6 @@ func (s *Server) closeWALs() {
 	}
 }
 
-// compactWAL compacts the default corpus's log (test hook).
-func (s *Server) compactWAL() { s.compactTenantWAL(s.def) }
-
 // maybeCompactAsync starts one background compaction for the tenant if
 // its log has grown past the configured record threshold and no
 // compaction of that tenant is already running.
@@ -194,52 +284,4 @@ func (s *Server) maybeCompactAsync(tn *registry.Tenant) {
 		defer tn.EndCompact()
 		s.compactTenantWAL(tn)
 	}()
-}
-
-// bootCorpus builds and registers a named corpus. With dir == "" the
-// corpus is volatile: gen's places, no WAL. With a directory it runs the
-// same durable boot sequence as main's default corpus, synchronously:
-// newest valid snapshot (falling back to gen on a fresh directory), WAL
-// open (torn tails repaired), engine at the snapshot epoch, replay,
-// attach. The name is registered first — reserving it atomically — and
-// unregistered again on any failure.
-func (s *Server) bootCorpus(ctx context.Context, name, dir string,
-	gen func() (*dataset.Dataset, error), opts engine.Options) (*registry.Tenant, error) {
-	var (
-		d     *dataset.Dataset
-		epoch uint64
-		ok    bool
-	)
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		d, epoch, ok = loadNewestSnapshot(dir, s.cfg.Logf)
-	}
-	if !ok {
-		var err error
-		if d, err = gen(); err != nil {
-			return nil, err
-		}
-	}
-	opts.InitialEpoch = epoch
-	tn := s.newTenant(name, engine.New(d, opts))
-	tn.WALDir = dir
-	if err := s.reg.Add(tn); err != nil {
-		return nil, err
-	}
-	if dir != "" {
-		wlog, records, err := wal.Open(dir, s.cfg.WAL)
-		if err != nil {
-			s.reg.Remove(name)
-			return nil, err
-		}
-		tn.BeginRecovery()
-		if err := s.recoverTenant(ctx, tn, wlog, records); err != nil {
-			wlog.Close()
-			s.reg.Remove(name)
-			return nil, err
-		}
-	}
-	return tn, nil
 }

@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/registry"
 	"repro/internal/wal"
 )
 
@@ -45,39 +48,41 @@ func beaconBatch(gen, n int) engine.Mutation {
 	return m
 }
 
-// durableServer builds a server over walDir the way main does: snapshot
-// (if any) + wal.Open + engine at the recovered epoch + Recover.
-func durableServer(t *testing.T, walDir string, cfg Config) (*Server, *wal.Log) {
+// openDurable runs the production open step for the default corpus
+// over walDir: the newest snapshot if any, else the seed-9 test corpus,
+// then the WAL open. The log is closed when the test ends.
+func openDurable(t *testing.T, walDir string, cfg Config) (*Server, *openedCorpus, error) {
 	t.Helper()
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
 	cfg.EnableMutation = true
-	cfg = cfg.withDefaults()
-
-	d, epoch, ok := loadNewestSnapshot(walDir, cfg.Logf)
-	if !ok {
-		d, epoch = durTestData(t, 9, 300), 0
+	s := newServer(cfg)
+	oc, err := s.openCorpus(registry.DefaultName, walDir,
+		func() (*dataset.Dataset, error) { return durTestData(t, 9, 300), nil }, engineOptions(s.cfg))
+	if oc != nil && oc.log != nil {
+		t.Cleanup(func() { oc.log.Close() })
 	}
-	wlog, records, err := wal.Open(walDir, cfg.WAL)
+	return s, oc, err
+}
+
+// durableServer builds a server over walDir through the production
+// boot: openDurable, then recoverCorpus.
+func durableServer(t *testing.T, walDir string, cfg Config) (*Server, *wal.Log) {
+	t.Helper()
+	s, oc, err := openDurable(t, walDir, cfg)
 	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
+		t.Fatalf("openCorpus: %v", err)
 	}
-	t.Cleanup(func() { wlog.Close() })
-
-	opts := engineOptions(cfg)
-	opts.InitialEpoch = epoch
-	s := NewServerWithEngine(engine.New(d, opts), cfg)
-	s.BeginRecovery()
-	if err := s.Recover(context.Background(), wlog, records); err != nil {
-		t.Fatalf("Recover: %v", err)
+	if err := s.recoverCorpus(context.Background(), oc); err != nil {
+		t.Fatalf("recoverCorpus: %v", err)
 	}
-	return s, wlog
+	return s, oc.log
 }
 
 // corpusState flattens the published corpus into a comparable map.
 func corpusState(s *Server) map[string]string {
-	d, _ := s.eng.Snapshot()
+	d, _ := s.def.Eng.Snapshot()
 	out := make(map[string]string, len(d.Places))
 	for _, p := range d.Places {
 		out[p.Label] = fmt.Sprintf("%v/%d", p.Loc, p.Context.Len())
@@ -105,13 +110,13 @@ func TestRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s1.eng.Epoch() != 5 {
-		t.Fatalf("epoch after 5 mutations = %d", s1.eng.Epoch())
+	if s1.def.Eng.Epoch() != 5 {
+		t.Fatalf("epoch after 5 mutations = %d", s1.def.Eng.Epoch())
 	}
 
 	// "Restart": a second server recovers from the same directory.
 	s2, _ := durableServer(t, dir, Config{})
-	if got := s2.eng.Epoch(); got != 5 {
+	if got := s2.def.Eng.Epoch(); got != 5 {
 		t.Fatalf("recovered epoch = %d, want 5", got)
 	}
 	if replayed, epoch, _ := s2.def.RecoveryStats(); replayed != 5 || epoch != 5 {
@@ -140,8 +145,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-recovery mutation: %d: %s", rec.Code, rec.Body.String())
 	}
-	if s2.eng.Epoch() != 6 {
-		t.Errorf("post-recovery epoch = %d, want 6", s2.eng.Epoch())
+	if s2.def.Eng.Epoch() != 6 {
+		t.Errorf("post-recovery epoch = %d, want 6", s2.def.Eng.Epoch())
 	}
 }
 
@@ -156,7 +161,7 @@ func TestRecoveryFromSnapshotPlusSuffix(t *testing.T) {
 			t.Fatalf("gen %d: %d", gen, rec.Code)
 		}
 	}
-	s1.compactWAL()
+	s1.compactTenantWAL(s1.def)
 	if st := l1.Stats(); st.Records != 0 || st.Compactions != 1 {
 		t.Fatalf("after compaction: %+v", st)
 	}
@@ -169,8 +174,8 @@ func TestRecoveryFromSnapshotPlusSuffix(t *testing.T) {
 	want := corpusState(s1)
 
 	s2, _ := durableServer(t, dir, Config{})
-	if s2.eng.Epoch() != 6 {
-		t.Fatalf("recovered epoch = %d, want 6", s2.eng.Epoch())
+	if s2.def.Eng.Epoch() != 6 {
+		t.Fatalf("recovered epoch = %d, want 6", s2.def.Eng.Epoch())
 	}
 	replayed, recoveredEpoch, _ := s2.def.RecoveryStats()
 	if replayed != 2 {
@@ -213,8 +218,8 @@ func TestCompactionTriggersInBackground(t *testing.T) {
 	}
 }
 
-// TestReadyzLifecycle: /readyz answers 503 "recovering" between
-// BeginRecovery and FinishRecovery, 200 "ready" after; /healthz stays
+// TestReadyzLifecycle: /readyz answers 503 "recovering" between the
+// default tenant's BeginRecovery and FinishRecovery, 200 "ready" after; /healthz stays
 // 200 throughout (liveness must not restart a recovering server).
 func TestReadyzLifecycle(t *testing.T) {
 	s := testServerCfg(t, Config{})
@@ -222,7 +227,7 @@ func TestReadyzLifecycle(t *testing.T) {
 		t.Fatalf("fresh server /readyz = %d, want 200", rec.Code)
 	}
 
-	s.BeginRecovery()
+	s.def.BeginRecovery()
 	rec := get(t, s, "/readyz")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz during recovery = %d, want 503", rec.Code)
@@ -240,7 +245,7 @@ func TestReadyzLifecycle(t *testing.T) {
 		t.Errorf("healthz body during recovery = %v", body)
 	}
 
-	s.FinishRecovery(0, 0, 0)
+	s.def.FinishRecovery(0, 0, 0)
 	if rec = get(t, s, "/readyz"); rec.Code != http.StatusOK {
 		t.Fatalf("/readyz after recovery = %d, want 200", rec.Code)
 	}
@@ -250,7 +255,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // Retry-After while not ready, and searches keep working.
 func TestMutationsShedDuringRecovery(t *testing.T) {
 	s := testServerCfg(t, Config{EnableMutation: true})
-	s.BeginRecovery()
+	s.def.BeginRecovery()
 
 	rec := postJSON(t, s, "/v1/corpus", beaconBatch(1, 2))
 	if rec.Code != http.StatusServiceUnavailable {
@@ -264,13 +269,13 @@ func TestMutationsShedDuringRecovery(t *testing.T) {
 	}
 }
 
-// TestDegradedModeServesReadsShedsWrites: after DegradeWAL the server is
+// TestDegradedModeServesReadsShedsWrites: after Tenant.Degrade the server is
 // ready, reads work, mutations answer 503 naming the degradation, and
 // /v1/stats + /healthz expose the state.
 func TestDegradedModeServesReadsShedsWrites(t *testing.T) {
 	s := testServerCfg(t, Config{EnableMutation: true})
-	s.BeginRecovery()
-	s.DegradeWAL(fmt.Errorf("wal directory on a dead disk"))
+	s.def.BeginRecovery()
+	s.def.Degrade(fmt.Errorf("wal directory on a dead disk"))
 
 	if rec := get(t, s, "/readyz"); rec.Code != http.StatusOK {
 		t.Fatalf("degraded /readyz = %d, want 200 (read-mostly but serving)", rec.Code)
@@ -302,7 +307,7 @@ func TestDegradedModeServesReadsShedsWrites(t *testing.T) {
 	}
 }
 
-// TestQueriesDuringReplay races searches against Recover: reads must
+// TestQueriesDuringReplay races searches against recoverCorpus: reads must
 // serve consistent epochs the whole way through (run under -race this is
 // the replay/readiness data-race check).
 func TestQueriesDuringReplay(t *testing.T) {
@@ -314,22 +319,11 @@ func TestQueriesDuringReplay(t *testing.T) {
 		}
 	}
 
-	// Second server: open by hand so Recover can be raced explicitly.
-	cfg := Config{EnableMutation: true, Logf: t.Logf}
-	cfg = cfg.withDefaults()
-	d, epoch, ok := loadNewestSnapshot(dir, cfg.Logf)
-	if !ok {
-		d, epoch = durTestData(t, 9, 300), 0
-	}
-	wlog, records, err := wal.Open(dir, wal.Options{Logf: cfg.Logf})
+	// Second server: opened only, so recovery can be raced explicitly.
+	s2, oc, err := openDurable(t, dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wlog.Close()
-	opts := engineOptions(cfg)
-	opts.InitialEpoch = epoch
-	s2 := NewServerWithEngine(engine.New(d, opts), cfg)
-	s2.BeginRecovery()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -353,13 +347,13 @@ func TestQueriesDuringReplay(t *testing.T) {
 			}
 		}()
 	}
-	if err := s2.Recover(context.Background(), wlog, records); err != nil {
+	if err := s2.recoverCorpus(context.Background(), oc); err != nil {
 		t.Fatalf("Recover under query load: %v", err)
 	}
 	close(stop)
 	wg.Wait()
-	if s2.eng.Epoch() != 8 {
-		t.Fatalf("recovered epoch = %d, want 8", s2.eng.Epoch())
+	if s2.def.Eng.Epoch() != 8 {
+		t.Fatalf("recovered epoch = %d, want 8", s2.def.Eng.Epoch())
 	}
 }
 
@@ -386,8 +380,8 @@ func TestWALFailureSheds503(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("wal-failure 503 carries no Retry-After")
 	}
-	if s.eng.Epoch() != 1 {
-		t.Errorf("failed append moved the epoch to %d", s.eng.Epoch())
+	if s.def.Eng.Epoch() != 1 {
+		t.Errorf("failed append moved the epoch to %d", s.def.Eng.Epoch())
 	}
 	// The log is latched broken: later mutations shed too, reads fine.
 	if rec := postJSON(t, s, "/v1/corpus", beaconBatch(2, 2)); rec.Code != http.StatusServiceUnavailable {
@@ -396,8 +390,8 @@ func TestWALFailureSheds503(t *testing.T) {
 	if rec := get(t, s, "/v1/search?x=40&y=40&K=40&k=8&keywords=durable-beacon"); rec.Code != http.StatusOK {
 		t.Fatalf("search with broken wal = %d", rec.Code)
 	}
-	if s.walState() != "broken" {
-		t.Errorf("walState = %q, want broken", s.walState())
+	if s.def.WALState() != "broken" {
+		t.Errorf("walState = %q, want broken", s.def.WALState())
 	}
 }
 
@@ -427,5 +421,104 @@ func TestDurabilityMetricsExposed(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestOpenedCorpusShedsWritesUntilRecovered: a durable named corpus is
+// registered not ready, so between open and recover a write — which
+// could not be logged yet — gets 503 with Retry-After, while a search
+// is served. After recovery the write is accepted and logged.
+func TestOpenedCorpusShedsWritesUntilRecovered(t *testing.T) {
+	dir := t.TempDir()
+	s := testServerCfg(t, Config{EnableMutation: true, CorporaDir: dir})
+	oc, err := s.openCorpus("late", filepath.Join(dir, "late"),
+		func() (*dataset.Dataset, error) { return durTestData(t, 4, 200), nil }, engineOptions(s.cfg))
+	if err != nil {
+		t.Fatalf("openCorpus: %v", err)
+	}
+	t.Cleanup(func() { oc.log.Close() })
+
+	rec := postJSON(t, s, "/v1/corpora/late/corpus", beaconBatch(1, 2))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("write before recovery = %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Error("503 before recovery carries no Retry-After")
+	}
+	if rec = get(t, s, "/v1/corpora/late/search?x=40&y=40&K=40&k=8"); rec.Code != http.StatusOK {
+		t.Fatalf("search before recovery = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+
+	if err := s.recoverCorpus(context.Background(), oc); err != nil {
+		t.Fatalf("recoverCorpus: %v", err)
+	}
+	if rec = postJSON(t, s, "/v1/corpora/late/corpus", beaconBatch(1, 2)); rec.Code != http.StatusOK {
+		t.Fatalf("write after recovery = %d: %s", rec.Code, rec.Body.String())
+	}
+	if st := oc.log.Stats(); st.Appends != 1 || st.LastEpoch != 1 {
+		t.Errorf("wal after one write: %d appends, last epoch %d; want 1 and 1", st.Appends, st.LastEpoch)
+	}
+}
+
+// TestReadyzWaitsForEveryBootCorpus: main's boot opens the default
+// corpus and every corpus under -corpora-dir before it replays any, so
+// from the moment the listener serves, /readyz is 503 and names both
+// until both have replayed.
+func TestReadyzWaitsForEveryBootCorpus(t *testing.T) {
+	corporaDir := t.TempDir()
+	cfg := Config{EnableMutation: true, CorporaDir: corporaDir, Logf: t.Logf}
+	s1 := testServerCfg(t, cfg)
+	if rec := postJSON(t, s1, "/v1/corpora", map[string]any{"name": "scanme", "places": 150, "seed": 3}); rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec := postJSON(t, s1, "/v1/corpora/scanme/corpus", beaconBatch(1, 2)); rec.Code != http.StatusOK {
+		t.Fatalf("mutation = %d: %s", rec.Code, rec.Body.String())
+	}
+	s1.closeWALs()
+
+	// -data: a small corpus file, so the default needs no demo corpus.
+	data := filepath.Join(t.TempDir(), "db.gob")
+	f, err := os.Create(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durTestData(t, 9, 300).Save(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2 := newServer(cfg)
+	bc := bootConfig{cfg: cfg, data: data, walDir: t.TempDir(), walRequired: true}
+	served := false
+	err = s2.boot(context.Background(), bc, func() {
+		served = true
+		rec := get(t, s2, "/readyz")
+		var body struct {
+			Status  string   `json:"status"`
+			Corpora []string `json:"corpora"`
+		}
+		json.Unmarshal(rec.Body.Bytes(), &body)
+		if rec.Code != http.StatusServiceUnavailable || body.Status != "recovering" ||
+			strings.Join(body.Corpora, ",") != "default,scanme" {
+			t.Errorf("/readyz while serving before replay = %d %s, want 503 recovering [default scanme]",
+				rec.Code, rec.Body.String())
+		}
+	})
+	t.Cleanup(s2.closeWALs)
+	if err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	if !served {
+		t.Fatal("boot never called serving")
+	}
+	if rec := get(t, s2, "/readyz"); rec.Code != http.StatusOK {
+		t.Fatalf("/readyz after boot = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	tn, ok := s2.reg.Get("scanme")
+	if !ok || tn.Eng.Epoch() != 1 || !tn.Ready() {
+		t.Fatalf("scanme after boot: registered %v, want epoch 1 and ready", ok)
+	}
+	if got := s2.def.Eng.Stats().Places; got != 300 {
+		t.Errorf("default corpus has %d places, want the 300 of -data", got)
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 func TestExplainDisabledByDefault(t *testing.T) {
@@ -34,7 +36,7 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
 	var resp struct {
-		searchResponse
+		engine.QueryResponse
 		Explain struct {
 			Algorithm string `json:"algorithm"`
 			Rounds    []struct {
@@ -344,8 +346,8 @@ func TestBatchRequestIDAndSpanIsolation(t *testing.T) {
 	var resp struct {
 		RequestID string `json:"request_id"`
 		Results   []struct {
-			Status   int             `json:"status"`
-			Response *searchResponse `json:"response"`
+			Status   int                   `json:"status"`
+			Response *engine.QueryResponse `json:"response"`
 		} `json:"results"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {

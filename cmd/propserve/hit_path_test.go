@@ -102,7 +102,7 @@ func canon(t *testing.T, body []byte) string {
 // fields are stripped.
 func TestHitMissColdBodiesAgree(t *testing.T) {
 	s := testServerCfg(t, Config{MaxK: 90})
-	word := s.eng.Corpus().Places[0].Context.Words(s.eng.Corpus().Dict)[0]
+	word := s.def.Eng.Corpus().Places[0].Context.Words(s.def.Eng.Corpus().Dict)[0]
 	n := 0
 	for _, algo := range []string{"abp", "iadu"} {
 		for _, k := range []int{3, 8} {
@@ -143,15 +143,15 @@ func TestHitMissColdBodiesAgree(t *testing.T) {
 
 							// Cold: the same request through the engine, its Result
 							// copied field by field so it carries no memoised answer.
-							req, err := s.eng.RequestFromValues(v)
+							req, err := s.def.Eng.RequestFromValues(v)
 							if err != nil {
 								t.Fatal(err)
 							}
-							res, err := s.eng.Query(context.Background(), req)
+							res, err := s.def.Eng.Query(context.Background(), req)
 							if err != nil {
 								t.Fatal(err)
 							}
-							resp := s.eng.BuildResponse(req, &engine.Result{SS: res.SS, Sel: res.Sel, Breakdown: res.Breakdown, Cache: res.Cache}, nil)
+							resp := s.def.Eng.BuildResponse(req, &engine.Result{SS: res.SS, Sel: res.Sel, Breakdown: res.Breakdown, Cache: res.Cache}, nil)
 							if from := req.ClampedFrom(); from > 0 {
 								resp.Diagnostics["degraded"] = map[string]any{"K_clamped_from": from}
 							}
@@ -191,14 +191,14 @@ func TestHitMissColdBodiesAgree(t *testing.T) {
 // each response must echo its own keywords and dropped list.
 func TestKeywordSpellingsShareAnswerNotEcho(t *testing.T) {
 	s := testServer(t)
-	word := s.eng.Corpus().Places[0].Context.Words(s.eng.Corpus().Dict)[0]
-	fetch := func(keywords string) searchResponse {
+	word := s.def.Eng.Corpus().Places[0].Context.Words(s.def.Eng.Corpus().Dict)[0]
+	fetch := func(keywords string) engine.QueryResponse {
 		t.Helper()
 		rec := get(t, s, "/v1/search?K=60&k=5&keywords="+url.QueryEscape(keywords))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
-		var resp searchResponse
+		var resp engine.QueryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestKeywordSpellingsShareAnswerNotEcho(t *testing.T) {
 	if dropped, ok := plain.Diagnostics["keywords_dropped"]; ok {
 		t.Errorf("plain query reports dropped keywords %v", dropped)
 	}
-	for name, resp := range map[string]searchResponse{"first": noisy, "repeat": again} {
+	for name, resp := range map[string]engine.QueryResponse{"first": noisy, "repeat": again} {
 		if got := resp.Query.Keywords; len(got) != 2 || got[1] != "zzz-unknown" {
 			t.Errorf("%s noisy query echoes keywords %v", name, got)
 		}
@@ -253,7 +253,7 @@ func TestNoStaleAnswerSurvivesSweep(t *testing.T) {
 			}
 		}
 	}
-	if memo := 64; len(combos) <= memo { // engine.Options.SelectionMemo default
+	if memo := 64; len(combos) <= memo { // the engine's per-entry selection memo bound
 		t.Fatalf("%d combinations do not overflow the %d-answer memo", len(combos), memo)
 	}
 	target := func(c combo) string {
@@ -293,7 +293,7 @@ func TestNoStaleAnswerSurvivesSweep(t *testing.T) {
 	// the answer; it publishes the next epoch once the readers have been
 	// served perEpoch more responses.
 	corpora := map[uint64]*dataset.Dataset{}
-	corpora[0], _ = s.eng.Snapshot()
+	corpora[0], _ = s.def.Eng.Snapshot()
 	next := int64(perEpoch)
 	for e := 1; e <= epochs; e++ {
 		for served.Load() < next && !t.Failed() {
@@ -306,7 +306,7 @@ func TestNoStaleAnswerSurvivesSweep(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("mutation %d: %d: %s", e, rec.Code, rec.Body.String())
 		}
-		d, epoch := s.eng.Snapshot()
+		d, epoch := s.def.Eng.Snapshot()
 		corpora[epoch] = d
 		next = served.Load() + perEpoch
 	}
@@ -332,7 +332,7 @@ func TestNoStaleAnswerSurvivesSweep(t *testing.T) {
 	epochsSeen := map[uint64]bool{}
 	for r := range seen {
 		for _, o := range seen[r] {
-			var resp searchResponse
+			var resp engine.QueryResponse
 			if err := json.Unmarshal(o.body, &resp); err != nil {
 				t.Fatalf("reader %d: %v: %s", r, err, o.body)
 			}
@@ -409,7 +409,7 @@ func TestServerTimingAttributesColdBuild(t *testing.T) {
 		if _, ok := entries["render"]; !ok {
 			t.Errorf("request %d: Server-Timing %q has no render entry", i, st)
 		}
-		var resp searchResponse
+		var resp engine.QueryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func TestLoadSmoke(t *testing.T) {
 	defer ts.Close()
 
 	const requests = 120
-	queries, err := s.eng.Corpus().GenQueries(32, 6, 42)
+	queries, err := s.def.Eng.Corpus().GenQueries(32, 6, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestLoadSmoke(t *testing.T) {
 		v := url.Values{}
 		v.Set("x", strconv.FormatFloat(q.Loc.X+float64(i+1)*1e-9, 'g', -1, 64))
 		v.Set("y", strconv.FormatFloat(q.Loc.Y, 'g', -1, 64))
-		v.Set("keywords", strings.Join(q.Keywords.Words(s.eng.Corpus().Dict), ","))
+		v.Set("keywords", strings.Join(q.Keywords.Words(s.def.Eng.Corpus().Dict), ","))
 		v.Set("K", "60")
 		v.Set("k", "6")
 		return ts.URL + "/v1/search?" + v.Encode()
@@ -83,7 +83,7 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	wg.Wait()
 
-	if st := s.gate.Stats(); st.Shed != 0 || st.QueueTimeouts != 0 {
+	if st := s.def.Gate.Stats(); st.Shed != 0 || st.QueueTimeouts != 0 {
 		t.Fatalf("closed loop of %d clients: gate shed %d, queue timeouts %d", clients, st.Shed, st.QueueTimeouts)
 	}
 	var transportErrs, client4xx, server5xx int

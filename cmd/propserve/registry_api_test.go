@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/registry"
 	"repro/internal/wal"
 )
@@ -187,7 +188,7 @@ func TestCrossTenantIsolation(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("search = %d: %s", rec.Code, rec.Body.String())
 		}
-		var resp searchResponse
+		var resp engine.QueryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -315,9 +316,9 @@ func TestDurableCorpusRecreateRecovers(t *testing.T) {
 	}
 }
 
-// TestBootCorpusScan exercises the main.go restart path directly:
-// bootCorpus over an existing directory with a generator, as the
-// -corpora-dir scan does at boot.
+// TestBootCorpusScan: bootCorpus over an existing directory recovers
+// the directory's snapshot and never calls the generator — the open
+// step the -corpora-dir scan at boot shares.
 func TestBootCorpusScan(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{EnableMutation: true, CorporaDir: dir}

@@ -83,7 +83,7 @@ func TestRequestIDOnEveryPath(t *testing.T) {
 		{"bad request", "/v1/search?k=0", http.StatusBadRequest, nil},
 		{"not found", "/nope", http.StatusNotFound, nil},
 		{"shed", "/v1/search?K=60&k=5", http.StatusServiceUnavailable, func() func() {
-			release, err := s.gate.Acquire(context.Background())
+			release, err := s.def.Gate.Acquire(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,7 +416,7 @@ func TestObserversAgree(t *testing.T) {
 		var release func()
 		if c.hold {
 			var err error
-			if release, err = s.gate.Acquire(context.Background()); err != nil {
+			if release, err = s.def.Gate.Acquire(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}

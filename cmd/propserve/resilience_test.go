@@ -93,7 +93,7 @@ func TestShedUnderLoad(t *testing.T) {
 	r2 := make(chan *httptest.ResponseRecorder, 1)
 	go func() { r2 <- get(t, s, "/v1/search?K=60&k=5") }()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.gate.Queued() == 0 {
+	for s.def.Gate.Queued() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request 2 never queued")
 		}
@@ -120,8 +120,8 @@ func TestShedUnderLoad(t *testing.T) {
 			t.Fatalf("request %d never completed", i+1)
 		}
 	}
-	if s.gate.InFlight() != 0 || s.gate.Queued() != 0 {
-		t.Errorf("gate not drained: inflight %d queued %d", s.gate.InFlight(), s.gate.Queued())
+	if s.def.Gate.InFlight() != 0 || s.def.Gate.Queued() != 0 {
+		t.Errorf("gate not drained: inflight %d queued %d", s.def.Gate.InFlight(), s.def.Gate.Queued())
 	}
 }
 
@@ -145,8 +145,8 @@ func TestPanicRecovery(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "internal server error") {
 		t.Errorf("body = %s", rec.Body.String())
 	}
-	if s.gate.InFlight() != 0 {
-		t.Fatalf("panic leaked an admission slot: inflight = %d", s.gate.InFlight())
+	if s.def.Gate.InFlight() != 0 {
+		t.Fatalf("panic leaked an admission slot: inflight = %d", s.def.Gate.InFlight())
 	}
 
 	// The process survived; with MaxInFlight=1 a healthy follow-up request

@@ -28,10 +28,6 @@ import (
 	"repro/internal/wal"
 )
 
-// searchResponse is the canonical query payload; the name survives from
-// the pre-engine server for the tests and any code reading it.
-type searchResponse = engine.QueryResponse
-
 // Config carries the serving-path resilience and engine knobs. Zero
 // values select the defaults noted on each field.
 type Config struct {
@@ -221,7 +217,8 @@ func (c Config) withDefaults() Config {
 // handlers mutate directly. Gate, panic and engine counters are
 // registered as read-at-scrape functions over their sources of truth
 // (resilience.Gate.Stats, resilience.Recoverer.Panics, engine.Stats) so
-// there is no double bookkeeping.
+// there is no double bookkeeping; the un-labeled gate and engine
+// families read the default corpus.
 type serverMetrics struct {
 	reg            *telemetry.Registry
 	requests       *telemetry.CounterVec // propserve_requests_total{code}
@@ -239,7 +236,7 @@ type serverMetrics struct {
 	gridErr        *telemetry.Gauge      // propserve_grid_err_sampled
 }
 
-func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *engine.Engine) *serverMetrics {
+func newServerMetrics(s *Server) *serverMetrics {
 	reg := telemetry.NewRegistry()
 	m := &serverMetrics{
 		reg: reg,
@@ -276,73 +273,73 @@ func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *eng
 	}
 	reg.GaugeFunc("propserve_gate_inflight",
 		"Requests currently holding an admission slot.",
-		func() float64 { return float64(gate.InFlight()) })
+		func() float64 { return float64(s.def.Gate.InFlight()) })
 	reg.GaugeFunc("propserve_gate_queued",
 		"Requests currently waiting for an admission slot.",
-		func() float64 { return float64(gate.Queued()) })
+		func() float64 { return float64(s.def.Gate.Queued()) })
 	reg.GaugeFunc("propserve_gate_capacity",
 		"Maximum concurrent in-flight requests.",
-		func() float64 { return float64(gate.Capacity()) })
+		func() float64 { return float64(s.def.Gate.Capacity()) })
 	reg.CounterFunc("propserve_gate_admitted_total",
 		"Requests admitted by the gate.",
-		func() uint64 { return gate.Stats().Admitted })
+		func() uint64 { return s.def.Gate.Stats().Admitted })
 	reg.CounterFunc("propserve_gate_shed_total",
 		"Requests shed immediately because the wait queue was full.",
-		func() uint64 { return gate.Stats().Shed })
+		func() uint64 { return s.def.Gate.Stats().Shed })
 	reg.CounterFunc("propserve_gate_queue_timeout_total",
 		"Requests shed after waiting the maximum queue time.",
-		func() uint64 { return gate.Stats().QueueTimeouts })
+		func() uint64 { return s.def.Gate.Stats().QueueTimeouts })
 	reg.CounterFunc("propserve_gate_cancelled_total",
 		"Requests whose context terminated while queued.",
-		func() uint64 { return gate.Stats().Cancelled })
+		func() uint64 { return s.def.Gate.Stats().Cancelled })
 	reg.CounterFunc("propserve_panics_recovered_total",
 		"Handler panics recovered by the resilience middleware.",
-		func() uint64 { return rec.Panics() })
+		func() uint64 { return s.rec.Panics() })
 	reg.CounterFunc("propserve_engine_cache_hits_total",
 		"Queries served a score set straight from the engine LRU.",
-		func() uint64 { return eng.Stats().Hits })
+		func() uint64 { return s.def.Eng.Stats().Hits })
 	reg.CounterFunc("propserve_engine_cache_misses_total",
 		"Queries that computed (and cached) a score set.",
-		func() uint64 { return eng.Stats().Misses })
+		func() uint64 { return s.def.Eng.Stats().Misses })
 	reg.CounterFunc("propserve_engine_coalesced_total",
 		"Queries that waited on an identical concurrent computation.",
-		func() uint64 { return eng.Stats().Coalesced })
+		func() uint64 { return s.def.Eng.Stats().Coalesced })
 	reg.CounterFunc("propserve_engine_cache_evictions_total",
 		"Score sets evicted from the engine LRU.",
-		func() uint64 { return eng.Stats().Evictions })
+		func() uint64 { return s.def.Eng.Stats().Evictions })
 	reg.CounterFunc("propserve_engine_builds_total",
 		"Score-set builds started by the engine.",
-		func() uint64 { return eng.Stats().Builds })
+		func() uint64 { return s.def.Eng.Stats().Builds })
 	reg.CounterFunc("propserve_engine_build_errors_total",
 		"Score-set builds that failed (failures are never cached).",
-		func() uint64 { return eng.Stats().BuildErrors })
+		func() uint64 { return s.def.Eng.Stats().BuildErrors })
 	reg.CounterFunc("propserve_engine_explains_total",
 		"Cache-bypassing /v1/explain evaluations.",
-		func() uint64 { return eng.Stats().Explains })
+		func() uint64 { return s.def.Eng.Stats().Explains })
 	reg.GaugeFunc("propserve_engine_cache_hit_ratio",
 		"Engine LRU hit ratio over all lookups so far (0 before any lookup).",
-		func() float64 { return eng.Stats().HitRatio() })
+		func() float64 { return s.def.Eng.Stats().HitRatio() })
 	reg.GaugeFunc("propserve_engine_cache_entries",
 		"Score sets currently resident in the engine LRU.",
-		func() float64 { return float64(eng.Stats().Entries) })
+		func() float64 { return float64(s.def.Eng.Stats().Entries) })
 	reg.GaugeFunc("propserve_engine_table_bytes",
 		"Combined footprint of the shared maximal grid tables.",
-		func() float64 { return float64(eng.Stats().TableBytes) })
+		func() float64 { return float64(s.def.Eng.Stats().TableBytes) })
 	reg.GaugeFunc("propserve_engine_cache_bytes",
 		"Score-set bytes of the entries resident in the engine LRU (answer memos excluded).",
-		func() float64 { return float64(eng.Stats().CacheBytes) })
+		func() float64 { return float64(s.def.Eng.Stats().CacheBytes) })
 	reg.GaugeFunc("propserve_corpus_epoch",
 		"Currently published corpus epoch (0 until the first mutation).",
-		func() float64 { return float64(eng.Epoch()) })
+		func() float64 { return float64(s.def.Eng.Epoch()) })
 	reg.GaugeFunc("propserve_corpus_places",
 		"Places in the currently published corpus epoch.",
-		func() float64 { return float64(eng.Stats().Places) })
+		func() float64 { return float64(s.def.Eng.Stats().Places) })
 	reg.CounterFunc("propserve_corpus_mutations_total",
 		"Mutation batches applied and published as new corpus epochs.",
-		func() uint64 { return eng.Stats().Mutations })
+		func() uint64 { return s.def.Eng.Stats().Mutations })
 	reg.CounterFunc("propserve_corpus_swept_entries_total",
 		"Score sets swept from the engine LRU by mutations that could change them (the rest are carried into the new epoch).",
-		func() uint64 { return eng.Stats().SweptEntries })
+		func() uint64 { return s.def.Eng.Stats().SweptEntries })
 	return m
 }
 
@@ -366,39 +363,36 @@ func newServerMetrics(gate *resilience.Gate, rec *resilience.Recoverer, eng *eng
 // are retired: they answer 410 Gone.
 type Server struct {
 	mux   *http.ServeMux
-	eng   *engine.Engine // default tenant's engine
 	cfg   Config
-	gate  *resilience.Gate // default tenant's gate
 	rec   *resilience.Recoverer
 	tel   *serverMetrics
-	slo   *slo.Tracker // default tenant's tracker; nil when Config.DisableSLO
 	start time.Time
 	// logMu serialises every JSON-line writer (access log, slow-query
 	// log, -trace-export), so lines never interleave even when two of
 	// them share one writer.
 	logMu sync.Mutex
 
-	// Multi-tenant state: reg maps corpus names to tenants, def is the
-	// tenant the un-scoped /v1 aliases address. Each tenant carries its
-	// own durability state (WAL, recovery progress, degradation latch);
-	// the Server-level recovery methods delegate to def for the
-	// single-corpus boot path.
+	// reg maps corpus names to tenants; def, set by openCorpus before
+	// anything is served, is the one the un-scoped routes, /healthz and
+	// the un-labeled metric families address.
 	reg *registry.Registry
 	def *registry.Tenant
 }
 
-// NewServer builds the handler tree over a fresh engine serving d with
-// the given configuration (zero values select defaults). Durability is
-// off on this path; the durable boot in main constructs the engine at
-// the recovered epoch and uses NewServerWithEngine.
+// NewServer builds the handler tree over a volatile default corpus
+// serving d, with the given configuration (zero values select
+// defaults). The durable boot in main opens its corpora through
+// Server.boot instead.
 func NewServer(d *dataset.Dataset, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	return NewServerWithEngine(engine.New(d, engineOptions(cfg)), cfg)
+	s := newServer(cfg)
+	// A volatile open of a fresh registry's default corpus cannot fail.
+	s.openCorpus(registry.DefaultName, "",
+		func() (*dataset.Dataset, error) { return d, nil }, engineOptions(s.cfg))
+	return s
 }
 
-// engineOptions maps the serving configuration onto the engine knobs —
-// shared by the fresh-corpus and recovered-corpus constructors so the
-// two paths cannot drift.
+// engineOptions maps the serving configuration onto the engine knobs
+// of every corpus.
 func engineOptions(cfg Config) engine.Options {
 	cfg = cfg.withDefaults()
 	return engine.Options{
@@ -408,22 +402,17 @@ func engineOptions(cfg Config) engine.Options {
 	}
 }
 
-// NewServerWithEngine builds the handler tree over an existing engine.
-// The server starts ready; a durable boot calls BeginRecovery before
-// serving and Recover (replay + FinishRecovery) once the listener is up.
-func NewServerWithEngine(eng *engine.Engine, cfg Config) *Server {
+// newServer builds the handler tree and the metrics over an empty
+// registry. It serves nothing until the default corpus is opened
+// (openCorpus), which every caller does before the first request.
+func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		mux:   http.NewServeMux(),
-		eng:   eng,
 		cfg:   cfg,
 		reg:   registry.New(),
 		start: time.Now(),
 	}
-	s.def = s.newTenant(registry.DefaultName, eng)
-	// A fresh registry with a valid name cannot reject the default tenant.
-	_ = s.reg.Add(s.def)
-	s.gate, s.slo = s.def.Gate, s.def.SLO
 
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -458,7 +447,7 @@ func NewServerWithEngine(eng *engine.Engine, cfg Config) *Server {
 	s.mux.HandleFunc("GET /search", s.legacyGone("/search", "/v1/search"))
 	s.mux.HandleFunc("GET /stats", s.legacyGone("/stats", "/v1/stats"))
 	s.rec = resilience.NewRecoverer(s.mux, cfg.Logf)
-	s.tel = newServerMetrics(s.gate, s.rec, s.eng)
+	s.tel = newServerMetrics(s)
 	s.registerDurabilityMetrics()
 	s.registerSLOMetrics()
 	s.registerTenantMetrics()
@@ -568,10 +557,8 @@ func (s *Server) tenantFor(w http.ResponseWriter, r *http.Request) (*registry.Te
 }
 
 // registerDurabilityMetrics exposes the default corpus's WAL and
-// recovery state under the pre-registry family names. Every instrument
-// reads live state through the default tenant (nil-safe when no WAL is
-// attached), so the same registration serves the volatile and the
-// durable boot paths; the per-corpus view lives in the labeled
+// recovery state under the pre-registry family names, read at scrape
+// time (zeros without a WAL); the per-corpus view lives in the labeled
 // propserve_tenant_* families.
 func (s *Server) registerDurabilityMetrics() {
 	reg := s.tel.reg
@@ -580,31 +567,31 @@ func (s *Server) registerDurabilityMetrics() {
 		func() float64 { return boolGauge(s.def.Ready()) })
 	reg.CounterFunc("propserve_wal_appends_total",
 		"Mutation batches durably appended to the write-ahead log.",
-		func() uint64 { return s.walStats().Appends })
+		func() uint64 { return s.def.WALStats().Appends })
 	reg.CounterFunc("propserve_wal_fsyncs_total",
 		"Successful fsync calls on the write-ahead log.",
-		func() uint64 { return s.walStats().Fsyncs })
+		func() uint64 { return s.def.WALStats().Fsyncs })
 	reg.CounterFunc("propserve_wal_errors_total",
 		"Failed write-ahead log I/O operations (before retry).",
-		func() uint64 { return s.walStats().Errors })
+		func() uint64 { return s.def.WALStats().Errors })
 	reg.CounterFunc("propserve_wal_retries_total",
 		"Write-ahead log appends re-attempted after a transient failure.",
-		func() uint64 { return s.walStats().Retries })
+		func() uint64 { return s.def.WALStats().Retries })
 	reg.CounterFunc("propserve_wal_compactions_total",
 		"Completed snapshot compactions (log prefix truncations).",
-		func() uint64 { return s.walStats().Compactions })
+		func() uint64 { return s.def.WALStats().Compactions })
 	reg.CounterFunc("propserve_wal_torn_drops_total",
 		"Torn log tails repaired at open (unacknowledged final records dropped).",
-		func() uint64 { return s.walStats().TornDrops })
+		func() uint64 { return s.def.WALStats().TornDrops })
 	reg.GaugeFunc("propserve_wal_records",
 		"Records currently in the write-ahead log file.",
-		func() float64 { return float64(s.walStats().Records) })
+		func() float64 { return float64(s.def.WALStats().Records) })
 	reg.GaugeFunc("propserve_wal_bytes",
 		"Size of the write-ahead log file in bytes.",
-		func() float64 { return float64(s.walStats().Bytes) })
+		func() float64 { return float64(s.def.WALStats().Bytes) })
 	reg.GaugeFunc("propserve_wal_broken",
 		"1 when the write-ahead log has latched an unrecoverable failure and sheds mutations.",
-		func() float64 { return boolGauge(s.walStats().Broken) })
+		func() float64 { return boolGauge(s.def.WALStats().Broken) })
 	reg.GaugeFunc("propserve_wal_degraded",
 		"1 when durability is degraded (recovery failed; mutations shed, reads served).",
 		func() float64 { return boolGauge(s.def.DegradedReason() != "") })
@@ -675,86 +662,68 @@ func boolGauge(b bool) float64 {
 	return 0
 }
 
-// walStats snapshots the default corpus's log counters, or zeros when it
-// runs without durability.
-func (s *Server) walStats() wal.Stats { return s.def.WALStats() }
-
 // registerSLOMetrics exposes the SLO tracker on /metrics through the
 // read-at-scrape pattern: each family snapshots the tracker when scraped,
 // so the request path pays nothing for the exposition. The label sets
 // (class × window × quantile/kind) are only known from the snapshot,
 // hence the series-func collectors.
 func (s *Server) registerSLOMetrics() {
-	if s.slo == nil {
+	if s.cfg.DisableSLO {
 		return
 	}
 	reg := s.tel.reg
-	label := func(name, value string) telemetry.Label { return telemetry.Label{Name: name, Value: value} }
+	// perClass lists one family's series over the default corpus's SLO
+	// classes; add appends one series labeled with the class and then
+	// the given name, value label pairs.
+	type addFunc = func(v float64, labels ...string)
+	perClass := func(fill func(c slo.ClassSnapshot, add addFunc)) func() []telemetry.Series {
+		return func() []telemetry.Series {
+			var out []telemetry.Series
+			for _, c := range s.def.SLO.Snapshot().Classes {
+				fill(c, func(v float64, kv ...string) {
+					labels := []telemetry.Label{{Name: "class", Value: c.Class}}
+					for i := 0; i+1 < len(kv); i += 2 {
+						labels = append(labels, telemetry.Label{Name: kv[i], Value: kv[i+1]})
+					}
+					out = append(out, telemetry.Series{Labels: labels, Value: v})
+				})
+			}
+			return out
+		}
+	}
 	reg.GaugeSeriesFunc("propserve_slo_latency_seconds",
 		"Rolling-window latency quantile estimates per request class (one-bucket sketch error).",
-		func() []telemetry.Series {
-			var out []telemetry.Series
-			for _, c := range s.slo.Snapshot().Classes {
-				for _, ws := range c.Windows {
-					win := slo.WindowLabel(ws.Window)
-					for _, q := range []struct {
-						name string
-						d    time.Duration
-					}{{"0.5", ws.P50}, {"0.95", ws.P95}, {"0.99", ws.P99}} {
-						out = append(out, telemetry.Series{
-							Labels: []telemetry.Label{label("class", c.Class), label("window", win), label("quantile", q.name)},
-							Value:  q.d.Seconds(),
-						})
-					}
-				}
+		perClass(func(c slo.ClassSnapshot, add addFunc) {
+			for _, ws := range c.Windows {
+				win := slo.WindowLabel(ws.Window)
+				add(ws.P50.Seconds(), "window", win, "quantile", "0.5")
+				add(ws.P95.Seconds(), "window", win, "quantile", "0.95")
+				add(ws.P99.Seconds(), "window", win, "quantile", "0.99")
 			}
-			return out
-		})
+		}))
 	reg.GaugeSeriesFunc("propserve_slo_burn_rate",
 		"Error-budget burn rate per class and window; sustained 1.0 exactly exhausts the budget.",
-		func() []telemetry.Series {
-			var out []telemetry.Series
-			for _, c := range s.slo.Snapshot().Classes {
-				for _, ws := range c.Windows {
-					win := slo.WindowLabel(ws.Window)
-					out = append(out,
-						telemetry.Series{Labels: []telemetry.Label{label("class", c.Class), label("window", win), label("kind", "availability")}, Value: ws.AvailabilityBurn},
-						telemetry.Series{Labels: []telemetry.Label{label("class", c.Class), label("window", win), label("kind", "latency")}, Value: ws.LatencyBurn})
-				}
+		perClass(func(c slo.ClassSnapshot, add addFunc) {
+			for _, ws := range c.Windows {
+				win := slo.WindowLabel(ws.Window)
+				add(ws.AvailabilityBurn, "window", win, "kind", "availability")
+				add(ws.LatencyBurn, "window", win, "kind", "latency")
 			}
-			return out
-		})
+		}))
 	reg.GaugeSeriesFunc("propserve_slo_budget_remaining",
 		"Fraction of the error budget left per class and window (negative when overspent).",
-		func() []telemetry.Series {
-			var out []telemetry.Series
-			for _, c := range s.slo.Snapshot().Classes {
-				for _, ws := range c.Windows {
-					out = append(out, telemetry.Series{
-						Labels: []telemetry.Label{label("class", c.Class), label("window", slo.WindowLabel(ws.Window))},
-						Value:  ws.BudgetRemaining,
-					})
-				}
+		perClass(func(c slo.ClassSnapshot, add addFunc) {
+			for _, ws := range c.Windows {
+				add(ws.BudgetRemaining, "window", slo.WindowLabel(ws.Window))
 			}
-			return out
-		})
+		}))
 	reg.CounterSeriesFunc("propserve_slo_requests_total",
 		"Requests recorded by the SLO tracker since start, per class and outcome.",
-		func() []telemetry.Series {
-			var out []telemetry.Series
-			for _, c := range s.slo.Snapshot().Classes {
-				for _, o := range []struct {
-					name string
-					n    uint64
-				}{{"ok", c.Total.OK}, {"error", c.Total.Errors}, {"shed", c.Total.Shed}} {
-					out = append(out, telemetry.Series{
-						Labels: []telemetry.Label{label("class", c.Class), label("outcome", o.name)},
-						Value:  float64(o.n),
-					})
-				}
-			}
-			return out
-		})
+		perClass(func(c slo.ClassSnapshot, add addFunc) {
+			add(float64(c.Total.OK), "outcome", "ok")
+			add(float64(c.Total.Errors), "outcome", "error")
+			add(float64(c.Total.Shed), "outcome", "shed")
+		}))
 }
 
 // sloStatsJSON renders one WindowStats as the /v1/slo JSON object. When
@@ -826,40 +795,6 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		"classes":    classes,
 	})
 }
-
-// BeginRecovery marks the default corpus not ready: /readyz answers 503
-// "recovering" and mutations are shed until FinishRecovery. Reads keep
-// serving throughout — the engine always holds a complete epoch. The
-// single-corpus boot path in main uses these Server-level delegations;
-// secondary corpora go through their tenant's methods directly.
-func (s *Server) BeginRecovery() { s.def.BeginRecovery() }
-
-// FinishRecovery records the recovery outcome and flips the default
-// corpus ready. Called by Recover after the WAL is replayed and attached.
-func (s *Server) FinishRecovery(replayed int, epoch uint64, dur time.Duration) {
-	s.def.FinishRecovery(replayed, epoch, dur)
-	s.cfg.Logf("propserve: recovery complete: %d records replayed in %v, corpus at epoch %d",
-		replayed, dur.Round(time.Millisecond), epoch)
-}
-
-// AttachWAL hands the default corpus the open log for compaction and
-// metrics. The engine's own WAL hookup (Engine.SetWAL) is separate:
-// during replay the engine must mutate without re-logging.
-func (s *Server) AttachWAL(l *wal.Log) { s.def.AttachWAL(l) }
-
-// DegradeWAL puts the default corpus into the -wal-required=false
-// failure mode: reads keep serving whatever state recovery reached,
-// every mutation is shed with 503, and the degradation is visible in
-// /healthz, /v1/stats and propserve_wal_degraded. The tenant also flips
-// ready — it is ready, just read-mostly.
-func (s *Server) DegradeWAL(err error) {
-	s.def.Degrade(err)
-	s.cfg.Logf("propserve: DURABILITY DEGRADED, mutations disabled: %v", err)
-}
-
-// walState summarises the default corpus's durability mode for /healthz
-// and /v1/stats.
-func (s *Server) walState() string { return s.def.WALState() }
 
 // legacyGone is the fate of the retired pre-/v1 aliases: 410 Gone
 // carrying a Deprecation header (draft-ietf-httpapi-deprecation-header)
@@ -933,13 +868,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"status":       "ok",
 		"ready":        s.def.Ready(),
-		"wal":          s.walState(),
-		"places":       len(s.eng.Corpus().Places),
-		"corpus_epoch": s.eng.Epoch(),
+		"wal":          s.def.WALState(),
+		"places":       len(s.def.Eng.Corpus().Places),
+		"corpus_epoch": s.def.Eng.Epoch(),
 		"corpora":      s.reg.Len(),
-		"inflight":     s.gate.InFlight(),
-		"queued":       s.gate.Queued(),
-		"capacity":     s.gate.Capacity(),
+		"inflight":     s.def.Gate.InFlight(),
+		"queued":       s.def.Gate.Queued(),
+		"capacity":     s.def.Gate.Capacity(),
 		"max_K":        s.cfg.MaxK,
 		"timeout_s":    s.cfg.QueryTimeout.Seconds(),
 	})
@@ -959,24 +894,24 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		s.writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
 			"status":       "recovering",
 			"corpora":      recovering,
-			"corpus_epoch": s.eng.Epoch(),
+			"corpus_epoch": s.def.Eng.Epoch(),
 		})
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"status":       "ready",
-		"wal":          s.walState(),
-		"corpus_epoch": s.eng.Epoch(),
+		"wal":          s.def.WALState(),
+		"corpus_epoch": s.def.Eng.Epoch(),
 	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	gs := s.gate.Stats()
-	es := s.eng.Stats()
-	ws := s.walStats()
+	gs := s.def.Gate.Stats()
+	es := s.def.Eng.Stats()
+	ws := s.def.WALStats()
 	replayed, recoveredEpoch, recoveryDur := s.def.RecoveryStats()
 	walSection := map[string]interface{}{
-		"state":            s.walState(),
+		"state":            s.def.WALState(),
 		"enabled":          s.def.WAL() != nil,
 		"replayed_records": uint64(replayed),
 		"recovery_seconds": round3(recoveryDur.Seconds()),
@@ -1007,7 +942,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	// Corpus facts come from the engine's published snapshot, not the
 	// registration-time dataset: mutations move the former, never the
 	// latter.
-	cur := s.eng.Corpus()
+	cur := s.def.Eng.Corpus()
 	s.writeJSON(w, http.StatusOK, map[string]interface{}{
 		"server":       s.serverSection(),
 		"dataset":      cur.Config.Name,
@@ -1582,11 +1517,6 @@ func (s *Server) handleCorporaCreate(w http.ResponseWriter, r *http.Request) {
 	if cr.Places == 0 {
 		cr.Places = 1000
 	}
-	gen := func() (*dataset.Dataset, error) {
-		dc := dataset.DBpediaLike(cr.Seed)
-		dc.Places = cr.Places
-		return dataset.Generate(dc)
-	}
 	opts := engineOptions(s.cfg)
 	if cr.Shards != 0 {
 		opts.Shards = cr.Shards
@@ -1598,7 +1528,7 @@ func (s *Server) handleCorporaCreate(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.CorporaDir != "" {
 		dir = filepath.Join(s.cfg.CorporaDir, cr.Name)
 	}
-	tn, err := s.bootCorpus(r.Context(), cr.Name, dir, gen, opts)
+	tn, err := s.bootCorpus(r.Context(), cr.Name, dir, generated(cr.Seed, cr.Places), opts)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, registry.ErrExists) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 )
 
 func testServer(t *testing.T) *Server {
@@ -108,7 +109,7 @@ func TestSearchDefaults(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp searchResponse
+	var resp engine.QueryResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +144,12 @@ func TestSearchAllAlgorithms(t *testing.T) {
 func TestSearchWithKeywordsAndLocation(t *testing.T) {
 	s := testServer(t)
 	// Use a real vocabulary word so the keyword resolves.
-	word := s.eng.Corpus().Places[0].Context.Words(s.eng.Corpus().Dict)[0]
+	word := s.def.Eng.Corpus().Places[0].Context.Words(s.def.Eng.Corpus().Dict)[0]
 	rec := get(t, s, "/v1/search?x=50&y=50&K=60&k=5&keywords="+word)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp searchResponse
+	var resp engine.QueryResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestSearchSpatialMethods(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", spatial, rec.Code, rec.Body.String())
 		}
-		var resp searchResponse
+		var resp engine.QueryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func TestSearchClampsK(t *testing.T) {
 		v, _ := strconv.ParseFloat(metricsSeries(t, s)[`propserve_degraded_total{reason="k_clamp"}`], 64)
 		return v
 	}
-	decode := func(rec *httptest.ResponseRecorder) (resp searchResponse) {
+	decode := func(rec *httptest.ResponseRecorder) (resp engine.QueryResponse) {
 		t.Helper()
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
@@ -234,10 +235,10 @@ func TestSearchClampsK(t *testing.T) {
 	}
 	for _, c := range []struct {
 		endpoint string
-		query    func() searchResponse // runs the clamped query
+		query    func() engine.QueryResponse // runs the clamped query
 	}{
-		{"/v1/search", func() searchResponse { return decode(get(t, s, "/v1/search?K=400&k=5")) }},
-		{"/v1/batch", func() searchResponse {
+		{"/v1/search", func() engine.QueryResponse { return decode(get(t, s, "/v1/search?K=400&k=5")) }},
+		{"/v1/batch", func() engine.QueryResponse {
 			rec := postJSON(t, s, "/v1/batch", map[string]any{"queries": []any{map[string]any{"K": 400, "k": 5}}})
 			var env batchResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || len(env.Results) != 1 || env.Results[0].Status != http.StatusOK {
@@ -245,7 +246,7 @@ func TestSearchClampsK(t *testing.T) {
 			}
 			return *env.Results[0].Response
 		}},
-		{"/v1/explain", func() searchResponse { return decode(get(t, s, "/v1/explain?K=400&k=5")) }},
+		{"/v1/explain", func() engine.QueryResponse { return decode(get(t, s, "/v1/explain?K=400&k=5")) }},
 	} {
 		before := clamps()
 		resp := c.query()
@@ -292,7 +293,7 @@ func TestDowngradeBudgetSizeAware(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("large: status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp searchResponse
+	var resp engine.QueryResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestDowngradeBudgetSizeAware(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("small: status = %d: %s", rec.Code, rec.Body.String())
 	}
-	resp = searchResponse{}
+	resp = engine.QueryResponse{}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestShardEquivalenceHTTP(t *testing.T) {
 	if got := sharded.def.Eng.Stats().Shards; got != 4 {
 		t.Fatalf("sharded server reports %d shards, want 4", got)
 	}
-	word := unsharded.eng.Corpus().Places[0].Context.Words(unsharded.eng.Corpus().Dict)[0]
+	word := unsharded.def.Eng.Corpus().Places[0].Context.Words(unsharded.def.Eng.Corpus().Dict)[0]
 	queries := equivalenceQueries(word)
 
 	compare := func(phase string) {
@@ -78,8 +78,8 @@ func TestShardEquivalenceHTTP(t *testing.T) {
 			{"id": "eq:c", "x": 12.3, "y": 86.9, "context": []string{word}},
 		},
 		"deletes": []string{
-			unsharded.eng.Corpus().Places[3].Label,
-			unsharded.eng.Corpus().Places[250].Label,
+			unsharded.def.Eng.Corpus().Places[3].Label,
+			unsharded.def.Eng.Corpus().Places[250].Label,
 		},
 	}
 	ra := postJSON(t, unsharded, "/v1/corpus", mutation)

@@ -177,7 +177,7 @@ func TestSLOBatchAndMutateClasses(t *testing.T) {
 			return get(t, s, "/v1/explain?K=60&k=6")
 		}},
 		{"shed search", "search_miss", http.StatusServiceUnavailable, func() *httptest.ResponseRecorder {
-			release, err := s.gate.Acquire(context.Background())
+			release, err := s.def.Gate.Acquire(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestSLOBatchAndMutateClasses(t *testing.T) {
 			return get(t, s, "/v1/search?K=60&k=6")
 		}},
 		{"recovering mutation", "mutate", http.StatusServiceUnavailable, func() *httptest.ResponseRecorder {
-			s.BeginRecovery()
+			s.def.BeginRecovery()
 			return postJSON(t, s, "/v1/corpus", json.RawMessage(`{"upserts":[{"id":"slo-test","x":0.5,"y":0.5,"context":["alpha"]}]}`))
 		}},
 	} {

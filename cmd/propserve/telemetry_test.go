@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // metricsSeries fetches /metrics and returns its sample lines keyed by
@@ -97,7 +98,7 @@ func TestSearchDiagnosticsStageBreakdown(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp searchResponse
+	var resp engine.QueryResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestRequestIDStableAcrossHeaderAndBody(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var resp searchResponse
+	var resp engine.QueryResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestGateCountersUnderShedLoad(t *testing.T) {
 	r2 := make(chan *httptest.ResponseRecorder, 1)
 	go func() { r2 <- get(t, s, "/v1/search?K=60&k=5") }()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.gate.Queued() == 0 {
+	for s.def.Gate.Queued() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request 2 never queued")
 		}
@@ -240,7 +241,7 @@ func TestGateCountersUnderShedLoad(t *testing.T) {
 	<-r1
 	<-r2
 
-	gs := s.gate.Stats()
+	gs := s.def.Gate.Stats()
 	if gs.Admitted != 2 {
 		t.Errorf("Admitted = %d, want 2", gs.Admitted)
 	}
@@ -291,7 +292,7 @@ func TestLatencyHistogramsAfterMixedTraffic(t *testing.T) {
 	<-entered
 	queued := make(chan *httptest.ResponseRecorder, 1)
 	go func() { queued <- get(t, s, "/v1/search?K=60&k=5") }()
-	for deadline := time.Now().Add(5 * time.Second); s.gate.Queued() == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); s.def.Gate.Queued() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("second request never queued")
 		}

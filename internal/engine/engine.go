@@ -93,19 +93,11 @@ type Options struct {
 	// Stats.CacheBytes sums them) next to its answer memo. 0
 	// means 128.
 	CacheEntries int
-	// SelectionMemo bounds the per-entry (algorithm, k, λ) memo of
-	// selections and the answers rendered from them (a few KB each).
-	// 0 means 64.
-	SelectionMemo int
 	// InitialEpoch is the corpus epoch the registered dataset represents.
 	// 0 for a fresh corpus; recovery passes the loaded snapshot's epoch so
 	// replayed and future mutations continue the numbering the WAL
 	// records carry.
 	InitialEpoch uint64
-	// WAL, when non-nil, receives every mutation batch before its epoch
-	// is published (see Mutate). Recovery attaches it after replay via
-	// SetWAL instead, so replayed batches are not re-logged.
-	WAL MutationLog
 	// Shards is the number of spatial shards the corpus is split into
 	// (grid-cell partitions, each with its own IR-tree; see
 	// dataset.ShardView). With two or more, Step-1 retrieval is a
@@ -114,12 +106,13 @@ type Options struct {
 	Shards int
 }
 
+// selectionMemo bounds each cache entry's (algorithm, k, λ) memo of
+// selections and the answers rendered from them (a few KB each).
+const selectionMemo = 64
+
 func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 128
-	}
-	if o.SelectionMemo <= 0 {
-		o.SelectionMemo = 64
 	}
 	return o
 }
@@ -173,7 +166,6 @@ func New(d *dataset.Dataset, opt Options) *Engine {
 	e := &Engine{
 		opt:   o,
 		cache: newLRU(o.CacheEntries),
-		wal:   o.WAL,
 	}
 	sv, err := dataset.NewShardView(d, max(o.Shards, 1), o.InitialEpoch)
 	if err != nil {
@@ -265,7 +257,7 @@ func (e *Engine) Query(ctx context.Context, req *QueryRequest) (*Result, error) 
 			ErrBadRequest, ent.ss.K(), req.SmallK)
 	}
 	if ans == nil {
-		if ans, err = ent.answer(ctx, alg, p, e.opt.SelectionMemo); err != nil {
+		if ans, err = ent.answer(ctx, alg, p, selectionMemo); err != nil {
 			return nil, fmt.Errorf("select: %w", err)
 		}
 	}
@@ -298,7 +290,7 @@ func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string, al
 			}
 			ent := newEntry(req, ss)
 			if ss.K() > p.K {
-				leaderAns, selErr = ent.answer(ctx, alg, p, e.opt.SelectionMemo)
+				leaderAns, selErr = ent.answer(ctx, alg, p, selectionMemo)
 			}
 			e.cache.add(key, ent)
 			return ent, nil

@@ -40,7 +40,8 @@ func walMutation(i int) Mutation {
 // exactly that epoch number, and the log never runs behind the engine.
 func TestMutateAppendsBeforePublish(t *testing.T) {
 	w := &fakeWAL{}
-	e := New(mutTestData(t, 31, 200), Options{WAL: w})
+	e := New(mutTestData(t, 31, 200), Options{})
+	e.SetWAL(w)
 	for i := 1; i <= 3; i++ {
 		res, err := e.Mutate(context.Background(), walMutation(i))
 		if err != nil {
@@ -65,7 +66,8 @@ func TestMutateAppendsBeforePublish(t *testing.T) {
 // visible, so a restart cannot resurrect it.
 func TestMutateWALFailureNotPublished(t *testing.T) {
 	w := &fakeWAL{fail: errors.New("disk gone")}
-	e := New(mutTestData(t, 32, 200), Options{WAL: w})
+	e := New(mutTestData(t, 32, 200), Options{})
+	e.SetWAL(w)
 	places := len(e.Corpus().Places)
 
 	_, err := e.Mutate(context.Background(), walMutation(1))
@@ -89,7 +91,8 @@ func TestMutateWALFailureNotPublished(t *testing.T) {
 // from there, so replayed history and new mutations share one sequence.
 func TestMutateInitialEpoch(t *testing.T) {
 	w := &fakeWAL{}
-	e := New(mutTestData(t, 33, 200), Options{InitialEpoch: 41, WAL: w})
+	e := New(mutTestData(t, 33, 200), Options{InitialEpoch: 41})
+	e.SetWAL(w)
 	if e.Epoch() != 41 {
 		t.Fatalf("initial epoch = %d, want 41", e.Epoch())
 	}
@@ -123,7 +126,8 @@ func TestSetWALAttachesAfterReplay(t *testing.T) {
 // before anything is logged or published.
 func TestMutateHonoursContext(t *testing.T) {
 	w := &fakeWAL{}
-	e := New(mutTestData(t, 35, 500), Options{WAL: w})
+	e := New(mutTestData(t, 35, 500), Options{})
+	e.SetWAL(w)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := e.Mutate(ctx, walMutation(1))

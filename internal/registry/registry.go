@@ -64,9 +64,9 @@ type Tenant struct {
 	// WALDir is the tenant's log directory; "" when not durable.
 	WALDir string
 
-	// Durability state, mirroring the single-corpus server's lifecycle:
-	// ready gates mutations while WAL replay runs; walLog enables
-	// compaction and metrics; walDegraded latches the reads-only mode.
+	// Durability state: ready gates mutations while WAL replay runs;
+	// walLog enables compaction and metrics; walDegraded latches the
+	// reads-only mode.
 	ready           atomic.Bool
 	walLog          atomic.Pointer[wal.Log]
 	walDegraded     atomic.Pointer[string]
@@ -107,10 +107,14 @@ func (t *Tenant) RecoveryStats() (replayed int, epoch uint64, dur time.Duration)
 	return int(t.replayedRecords.Load()), t.recoveredEpoch.Load(), time.Duration(t.recoveryNanos.Load())
 }
 
-// AttachWAL hands the tenant its open log for compaction and metrics.
-// The engine's own hookup (Engine.SetWAL) is separate: during replay
-// the engine must mutate without re-logging.
-func (t *Tenant) AttachWAL(l *wal.Log) { t.walLog.Store(l) }
+// AttachWAL hands the tenant's engine its open log, so every later
+// mutation is appended before it is published, and keeps it for
+// compaction and metrics. Recovery calls it once replay is done: a
+// replayed batch is already in the log and must not be logged again.
+func (t *Tenant) AttachWAL(l *wal.Log) {
+	t.Eng.SetWAL(l)
+	t.walLog.Store(l)
+}
 
 // WAL returns the attached log, nil when the tenant is not durable.
 func (t *Tenant) WAL() *wal.Log { return t.walLog.Load() }
