@@ -9,7 +9,7 @@ all: check
 
 # Default verification path: build, vet, tests, and the race detector on
 # the concurrency-bearing packages (serving path, Step-1 fills over shared
-# grid tables, sharded retrieval).
+# grid tables, retrieval from shared trees).
 check: build vet test race
 
 build:
@@ -45,7 +45,7 @@ cross:
 # /v1/corpus surface plus queries-during-replay, internal/pairs +
 # internal/core + internal/textctx + internal/grid the Step-1 fills that
 # concurrent requests run over shared grid tables, internal/irtree the
-# shared trees that shards search from concurrent goroutines — all must
+# shared trees that concurrent requests search — all must
 # stay in this list.
 race:
 	$(GO) test -race ./internal/pairs ./internal/core ./internal/irtree ./internal/textctx ./internal/engine ./internal/registry ./internal/dataset ./internal/resilience ./internal/telemetry ./internal/tracestore ./internal/explain ./internal/grid ./internal/wal ./internal/slo ./cmd/propserve

@@ -84,7 +84,7 @@ func TestBadFlagsExit2(t *testing.T) {
 
 // TestFlagsReachTheirFields sets each flag to a value other than its
 // default and checks that exactly the one field it feeds changed.
-// -step1-workers is accepted and feeds nothing.
+// -shards and -step1-workers are accepted and feed nothing.
 func TestFlagsReachTheirFields(t *testing.T) {
 	base, err := parseFlags(nil, io.Discard)
 	if err != nil {
@@ -124,7 +124,7 @@ func TestFlagsReachTheirFields(t *testing.T) {
 		{[]string{"-wal-sync-interval", "19ms"}, func(bc *bootConfig) { bc.cfg.WAL.SyncInterval = 19 * time.Millisecond }},
 		{[]string{"-wal-required=false"}, func(bc *bootConfig) { bc.walRequired = false }},
 		{[]string{"-wal-compact-records", "20"}, func(bc *bootConfig) { bc.cfg.WALCompactRecords = 20 }},
-		{[]string{"-shards", "21"}, func(bc *bootConfig) { bc.cfg.Shards = 21 }},
+		{[]string{"-shards", "21"}, func(*bootConfig) {}},
 		{[]string{"-step1-workers", "22"}, func(*bootConfig) {}},
 		{[]string{"-traces=false"}, func(bc *bootConfig) { bc.cfg.DisableTraces = true }},
 		{[]string{"-trace-sample", "0.25"}, func(bc *bootConfig) { bc.cfg.TraceSample = 0.25 }},

@@ -27,9 +27,8 @@
 //	                               ?corpus=&status=&reason=&min_duration_ms=&limit=;
 //	                               tail-sampled (slow/error/shed/degraded always,
 //	                               -trace-sample of the rest), -traces=false disables
-//	GET  /v1/traces/{id}         → one trace's full span tree: root → retrieve → one
-//	                               child per shard (primed/refills/merge-wait) → merge
-//	                               → select → render, with per-span attributes
+//	GET  /v1/traces/{id}         → one trace's full span tree: root → retrieve →
+//	                               step1 → select → render, with per-span attributes
 //	GET  /metrics                → Prometheus text-format metrics (requests, stage
 //	                               latencies, gate gauges/counters, engine cache
 //	                               hit/miss/coalesced/eviction counters, degradations)
@@ -51,17 +50,18 @@
 //	                               requires -enable-mutation, capped by
 //	                               -max-mutation-batch
 //	GET  /v1/corpora             → every registered corpus with per-tenant stats
-//	                               (places, epoch, shards, cache hit ratio, WAL lag)
-//	POST /v1/corpora             → {"name","places","seed","shards","cache_entries"}
-//	                               registers a new corpus with its own engine, gate
-//	                               and SLO tracker; durable under -corpora-dir;
-//	                               requires -enable-mutation
+//	                               (places, epoch, shards — always 1 —, cache hit
+//	                               ratio, WAL lag)
+//	POST /v1/corpora             → {"name","places","seed","cache_entries"} registers
+//	                               a new corpus with its own engine, gate and SLO
+//	                               tracker; durable under -corpora-dir; requires
+//	                               -enable-mutation ("shards" is accepted, ignored)
 //	DELETE /v1/corpora/{name}    → unregisters a corpus and closes its WAL (files
 //	                               stay on disk); the default corpus is protected
 //
-// Every corpus is split into -shards spatial shards (results are
-// exactly those of one shard) and served by a cross-query engine that
-// caches score sets per corpus epoch (internal/engine). With -wal-dir
+// Every corpus retrieves from its own IR-tree (-shards is accepted and
+// ignored) and is served by a cross-query engine that caches score sets
+// per corpus epoch (internal/engine). With -wal-dir
 // the default corpus is durable — a write-ahead log plus snapshots,
 // recovered at boot before /readyz flips ready (durability.go) — and
 // with -corpora-dir so are the named ones. Every request is bounded by
@@ -216,7 +216,7 @@ func parseFlags(args []string, stderr io.Writer) (bootConfig, error) {
 	fs.DurationVar(&cfg.WAL.SyncInterval, "wal-sync-interval", 100*time.Millisecond, "fsync cadence under -wal-sync=interval")
 	fs.BoolVar(&bc.walRequired, "wal-required", true, "treat WAL open/recovery failure as fatal; false degrades to serving reads and shedding mutations with 503")
 	fs.IntVar(&cfg.WALCompactRecords, "wal-compact-records", 0, "log length in records beyond which a mutation triggers background snapshot compaction (0: 1024)")
-	fs.IntVar(&cfg.Shards, "shards", 0, "spatial shards per corpus for parallel Step-1 fan-out (0 or 1: one shard, the corpus's own tree; at most 64; results are identical either way)")
+	shards := fs.Int("shards", 0, "ignored: every corpus retrieves from its own IR-tree, which beat two shards on every end-to-end metric of both miss workloads; accepted in [0, 64] so existing command lines still parse")
 	fs.Int("step1-workers", 0, "ignored: Step 1 is one sequential pass; accepted so existing command lines still parse")
 	traces := fs.Bool("traces", true, "retain per-request traces (tail-based: slow/error/shed/degraded always, -trace-sample for the rest) and serve GET /v1/traces")
 	fs.Float64Var(&cfg.TraceSample, "trace-sample", 0.01, "probability that a fast, healthy request's trace is retained (tail rules retain regardless; negative: tail-only)")
@@ -226,7 +226,7 @@ func parseFlags(args []string, stderr io.Writer) (bootConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return bc, err
 	}
-	if err := checkShards(cfg.Shards); err != nil {
+	if err := checkShards(*shards); err != nil {
 		fmt.Fprintln(stderr, "propserve: -shards:", err)
 		return bc, err
 	}

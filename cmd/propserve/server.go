@@ -120,12 +120,6 @@ type Config struct {
 	// the fraction of requests that are neither 5xx errors nor shed must
 	// stay above it. Default 0.999.
 	SLOAvailability float64
-	// Shards is the number of spatial shards every corpus is split into
-	// (engine.Options.Shards), each with its own IR-tree and epoch. With
-	// two or more, Step-1 retrieval fans out across them in parallel;
-	// results are exactly those of one shard. 0 means 1: the corpus's
-	// own tree.
-	Shards int
 	// CorporaDir, when set, makes corpora created through POST /v1/corpora
 	// durable: each corpus logs to its own WAL under CorporaDir/<name> and
 	// recovers from it on re-creation or restart. The default corpus keeps
@@ -248,7 +242,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		requestSeconds: reg.Sketch("propserve_request_seconds",
 			"End-to-end request latency in seconds."),
 		stageSeconds: reg.SketchVec("propserve_stage_seconds",
-			"Per-stage latency in seconds (parse, admission_wait, retrieve, shard_retrieve, merge, step1_pcs, step1_pss, step2_select, build_response, encode, wal_replay).",
+			"Per-stage latency in seconds (parse, admission_wait, retrieve, step1_pcs, step1_pss, step2_select, build_response, encode, wal_replay).",
 			"stage"),
 		queueWait: reg.Sketch("propserve_gate_queue_wait_seconds",
 			"Time spent waiting for admission at the gate, in seconds."),
@@ -398,7 +392,6 @@ func engineOptions(cfg Config) engine.Options {
 	return engine.Options{
 		MaxK:         cfg.MaxK,
 		CacheEntries: cfg.CacheEntries,
-		Shards:       cfg.Shards,
 	}
 }
 
@@ -633,8 +626,8 @@ func (s *Server) registerTenantMetrics() {
 		"Currently published epoch of each corpus.",
 		perTenant(func(tn *registry.Tenant) float64 { return float64(tn.Eng.Epoch()) }))
 	reg.GaugeSeriesFunc("propserve_tenant_shards",
-		"Spatial shards each corpus's Step-1 retrieval runs over (1 for a corpus's own tree).",
-		perTenant(func(tn *registry.Tenant) float64 { return float64(tn.Eng.Stats().Shards) }))
+		"Spatial shards each corpus's retrieval runs over: always 1, the corpus's own tree.",
+		perTenant(func(*registry.Tenant) float64 { return corpusShards }))
 	reg.GaugeSeriesFunc("propserve_tenant_cache_hit_ratio",
 		"Score-set LRU hit ratio of each corpus's engine (0 before any lookup).",
 		perTenant(func(tn *registry.Tenant) float64 { return tn.Eng.Stats().HitRatio() }))
@@ -985,7 +978,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"builds":       es.Builds,
 			"build_errors": es.BuildErrors,
 			"explains":     es.Explains,
-			"shards":       es.Shards,
+			"shards":       corpusShards,
 			"tables": map[string]interface{}{
 				"squared":            es.SquaredTables,
 				"radial_resolutions": es.RadialResolutions,
@@ -1422,15 +1415,15 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 
 // corpusSummary is one tenant's entry in GET /v1/corpora and the
 // /v1/stats "corpora" section: corpus size and epoch, cache efficiency,
-// shard count, and how far the WAL has run ahead of the last snapshot
-// (its lag — records a restart would have to replay).
+// shard count (corpusShards), and how far the WAL has run ahead of the
+// last snapshot (its lag — records a restart would have to replay).
 func (s *Server) corpusSummary(tn *registry.Tenant) map[string]interface{} {
 	es := tn.Eng.Stats()
 	ws := tn.WALStats()
 	return map[string]interface{}{
 		"places":          es.Places,
 		"epoch":           es.Epoch,
-		"shards":          es.Shards,
+		"shards":          corpusShards,
 		"mutations":       es.Mutations,
 		"cache_hit_ratio": round3(es.HitRatio()),
 		"wal": map[string]interface{}{
@@ -1454,9 +1447,16 @@ func (s *Server) handleCorporaList(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// maxShards bounds the shard count from -shards or a POST /v1/corpora
-// body: building a shard view and every write after it loop over all
-// shards, so the count multiplies the cost of each corpus write.
+// corpusShards is the shard count /v1/stats, /v1/corpora and
+// propserve_tenant_shards report: every corpus retrieves from its own
+// IR-tree. On two cores one tree beat two shards on every end-to-end
+// metric of both miss workloads (EXPERIMENTS.md), so -shards and the
+// "shards" field of POST /v1/corpora are accepted and ignored.
+const corpusShards = 1
+
+// maxShards bounds the ignored shard count from -shards or a POST
+// /v1/corpora body, so a value that was out of range when it selected
+// a shard count is still rejected.
 const maxShards = 64
 
 // checkShards rejects a shard count outside [0, maxShards].
@@ -1468,9 +1468,9 @@ func checkShards(n int) error {
 }
 
 // createCorpusRequest is the POST /v1/corpora payload. Places and Seed
-// parameterise the generated corpus; Shards and CacheEntries override
-// the server-wide defaults for this tenant (0 inherits, shards=1 forces
-// one shard; shards is capped at maxShards, negative values are 400s).
+// parameterise the generated corpus; CacheEntries overrides the
+// server-wide default for this tenant (0 inherits, negative is a 400).
+// Shards is range-checked like -shards and otherwise ignored.
 type createCorpusRequest struct {
 	Name         string `json:"name"`
 	Places       int    `json:"places"`
@@ -1518,9 +1518,6 @@ func (s *Server) handleCorporaCreate(w http.ResponseWriter, r *http.Request) {
 		cr.Places = 1000
 	}
 	opts := engineOptions(s.cfg)
-	if cr.Shards != 0 {
-		opts.Shards = cr.Shards
-	}
 	if cr.CacheEntries > 0 {
 		opts.CacheEntries = cr.CacheEntries
 	}
@@ -1537,8 +1534,8 @@ func (s *Server) handleCorporaCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, "create corpus %q: %v", cr.Name, err)
 		return
 	}
-	s.cfg.Logf("propserve: corpus %q created: %d places, %d shards, durable=%v",
-		tn.Name, tn.Eng.Stats().Places, tn.Eng.Stats().Shards, dir != "")
+	s.cfg.Logf("propserve: corpus %q created: %d places, durable=%v",
+		tn.Name, tn.Eng.Stats().Places, dir != "")
 	s.writeJSON(w, http.StatusCreated, map[string]interface{}{
 		"name":    tn.Name,
 		"durable": dir != "",

@@ -33,14 +33,12 @@ func getJSON(t *testing.T, s *Server, path string) map[string]any {
 	return body
 }
 
-// The acceptance path end to end: a forced-slow sharded miss is
-// retained, its ID surfaces as the miss class's p99 exemplar in
-// /v1/slo, and fetching that ID yields the span tree with one
-// shard_retrieve child per shard under the retrieve span.
-func TestTraceSlowSearchExemplarResolvesWithShardSpans(t *testing.T) {
-	cfg := traceConfig()
-	cfg.Shards = 4
-	s := testServerCfg(t, cfg)
+// The acceptance path end to end: a forced-slow miss is retained, its ID
+// surfaces as the miss class's p99 exemplar in /v1/slo, and fetching
+// that ID yields the span tree, whose retrieve span has no shard_retrieve
+// or merge child: every corpus retrieves from its own tree.
+func TestTraceSlowSearchExemplarResolves(t *testing.T) {
+	s := testServerCfg(t, traceConfig())
 
 	rec := get(t, s, "/v1/search?K=60&k=6")
 	if rec.Code != http.StatusOK {
@@ -74,50 +72,18 @@ func TestTraceSlowSearchExemplarResolvesWithShardSpans(t *testing.T) {
 	if tr["status"] != 200.0 || tr["endpoint"] != "/v1/search" {
 		t.Fatalf("trace outcome = %v %v", tr["status"], tr["endpoint"])
 	}
-	spans := tr["spans"].([]any)
-	retrieveID := 0.0
-	for _, v := range spans {
-		sp := v.(map[string]any)
-		if sp["stage"] == "retrieve" {
-			retrieveID = sp["id"].(float64)
-		}
-	}
-	if retrieveID == 0 {
-		t.Fatalf("no retrieve span in %v", spans)
-	}
-	shardSpans, mergeSpans := 0, 0
 	stages := map[string]bool{}
-	for _, v := range spans {
-		sp := v.(map[string]any)
-		stages[sp["stage"].(string)] = true
-		switch sp["stage"] {
-		case "shard_retrieve":
-			shardSpans++
-			if sp["parent"] != retrieveID {
-				t.Errorf("shard span parent = %v, want %v", sp["parent"], retrieveID)
-			}
-			attrs, _ := sp["attrs"].(map[string]any)
-			for _, k := range []string{"shard", "primed", "refills", "merge_wait_ms"} {
-				if _, ok := attrs[k]; !ok {
-					t.Errorf("shard span missing attr %q: %v", k, attrs)
-				}
-			}
-		case "merge":
-			mergeSpans++
-			if sp["parent"] != retrieveID {
-				t.Errorf("merge span parent = %v, want %v", sp["parent"], retrieveID)
-			}
-		}
+	for _, v := range tr["spans"].([]any) {
+		stages[v.(map[string]any)["stage"].(string)] = true
 	}
-	if shardSpans != 4 {
-		t.Errorf("shard spans = %d, want one per shard (4)", shardSpans)
-	}
-	if mergeSpans != 1 {
-		t.Errorf("merge spans = %d, want 1", mergeSpans)
-	}
-	for _, want := range []string{"parse", "admission_wait", "step2_select", "encode"} {
+	for _, want := range []string{"parse", "admission_wait", "retrieve", "step2_select", "encode"} {
 		if !stages[want] {
 			t.Errorf("trace missing stage %q (has %v)", want, stages)
+		}
+	}
+	for _, gone := range []string{"shard_retrieve", "merge"} {
+		if stages[gone] {
+			t.Errorf("trace has a %q span (has %v)", gone, stages)
 		}
 	}
 }
@@ -262,7 +228,7 @@ func TestTraceLogsCarryCorpusAndTraceID(t *testing.T) {
 // per-tenant rings stay isolated (a corpus filter only ever returns its
 // own traces) and no reader observes a torn span tree. Run with -race.
 func TestTraceChurnTwoTenants(t *testing.T) {
-	cfg := Config{EnableMutation: true, TraceSample: 1.1, Shards: 2}
+	cfg := Config{EnableMutation: true, TraceSample: 1.1}
 	s := testServerCfg(t, cfg)
 	if rec := postJSON(t, s, "/v1/corpora", map[string]any{"name": "beta", "places": 300}); rec.Code != http.StatusCreated {
 		t.Fatalf("create beta = %d: %s", rec.Code, rec.Body.String())

@@ -170,20 +170,29 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 
 	// Derive every place's context from its spatial object summary.
-	objs := make([]irtree.Object, len(places))
 	for i := range places {
 		os, err := g.SpatialOS(places[i].Entity, dict, rdf.OSOptions{MaxDepth: 1})
 		if err != nil {
 			return nil, err
 		}
 		places[i].Context = os.Context
-		objs[i] = irtree.Object{ID: int32(i), Loc: places[i].Loc, Terms: os.Context}
 	}
-	idx, err := irtree.BulkLoad(objs)
+	idx, err := buildIndex(len(places), func(i int) *PlaceRecord { return &places[i] })
 	if err != nil {
 		return nil, err
 	}
 	return &Dataset{Config: cfg, Graph: g, Dict: dict, Places: places, Index: idx}, nil
+}
+
+// buildIndex bulk-loads the IR-tree every retrieval ranks by over n
+// places: the object with ID i is place(i).
+func buildIndex(n int, place func(i int) *PlaceRecord) (*irtree.Tree, error) {
+	objs := make([]irtree.Object, n)
+	for i := range objs {
+		p := place(i)
+		objs[i] = irtree.Object{ID: int32(i), Loc: p.Loc, Terms: p.Context}
+	}
+	return irtree.BulkLoad(objs)
 }
 
 func clamp(v, lo, hi float64) float64 {

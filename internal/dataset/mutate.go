@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/irtree"
 	"repro/internal/textctx"
 )
 
@@ -175,11 +174,7 @@ scan:
 		return nil, st, err
 	}
 
-	objs := make([]irtree.Object, len(places))
-	for i, p := range places {
-		objs[i] = irtree.Object{ID: int32(i), Loc: p.Loc, Terms: p.Context}
-	}
-	idx, err := irtree.BulkLoad(objs)
+	idx, err := buildIndex(len(places), func(i int) *PlaceRecord { return &places[i] })
 	if err != nil {
 		return nil, ApplyStats{}, fmt.Errorf("dataset: rebuild index: %w", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/irtree"
 	"repro/internal/textctx"
 )
 
@@ -116,8 +115,7 @@ func Load(r io.Reader) (*Dataset, error) {
 		dict.Intern(w)
 	}
 	d := &Dataset{Config: ff.Config, Dict: dict}
-	objs := make([]irtree.Object, len(ff.Places))
-	for i, fp := range ff.Places {
+	for _, fp := range ff.Places {
 		ids := make([]textctx.ItemID, len(fp.Context))
 		for j, c := range fp.Context {
 			ids[j] = textctx.ItemID(c)
@@ -128,9 +126,8 @@ func Load(r io.Reader) (*Dataset, error) {
 		}
 		rec.Loc.X, rec.Loc.Y = fp.X, fp.Y
 		d.Places = append(d.Places, rec)
-		objs[i] = irtree.Object{ID: int32(i), Loc: rec.Loc, Terms: rec.Context}
 	}
-	idx, err := irtree.BulkLoad(objs)
+	idx, err := buildIndex(len(d.Places), func(i int) *PlaceRecord { return &d.Places[i] })
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,12 @@
 package dataset
 
-// Spatial sharding of a corpus for parallel Step-1 fan-out.
+// Spatial sharding of a corpus for a parallel top-K fan-out.
+//
+// The server retrieves from each corpus's own tree (Dataset.Retrieve);
+// measured on two cores, one tree answered faster and in less memory
+// than two shards on both miss workloads of the benchmark. A ShardView
+// remains for the benchmark's in-process replay, which times a sharded
+// retrieve next to the flat one.
 //
 // A ShardView partitions the place set by grid cell into n ≥ 1 shards,
 // each with its own IR-tree (and therefore its own inverted index). A
@@ -26,11 +32,7 @@ package dataset
 //
 // Shards keep their members in global order via Global (local object ID
 // → global place index), which keeps the per-shard tie-break consistent
-// with the global one. Apply rebuilds only the shards a mutation batch
-// touches; untouched shards keep their tree and epoch and only have
-// their Global lists renumbered, which is how per-shard epochs compose
-// into the corpus epoch: a shard's epoch is the corpus epoch of the
-// last mutation that touched it.
+// with the global one.
 
 import (
 	"context"
@@ -54,20 +56,13 @@ type Shard struct {
 	Global []int32
 	// Index is the shard's IR-tree over local object IDs.
 	Index *irtree.Tree
-	// Epoch is the corpus epoch of the last mutation that rebuilt this
-	// shard (its creation epoch if none has).
+	// Epoch is the corpus epoch the shard was built at.
 	Epoch uint64
-}
-
-// ShardInfo is one shard's footprint for stats/diagnostics.
-type ShardInfo struct {
-	Places int    `json:"places"`
-	Epoch  uint64 `json:"epoch"`
 }
 
 // ShardView partitions a Dataset into n spatial shards over a g×g grid
 // of its extent, with cells assigned round-robin to shards. The view is
-// immutable: Apply returns a successor view sharing unrebuilt shards.
+// immutable.
 type ShardView struct {
 	base         *Dataset
 	n, g         int
@@ -152,32 +147,12 @@ func (sv *ShardView) buildShard(assign []int, sid int, epoch uint64) (*Shard, er
 		sh.Index = sv.base.Index
 		return sh, nil
 	}
-	objs := make([]irtree.Object, len(sh.Global))
-	for li, g := range sh.Global {
-		p := sv.base.Places[g]
-		objs[li] = irtree.Object{ID: int32(li), Loc: p.Loc, Terms: p.Context}
-	}
-	idx, err := irtree.BulkLoad(objs)
+	idx, err := buildIndex(len(sh.Global), func(i int) *PlaceRecord { return &sv.base.Places[sh.Global[i]] })
 	if err != nil {
 		return nil, err
 	}
 	sh.Index = idx
 	return sh, nil
-}
-
-// Base returns the unpartitioned dataset behind the view.
-func (sv *ShardView) Base() *Dataset { return sv.base }
-
-// NumShards returns the shard count.
-func (sv *ShardView) NumShards() int { return sv.n }
-
-// Info returns per-shard footprints, in shard order.
-func (sv *ShardView) Info() []ShardInfo {
-	out := make([]ShardInfo, len(sv.Shards))
-	for i, sh := range sv.Shards {
-		out[i] = ShardInfo{Places: len(sh.Global), Epoch: sh.Epoch}
-	}
-	return out
 }
 
 // shardCursor is one shard's position in the lazy merge: a buffered
@@ -350,71 +325,4 @@ func (sv *ShardView) Retrieve(ctx context.Context, q Query, K int) ([]core.Place
 // decimals, the JSON convention used elsewhere.
 func roundMS(d time.Duration) float64 {
 	return math.Round(d.Seconds()*1e6) / 1e3
-}
-
-// Apply runs the batch through the base dataset's copy-on-write
-// ApplyCtx and derives the successor view, rebuilding only the shards
-// the batch's delta (ApplyStats.Removed and Added) touches: the shard of
-// every removed record's old location and of every added record's new
-// one. Untouched shards keep their tree and epoch — a mutation
-// batch leaves them byte-identical — and only have their Global lists
-// renumbered, since deletes shift later global indices. Rebuilt shards
-// take nextEpoch, which is how per-shard epochs compose into the corpus
-// epoch. A one-shard view always takes the tree ApplyCtx built.
-func (sv *ShardView) Apply(ctx context.Context, b Batch, nextEpoch uint64) (*Dataset, *ShardView, ApplyStats, error) {
-	next, st, err := sv.base.ApplyCtx(ctx, b)
-	if err != nil {
-		return nil, nil, st, err
-	}
-
-	// Affected shards. A one-shard view's shard is always rebuilt: it
-	// must serve next's tree, not the old one.
-	affected := make([]bool, sv.n)
-	affected[0] = sv.n == 1
-	for _, recs := range [...][]PlaceRecord{st.Removed, st.Added} {
-		for _, r := range recs {
-			affected[sv.shardOf(r.Loc)] = true
-		}
-	}
-
-	nv := &ShardView{base: next, n: sv.n, g: sv.g, cellW: sv.cellW, cellH: sv.cellH}
-	assign := nv.assignAll(next.Places)
-	for sid := 0; sid < sv.n; sid++ {
-		if affected[sid] {
-			sh, err := nv.buildShard(assign, sid, nextEpoch)
-			if err != nil {
-				return nil, nil, st, err
-			}
-			nv.Shards = append(nv.Shards, sh)
-			continue
-		}
-		// Untouched shard: same members in the same relative order
-		// (ApplyCtx keeps survivors in order and appends new places at
-		// the end, and none of this shard's members were touched), so
-		// the tree's local IDs stay valid — only the global indices
-		// shifted. Renumber Global; reuse everything else.
-		old := sv.Shards[sid]
-		global := make([]int32, 0, len(old.Global))
-		for i, a := range assign {
-			if a == sid {
-				global = append(global, int32(i))
-			}
-		}
-		if len(global) != len(old.Global) {
-			// Defensive: membership changed where it could not have.
-			// Rebuild rather than serve a corrupt mapping.
-			sh, err := nv.buildShard(assign, sid, nextEpoch)
-			if err != nil {
-				return nil, nil, st, err
-			}
-			nv.Shards = append(nv.Shards, sh)
-			continue
-		}
-		nv.Shards = append(nv.Shards, &Shard{
-			Global: global,
-			Index:  old.Index,
-			Epoch:  old.Epoch,
-		})
-	}
-	return next, nv, st, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
-	"repro/internal/textctx"
 )
 
 func shardTestData(t *testing.T, seed int64, places int) *Dataset {
@@ -77,8 +76,8 @@ func TestShardViewPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sv.NumShards() != n {
-			t.Fatalf("NumShards = %d, want %d", sv.NumShards(), n)
+		if len(sv.Shards) != n {
+			t.Fatalf("len(Shards) = %d, want %d", len(sv.Shards), n)
 		}
 		seen := make(map[int32]int)
 		total := 0
@@ -135,112 +134,6 @@ func TestShardRetrieveEquivalence(t *testing.T) {
 		// No keywords: pure proximity ranking must also agree.
 		assertRetrieveEqual(t, d, sv, Query{Loc: qs[0].Loc}, 50,
 			fmt.Sprintf("n=%d no-keywords", n))
-	}
-}
-
-// TestShardApplyEquivalence: after mutations, the successor view still
-// matches the (independently mutated) unsharded dataset, untouched
-// shards keep their epoch, and touched shards take the new one. A
-// one-shard view serves the tree of each new base, never a copy.
-func TestShardApplyEquivalence(t *testing.T) {
-	for _, n := range []int{1, 4} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { testShardApplyEquivalence(t, n) })
-	}
-}
-
-func testShardApplyEquivalence(t *testing.T, n int) {
-	d := shardTestData(t, 3, 300)
-	sv, err := NewShardView(d, n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := d.GenQueries(4, 20, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	flat := d
-	for gen := 1; gen <= 4; gen++ {
-		b := Batch{
-			Upserts: []Upsert{
-				{ID: fmt.Sprintf("shard-beacon:%d", gen), X: 10 + float64(gen), Y: 10, Context: []string{"shard-beacon"}},
-				{ID: d.Places[gen*3].Label, X: d.Places[gen*3].Loc.X, Y: d.Places[gen*3].Loc.Y, Context: []string{"moved", fmt.Sprintf("gen-%d", gen)}},
-			},
-			Deletes: []string{d.Places[gen*7].Label},
-		}
-		var next *Dataset
-		next, sv, _, err = sv.Apply(context.Background(), b, uint64(gen))
-		if err != nil {
-			t.Fatalf("gen %d: sharded apply: %v", gen, err)
-		}
-		flat, _, err = flat.Apply(b)
-		if err != nil {
-			t.Fatalf("gen %d: flat apply: %v", gen, err)
-		}
-		if len(next.Places) != len(flat.Places) {
-			t.Fatalf("gen %d: sharded corpus %d places, flat %d", gen, len(next.Places), len(flat.Places))
-		}
-		if sv.Base() != next {
-			t.Fatalf("gen %d: successor view wraps a different dataset than Apply returned", gen)
-		}
-		if n == 1 && sv.Shards[0].Index != next.Index {
-			t.Fatalf("gen %d: one-shard view does not serve the new base's tree", gen)
-		}
-		assertShardRecords(t, sv, next)
-		for qi, q := range qs {
-			assertRetrieveEqual(t, flat, sv, q, 100,
-				fmt.Sprintf("gen=%d q=%d", gen, qi))
-		}
-		if id, ok := flat.Dict.Lookup("shard-beacon"); ok {
-			assertRetrieveEqual(t, flat, sv, Query{Loc: qs[0].Loc, Keywords: textctx.NewSet(id)}, 50,
-				fmt.Sprintf("gen=%d beacon", gen))
-		} else {
-			t.Fatalf("gen %d: beacon word never interned", gen)
-		}
-	}
-
-	// Epoch composition: at least one shard was touched (epoch > 0); if
-	// any shard went untouched its epoch must predate the last batch.
-	var touched bool
-	for _, info := range sv.Info() {
-		if info.Epoch > 0 {
-			touched = true
-		}
-		if info.Epoch > 4 {
-			t.Fatalf("shard epoch %d past corpus epoch 4", info.Epoch)
-		}
-	}
-	if !touched {
-		t.Fatal("no shard was ever rebuilt across 4 mutations")
-	}
-}
-
-// TestShardApplyRenumbersUntouched: a delete in one shard shifts global
-// indices; untouched shards must still map local IDs to the right
-// records afterwards.
-func TestShardApplyRenumbersUntouched(t *testing.T) {
-	d := shardTestData(t, 5, 200)
-	sv, err := NewShardView(d, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delete the very first place: every later global index shifts.
-	next, nv, _, err := sv.Apply(context.Background(), Batch{Deletes: []string{d.Places[0].Label}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertShardRecords(t, nv, next)
-	untouched := 0
-	for sid, sh := range nv.Shards {
-		if sh.Epoch == 0 {
-			untouched++
-			if sh.Index != sv.Shards[sid].Index {
-				t.Fatalf("untouched shard %d did not reuse its tree", sid)
-			}
-		}
-	}
-	if untouched == 0 {
-		t.Error("single delete rebuilt every shard; structural sharing is broken")
 	}
 }
 

@@ -232,38 +232,38 @@ func TestCompactEntryConcurrentSelKeys(t *testing.T) {
 
 // missBytes is the allocation ratchet of the miss path: bytes allocated
 // per fresh-key miss (retrieval, Step 1, Step 2, rendering) on the
-// benchmark's 20k corpus with its server settings (2 shards, 2 Step-1
-// workers), k=20, λ=γ=0.5. The last row is a memo miss on a resident
-// K=1000 entry: Step 2 on the cached set, reading its pairs through an
-// instance rebuilt from its places. Measured 2026-10-20 with score sets
-// that hold no pair scores: Step 1 stores no sF triangle and Step 2
-// recomputes the pairs it reads. Before, the rows were 372 684, 376 734,
-// 610 504, 633 640, 4 744 876, 4 761 208, 4 841 448, 4 892 736 and
-// 4 520 052 (Step 1 filling one K(K−1)/2 sF triangle, and a memo miss
-// rerunning Step 1 to refill it); 12.5–13.5 MB at K=1000 when the matrix
-// engines filled three triangles. Every row's budget is its measurement
-// + 10 %. Lower a row when a change shrinks it.
+// benchmark's 20k corpus, retrieved from its own IR-tree, k=20,
+// λ=γ=0.5. The last row is a memo miss on a resident K=1000 entry: Step
+// 2 on the cached set, reading its pairs through an instance rebuilt
+// from its places. Measured 2026-10-22 with one tree per corpus; the
+// rows were 238 652, 233 662, 465 188, 481 384, 826 844, 810 104,
+// 782 184 and 777 368 when retrieval merged two shards. Score sets hold
+// no pair scores: Step 1 stores no sF triangle and Step 2 recomputes the
+// pairs it reads (4.5–4.9 MB at K=1000 when Step 1 filled one
+// K(K−1)/2 sF triangle, 12.5–13.5 MB when the matrix engines filled
+// three). Every row's budget is its measurement + 10 %. Lower a row when
+// a change shrinks it.
 var missBytes = []struct {
 	K             int
 	algo, spatial string
 	memo          bool
 	measured      uint64
 }{
-	{200, "iadu", "exact", false, 238_652},
-	{200, "iadu", "squared", false, 233_662},
-	{200, "abp", "exact", false, 465_188},
-	{200, "abp", "squared", false, 481_384},
-	{1000, "iadu", "exact", false, 826_844},
-	{1000, "iadu", "squared", false, 810_104},
-	{1000, "abp", "exact", false, 782_184},
-	{1000, "abp", "squared", false, 777_368},
+	{200, "iadu", "exact", false, 209_456},
+	{200, "iadu", "squared", false, 216_782},
+	{200, "abp", "exact", false, 448_280},
+	{200, "abp", "squared", false, 464_408},
+	{1000, "iadu", "exact", false, 785_612},
+	{1000, "iadu", "squared", false, 768_944},
+	{1000, "abp", "exact", false, 740_992},
+	{1000, "abp", "squared", false, 711_608},
 	{1000, "iadu", "squared", true, 347_132},
 }
 
 // TestMissBytesBudget holds every missBytes row to its budget, averaged
 // over four requests after one unmeasured warm-up.
 func TestMissBytesBudget(t *testing.T) {
-	e := New(missCorpus(t), Options{Shards: 2})
+	e := New(missCorpus(t), Options{})
 	e.SquaredTable()
 	var ms runtime.MemStats
 	loc := 0

@@ -36,7 +36,7 @@
 //
 // The Engine is safe for concurrent use. The corpus is held behind an
 // epoch-versioned, atomically swapped snapshot: Mutate builds the next
-// immutable epoch copy-on-write (dataset.ShardView.Apply) and publishes
+// immutable epoch copy-on-write (dataset.Dataset.ApplyCtx) and publishes
 // it with one pointer swap, while every request pins the snapshot current
 // when it was created and reads it for its whole lifetime — a query never
 // observes a half-applied batch. Score-set cache keys carry the epoch;
@@ -98,11 +98,10 @@ type Options struct {
 	// replayed and future mutations continue the numbering the WAL
 	// records carry.
 	InitialEpoch uint64
-	// Shards is the number of spatial shards the corpus is split into
-	// (grid-cell partitions, each with its own IR-tree; see
-	// dataset.ShardView). With two or more, Step-1 retrieval is a
-	// parallel fan-out with an exact merge, and results are bitwise
-	// identical to one shard's. 0 means 1: the corpus's own tree.
+	// Shards is ignored: every corpus retrieves from its own IR-tree,
+	// which beat two shards on every end-to-end metric of both miss
+	// workloads. It stays so that callers which still set it keep
+	// compiling.
 	Shards int
 }
 
@@ -117,15 +116,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// corpusSnapshot is one immutable corpus epoch: the shard view over the
-// epoch's dataset (view.Base()). Requests pin the snapshot current when
-// they were created (NewRequest) and read it — places, shards and
-// dictionary — for their whole lifetime, so a mutation published
-// mid-query is invisible to them. Mutate derives the successor view,
-// sharing untouched shards.
+// corpusSnapshot is one immutable corpus epoch: the epoch's dataset.
+// Requests pin the snapshot current when they were created (NewRequest)
+// and read it — places, tree and dictionary — for their whole lifetime,
+// so a mutation published mid-query is invisible to them.
 type corpusSnapshot struct {
 	epoch uint64
-	view  *dataset.ShardView
+	d     *dataset.Dataset
 }
 
 // Engine serves proportionality queries over one registered corpus,
@@ -167,14 +164,7 @@ func New(d *dataset.Dataset, opt Options) *Engine {
 		opt:   o,
 		cache: newLRU(o.CacheEntries),
 	}
-	sv, err := dataset.NewShardView(d, max(o.Shards, 1), o.InitialEpoch)
-	if err != nil {
-		// Unreachable for a dataset whose own index was built over the
-		// same locations; a failure here means the dataset invariant
-		// (valid locations) is already broken.
-		panic(fmt.Sprintf("engine: shard corpus: %v", err))
-	}
-	e.snap.Store(&corpusSnapshot{epoch: o.InitialEpoch, view: sv})
+	e.snap.Store(&corpusSnapshot{epoch: o.InitialEpoch, d: d})
 	return e
 }
 
@@ -188,23 +178,19 @@ func (e *Engine) SetWAL(w MutationLog) {
 }
 
 // Corpus returns the currently published corpus epoch's dataset.
-func (e *Engine) Corpus() *dataset.Dataset { return e.snap.Load().view.Base() }
+func (e *Engine) Corpus() *dataset.Dataset { return e.snap.Load().d }
 
 // Snapshot returns the currently published corpus dataset and its epoch
 // as one consistent pair — what a compaction must read, since Corpus()
 // and Epoch() individually can straddle a concurrent mutation.
 func (e *Engine) Snapshot() (*dataset.Dataset, uint64) {
 	s := e.snap.Load()
-	return s.view.Base(), s.epoch
+	return s.d, s.epoch
 }
 
 // Epoch returns the currently published corpus epoch (0 until the first
 // mutation).
 func (e *Engine) Epoch() uint64 { return e.snap.Load().epoch }
-
-// ShardInfo returns the published snapshot's per-shard footprints (size
-// and last-rebuild epoch), one per shard.
-func (e *Engine) ShardInfo() []dataset.ShardInfo { return e.snap.Load().view.Info() }
 
 // SquaredTable returns the process's shared squared-grid table (see
 // grid.SharedSquaredTable).
@@ -328,10 +314,8 @@ func (e *Engine) scoreSet(ctx context.Context, req *QueryRequest, key string, al
 func (e *Engine) build(ctx context.Context, req *QueryRequest) (*core.ScoreSet, error) {
 	e.builds.Add(1)
 	loc := geo.Pt(req.X, req.Y)
-	// BeginSpan rather than StartSpan: a fanned-out retrieve records one
-	// child span per shard plus the merge under this span.
-	rctx, endRetrieve := telemetry.BeginSpan(ctx, telemetry.StageRetrieve)
-	places, err := req.snap.view.Retrieve(rctx, dataset.Query{Loc: loc, Keywords: req.kwSet}, req.K)
+	endRetrieve := telemetry.StartSpan(ctx, telemetry.StageRetrieve)
+	places, err := req.snap.d.Retrieve(dataset.Query{Loc: loc, Keywords: req.kwSet}, req.K)
 	endRetrieve()
 	if err != nil {
 		return nil, fmt.Errorf("retrieve: %w", err)
@@ -396,9 +380,6 @@ type Stats struct {
 	// same tables.
 	SquaredTables, RadialResolutions int
 	TableBytes                       int
-	// Shards is the spatial shard count (1 unless Options.Shards asked
-	// for more).
-	Shards int
 }
 
 // HitRatio returns Hits over cache lookups (hits + misses + coalesced),
@@ -428,11 +409,10 @@ func (e *Engine) Stats() Stats {
 		PlacesDeleted:  e.deleted.Load(),
 		KeptEntries:    e.kept.Load(),
 		SweptEntries:   e.swept.Load(),
-		Places:         len(snap.view.Base().Places),
+		Places:         len(snap.d.Places),
 		Entries:        e.cache.len(),
 		Capacity:       e.opt.CacheEntries,
 		CacheBytes:     e.cache.bytes(),
-		Shards:         snap.view.NumShards(),
 	}
 	var squared bool
 	squared, s.RadialResolutions, s.TableBytes = grid.SharedTableStats()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/url"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geo"
+	"repro/internal/telemetry"
 	"repro/internal/textctx"
 )
 
@@ -62,6 +64,34 @@ func uncached(t *testing.T, d *dataset.Dataset, req *QueryRequest) (core.Selecti
 		t.Fatal(err)
 	}
 	return sel, ss.Evaluate(sel.Indices, req.Lambda)
+}
+
+// assertMatchesOracle requires got, the engine's answer to req, to be
+// bitwise the raw pipeline's answer over d (dataset.Retrieve, no
+// engine): same retrieved places, selection and breakdown.
+func assertMatchesOracle(t *testing.T, label string, d *dataset.Dataset, req *QueryRequest, got *Result) {
+	t.Helper()
+	sel, bd := uncached(t, d, req)
+	places, err := d.Retrieve(dataset.Query{Loc: geo.Pt(req.X, req.Y), Keywords: req.KeywordSet()}, req.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Sel.HPF != sel.HPF || !sameIndices(got.Sel.Indices, sel.Indices) {
+		t.Fatalf("%s: selection diverged: engine %v (%v), oracle %v (%v)",
+			label, got.Sel.Indices, got.Sel.HPF, sel.Indices, sel.HPF)
+	}
+	if got.Breakdown != bd {
+		t.Fatalf("%s: breakdown diverged: engine %+v, oracle %+v", label, got.Breakdown, bd)
+	}
+	if got.SS.K() != len(places) {
+		t.Fatalf("%s: engine retrieved %d places, oracle %d", label, got.SS.K(), len(places))
+	}
+	for i, p := range places {
+		if got.SS.Places[i].ID != p.ID || got.SS.Places[i].Rel != p.Rel {
+			t.Fatalf("%s: rank %d: engine (%q, %v), oracle (%q, %v)", label, i,
+				got.SS.Places[i].ID, got.SS.Places[i].Rel, p.ID, p.Rel)
+		}
+	}
 }
 
 func sameIndices(a, b []int) bool {
@@ -156,6 +186,61 @@ func TestQueryMatchesUncachedPath(t *testing.T) {
 				t.Errorf("%s/%s: hit result differs from uncached", spatial, algo)
 			}
 		}
+	}
+
+	// A K/k/λ/γ grid with keywords, K past the default and topk, held to
+	// the whole raw pipeline: retrieved places, selection and breakdown.
+	for _, tc := range []struct {
+		K, k    int
+		lambda  float64
+		gamma   float64
+		algo    string
+		spatial string
+	}{
+		{100, 10, 0.5, 0.5, "abp", "squared"},
+		{100, 10, 0.5, 0.5, "iadu", "exact"},
+		{200, 20, 0.25, 0.75, "abp", "radial"},
+		{60, 6, 0.9, 0.1, "iadu", "squared"},
+		{400, 8, 0.5, 0.5, "topk", "exact"},
+	} {
+		label := fmt.Sprintf("K=%d k=%d λ=%v γ=%v %s/%s",
+			tc.K, tc.k, tc.lambda, tc.gamma, tc.algo, tc.spatial)
+		req := e.NewRequest()
+		req.K, req.SmallK = tc.K, tc.k
+		req.Lambda, req.Gamma = tc.lambda, tc.gamma
+		req.Algo, req.Spatial = tc.algo, tc.spatial
+		req.Keywords = []string{"park", "museum"}
+		got, err := e.Query(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertMatchesOracle(t, label, d, req, got)
+	}
+}
+
+// TestOneShardMissRecordsUnshardedSpans: a miss retrieves from the
+// corpus's own tree, so its trace carries a retrieve span and no
+// shard_retrieve or merge span.
+func TestOneShardMissRecordsUnshardedSpans(t *testing.T) {
+	e := New(testData(t), Options{})
+	req := e.NewRequest()
+	req.K, req.SmallK = 100, 10
+	tr := telemetry.NewTrace()
+	res, err := e.Query(telemetry.WithTrace(context.Background(), tr), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache != CacheMiss {
+		t.Fatalf("cache = %q, want a miss", res.Cache)
+	}
+	stages := tr.Stages()
+	if _, ok := stages[telemetry.StageRetrieve]; !ok {
+		t.Fatalf("no retrieve stage: %v", stages)
+	}
+	_, shard := stages[telemetry.StageShard]
+	_, merge := stages[telemetry.StageMerge]
+	if shard || merge {
+		t.Fatalf("shard_retrieve span %v, merge span %v; want neither (stages %v)", shard, merge, stages)
 	}
 }
 

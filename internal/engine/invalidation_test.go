@@ -47,10 +47,10 @@ func answerOf(t testing.TB, e *Engine, q poolQuery) (string, []byte) {
 // matchFresh answers every pool query on e and on a fresh engine built on
 // e's current corpus at e's epoch, fails on any byte difference, and
 // returns e's cache verdicts.
-func matchFresh(t testing.TB, e *Engine, pool []poolQuery, shards int) []string {
+func matchFresh(t testing.TB, e *Engine, pool []poolQuery) []string {
 	t.Helper()
 	d, epoch := e.Snapshot()
-	fresh := New(d, Options{InitialEpoch: epoch, Shards: shards})
+	fresh := New(d, Options{InitialEpoch: epoch})
 	verdicts := make([]string, len(pool))
 	for i, q := range pool {
 		var got []byte
@@ -87,7 +87,6 @@ func TestScopedInvalidation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		corpus *dataset.Dataset
-		shards int
 		batch  func(t *testing.T, d *dataset.Dataset, members []core.Place) Mutation
 		kept   bool
 	}{
@@ -149,22 +148,14 @@ func TestScopedInvalidation(t *testing.T) {
 					{ID: "t:words", X: 98, Y: 2, Context: []string{"never-seen-a", "never-seen-b"}},
 				}}
 			}},
-		{name: "3 shards, far upsert", shards: 3, kept: true,
-			batch: func(*testing.T, *dataset.Dataset, []core.Place) Mutation {
-				return Mutation{Upserts: []dataset.Upsert{{ID: "t:far", X: 99, Y: 99}}}
-			}},
-		{name: "3 shards, upsert at the query point", shards: 3,
-			batch: func(*testing.T, *dataset.Dataset, []core.Place) Mutation {
-				return Mutation{Upserts: []dataset.Upsert{{ID: "t:near", X: 50, Y: 50}}}
-			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.corpus
 			if d == nil {
 				d = big
 			}
-			e := New(d, Options{Shards: tc.shards, InitialEpoch: 4})
-			matchFresh(t, e, pool, tc.shards)
+			e := New(d, Options{InitialEpoch: 4})
+			matchFresh(t, e, pool)
 			res, err := e.Query(ctx, func() *QueryRequest {
 				req := e.NewRequest()
 				req.X, req.Y, req.K, req.SmallK = pool[0].x, pool[0].y, pool[0].K, pool[0].k
@@ -181,7 +172,7 @@ func TestScopedInvalidation(t *testing.T) {
 			if tc.kept {
 				want = CacheHit
 			}
-			if got := matchFresh(t, e, pool, tc.shards)[0]; got != want {
+			if got := matchFresh(t, e, pool)[0]; got != want {
 				t.Errorf("after the batch the entry answers as a %s, want a %s", got, want)
 			}
 			st := e.Stats()
@@ -198,14 +189,14 @@ var (
 )
 
 // FuzzScopedInvalidation runs random batches — upserts anywhere and at the
-// pool's query points, replacements and deletes of existing places, in one
-// or three shards — against a query pool, and after every batch checks
+// pool's query points, replacements and deletes of existing places —
+// against a query pool, and after every batch checks
 // each pool answer byte for byte against a fresh engine on that epoch's
 // corpus. A kept entry that a batch changed fails it.
 func FuzzScopedInvalidation(f *testing.F) {
-	f.Add([]byte{0, 0, 10, 10, 3, 1, 0, 128, 128, 0x82, 7, 9, 2, 3, 200, 1, 1})
-	f.Add([]byte{2, 1, 200, 40, 60, 0x80, 2, 5, 9, 1, 3, 3, 4, 0x83, 0, 0, 0})
-	f.Add([]byte{1, 0x81, 1, 128, 128, 0x82, 0, 30, 7, 0x81, 2, 128, 129, 3, 9, 9, 9, 0x83, 1, 2, 3})
+	f.Add([]byte{0, 10, 10, 3, 1, 0, 128, 128, 0x82, 7, 9, 2, 3, 200, 1, 1})
+	f.Add([]byte{1, 200, 40, 60, 0x80, 2, 5, 9, 1, 3, 3, 4, 0x83, 0, 0, 0})
+	f.Add([]byte{0x81, 1, 128, 128, 0x82, 0, 30, 7, 0x81, 2, 128, 129, 3, 9, 9, 9, 0x83, 1, 2, 3})
 	pool := []poolQuery{
 		{x: 30, y: 30, K: 30, k: 4, algo: "abp", spatial: "squared"},
 		{x: 60, y: 50, K: 25, k: 5, algo: "iadu", spatial: "exact"},
@@ -218,13 +209,8 @@ func FuzzScopedInvalidation(f *testing.F) {
 			pool[1].keywords = d.Places[1].Context.Words(d.Dict)[:1]
 		}
 		words := d.Dict.Words()
-		if len(data) == 0 {
-			return
-		}
-		shards := 1 + 2*int(data[0]%2)
-		data = data[1:]
-		e := New(d, Options{Shards: shards})
-		matchFresh(t, e, pool, shards)
+		e := New(d, Options{})
+		matchFresh(t, e, pool)
 
 		coord := func(b byte) float64 { return float64(b) * 100 / 255 }
 		var m Mutation
@@ -236,7 +222,7 @@ func FuzzScopedInvalidation(f *testing.F) {
 				t.Fatal(err)
 			}
 			m = Mutation{}
-			matchFresh(t, e, pool, shards)
+			matchFresh(t, e, pool)
 		}
 		defer flush()
 		for ops := 0; len(data) >= 4 && ops < 12; ops++ {

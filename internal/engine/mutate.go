@@ -58,7 +58,7 @@ type MutationResult struct {
 
 // Mutate applies m as one atomic batch and publishes the next corpus
 // epoch. The new epoch is built copy-on-write off the current one
-// (dataset.ShardView.Apply), so in-flight queries — pinned to the
+// (dataset.Dataset.ApplyCtx), so in-flight queries — pinned to the
 // snapshot their request was created on — keep reading their epoch
 // undisturbed and no query ever observes a half-applied batch.
 //
@@ -104,11 +104,7 @@ func (e *Engine) Mutate(ctx context.Context, m Mutation) (*MutationResult, error
 	}
 
 	cur := e.snap.Load()
-	// The view's Apply runs the copy-on-write dataset.ApplyCtx and
-	// rebuilds only the shards the batch touches, stamping them with the
-	// new epoch (untouched shards keep their tree and epoch — that is how
-	// per-shard epochs compose into the corpus epoch).
-	next, nextView, st, err := cur.view.Apply(ctx, dataset.Batch{Upserts: m.Upserts, Deletes: m.Deletes}, cur.epoch+1)
+	next, st, err := cur.d.ApplyCtx(ctx, dataset.Batch{Upserts: m.Upserts, Deletes: m.Deletes})
 	if err != nil {
 		if errors.Is(err, core.ErrCancelled) || errors.Is(err, core.ErrDeadline) {
 			return nil, err
@@ -134,7 +130,7 @@ func (e *Engine) Mutate(ctx context.Context, m Mutation) (*MutationResult, error
 			return nil, fmt.Errorf("%w: %v", ErrWAL, err)
 		}
 	}
-	ns := &corpusSnapshot{epoch: cur.epoch + 1, view: nextView}
+	ns := &corpusSnapshot{epoch: cur.epoch + 1, d: next}
 	e.snap.Store(ns)
 
 	// After the swap nothing can look up an older epoch's key except

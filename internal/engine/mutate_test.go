@@ -69,6 +69,49 @@ func TestMutatePublishesNewEpoch(t *testing.T) {
 	}
 }
 
+// TestMutationMatchesDatasetApply feeds an engine the same mutation
+// stream as a dataset mutated through Dataset.Apply and, at every epoch,
+// holds the mutation result and the answers to the raw pipeline over
+// that dataset.
+func TestMutationMatchesDatasetApply(t *testing.T) {
+	d := testData(t)
+	e := New(d, Options{})
+	oracle := d
+	for gen := 1; gen <= 4; gen++ {
+		m := Mutation{
+			Upserts: []dataset.Upsert{
+				{ID: fmt.Sprintf("live:%d", gen), X: 30 + float64(gen), Y: 60, Context: []string{"live"}},
+			},
+			Deletes: []string{d.Places[gen*11].Label},
+		}
+		var want dataset.ApplyStats
+		var err error
+		oracle, want, err = oracle.Apply(dataset.Batch{Upserts: m.Upserts, Deletes: m.Deletes})
+		if err != nil {
+			t.Fatalf("gen %d: oracle apply: %v", gen, err)
+		}
+		got, err := e.Mutate(context.Background(), m)
+		if err != nil {
+			t.Fatalf("gen %d: mutate: %v", gen, err)
+		}
+		if got.Epoch != uint64(gen) || got.Places != len(oracle.Places) ||
+			got.Upserted != want.Upserted || got.Deleted != want.Deleted {
+			t.Fatalf("gen %d: mutation result %+v, oracle %+v over %d places",
+				gen, got, want, len(oracle.Places))
+		}
+		for _, kw := range [][]string{{"live"}, {"park"}, nil} {
+			req := e.NewRequest()
+			req.K, req.SmallK = 120, 12
+			req.Keywords = kw
+			res, err := e.Query(context.Background(), req)
+			if err != nil {
+				t.Fatalf("gen %d: query: %v", gen, err)
+			}
+			assertMatchesOracle(t, fmt.Sprintf("gen=%d kw=%v", gen, kw), oracle, req, res)
+		}
+	}
+}
+
 // TestMutationSweepsStaleEntries: after a mutation, a score set the batch
 // cannot change (a far upsert) is carried into the new epoch and answers
 // as a hit that reports the new epoch, while one the batch can change (an

@@ -64,7 +64,7 @@ type QueryRequest struct {
 // whole lifetime, regardless of mutations racing it.
 func (e *Engine) NewRequest() *QueryRequest {
 	snap := *e.snap.Load()
-	center := snap.view.Base().Config.Extent / 2
+	center := snap.d.Config.Extent / 2
 	return &QueryRequest{
 		X: center, Y: center,
 		K: 100, SmallK: 10,
@@ -75,7 +75,7 @@ func (e *Engine) NewRequest() *QueryRequest {
 }
 
 // corpus returns the dataset the request is pinned to.
-func (r *QueryRequest) corpus() *dataset.Dataset { return r.snap.view.Base() }
+func (r *QueryRequest) corpus() *dataset.Dataset { return r.snap.d }
 
 // Epoch returns the corpus epoch the request is pinned to (0 for requests
 // not built via NewRequest, which Normalize rejects).
@@ -165,7 +165,7 @@ func (r *QueryRequest) Normalize() (CacheKey, error) {
 	bad := func(format string, args ...any) (CacheKey, error) {
 		return CacheKey{}, fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 	}
-	if r.snap.view == nil {
+	if r.snap.d == nil {
 		return bad("request is not pinned to a corpus epoch; build it with Engine.NewRequest")
 	}
 	for _, f := range [...]struct {

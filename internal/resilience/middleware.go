@@ -51,9 +51,3 @@ func (rc *Recoverer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}()
 	rc.next.ServeHTTP(w, r)
 }
-
-// Recover wraps next in a Recoverer, for callers that don't need the
-// panic count.
-func Recover(next http.Handler, logf func(format string, args ...any)) http.Handler {
-	return NewRecoverer(next, logf)
-}

@@ -12,7 +12,7 @@ import (
 
 func TestRecoverConvertsPanicTo500(t *testing.T) {
 	var logged string
-	h := Recover(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := NewRecoverer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("injected fault")
 	}), func(format string, args ...any) { logged = fmt.Sprintf(format, args...) })
 
@@ -30,7 +30,7 @@ func TestRecoverConvertsPanicTo500(t *testing.T) {
 }
 
 func TestRecoverPassesThroughNormalResponses(t *testing.T) {
-	h := Recover(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h := NewRecoverer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	}), nil)
 	rec := httptest.NewRecorder()
@@ -41,7 +41,7 @@ func TestRecoverPassesThroughNormalResponses(t *testing.T) {
 }
 
 func TestRecoverRepanicsAbortHandler(t *testing.T) {
-	h := Recover(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+	h := NewRecoverer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic(http.ErrAbortHandler)
 	}), nil)
 	defer func() {

@@ -22,9 +22,10 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 	g := reg.Gauge("test_gauge", "a gauge")
 	g.Set(3)
-	g.Inc()
-	g.Dec()
-	g.Add(-1.5)
+	if g.Value() != 3 {
+		t.Errorf("gauge = %v, want 3", g.Value())
+	}
+	g.Set(1.5)
 	if g.Value() != 1.5 {
 		t.Errorf("gauge = %v, want 1.5", g.Value())
 	}
@@ -335,7 +336,7 @@ func TestMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(time.Duration(i) * time.Microsecond)
 				hv.With(fmt.Sprint(w % 3)).Observe(time.Duration(i) * time.Millisecond)
 				v.With(fmt.Sprint(w % 3)).Inc()
@@ -373,8 +374,8 @@ func TestMetricsConcurrent(t *testing.T) {
 	if c.Value() != workers*perWorker {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*perWorker)
 	}
-	if g.Value() != workers*perWorker {
-		t.Errorf("gauge = %v, want %d", g.Value(), workers*perWorker)
+	if g.Value() != perWorker-1 {
+		t.Errorf("gauge = %v, want %d, every worker's last Set", g.Value(), perWorker-1)
 	}
 	if h.Count() != workers*perWorker {
 		t.Errorf("sketch count = %d, want %d", h.Count(), workers*perWorker)

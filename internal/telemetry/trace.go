@@ -30,10 +30,12 @@ const (
 	// once per (score set, algorithm, k, λ); a request served a memoised
 	// answer records no such span.
 	StageBuild = "build_response"
-	// StageShard is one shard's Step-1 priming inside a sharded retrieve:
-	// the parallel Search+refill that fills the shard's merge prefix. Its
-	// spans are children of the surrounding StageRetrieve span, one per
-	// shard, carrying primed/refill/merge-wait attributes.
+	// StageShard is one shard's priming inside a sharded retrieve
+	// (dataset.ShardView, which the benchmark's replay runs; the server
+	// retrieves from one tree): the parallel Search+refill that fills the
+	// shard's merge prefix. Its spans are children of the surrounding
+	// StageRetrieve span, one per shard, carrying primed/refill/merge-wait
+	// attributes.
 	StageShard = "shard_retrieve"
 	// StageMerge is the serial k-way merge that consumes the shard
 	// prefixes; also a child of StageRetrieve.
@@ -102,7 +104,7 @@ func NewTrace() *Trace {
 	hex.Encode(hexed[:], raw[:])
 	return &Trace{
 		t0: time.Now(), id: string(hexed[:32]), root: string(hexed[32:]),
-		spans: make([]Span, 0, 8), // a hit records 3 spans, an unsharded miss 7
+		spans: make([]Span, 0, 8), // a hit records 3 spans, a miss 7
 	}
 }
 

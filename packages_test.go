@@ -35,7 +35,7 @@ var servingPackages = []string{
 // unimported lists the internal packages allowed outside both the serving
 // binary and the figure harness, each with the reason it is kept.
 var unimported = map[string]string{
-	"repro/internal/invindex": "kept until the sharded-retrieval work adopts or deletes it (ROADMAP item 2)",
+	"repro/internal/invindex": "postings half of the threshold-algorithm retriever to race against the tree walk; adopted or deleted by that race (ROADMAP item 2)",
 	"repro/internal/roadnet":  "paper's future-work network Ptolemy, run by examples/roadnet through core's SpatialCustom hook",
 }
 
