@@ -29,13 +29,10 @@ func maskVolatile(body []byte) []byte {
 	return body
 }
 
-// TestShardEquivalenceHTTP: -shards and the "shards" field of a POST
-// /v1/corpora body are accepted and ignored. A server started with
-// -shards 4, and a corpus created on it with "shards": 4, answer
-// /v1/search, /v1/batch, /v1/explain, /v1/stats and /v1/corpora byte
-// for byte like a server and a corpus without them, once request IDs and
-// timings are masked — before and after the same mutation on both.
-func TestShardEquivalenceHTTP(t *testing.T) {
+// startShardPair starts two servers with mutation and explain enabled:
+// a plain one and one given -shards 4.
+func startShardPair(t *testing.T) (plain, sharded *Server) {
+	t.Helper()
 	start := func(args ...string) *Server {
 		bc, err := parseFlags(append([]string{"-enable-mutation", "-enable-explain", "-access-log=false"}, args...), io.Discard)
 		if err != nil {
@@ -43,24 +40,37 @@ func TestShardEquivalenceHTTP(t *testing.T) {
 		}
 		return testServerCfg(t, bc.cfg)
 	}
-	plain, sharded := start(), start("-shards", "4")
+	return start(), start("-shards", "4")
+}
 
-	same := func(label string, a, b *httptest.ResponseRecorder) {
-		t.Helper()
-		if a.Code >= 300 || b.Code != a.Code {
-			t.Fatalf("%s: status %d without shards, %d with: %s", label, a.Code, b.Code, b.Body.String())
-		}
-		if ma, mb := maskVolatile(a.Body.Bytes()), maskVolatile(b.Body.Bytes()); !bytes.Equal(ma, mb) {
-			t.Errorf("%s diverges:\nwithout shards: %s\nwith shards:    %s", label, ma, mb)
-		}
+// sameResponse requires a and b, one request's answers from the plain
+// and the -shards 4 server, to succeed with the same status and the same
+// bytes once volatile fields are masked.
+func sameResponse(t *testing.T, label string, a, b *httptest.ResponseRecorder) {
+	t.Helper()
+	if a.Code >= 300 || b.Code != a.Code {
+		t.Fatalf("%s: status %d without shards, %d with: %s", label, a.Code, b.Code, b.Body.String())
 	}
+	if ma, mb := maskVolatile(a.Body.Bytes()), maskVolatile(b.Body.Bytes()); !bytes.Equal(ma, mb) {
+		t.Errorf("%s diverges:\nwithout shards: %s\nwith shards:    %s", label, ma, mb)
+	}
+}
+
+// TestShardEquivalenceHTTP: -shards and the "shards" field of a POST
+// /v1/corpora body are accepted and ignored. A server started with
+// -shards 4, and a corpus created on it with "shards": 4, answer
+// /v1/search, /v1/batch, /v1/stats and /v1/corpora byte
+// for byte like a server and a corpus without them, once request IDs and
+// timings are masked — before and after the same mutation on both.
+func TestShardEquivalenceHTTP(t *testing.T) {
+	plain, sharded := startShardPair(t)
 	post := func(path string, body, shardedBody any) {
 		t.Helper()
-		same("POST "+path, postJSON(t, plain, path, body), postJSON(t, sharded, path, shardedBody))
+		sameResponse(t, "POST "+path, postJSON(t, plain, path, body), postJSON(t, sharded, path, shardedBody))
 	}
 	read := func(path string) {
 		t.Helper()
-		same("GET "+path, get(t, plain, path), get(t, sharded, path))
+		sameResponse(t, "GET "+path, get(t, plain, path), get(t, sharded, path))
 	}
 
 	post("/v1/corpora",
@@ -98,8 +108,6 @@ func TestShardEquivalenceHTTP(t *testing.T) {
 				read(prefix + "/search?" + q)
 			}
 			post(prefix+"/batch", batch, batch)
-			read(prefix + "/explain?x=50&y=50&K=80&k=8&algo=iadu")
-			read(prefix + "/explain?x=50&y=50&K=80&k=8&algo=abp&spatial=radial")
 		}
 		read("/v1/stats")
 		read("/v1/corpora")
@@ -118,6 +126,43 @@ func TestShardEquivalenceHTTP(t *testing.T) {
 			"deletes": []string{corpus.Places[3].Label, corpus.Places[250].Label},
 		}
 		post(prefix+"/corpus", mutation, mutation)
+	}
+	compare()
+}
+
+// TestShardEquivalenceExplain: the per-iteration trace of /v1/explain
+// is a function of the score set, so a -shards 4 server reproduces a
+// plain server's trace byte for byte, on the default corpus and on one
+// created with "shards": 4, before and after the same mutation on both.
+func TestShardEquivalenceExplain(t *testing.T) {
+	plain, sharded := startShardPair(t)
+	sameResponse(t, "POST /v1/corpora",
+		postJSON(t, plain, "/v1/corpora", map[string]any{"name": "alpha", "places": 300, "seed": 9}),
+		postJSON(t, sharded, "/v1/corpora", map[string]any{"name": "alpha", "places": 300, "seed": 9, "shards": 4}))
+	corpus := plain.def.Eng.Corpus()
+	word := corpus.Places[0].Context.Words(corpus.Dict)[0]
+	compare := func() {
+		t.Helper()
+		for _, prefix := range []string{"/v1", "/v1/corpora/alpha"} {
+			for _, q := range []string{
+				"x=50&y=50&K=80&k=8&algo=iadu",
+				"x=50&y=50&K=80&k=8&algo=abp&spatial=radial",
+			} {
+				path := prefix + "/explain?" + q
+				sameResponse(t, "GET "+path, get(t, plain, path), get(t, sharded, path))
+			}
+		}
+	}
+	compare()
+	for _, prefix := range []string{"/v1", "/v1/corpora/alpha"} {
+		mutation := map[string]any{
+			"upserts": []map[string]any{
+				{"id": "eq:a", "x": 50.01, "y": 50, "context": []string{"beacon-eq", word}},
+			},
+			"deletes": []string{corpus.Places[3].Label},
+		}
+		path := prefix + "/corpus"
+		sameResponse(t, "POST "+path, postJSON(t, plain, path, mutation), postJSON(t, sharded, path, mutation))
 	}
 	compare()
 }

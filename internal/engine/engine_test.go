@@ -187,34 +187,42 @@ func TestQueryMatchesUncachedPath(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// A K/k/λ/γ grid with keywords, K past the default and topk, held to
-	// the whole raw pipeline: retrieved places, selection and breakdown.
-	for _, tc := range []struct {
-		K, k    int
-		lambda  float64
-		gamma   float64
-		algo    string
-		spatial string
-	}{
-		{100, 10, 0.5, 0.5, "abp", "squared"},
-		{100, 10, 0.5, 0.5, "iadu", "exact"},
-		{200, 20, 0.25, 0.75, "abp", "radial"},
-		{60, 6, 0.9, 0.1, "iadu", "squared"},
-		{400, 8, 0.5, 0.5, "topk", "exact"},
-	} {
-		label := fmt.Sprintf("K=%d k=%d λ=%v γ=%v %s/%s",
-			tc.K, tc.k, tc.lambda, tc.gamma, tc.algo, tc.spatial)
-		req := e.NewRequest()
-		req.K, req.SmallK = tc.K, tc.k
-		req.Lambda, req.Gamma = tc.lambda, tc.gamma
-		req.Algo, req.Spatial = tc.algo, tc.spatial
-		req.Keywords = []string{"park", "museum"}
-		got, err := e.Query(context.Background(), req)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+// TestShardedEngineEquivalence: Options.Shards is ignored, so engines
+// built with 0, 1 and 4 shards answer a K/k/λ/γ grid (keywords, K past
+// the default, topk) exactly like the whole raw pipeline: retrieved
+// places, selection and breakdown.
+func TestShardedEngineEquivalence(t *testing.T) {
+	d := testData(t)
+	for _, shards := range []int{0, 1, 4} {
+		e := New(d, Options{Shards: shards})
+		for _, tc := range []struct {
+			K, k    int
+			lambda  float64
+			gamma   float64
+			algo    string
+			spatial string
+		}{
+			{100, 10, 0.5, 0.5, "abp", "squared"},
+			{100, 10, 0.5, 0.5, "iadu", "exact"},
+			{200, 20, 0.25, 0.75, "abp", "radial"},
+			{60, 6, 0.9, 0.1, "iadu", "squared"},
+			{400, 8, 0.5, 0.5, "topk", "exact"},
+		} {
+			label := fmt.Sprintf("Shards=%d K=%d k=%d λ=%v γ=%v %s/%s",
+				shards, tc.K, tc.k, tc.lambda, tc.gamma, tc.algo, tc.spatial)
+			req := e.NewRequest()
+			req.K, req.SmallK = tc.K, tc.k
+			req.Lambda, req.Gamma = tc.lambda, tc.gamma
+			req.Algo, req.Spatial = tc.algo, tc.spatial
+			req.Keywords = []string{"park", "museum"}
+			got, err := e.Query(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertMatchesOracle(t, label, d, req, got)
 		}
-		assertMatchesOracle(t, label, d, req, got)
 	}
 }
 
